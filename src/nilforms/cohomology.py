@@ -32,7 +32,7 @@ from .errors import (
     OddDimension,
     OmegaNotClosed,
 )
-from .exterior_core import KForm, LieAlgebra, ce_d, wedge
+from .exterior_core import KForm, _add_term, _d_raw, _wedge_raw, ce_d, wedge
 from .scalars import ZERO, as_scalar
 
 
@@ -65,19 +65,54 @@ def twisted_d(algebra, theta, form):
     return result
 
 
+def _d_columns(algebra, k):
+    """The columns of the untwisted d on Lambda^k, memoized per degree on the
+    algebra (so at most dim + 1 entries)."""
+    columns = algebra._d_columns.get(k)
+    if columns is None:
+        position = {mono: i for i, mono in enumerate(algebra.monomials(k + 1))}
+        columns = [
+            {position[mono]: c for mono, c in _d_raw({source: 1}, algebra._dx).items()}
+            for source in algebra.monomials(k)
+        ]
+        algebra._d_columns[k] = columns
+    return columns
+
+
 def _d_matrix(algebra, k, theta):
     """Matrix of d_theta: Lambda^k -> Lambda^{k+1} over the lex monomial bases.
 
-    Rows are indexed by (k+1)-monomials, columns by k-monomials.
+    Returns ``(columns, domain, codomain)``: ``columns[c]`` is the image of
+    the monomial ``domain[c]``, sparse as ``{codomain position: coefficient}``.
+    Untwisted columns are the algebra's memo and must not be mutated; twisted
+    ones are built afresh, so a sweep over theta does not grow memory.
     """
+    theta = _require_twist(algebra, theta)
     domain = algebra.monomials(k)
     codomain = algebra.monomials(k + 1)
-    columns = []
-    for mono in domain:
-        image = twisted_d(algebra, theta, KForm(algebra, k, {mono: 1}))
-        columns.append(image.to_vector(codomain))
-    rows = [[columns[c][r] for c in range(len(domain))] for r in range(len(codomain))]
-    return rows, domain, codomain
+    columns = _d_columns(algebra, k)
+    if theta is not None:
+        position = {mono: i for i, mono in enumerate(codomain)}
+        twisted = []
+        for source, column in zip(domain, columns):
+            column = dict(column)
+            for mono, c in _wedge_raw(theta.coeffs, {source: 1}).items():
+                _add_term(column, position[mono], -c)
+            twisted.append(column)
+        columns = twisted
+    return columns, domain, codomain
+
+
+def _coordinates(form, monomials):
+    """A form's coefficients as a sparse ``{position in monomials: value}``."""
+    position = {mono: i for i, mono in enumerate(monomials)}
+    return {position[mono]: c for mono, c in form.coeffs.items()}
+
+
+def _form(algebra, degree, monomials, vector):
+    """The form whose coefficients are the sparse ``vector`` over monomials."""
+    terms = {monomials[i]: c for i, c in sorted(vector.items())}
+    return KForm(algebra, degree, terms, _normalized=True)
 
 
 class CohomologyClass:
@@ -141,42 +176,25 @@ class CohomologySpace:
         self.theta = theta
         self._monomials = algebra.monomials(degree)
 
-        d_here, _, _ = _d_matrix(algebra, degree, theta)
-        kernel = linalg.nullspace(d_here, len(self._monomials))
+        columns, _, _ = _d_matrix(algebra, degree, theta)
+        kernel = linalg.kernel(columns)
+        images = _d_matrix(algebra, degree - 1, theta)[0] if degree else []
+        self._coboundaries = linalg.echelon(images)
+        self._quotient = linalg.echelon(kernel, modulo=self._coboundaries)
 
-        if degree == 0:
-            image_vectors = []
-        else:
-            d_below, below_monos, _ = _d_matrix(algebra, degree - 1, theta)
-            image_vectors = [
-                [d_below[r][col] for r in range(len(d_below))]
-                for col in range(len(below_monos))
-            ]
-        self._b_rows, self._b_pivots = linalg.rref(image_vectors, len(self._monomials))
-
-        reduced_cocycles = [self._reduce_mod_coboundaries(v) for v in kernel]
-        self._q_rows, self._q_pivots = linalg.rref(reduced_cocycles, len(self._monomials))
-
-        self.betti = len(self._q_rows)
-        if self.betti != len(kernel) - len(self._b_rows):
+        self.betti = len(self._quotient)
+        if self.betti != len(kernel) - len(self._coboundaries):
             raise InternalInvariantBreach(
                 "coboundaries do not sit inside cocycles; d^2 = 0 is broken")
 
         self.cocycle_basis = [self._form_from(v) for v in kernel]
-        self.coboundary_basis = [self._form_from(v) for v in self._b_rows]
-        self.representative_basis = [self._form_from(v) for v in self._q_rows]
+        self.coboundary_basis = [self._form_from(v)
+                                 for v in linalg.unit_rows(self._coboundaries)]
+        self.representative_basis = [self._form_from(v)
+                                     for v in linalg.unit_rows(self._quotient)]
 
     def _form_from(self, vector):
-        terms = {mono: c for mono, c in zip(self._monomials, vector) if c != 0}
-        return KForm(self.algebra, self.degree, terms, _normalized=True)
-
-    def _reduce_mod_coboundaries(self, vector):
-        vec = list(vector)
-        for row, p in zip(self._b_rows, self._b_pivots):
-            f = vec[p]
-            if f != 0:
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return vec
+        return _form(self.algebra, self.degree, self._monomials, vector)
 
     # -- the quotient map ----------------------------------------------------
 
@@ -192,16 +210,12 @@ class CohomologySpace:
                 f"form has degree {form.degree}, space has degree {self.degree}")
         if not twisted_d(self.algebra, self.theta, form).is_zero:
             raise NotClosed("form is not a cocycle for this differential")
-        vec = self._reduce_mod_coboundaries(form.to_vector(self._monomials))
-        coords = [vec[p] for p in self._q_pivots]
+        vec = linalg.reduce(_coordinates(form, self._monomials), self._coboundaries)
+        coords = tuple(vec.get(p, ZERO) for p in self._quotient)
         # the reduced vector must be exactly the coordinate combination
-        recombined = [ZERO] * len(self._monomials)
-        for c, row in zip(coords, self._q_rows):
-            if c != 0:
-                recombined = [a + c * b for a, b in zip(recombined, row)]
-        if recombined != vec:
+        if linalg.reduce(vec, self._quotient):
             raise InternalInvariantBreach("cocycle escaped the quotient basis")
-        return tuple(coords)
+        return coords
 
     def class_of(self, form):
         return CohomologyClass(self, self.reduce(form))
@@ -345,12 +359,11 @@ class MasseyResult:
 
 def _primitive(algebra, target):
     """Deterministic solve of d(x) = target for a 1-form x (free vars zero)."""
-    rows, domain, codomain = _d_matrix(algebra, 1, None)
-    solution = linalg.solve(rows, target.to_vector(codomain), len(domain))
+    columns, domain, codomain = _d_matrix(algebra, 1, None)
+    solution = linalg.preimage(columns, _coordinates(target, codomain))
     if solution is None:
         raise InternalInvariantBreach("exact form has no primitive")
-    terms = {mono: c for mono, c in zip(domain, solution) if c != 0}
-    return KForm(algebra, 1, terms, _normalized=True)
+    return _form(algebra, 1, domain, solution)
 
 
 def triple_massey(algebra, a, b, c):

@@ -121,7 +121,8 @@ class LieAlgebra:
     construction, and cohomology results are memoized on the instance.
     """
 
-    __slots__ = ("dim", "constants", "labels", "_dx", "_hash", "_cohomology_cache")
+    __slots__ = ("dim", "constants", "labels", "_dx", "_hash", "_cohomology_cache",
+                 "_d_columns")
 
     def __init__(self, dim, constants, labels=None):
         if not isinstance(dim, int) or dim < 0:
@@ -151,6 +152,7 @@ class LieAlgebra:
         self._check_jacobi()
         self._hash = hash((dim, frozenset(self.constants.items())))
         self._cohomology_cache = {}
+        self._d_columns = {}
 
     def _build_dx(self):
         table = {i: {} for i in range(1, self.dim + 1)}
@@ -191,11 +193,6 @@ class LieAlgebra:
             if factor != 0:
                 out[k - 1] += coeff * factor
         return tuple(out)
-
-    def ad(self, i):
-        """Matrix of ad(X_i): column j holds [X_i, X_j]."""
-        return [[self.c(i, j, k) for j in range(1, self.dim + 1)]
-                for k in range(1, self.dim + 1)]
 
     @property
     def is_abelian(self):

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import cohomology_space
 from .errors import (
     AmbientMismatch,
     DegenerateMetric,
@@ -374,9 +373,9 @@ def classify_hermitian(algebra, metric, acs):
     theta = lee_form(algebra, metric, acs)
     lee_closed = ce_d(theta).is_zero
     identity = d_omega == wedge(theta, omega)
-    genuine = False
-    if lee_closed and not theta.is_zero:
-        genuine = not cohomology_space(algebra, 1).class_of(theta).is_zero
+    # B^1 = d(Lambda^0) = 0 for trivial coefficients: a closed theta is exact
+    # only when it is zero
+    genuine = lee_closed and not theta.is_zero
     parallel = koszul_connection(algebra, metric).covector_is_parallel(theta)
 
     kahler = integrable and d_omega.is_zero

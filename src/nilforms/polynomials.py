@@ -67,12 +67,6 @@ class Poly:
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, ZERO)
 
-    def as_constant(self):
-        """The value of a degree-0 polynomial; error if variables remain."""
-        if any(sum(e) > 0 for e in self.terms):
-            raise InvalidParameter("polynomial still depends on variables")
-        return self.constant_term()
-
     def coefficient_of(self, expo):
         return self.terms.get(tuple(expo), ZERO)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import cohomology_space, twisted_d, _d_matrix
+from .cohomology import _coordinates, _d_matrix, _form, cohomology_space, twisted_d
 from .errors import (
     AmbientMismatch,
     DimensionMismatch,
@@ -92,7 +92,12 @@ def _pfaffian_expand(entry, indices, zero, one):
         memo[subset] = total
         return total
 
-    return pf(tuple(indices))
+    try:
+        return pf(tuple(indices))
+    finally:
+        # pf refers to itself: unbinding it frees the memo of symbolic minors
+        # now, not whenever the cycle collector next runs
+        del pf
 
 
 def pfaffian_volume(algebra, omega):
@@ -155,7 +160,10 @@ def _support_admits_matching(dim, edges):
                 return True
         return False
 
-    return match(frozenset(range(1, dim + 1)))
+    try:
+        return match(frozenset(range(1, dim + 1)))
+    finally:
+        del match  # match refers to itself; unbinding it frees the adjacency now
 
 
 def nondegenerate_in_span(algebra, basis_forms):
@@ -270,9 +278,9 @@ def check_lcs(algebra, omega, theta):
     volume = pfaffian_volume(algebra, omega)
     lee_closed = ce_d(theta).is_zero
     identity = ce_d(omega) == wedge(theta, omega)
-    genuine = False
-    if lee_closed and not theta.is_zero:
-        genuine = not cohomology_space(algebra, 1).class_of(theta).is_zero
+    # B^1 = d(Lambda^0) = 0 for trivial coefficients: a closed theta is exact
+    # only when it is zero
+    genuine = lee_closed and not theta.is_zero
     return LcsVerdict(
         nondegenerate=volume != 0,
         lee_closed=lee_closed,
@@ -295,12 +303,11 @@ def twisted_exactness_witness(algebra, omega, theta):
             "twisted exactness needs a valid lcs pair; got "
             f"nondegenerate={verdict.nondegenerate}, lee_closed={verdict.lee_closed}, "
             f"identity_holds={verdict.identity_holds}")
-    rows, domain, codomain = _d_matrix(algebra, 1, theta)
-    solution = linalg.solve(rows, omega.to_vector(codomain), len(domain))
+    columns, domain, codomain = _d_matrix(algebra, 1, theta)
+    solution = linalg.preimage(columns, _coordinates(omega, codomain))
     if solution is None:
         return None
-    terms = {mono: c for mono, c in zip(domain, solution) if c != 0}
-    eta = KForm(algebra, 1, terms, _normalized=True)
+    eta = _form(algebra, 1, domain, solution)
     if twisted_d(algebra, theta, eta) != omega:
         raise InternalInvariantBreach("twisted primitive failed re-verification")
     return eta
@@ -485,14 +492,8 @@ def find_lcs(algebra, config=SearchConfig()):
         if theta.is_zero:
             omega = find_symplectic(algebra)
         else:
-            rows, domain, _ = _d_matrix(algebra, 2, theta)
-            kernel = linalg.nullspace(rows, len(domain))
-            span = [
-                KForm(algebra, 2,
-                      {mono: c for mono, c in zip(domain, vec) if c != 0},
-                      _normalized=True)
-                for vec in kernel
-            ]
+            columns, domain, _ = _d_matrix(algebra, 2, theta)
+            span = [_form(algebra, 2, domain, vec) for vec in linalg.kernel(columns)]
             omega = nondegenerate_in_span(algebra, span)
 
         if omega is None:

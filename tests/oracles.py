@@ -142,3 +142,51 @@ def betti_by_koszul(algebra, theta=None):
 def sympy_pfaffian_squared_is_det(matrix_rows, pf):
     mat = sympy_matrix(matrix_rows)
     return sympy.Rational(pf) ** 2 == mat.det()
+
+
+def reference_rref(rows, ncols=None):
+    """Reduced row echelon form by dense Fraction row reduction.
+
+    The elimination the library used before its sparse integer kernel, kept
+    as the reference that kernel is compared against: columns left to right,
+    the first row with a nonzero entry becomes the pivot row, every other row
+    is cleared in that column.  Returns ``(reduced_rows, pivot_columns)``.
+    """
+    work = [[Fraction(v) for v in row] for row in rows]
+    if ncols is None:
+        ncols = len(work[0]) if work else 0
+    for row in work:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+    pivots = []
+    pivot_row = 0
+    for col in range(ncols):
+        src = next((r for r in range(pivot_row, len(work)) if work[r][col] != 0), None)
+        if src is None:
+            continue
+        work[pivot_row], work[src] = work[src], work[pivot_row]
+        inv = 1 / work[pivot_row][col]
+        work[pivot_row] = [x * inv for x in work[pivot_row]]
+        prow = work[pivot_row]
+        for r in range(len(work)):
+            if r != pivot_row and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], prow)]
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == len(work):
+            break
+    return work[: len(pivots)], pivots
+
+
+def sympy_shaped(rows, ncols):
+    """A sympy matrix of the given column count, zero rows allowed."""
+    return sympy.Matrix(len(rows), ncols,
+                        [sympy.Rational(v.numerator, v.denominator)
+                         for row in rows for v in map(Fraction, row)])
+
+
+def as_fraction(value):
+    """A sympy rational as a Fraction."""
+    value = sympy.Rational(value)
+    return Fraction(int(value.p), int(value.q))

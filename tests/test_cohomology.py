@@ -15,6 +15,7 @@ from nilforms import (
     ce_d,
     cohomology_space,
     cup,
+    heisenberg_line,
     lefschetz_map,
     parse_salamon,
     triple_massey,
@@ -35,6 +36,19 @@ def test_frozen_betti_values(torus, kt, filiform, six_dim):
     assert betti_profile(kt) == (1, 3, 4, 3, 1)
     assert betti_profile(filiform) == (1, 2, 2, 2, 1)
     assert betti_profile(six_dim)[1] == 4
+
+
+# the profiles bench/make_expected.py cross-checks with sympy ranks of an
+# independent differential
+@pytest.mark.parametrize("build,profile", [
+    (lambda: heisenberg_line(5), (1, 9, 35, 75, 90, 84, 90, 75, 35, 9, 1)),
+    (lambda: parse_salamon("(0,0," + ",".join(f"[1,{k}]" for k in range(2, 10)) + ")"),
+     (1, 2, 5, 12, 20, 24, 20, 12, 5, 2, 1)),
+    (lambda: parse_salamon("(0,0,0,0,[1,2],[1,3],[1,4],[2,3],[2,4],[3,4])"),
+     (1, 4, 20, 56, 84, 90, 84, 56, 20, 4, 1)),
+], ids=["heisenberg_line_5", "filiform_10", "free_2step_4"])
+def test_dimension_ten_betti_profiles(build, profile):
+    assert betti_profile(build()) == profile
 
 
 def test_so3_has_the_sphere_profile(so3):
