@@ -4,6 +4,13 @@
 Runs find_lcs at increasing height bounds on one algebra and prints the
 candidates examined, wall time, and verdict per level.  Useful for judging
 how far the semi-decision can be pushed before the enumeration blows up.
+
+On a nilpotent algebra whose global twisted Pfaffian Pf(d eta - theta ^ eta)
+vanishes identically, the curve is flat: no candidate but theta = 0 is
+decided, the count grows as (V + 1)^b1 and the time per level stays at a
+few milliseconds (about 2-5 ms for (0,0,0,0,12,34) up to height 4, 279841
+candidates).  The enumeration cost shows where that Pfaffian is nonzero,
+and on algebras that are not nilpotent.
 """
 
 import argparse

@@ -498,6 +498,12 @@ def lower_central_series(algebra):
     until it hits zero (nilpotent) or stabilizes (not).
     """
     n = algebra.dim
+    # ad_right[j]: the (i, k, c) with [X_i, X_j] = c X_k + ..., so that
+    # [v, X_j] costs one product per nonzero structure constant
+    ad_right = {j: [] for j in range(1, n + 1)}
+    for (i, j, k), coeff in algebra.constants.items():
+        ad_right[j].append((i, k, coeff))
+        ad_right[i].append((j, k, -coeff))
     identity = [[as_scalar(1 if r == c else 0) for c in range(n)] for r in range(n)]
     current = identity
     dims = [n]
@@ -505,11 +511,12 @@ def lower_central_series(algebra):
         generated = []
         for v in current:
             for j in range(1, n + 1):
-                basis_j = [ZERO] * n
-                basis_j[j - 1] = as_scalar(1)
-                w = algebra.bracket_vectors(v, basis_j)
+                w = [ZERO] * n
+                for i, k, coeff in ad_right[j]:
+                    if v[i - 1]:
+                        w[k - 1] += v[i - 1] * coeff
                 if any(x != 0 for x in w):
-                    generated.append(list(w))
+                    generated.append(w)
         reduced, _ = linalg.rref(generated, n)
         dims.append(len(reduced))
         if len(reduced) == dims[-2]:

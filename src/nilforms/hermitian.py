@@ -328,6 +328,12 @@ class HermitianClassification:
     globally conformal case); ``vaisman`` adds a parallel nonzero Lee form.
     ``label`` applies the precedence not_integrable > kahler > vaisman >
     lck > gck > integrable_non_lck.
+
+    ``gck`` (globally conformally Kahler) is never set for invariant data:
+    B^1 = 0 for trivial coefficients, so a Lee form that is closed but not
+    genuine is zero, the identity then reads d(w) = 0, and an integrable J
+    with a closed fundamental form is Kahler, which ``gck`` excludes.  The
+    flag and label stay so the classification keeps its full vocabulary.
     """
 
     integrable: bool

@@ -14,6 +14,14 @@ decides each candidate exactly (symbolic Pfaffian over the solution-space
 parameters), so a negative answer is always reported as "not found up to
 height H", never as nonexistence.
 
+On a nilpotent algebra Dixmier's theorem (H*_theta = 0 for closed
+theta != 0) makes every d_theta-closed 2-form twisted-exact, so a single
+symbolic Pfaffian over theta and the primitive settles all theta != 0
+candidates at once; when it vanishes identically only theta = 0 is decided
+and the rest are counted.  That shortcut deletes work, not honesty: the
+search still answers for the candidates up to height H only, and a
+nonexistence claim belongs to a separate, proof-carrying decision.
+
 Dimension 2 is excluded from the lcs operations: there the Lee form is not
 unique and the conformal dichotomy collapses.
 """
@@ -37,7 +45,15 @@ from .errors import (
     PreconditionFailed,
     WrongDimension,
 )
-from .exterior_core import KForm, LieAlgebra, as_vector, build_algebra, ce_d, wedge
+from .exterior_core import (
+    KForm,
+    LieAlgebra,
+    as_vector,
+    build_algebra,
+    ce_d,
+    lower_central_series,
+    wedge,
+)
 from .polynomials import Poly, nonzero_point
 from .scalars import ZERO, ONE, as_scalar, height
 
@@ -166,6 +182,58 @@ def _support_admits_matching(dim, edges):
         del match  # match refers to itself; unbinding it frees the adjacency now
 
 
+def _unit_exponent(nvars, *variables):
+    """Exponent tuple of the product of the given (distinct) variables."""
+    return tuple(1 if t in variables else 0 for t in range(nvars))
+
+
+def _symbolic_pfaffian(dim, nvars, contributions):
+    """Pfaffian, as a Poly in ``nvars`` variables, of the skew matrix whose
+    (i, j) entry (i < j) sums coeff * monomial over the contributions
+    ``((i, j), exponent, coeff)``; each ((i, j), exponent) occurs at most
+    once.  The entry table is built in one walk, before the expansion."""
+    table = {}
+    for pair, expo, coeff in contributions:
+        if coeff:
+            table.setdefault(pair, {})[expo] = coeff
+    zero = Poly(nvars, {}, _normalized=True)
+    entries = {pair: Poly(nvars, terms, _normalized=True)
+               for pair, terms in table.items()}
+    return _pfaffian_expand(lambda i, j: entries.get((i, j), zero),
+                            range(1, dim + 1), zero, Poly.constant(nvars, 1))
+
+
+def _twisted_exact_pfaffian(algebra, covectors):
+    """Pf(d eta - theta ^ eta) as one Poly in (t_1..t_m, a_1..a_n), where
+    theta = sum t_i covectors[i] and eta = sum a_j x_j.
+
+    Dixmier (Acta Sci. Math. Szeged 16, 1955): on a nilpotent algebra every
+    twisted cohomology group H*_theta vanishes for closed theta != 0, so each
+    d_theta-closed 2-form is some d_theta(eta) = d eta - theta ^ eta.  With
+    the closed covectors passed in, this polynomial vanishing identically
+    therefore rules out a nondegenerate d_theta-closed 2-form for every
+    closed theta != 0 at once.
+    """
+    n, m = algebra.dim, len(covectors)
+    nvars = m + n
+
+    def contributions():
+        for j in range(1, n + 1):
+            a_j = m + j - 1
+            for pair, coeff in algebra.dx(j).coeffs.items():
+                yield pair, _unit_exponent(nvars, a_j), coeff
+            for i, covector in enumerate(covectors):
+                expo = _unit_exponent(nvars, i, a_j)
+                # -t_i a_j (beta_k x_k ^ x_j) for each term beta_k x_k of b_i
+                for (k,), beta in covector.coeffs.items():
+                    if k < j:
+                        yield (k, j), expo, -beta
+                    elif k > j:
+                        yield (j, k), expo, beta
+
+    return _symbolic_pfaffian(n, nvars, contributions())
+
+
 def nondegenerate_in_span(algebra, basis_forms):
     """A nondegenerate rational combination of the given 2-forms, or None.
 
@@ -188,20 +256,10 @@ def nondegenerate_in_span(algebra, basis_forms):
         return None
 
     nvars = len(basis_forms)
-
-    def entry(i, j):
-        terms = {}
-        for v, form in enumerate(basis_forms):
-            coeff = form.coefficient((i, j))
-            if coeff != 0:
-                expo = tuple(1 if t == v else 0 for t in range(nvars))
-                terms[expo] = coeff
-        return Poly(nvars, terms, _normalized=True)
-
-    pfaffian = _pfaffian_expand(
-        entry, range(1, dim + 1), Poly(nvars, {}, _normalized=True),
-        Poly.constant(nvars, 1),
-    )
+    pfaffian = _symbolic_pfaffian(dim, nvars, (
+        (pair, _unit_exponent(nvars, v), coeff)
+        for v, form in enumerate(basis_forms)
+        for pair, coeff in form.coeffs.items()))
     if pfaffian.is_zero:
         return None
     point = nonzero_point(pfaffian)
@@ -440,6 +498,15 @@ def find_lcs(algebra, config=SearchConfig()):
     theta.  Candidates are enumerated by ``theta_candidates``; the search
     stops at the first genuine witness, recording along the way the first
     witness of any kind (theta = 0 included).
+
+    On a nilpotent algebra one polynomial settles every theta != 0 candidate
+    first: P(t, a) = Pf(d eta - theta ^ eta) over all closed theta and all
+    eta (``_twisted_exact_pfaffian``, by Dixmier's vanishing theorem).  When
+    P is identically zero no candidate but theta = 0 can give a witness, so
+    only that one is decided and the others are counted in closed form; the
+    result is the one the enumeration would return.  The status stays a
+    semi-decision all the same: the shortcut changes what the search costs,
+    not what it reports, and a miss is still NOT_FOUND_UP_TO_HEIGHT(H).
     """
     if algebra.dim % 2:
         raise OddDimension("lcs structures need even dimension")
@@ -451,13 +518,15 @@ def find_lcs(algebra, config=SearchConfig()):
     witness = verdict = None
     genuine_witness = genuine_verdict = None
 
-    if algebra.is_abelian:
-        # With d = 0, d_theta-closed for theta != 0 means theta ^ omega = 0,
-        # i.e. omega = theta ^ (something), and every such form has zero
-        # Pfaffian.  Only the theta = 0 candidate can produce a witness, so
-        # the rest of the enumeration is counted in closed form: candidates
-        # are exactly the coordinate vectors over the m closed covectors with
-        # entry heights <= H, (V + 1)^m of them for V nonzero values.
+    if (lower_central_series(algebra).nilpotent
+            and _twisted_exact_pfaffian(algebra, closed_covector_basis(algebra)).is_zero):
+        # Every d_theta-closed 2-form with closed theta != 0 is some
+        # d eta - theta ^ eta, and P == 0 makes each of them degenerate (on an
+        # abelian algebra, of dim >= 4, always: there omega = -theta ^ eta).
+        # Only the theta = 0 candidate can produce a witness, so the rest of
+        # the enumeration is counted in closed form: candidates are exactly
+        # the coordinate vectors over the m closed covectors with entry
+        # heights <= H, (V + 1)^m of them for V nonzero values.
         m = len(closed_covector_basis(algebra))
         total = (len(_ordered_values(config.height)) + 1) ** m
         examined = total
@@ -645,8 +714,6 @@ class Classification4D:
 def classify_4d(algebra):
     if algebra.dim != 4:
         raise WrongDimension("classification is for dimension 4 only")
-    from .exterior_core import lower_central_series
-
     invariants = lower_central_series(algebra)
     if not invariants.nilpotent:
         raise NotNilpotent("classification is for nilpotent algebras only")

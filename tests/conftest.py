@@ -1,11 +1,18 @@
 """Fixtures and hypothesis strategies shared across the suite."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, settings, strategies as st
 
-from nilforms import InnerProduct, LieAlgebra, build_algebra, get_example
+from nilforms import (
+    InnerProduct,
+    LieAlgebra,
+    build_algebra,
+    cohomology_space,
+    get_example,
+)
 from nilforms.linalg import det as exact_det
 
 settings.register_profile(
@@ -94,6 +101,47 @@ def filtered_4d_algebras(draw):
         if coeff:
             constants[(i, j, 4)] = -coeff
     return LieAlgebra(4, constants)
+
+
+EXTENSION_COEFFS = (1, -1, 2, -2, Fraction(1, 2))
+
+
+def central_extension(rng, dim, generators):
+    """A nilpotent algebra by iterated central extension, b1 = generators.
+
+    x_1..x_generators are closed; each later dx_k is a nonzero combination of
+    one or two closed 2-forms of the algebra spanned by x_1..x_{k-1}, chosen
+    outside the exact ones, so d^2 = 0 holds by construction and every new
+    covector stays non-closed.
+    """
+    constants = {}
+    for k in range(generators + 1, dim + 1):
+        space = cohomology_space(LieAlgebra(k - 1, constants), 2)
+        closed = space.cocycle_basis
+        while True:
+            dx = sum((f.scale(rng.choice(EXTENSION_COEFFS))
+                      for f in rng.sample(closed, min(2, len(closed)))),
+                     space.algebra.zero_form(2))
+            if any(space.reduce(dx)):
+                break
+        for (i, j), coeff in dx.coeffs.items():
+            constants[(i, j, k)] = -coeff
+    return LieAlgebra(dim, constants)
+
+
+def seeded_central_extension(seed, dim, generators):
+    return central_extension(random.Random(f"{seed}:{dim}:{generators}"),
+                             dim, generators)
+
+
+@st.composite
+def nilpotent_algebras(draw, dims=range(4, 9)):
+    """Higher-step nilpotent algebras from ``central_extension``, seeded by
+    one drawn integer (a hypothesis-driven random source costs a draw per
+    call and makes each example many times slower)."""
+    dim = draw(st.sampled_from(dims))
+    generators = draw(st.integers(2, min(3, dim - 1)))
+    return seeded_central_extension(draw(st.integers(0, 2**32)), dim, generators)
 
 
 def catalog_algebras():

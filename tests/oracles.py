@@ -190,3 +190,60 @@ def as_fraction(value):
     """A sympy rational as a Fraction."""
     value = sympy.Rational(value)
     return Fraction(int(value.p), int(value.q))
+
+
+def reference_find_lcs(algebra, config):
+    """``find_lcs`` as it was before its nilpotent shortcut.
+
+    The per-candidate loop, kept as the reference the one-polynomial
+    shortcut is compared against: every candidate theta from
+    ``theta_candidates`` is decided on its own, the d_theta-closed 2-forms by
+    the sparse kernel and nondegeneracy by a symbolic Pfaffian over them.
+    """
+    from nilforms import linalg
+    from nilforms.cohomology import _d_matrix, _form
+    from nilforms.structures import (
+        LcsSearchResult,
+        check_lcs,
+        find_symplectic,
+        nondegenerate_in_span,
+        theta_candidates,
+    )
+
+    examined = 0
+    capped = False
+    witness = verdict = None
+    genuine_witness = genuine_verdict = None
+    for theta in theta_candidates(algebra, config):
+        if config.max_candidates is not None and examined >= config.max_candidates:
+            capped = True
+            break
+        examined += 1
+
+        if theta.is_zero:
+            omega = find_symplectic(algebra)
+        else:
+            columns, domain, _ = _d_matrix(algebra, 2, theta)
+            span = [_form(algebra, 2, domain, vec) for vec in linalg.kernel(columns)]
+            omega = nondegenerate_in_span(algebra, span)
+
+        if omega is None:
+            continue
+        this_verdict = check_lcs(algebra, omega, theta)
+        if not this_verdict.holds:
+            raise AssertionError("search produced a pair that fails its own verdict")
+        if witness is None:
+            witness, verdict = (omega, theta), this_verdict
+        if this_verdict.genuine:
+            genuine_witness, genuine_verdict = (omega, theta), this_verdict
+            break
+
+    return LcsSearchResult(
+        height=config.height,
+        examined=examined,
+        capped=capped,
+        witness=witness,
+        verdict=verdict,
+        genuine_witness=genuine_witness,
+        genuine_verdict=genuine_verdict,
+    )

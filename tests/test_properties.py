@@ -43,12 +43,20 @@ from nilforms import (
     twisted_d,
     wedge,
 )
+from nilforms import linalg
+from nilforms.cohomology import _d_matrix, _form
 from nilforms.exterior_core import lower_central_series
+from nilforms.structures import (
+    _twisted_exact_pfaffian,
+    closed_covector_basis,
+    nondegenerate_in_span,
+)
 
 from conftest import (
     catalog_algebras,
     filtered_4d_algebras,
     forms_on,
+    nilpotent_algebras,
     posdef_metrics,
     small_rationals,
     two_step_algebras,
@@ -191,6 +199,51 @@ def test_poincare_duality_on_the_catalog(algebra):
 def test_euler_characteristic_vanishes(algebra):
     betti = betti_profile(algebra)
     assert sum((-1) ** k * b for k, b in enumerate(betti)) == 0
+
+
+# -- Dixmier vanishing ---------------------------------------------------------
+
+
+def _combination(algebra, basis, coords):
+    return sum((f.scale(c) for f, c in zip(basis, coords)), algebra.zero_form(1))
+
+
+def _nonzero_coords(data, length):
+    return data.draw(st.lists(small_rationals, min_size=length, max_size=length)
+                     .filter(any))
+
+
+@fuzz(nilpotent_algebras(), st.data(), n=30)
+def test_twisted_betti_numbers_vanish_on_nilpotent_algebras(algebra, data):
+    basis = closed_covector_basis(algebra)
+    theta = _combination(algebra, basis, _nonzero_coords(data, len(basis)))
+    assert betti_profile(algebra, theta) == (0,) * (algebra.dim + 1)
+
+
+@fuzz(nilpotent_algebras(dims=(4, 6, 8)), st.data(), n=30)
+def test_twisted_exact_pfaffian_is_the_pfaffian_of_d_theta_eta(algebra, data):
+    # P(t, a) at a point is the Pfaffian of d eta - theta ^ eta there
+    basis = closed_covector_basis(algebra)
+    t = data.draw(st.lists(small_rationals, min_size=len(basis), max_size=len(basis)))
+    a = data.draw(st.lists(small_rationals, min_size=algebra.dim,
+                           max_size=algebra.dim))
+    theta = _combination(algebra, basis, t)
+    eta = _combination(algebra, [algebra.covector(j)
+                                 for j in range(1, algebra.dim + 1)], a)
+    omega = twisted_d(algebra, theta, eta)
+    pfaffian = _twisted_exact_pfaffian(algebra, basis)
+    assert pfaffian.evaluate(t + a) == pfaffian_volume(algebra, omega)
+
+
+@fuzz(nilpotent_algebras(dims=(4, 6, 8)), st.data(), n=30)
+def test_no_twisted_candidate_survives_a_zero_global_pfaffian(algebra, data):
+    basis = closed_covector_basis(algebra)
+    if not _twisted_exact_pfaffian(algebra, basis).is_zero:
+        return
+    theta = _combination(algebra, basis, _nonzero_coords(data, len(basis)))
+    columns, domain, _ = _d_matrix(algebra, 2, theta)
+    span = [_form(algebra, 2, domain, vec) for vec in linalg.kernel(columns)]
+    assert nondegenerate_in_span(algebra, span) is None
 
 
 # -- serialization round trips ------------------------------------------------

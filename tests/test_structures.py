@@ -14,11 +14,14 @@ from nilforms import (
     PreconditionFailed,
     SearchConfig,
     WrongDimension,
+    build_algebra,
     check_lcs,
     check_symplectic,
     classify_4d,
     find_lcs,
     find_symplectic,
+    format_form,
+    lower_central_series,
     nijenhuis,
     nondegenerate_in_span,
     parse_salamon,
@@ -162,6 +165,43 @@ def test_find_lcs_candidate_cap(filiform, torus):
     assert capped.genuine_status == "CANDIDATE_LIMIT_REACHED"
     also_capped = find_lcs(torus, SearchConfig(height=3, max_candidates=7))
     assert also_capped.examined == 7 and also_capped.capped
+
+
+# Answers of the per-candidate search, frozen before the nilpotent shortcut:
+# these algebras are not nilpotent, so they still take that path.
+NON_NILPOTENT_4D = {
+    "solvable_2_4": ({(1, 2): (0, 1, 0, 0), (3, 4): (0, 0, 0, 1)}, 2,
+                     ("x1^x2 + x3^x4", "0"), ("x1^x2 + x1^x4 + x3^x4", "x1")),
+    "solvable_2_3": ({(1, 2): (0, 1, 0, 0), (1, 3): (0, 0, -1, 0)}, 2,
+                     ("x1^x4 + x2^x3", "0"), ("x1^x2 + x3^x4", "x1")),
+    "aff_plus_r2": ({(1, 2): (0, 1, 0, 0)}, 3,
+                    ("x1^x2 + x3^x4", "0"), ("x1^x2 - x2^x3 - x3^x4", "x3")),
+}
+
+
+@pytest.mark.parametrize("brackets,examined,witness,genuine",
+                         NON_NILPOTENT_4D.values(), ids=NON_NILPOTENT_4D.keys())
+def test_find_lcs_on_non_nilpotent_algebras(brackets, examined, witness, genuine):
+    algebra = build_algebra(4, brackets)
+    assert not lower_central_series(algebra).nilpotent
+    result = find_lcs(algebra, SearchConfig(height=2))
+    assert result.genuine_status == "FOUND"
+    assert (result.examined, result.capped) == (examined, False)
+    assert tuple(map(format_form, result.witness)) == witness
+    assert tuple(map(format_form, result.genuine_witness)) == genuine
+
+
+def test_find_lcs_counts_every_candidate_when_none_is_genuine():
+    algebra = parse_salamon("(0,0,0,0,12,34)")
+    config = SearchConfig(height=2)
+    result = find_lcs(algebra, config)
+    assert result.genuine_status == "NOT_FOUND_UP_TO_HEIGHT(2)"
+    assert result.examined == len(list(theta_candidates(algebra, config))) == 2401
+    assert not result.capped
+    capped = find_lcs(algebra, SearchConfig(height=2, max_candidates=7))
+    assert capped.genuine_status == "CANDIDATE_LIMIT_REACHED"
+    assert capped.examined == 7 and capped.capped
+    assert capped.witness == result.witness  # the theta = 0 pass comes first
 
 
 def test_theta_candidates_order(filiform):
