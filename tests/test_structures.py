@@ -170,10 +170,10 @@ def test_find_lcs_candidate_cap(filiform, torus):
 # Answers of the per-candidate search, frozen before the nilpotent shortcut:
 # these algebras are not nilpotent, so they still take that path.
 NON_NILPOTENT_4D = {
-    "solvable_2_4": ({(1, 2): (0, 1, 0, 0), (3, 4): (0, 0, 0, 1)}, 2,
+    "aff_plus_aff": ({(1, 2): (0, 1, 0, 0), (3, 4): (0, 0, 0, 1)}, 2,
                      ("x1^x2 + x3^x4", "0"), ("x1^x2 + x1^x4 + x3^x4", "x1")),
-    "solvable_2_3": ({(1, 2): (0, 1, 0, 0), (1, 3): (0, 0, -1, 0)}, 2,
-                     ("x1^x4 + x2^x3", "0"), ("x1^x2 + x3^x4", "x1")),
+    "r3_minus1_plus_r": ({(1, 2): (0, 1, 0, 0), (1, 3): (0, 0, -1, 0)}, 2,
+                         ("x1^x4 + x2^x3", "0"), ("x1^x2 + x3^x4", "x1")),
     "aff_plus_r2": ({(1, 2): (0, 1, 0, 0)}, 3,
                     ("x1^x2 + x3^x4", "0"), ("x1^x2 - x2^x3 - x3^x4", "x3")),
 }
