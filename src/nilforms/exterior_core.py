@@ -478,17 +478,13 @@ class AlgebraInvariants:
 
     ``step`` is the nilpotency class (1 for nonzero abelian algebras, 0 only
     for the zero algebra) and is None when the algebra is not nilpotent.
-    ``betti`` stays None until filled in by the cohomology layer.
     """
 
     dim: int
     nilpotent: bool
     step: int | None
     lower_central_dims: tuple
-    center_dim: int
-    derived_dim: int
     unimodular: bool
-    betti: tuple | None = None
 
 
 def lower_central_series(algebra):
@@ -528,13 +524,6 @@ def lower_central_series(algebra):
     nilpotent = dims[-1] == 0
     step = len(dims) - 1 if nilpotent else None
 
-    # center: v with [v, X_j] = 0 for all j
-    rows = []
-    for j in range(1, n + 1):
-        for k in range(n):
-            rows.append([algebra.c(i, j, k + 1) for i in range(1, n + 1)])
-    center_dim = len(linalg.nullspace(rows, n)) if n else 0
-
     unimodular = all(
         sum((algebra.c(i, j, j) for j in range(1, n + 1)), ZERO) == 0
         for i in range(1, n + 1)
@@ -545,8 +534,6 @@ def lower_central_series(algebra):
         nilpotent=nilpotent,
         step=step,
         lower_central_dims=tuple(dims),
-        center_dim=center_dim,
-        derived_dim=dims[1] if len(dims) > 1 else 0,
         unimodular=unimodular,
     )
 

@@ -156,32 +156,6 @@ def check_symplectic(algebra, omega):
     )
 
 
-def _support_admits_matching(dim, edges):
-    """Can the index set 1..dim be perfectly matched inside ``edges``?
-
-    Necessary for any nonzero Pfaffian term, so a cheap exact prune before
-    symbolic expansion.
-    """
-    adjacency = {i: set() for i in range(1, dim + 1)}
-    for i, j in edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-
-    def match(remaining):
-        if not remaining:
-            return True
-        first = min(remaining)
-        for partner in sorted(adjacency[first] & remaining):
-            if match(remaining - {first, partner}):
-                return True
-        return False
-
-    try:
-        return match(frozenset(range(1, dim + 1)))
-    finally:
-        del match  # match refers to itself; unbinding it frees the adjacency now
-
-
 def _unit_exponent(nvars, *variables):
     """Exponent tuple of the product of the given (distinct) variables."""
     return tuple(1 if t in variables else 0 for t in range(nvars))
@@ -246,17 +220,11 @@ def nondegenerate_in_span(algebra, basis_forms):
     basis_forms = list(basis_forms)
     if not basis_forms:
         return None
-    dim = algebra.dim
-    edges = set()
     for form in basis_forms:
         _check_two_form(algebra, form, "basis form")
-        edges.update(form.coeffs)
-    covered = {i for edge in edges for i in edge}
-    if len(covered) < dim or not _support_admits_matching(dim, edges):
-        return None
 
     nvars = len(basis_forms)
-    pfaffian = _symbolic_pfaffian(dim, nvars, (
+    pfaffian = _symbolic_pfaffian(algebra.dim, nvars, (
         (pair, _unit_exponent(nvars, v), coeff)
         for v, form in enumerate(basis_forms)
         for pair, coeff in form.coeffs.items()))
@@ -382,13 +350,10 @@ class SearchConfig:
     echelon basis of closed covectors) are rationals p/q with
     max(|p|, q) <= height.
     ``max_candidates``: hard cap on examined candidates (None: exhaust).
-    ``basis_covectors_first``: emit the unit basis candidates ahead of the
-    rest of their height level.
     """
 
     height: int = 2
     max_candidates: int | None = None
-    basis_covectors_first: bool = True
 
 
 @dataclass(frozen=True)
@@ -454,9 +419,8 @@ def theta_candidates(algebra, config):
     Order: the zero form (plain symplectic pass) first; then, level by level
     for h = 1..height, all coordinate vectors over the closed-covector basis
     whose maximum coordinate height is exactly h, by support size, then
-    support position, then the documented value order.  With
-    ``basis_covectors_first`` the unit basis covectors are hoisted to the
-    front of level 1.
+    support position, then the documented value order, except that the
+    unit basis covectors are hoisted to the front of level 1.
     """
     basis = closed_covector_basis(algebra)
     m = len(basis)
@@ -470,11 +434,8 @@ def theta_candidates(algebra, config):
             form = form + basis[pos].scale(value)
         return form
 
-    hoisted = set()
-    if config.basis_covectors_first:
-        for pos in range(m):
-            hoisted.add(((pos, ONE),))
-            yield basis[pos]
+    hoisted = {((pos, ONE),) for pos in range(m)}
+    yield from basis
 
     for level in range(1, config.height + 1):
         values = _ordered_values(level)
@@ -492,79 +453,55 @@ def theta_candidates(algebra, config):
 def find_lcs(algebra, config=SearchConfig()):
     """Bounded search for lcs pairs (omega, theta).
 
-    Each candidate theta is decided exactly: the d_theta-closed 2-forms are
-    computed and the symbolic Pfaffian over that solution space either
-    produces a nondegenerate combination or proves none exists for this
-    theta.  Candidates are enumerated by ``theta_candidates``; the search
-    stops at the first genuine witness, recording along the way the first
-    witness of any kind (theta = 0 included).
+    Candidates come from ``theta_candidates`` and each is decided exactly,
+    theta = 0 included: the d_theta-closed 2-forms are computed and the
+    symbolic Pfaffian over that solution space either produces a
+    nondegenerate combination or proves none exists for this theta.  The
+    search stops at the first genuine witness, recording along the way the
+    first witness of any kind (theta = 0 means a plain symplectic one).
 
     On a nilpotent algebra one polynomial settles every theta != 0 candidate
     first: P(t, a) = Pf(d eta - theta ^ eta) over all closed theta and all
     eta (``_twisted_exact_pfaffian``, by Dixmier's vanishing theorem).  When
     P is identically zero no candidate but theta = 0 can give a witness, so
-    only that one is decided and the others are counted in closed form; the
-    result is the one the enumeration would return.  The status stays a
-    semi-decision all the same: the shortcut changes what the search costs,
-    not what it reports, and a miss is still NOT_FOUND_UP_TO_HEIGHT(H).
+    the stream is cut after theta = 0 and the others are counted in closed
+    form; the result is the one the full enumeration would return.  The
+    status stays a semi-decision all the same: the cut changes what the
+    search costs, not what it reports, and a miss is still
+    NOT_FOUND_UP_TO_HEIGHT(H).
     """
     if algebra.dim % 2:
         raise OddDimension("lcs structures need even dimension")
     if algebra.dim < 4:
         raise WrongDimension("lcs search needs dim >= 4")
 
+    candidates = theta_candidates(algebra, config)
+    total = None
+    basis = closed_covector_basis(algebra)
+    if (lower_central_series(algebra).nilpotent
+            and _twisted_exact_pfaffian(algebra, basis).is_zero):
+        # Every d_theta-closed 2-form with closed theta != 0 is some
+        # d eta - theta ^ eta, and P == 0 makes each of them degenerate (on an
+        # abelian algebra, of dim >= 4, always: there omega = -theta ^ eta).
+        # The candidates are exactly the coordinate vectors over the m closed
+        # covectors with entry heights <= H, (V + 1)^m of them for V nonzero
+        # values, and theta = 0 comes first.
+        total = (len(_ordered_values(config.height)) + 1) ** len(basis)
+        candidates = itertools.islice(candidates, 1)
+
     examined = 0
     capped = False
     witness = verdict = None
     genuine_witness = genuine_verdict = None
-
-    if (lower_central_series(algebra).nilpotent
-            and _twisted_exact_pfaffian(algebra, closed_covector_basis(algebra)).is_zero):
-        # Every d_theta-closed 2-form with closed theta != 0 is some
-        # d eta - theta ^ eta, and P == 0 makes each of them degenerate (on an
-        # abelian algebra, of dim >= 4, always: there omega = -theta ^ eta).
-        # Only the theta = 0 candidate can produce a witness, so the rest of
-        # the enumeration is counted in closed form: candidates are exactly
-        # the coordinate vectors over the m closed covectors with entry
-        # heights <= H, (V + 1)^m of them for V nonzero values.
-        m = len(closed_covector_basis(algebra))
-        total = (len(_ordered_values(config.height)) + 1) ** m
-        examined = total
-        if config.max_candidates is not None and config.max_candidates < total:
-            examined = config.max_candidates
-            capped = True
-        if examined >= 1:
-            omega = find_symplectic(algebra)
-            if omega is not None:
-                theta = algebra.zero_form(1)
-                this_verdict = check_lcs(algebra, omega, theta)
-                if not this_verdict.holds:
-                    raise InternalInvariantBreach(
-                        "search produced a pair that fails its own verdict")
-                witness, verdict = (omega, theta), this_verdict
-        return LcsSearchResult(
-            height=config.height,
-            examined=examined,
-            capped=capped,
-            witness=witness,
-            verdict=verdict,
-            genuine_witness=None,
-            genuine_verdict=None,
-        )
-
-    for theta in theta_candidates(algebra, config):
+    for theta in candidates:
         if config.max_candidates is not None and examined >= config.max_candidates:
             capped = True
             break
         examined += 1
 
-        if theta.is_zero:
-            omega = find_symplectic(algebra)
-        else:
-            columns, domain, _ = _d_matrix(algebra, 2, theta)
-            span = [_form(algebra, 2, domain, vec) for vec in linalg.kernel(columns)]
-            omega = nondegenerate_in_span(algebra, span)
-
+        columns, domain, _ = _d_matrix(algebra, 2, theta)
+        span = [_form(algebra, 2, domain, vec) for vec in linalg.kernel(columns)]
+        omega = nondegenerate_in_span(algebra, span)
         if omega is None:
             continue
         this_verdict = check_lcs(algebra, omega, theta)
@@ -576,6 +513,11 @@ def find_lcs(algebra, config=SearchConfig()):
         if this_verdict.genuine:
             genuine_witness, genuine_verdict = (omega, theta), this_verdict
             break
+
+    if total is not None:
+        cap = config.max_candidates
+        examined = total if cap is None else min(total, cap)
+        capped = examined < total
 
     return LcsSearchResult(
         height=config.height,

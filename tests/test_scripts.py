@@ -1,0 +1,36 @@
+"""Smoke runs of the scripts under ``scripts/``, as subprocesses.
+
+Only their output is checked; the times they print are never asserted.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from nilforms import names
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_lcs_height_sweep_finds_the_filiform_pair():
+    out = run_script("lcs_height_sweep.py", "(0,0,12,13)", "--max-height", "1")
+    assert "3 candidates" in out
+    assert "FOUND  omega = x1^x3 - x2^x4, theta = x2" in out
+
+
+def test_catalog_report_has_one_block_per_entry():
+    out = run_script("catalog_report.py", "--height", "1")
+    headers = [line.split()[1] for line in out.splitlines() if line.startswith("== ")]
+    assert headers == list(names())

@@ -109,6 +109,24 @@ def test_nondegenerate_in_span_normalizes_the_leading_sign(filiform):
     assert witness.terms()[0][1] > 0
 
 
+# spans over the 4-torus, where every 2-form is closed: only the support
+# decides whether a nondegenerate combination exists
+SPANS = {
+    "misses_x4": ([{(1, 2): 1}, {(2, 3): 1}], False),
+    "star_without_matching": ([{(1, 2): 1}, {(1, 3): 1}, {(1, 4): 1}], False),
+    "matching": ([{(1, 2): 1}, {(1, 3): 1, (2, 4): 1}, {(3, 4): 1}], True),
+}
+
+
+@pytest.mark.parametrize("span,found", SPANS.values(), ids=SPANS.keys())
+def test_nondegenerate_in_span_follows_the_support(torus, span, found):
+    witness = nondegenerate_in_span(torus, [torus.form(terms) for terms in span])
+    if not found:
+        assert witness is None
+    else:
+        assert pfaffian_volume(torus, witness) != 0
+
+
 def test_check_lcs_on_the_canonical_pair(filiform):
     omega = filiform.form({(1, 3): 1, (2, 4): -1})
     theta = filiform.covector(2)
