@@ -14,17 +14,14 @@ against ``entry.algebra`` when needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InvalidParameter, UnknownName
+from .errors import InvalidParameter, UnknownName, _Record
 from .exterior_core import LieAlgebra, build_algebra
 from .notation import parse_salamon
 
 PROVENANCES = ("derived", "literature", "not-machine-checkable")
 
 
-@dataclass(frozen=True)
-class ExpectedFact:
+class ExpectedFact(_Record):
     fact: str
     value: object
     provenance: str
@@ -35,8 +32,7 @@ class ExpectedFact:
                 f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     name: str
     salamon: str
     description: str

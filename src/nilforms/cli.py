@@ -23,13 +23,12 @@ from .cohomology import (
 )
 from .coordinate_model import verify_realization
 from .errors import (
-    CupObstruction,
     InternalInvariantBreach,
     NilformsError,
     SalamonSyntaxError,
     SchemaViolation,
 )
-from .exterior_core import format_form, lower_central_series
+from .exterior_core import format_form, lower_central_series, wedge
 from .hermitian import classify_hermitian
 from .notation import (
     algebra_to_json,
@@ -82,18 +81,23 @@ def _emit(args, payload, text_lines):
 
 
 def _massey_scan(algebra):
-    """First nonzero triple product of degree-1 classes, if any."""
-    space = cohomology_space(algebra, 1)
-    reps = space.representative_basis
-    for a in reps:
-        for b in reps:
-            for c in reps:
-                try:
+    """First nonzero triple product of degree-1 classes, if any.
+
+    <a, b, c> is defined only where a.b and b.c vanish in H^2, so the cup
+    table is built once and only those triples are computed.
+    """
+    reps = cohomology_space(algebra, 1).representative_basis
+    h2 = cohomology_space(algebra, 2)
+    cup_zero = [[h2.class_of(wedge(a, b)).is_zero for b in reps] for a in reps]
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
+            if not cup_zero[i][j]:
+                continue
+            for k, c in enumerate(reps):
+                if cup_zero[j][k]:
                     result = triple_massey(algebra, a, b, c)
-                except CupObstruction:
-                    continue
-                if result.nonzero_mod_indeterminacy:
-                    return (a, b, c), result
+                    if result.nonzero_mod_indeterminacy:
+                        return (a, b, c), result
     return None, None
 
 

@@ -19,8 +19,6 @@ values in tests are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .errors import (
     AmbientMismatch,
@@ -31,6 +29,7 @@ from .errors import (
     NotClosed,
     OddDimension,
     OmegaNotClosed,
+    _Record,
 )
 from .exterior_core import KForm, _add_term, _d_raw, _wedge_raw, ce_d, wedge
 from .scalars import ZERO, as_scalar
@@ -278,8 +277,7 @@ def cup(a, b):
     return target.class_of(wedge(a.representative, b.representative))
 
 
-@dataclass(frozen=True)
-class LefschetzResult:
+class LefschetzResult(_Record):
     """The map [a] -> [a ^ omega^(n-p)] : H^p -> H^(2n-p) in coordinates."""
 
     p: int
@@ -339,8 +337,7 @@ def lefschetz_map(algebra, omega, p):
     )
 
 
-@dataclass(frozen=True)
-class MasseyResult:
+class MasseyResult(_Record):
     """Triple Massey product data for degree-1 classes.
 
     ``representative`` is the canonical representative built from echelon

@@ -22,10 +22,9 @@ nothing in it is stubbed or sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, InvalidParameter
+from .errors import DimensionMismatch, InvalidParameter, _Record
 from .exterior_core import _merge_monomials
 from .notation import parse_salamon
 from .polynomials import Poly
@@ -169,8 +168,7 @@ class PolyForm:
         return f"PolyForm(degree={self.degree}, terms={len(self.coeffs)})"
 
 
-@dataclass(frozen=True)
-class PolyMap:
+class PolyMap(_Record):
     """Polynomial coordinate map, one Poly component per target coordinate."""
 
     components: tuple
@@ -233,8 +231,7 @@ SALAMON = "(0,0,12,13)"
 # -- the verification battery ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RealizationReport:
+class RealizationReport(_Record):
     """Named outcomes of the symbolic checks; all proofs, no sampling.
 
     ``integer_lattice_negative_control`` is True when the plain integer

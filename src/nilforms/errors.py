@@ -1,7 +1,8 @@
-"""Exception hierarchy for the toolkit.
+"""Exception hierarchy for the toolkit, and the base of its result records.
 
 All library errors derive from ``NilformsError`` so callers can catch broadly;
-the CLI maps subfamilies onto its exit codes.
+the CLI maps subfamilies onto its exit codes.  ``_Record`` lives here because
+every module that defines a result type already imports this one.
 """
 
 from __future__ import annotations
@@ -126,3 +127,64 @@ class SchemaViolation(NilformsError, ValueError):
 
 class InternalInvariantBreach(NilformsError, RuntimeError):
     """A result failed its own re-verification.  Always a bug, never user error."""
+
+
+class _Record:
+    """Base of the frozen result types: the annotated names of a subclass
+    body, in order, are its fields.
+
+    Fields are given positionally or by keyword; a value assigned in the
+    class body is the field's default.  ``__post_init__`` runs after the
+    fields are set and may replace one with ``object.__setattr__``.  Records
+    of the same class are equal when their fields are, hash by their
+    fields, print like ``Name(field=value, ...)`` and refuse assignment.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)  # own annotations only
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields
+                         if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, "
+                            f"got {len(args)} positional values")
+        values = dict(zip(fields, args))
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in self._defaults:
+                values[name] = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} got unexpected or repeated "
+                            f"fields {sorted(kwargs)}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"

@@ -20,7 +20,6 @@ are 1-based throughout, matching the classical x_1, ..., x_n notation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -29,6 +28,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
     JacobiViolation,
+    _Record,
 )
 from .scalars import ZERO, as_scalar, format_scalar
 
@@ -472,8 +472,7 @@ def ce_d(a):
 # -- invariants --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlgebraInvariants:
+class AlgebraInvariants(_Record):
     """Cheap structural fingerprint of an algebra.
 
     ``step`` is the nilpotency class (1 for nonzero abelian algebras, 0 only

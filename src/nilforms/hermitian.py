@@ -20,7 +20,6 @@ d(w) = theta ^ w whenever that identity holds at all.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -33,6 +32,7 @@ from .errors import (
     NotHermitian,
     NotUnimodular,
     WrongDimension,
+    _Record,
 )
 from .exterior_core import KForm, ce_d, lower_central_series, wedge
 from .scalars import ZERO, ONE, as_scalar, rational_sqrt
@@ -204,22 +204,24 @@ def _check_compatible(algebra, metric, acs):
         raise DimensionMismatch("J has the wrong size for this algebra")
     n = algebra.dim
     g = metric.matrix
-    j = acs.matrix
+    # J^T G J as two products over the nonzero entries of J's columns
+    columns = [[(s, row[b]) for s, row in enumerate(acs.matrix) if row[b] != 0]
+               for b in range(n)]
+    gj = [[sum(g_r[s] * v for s, v in column) for column in columns] for g_r in g]
     for a in range(n):
         for b in range(n):
-            # (J^T G J)[a][b]
-            value = ZERO
-            for r in range(n):
-                for s in range(n):
-                    value += j[r][a] * g[r][s] * j[s][b]
-            if value != g[a][b]:
+            if sum(v * gj[r][b] for r, v in columns[a]) != g[a][b]:
                 raise NotHermitian("metric is not J-invariant: g(JX, JY) != g(X, Y)")
     return metric, acs
 
 
 def fundamental_form(algebra, metric, acs):
     """w(X, Y) = g(JX, Y); a 2-form once (g, J) is a compatible pair."""
-    metric, acs = _check_compatible(algebra, metric, acs)
+    return _fundamental_form(algebra, *_check_compatible(algebra, metric, acs))
+
+
+def _fundamental_form(algebra, metric, acs):
+    """fundamental_form on a pair that passed _check_compatible."""
     n = algebra.dim
     terms = {}
     for i in range(1, n + 1):
@@ -236,8 +238,12 @@ def lee_form(algebra, metric, acs):
     if algebra.dim % 2 or algebra.dim < 4:
         raise WrongDimension("the Lee form needs even dimension >= 4")
     metric, acs = _check_compatible(algebra, metric, acs)
-    omega = fundamental_form(algebra, metric, acs)
-    delta_omega = codifferential(algebra, metric, omega)
+    omega = _fundamental_form(algebra, metric, acs)
+    return _lee_form(algebra, acs, codifferential(algebra, metric, omega))
+
+
+def _lee_form(algebra, acs, delta_omega):
+    """lee_form from the codifferential of the fundamental form."""
     m = algebra.dim // 2
     factor = Fraction(-1, m - 1)
     terms = {}
@@ -318,8 +324,7 @@ def koszul_connection(algebra, metric):
 # -- classification ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HermitianClassification:
+class HermitianClassification(_Record):
     """Exactly which of the standard metric conditions a compatible pair
     (g, J) satisfies.
 
@@ -373,10 +378,10 @@ def classify_hermitian(algebra, metric, acs):
         raise NotUnimodular("Hermitian classification needs a unimodular algebra")
 
     integrable = nijenhuis(algebra, acs).is_integrable
-    omega = fundamental_form(algebra, metric, acs)
+    omega = _fundamental_form(algebra, metric, acs)
     d_omega = ce_d(omega)
     delta_omega = codifferential(algebra, metric, omega)
-    theta = lee_form(algebra, metric, acs)
+    theta = _lee_form(algebra, acs, delta_omega)
     lee_closed = ce_d(theta).is_zero
     identity = d_omega == wedge(theta, omega)
     # B^1 = d(Lambda^0) = 0 for trivial coefficients: a closed theta is exact

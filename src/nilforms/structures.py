@@ -29,7 +29,6 @@ unique and the conformal dichotomy collapses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -44,6 +43,7 @@ from .errors import (
     OddDimension,
     PreconditionFailed,
     WrongDimension,
+    _Record,
 )
 from .exterior_core import (
     KForm,
@@ -133,8 +133,7 @@ def pfaffian_volume(algebra, omega):
 # -- symplectic --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymplecticVerdict:
+class SymplecticVerdict(_Record):
     closed: bool
     pfaffian: Fraction
 
@@ -260,8 +259,7 @@ def find_symplectic(algebra):
 # -- locally conformal symplectic --------------------------------------------
 
 
-@dataclass(frozen=True)
-class LcsVerdict:
+class LcsVerdict(_Record):
     """Exact verdict on a candidate pair (omega, theta)."""
 
     nondegenerate: bool
@@ -342,8 +340,7 @@ def twisted_exactness_witness(algebra, omega, theta):
 # -- the lcs search ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Record):
     """Knobs for find_lcs.
 
     ``height``: enumerate twisting forms whose coordinates (against the
@@ -356,8 +353,7 @@ class SearchConfig:
     max_candidates: int | None = None
 
 
-@dataclass(frozen=True)
-class LcsSearchResult:
+class LcsSearchResult(_Record):
     """Outcome of a bounded lcs search.
 
     ``witness`` is the first pair found in enumeration order (theta = 0
@@ -577,12 +573,15 @@ class AlmostComplexStructure:
         return f"AlmostComplexStructure(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class NijenhuisTensor:
+class NijenhuisTensor(_Record):
     """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on basis pairs."""
 
     dim: int
-    components: dict = field(compare=False)
+    components: dict
+
+    def __hash__(self):
+        # components is a dict; equal tensors have equal dimensions
+        return hash(self.dim)
 
     @property
     def is_integrable(self):
@@ -635,8 +634,7 @@ _STANDARD_4D = {
 }
 
 
-@dataclass(frozen=True)
-class Classification4D:
+class Classification4D(_Record):
     """Isomorphism class of a 4-dimensional nilpotent algebra.
 
     b_1 is a complete invariant here (abelian, Heisenberg x line, filiform).

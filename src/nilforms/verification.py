@@ -14,11 +14,10 @@ is the single gate the command line and the acceptance tests use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .catalog import get_example, heisenberg_line
 from .cohomology import betti_profile, cohomology_space, lefschetz_map, triple_massey
 from .coordinate_model import verify_realization
+from .errors import _Record
 from .exterior_core import format_form
 from .hermitian import classify_hermitian
 from .notation import format_salamon, parse_salamon
@@ -34,8 +33,7 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """``passed`` is None for documented-only facts (notes, never gates)."""
 
     name: str

@@ -1,8 +1,10 @@
 """Command-line surface: subcommands, exit codes, output shape."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +158,21 @@ def test_console_script_is_installed():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # the difference of sys.modules, since site may preload modules of its own
+    probe = ("import sys\nbefore = set(sys.modules)\nimport nilforms.cli\n"
+             "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = set(proc.stdout.split())
+    assert "nilforms.cli" in imported
+    assert not imported & {"dataclasses", "inspect"}
 
 
 def test_metric_without_acs_is_a_usage_error(tmp_path, capsys):

@@ -268,6 +268,16 @@ def test_nijenhuis_obstruction_on_the_filiform(filiform):
     assert tensor.component(3, 1) == (0, 0, 0, -1)
 
 
+def test_nijenhuis_tensors_compare_by_components(torus, kt, filiform):
+    flat = nijenhuis(torus, ROTATION_J)
+    obstructed = nijenhuis(filiform, ROTATION_J)
+    assert flat.dim == obstructed.dim == 4
+    assert flat != obstructed
+    assert flat == nijenhuis(kt, ROTATION_J)
+    assert hash(flat) == hash(nijenhuis(kt, ROTATION_J))
+    assert obstructed == nijenhuis(filiform, ROTATION_J)
+
+
 def test_classify_4d_all_three_classes(torus, kt, filiform):
     t = classify_4d(torus)
     assert t.label == "torus" and t.kahler_admissible
