@@ -19,6 +19,9 @@ values in tests are meaningful.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from math import comb
+
 from . import linalg
 from .errors import (
     AmbientMismatch,
@@ -31,7 +34,7 @@ from .errors import (
     OmegaNotClosed,
     _Record,
 )
-from .exterior_core import KForm, _add_term, _d_raw, _wedge_raw, ce_d, wedge
+from .exterior_core import KForm, _add_term, _d_raw, _is_unimodular, ce_d, wedge
 from .scalars import ZERO, as_scalar
 
 
@@ -91,12 +94,18 @@ def _d_matrix(algebra, k, theta):
     codomain = algebra.monomials(k + 1)
     columns = _d_columns(algebra, k)
     if theta is not None:
+        # theta ^ x_S inserts each index i of theta into S, with the sign
+        # (-1)^#{s in S : s < i} of moving x_i past the smaller indices
         position = {mono: i for i, mono in enumerate(codomain)}
+        lee = [(i, c) for (i,), c in theta.coeffs.items()]
         twisted = []
         for source, column in zip(domain, columns):
             column = dict(column)
-            for mono, c in _wedge_raw(theta.coeffs, {source: 1}).items():
-                _add_term(column, position[mono], -c)
+            for i, c in lee:
+                if i not in source:
+                    at = bisect_left(source, i)
+                    mono = source[:at] + (i,) + source[at:]
+                    _add_term(column, position[mono], c if at % 2 else -c)
             twisted.append(column)
         columns = twisted
     return columns, domain, codomain
@@ -253,9 +262,29 @@ def class_of(space, form):
 
 
 def betti_profile(algebra, theta=None):
-    """(b_0, ..., b_n), twisted when theta is given."""
-    return tuple(cohomology_space(algebra, k, theta).betti
-                 for k in range(algebra.dim + 1))
+    """(b_0, ..., b_n), twisted when theta is given, from ranks alone.
+
+    b_k = C(n, k) - r_k - r_{k-1}, where r_k is the rank of
+    d_theta : Lambda^k -> Lambda^{k+1} (r_{-1} = r_n = 0); no cohomology
+    space is built and nothing is cached.  On a unimodular algebra the
+    untwisted d on Lambda^{n-1-k} is, up to sign, the transpose of d on
+    Lambda^k under the wedge pairing into Lambda^n (Poincare duality), so
+    r_{n-1-k} = r_k and only k <= (n - 1) / 2 is eliminated.  Twisted and
+    non-unimodular profiles take every rank.
+    """
+    theta = _require_twist(algebra, theta)
+    n = algebra.dim
+    if theta is None and _is_unimodular(algebra):
+        half = [linalg.span_rank(_d_matrix(algebra, k, None)[0])
+                for k in range((n + 1) // 2)]
+        ranks = [half[min(k, n - 1 - k)] for k in range(n)]
+    else:
+        ranks = [linalg.span_rank(_d_matrix(algebra, k, theta)[0]) for k in range(n)]
+    ranks = [0, *ranks, 0]
+    betti = tuple(comb(n, k) - ranks[k + 1] - ranks[k] for k in range(n + 1))
+    if min(betti) < 0:
+        raise InternalInvariantBreach(f"negative Betti number in {betti}")
+    return betti
 
 
 def cup(a, b):
@@ -326,7 +355,7 @@ def lefschetz_map(algebra, omega, p):
         tuple(columns[c][r] for c in range(domain.betti))
         for r in range(codomain.betti)
     )
-    rank = linalg.rank([list(row) for row in matrix], domain.betti)
+    rank = linalg.span_rank([dict(enumerate(column)) for column in columns])
     return LefschetzResult(
         p=p,
         power=n - p,

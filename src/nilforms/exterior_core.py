@@ -523,18 +523,26 @@ def lower_central_series(algebra):
     nilpotent = dims[-1] == 0
     step = len(dims) - 1 if nilpotent else None
 
-    unimodular = all(
-        sum((algebra.c(i, j, j) for j in range(1, n + 1)), ZERO) == 0
-        for i in range(1, n + 1)
-    )
-
     return AlgebraInvariants(
         dim=n,
         nilpotent=nilpotent,
         step=step,
         lower_central_dims=tuple(dims),
-        unimodular=unimodular,
+        unimodular=_is_unimodular(algebra),
     )
+
+
+def _is_unimodular(algebra):
+    """Whether every ad X_i is traceless, read off the structure constants:
+    tr ad X_i = sum_j c_ij^j, so [X_i, X_j] = c X_k with i < j adds c to
+    tr ad X_i when k = j and -c to tr ad X_j when k = i."""
+    trace = {}
+    for (i, j, k), coeff in algebra.constants.items():
+        if k == j:
+            trace[i] = trace.get(i, ZERO) + coeff
+        elif k == i:
+            trace[j] = trace.get(j, ZERO) - coeff
+    return not any(trace.values())
 
 
 def direct_sum(left, right):

@@ -22,10 +22,16 @@ representative chosen from them downstream are the same on every run and
 platform, and the same as any other exact elimination under this column
 order would give.
 
+A rank needs no canonical form, so ``span_rank`` stops after the forward
+pass, and since no pivot order can change a rank it picks a fill-reducing
+one: coordinates renumbered by increasing nonzero count, vectors taken
+shortest first, in the spirit of Markowitz (Management Sci. 3, 1957).
+
 Sparse entry points: ``echelon`` (a basis of the span of some rows),
-``reduce`` (a vector modulo such a basis), ``kernel`` and ``preimage`` (of a
-linear map given by its sparse columns, ``columns[c]`` the image of the c-th
-basis vector).  Their inputs may hold ints or Fractions.  ``rref``, ``rank``,
+``reduce`` (a vector modulo such a basis), ``span_rank`` (the dimension of
+a span), ``kernel`` and ``preimage`` (of a linear map given by its sparse
+columns, ``columns[c]`` the image of the c-th basis vector).  Their inputs
+may hold ints or Fractions.  ``rref``, ``rank`` (on ``span_rank``),
 ``nullspace``, ``solve``, ``det``, ``invert`` and ``in_row_space`` are thin
 adapters for dense matrices: plain lists of lists of rationals, which may
 have zero rows, so ``ncols`` is passed explicitly where it cannot be
@@ -34,6 +40,7 @@ inferred.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -113,6 +120,23 @@ def echelon(rows, modulo=None):
         row = basis.pop(p)
         basis[p] = _primitive(_reduce(row, basis)[0])
     return dict(sorted(basis.items()))
+
+
+def span_rank(vectors):
+    """Dimension of the span of sparse rational ``vectors``.
+
+    Forward elimination only, under the fill-reducing order above; the
+    basis it builds is not canonical and never leaves this function.
+    """
+    count = Counter(c for vec in vectors for c, v in vec.items() if v)
+    order = {c: i for i, c in enumerate(sorted(count, key=lambda c: (count[c], c)))}
+    basis = {}
+    for vec in sorted(vectors, key=len):
+        vec, _ = _integral({order[c]: v for c, v in vec.items() if v})
+        vec, _ = _reduce(vec, basis)
+        if vec:
+            basis[min(vec)] = _primitive(vec)
+    return len(basis)
 
 
 def unit_rows(basis):
@@ -212,7 +236,7 @@ def rref(rows, ncols=None):
 
 def rank(rows, ncols=None):
     rows, ncols = _checked(rows, ncols)
-    return len(echelon([_sparse(row) for row in rows]))
+    return span_rank([_sparse(row) for row in rows])
 
 
 def nullspace(rows, ncols):

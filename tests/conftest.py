@@ -65,6 +65,20 @@ def solvable_nonunimodular():
     return LieAlgebra(4, {(1, 2, 2): -1, (1, 3, 3): -1, (1, 4, 4): -1})
 
 
+# Brackets of three solvable 4-dimensional algebras that are not nilpotent,
+# with the answers of the per-candidate lcs search (height 2) frozen before
+# the nilpotent shortcut: candidates examined, witness, genuine witness.
+# Only r3_minus1_plus_r is unimodular.
+NON_NILPOTENT_4D = {
+    "aff_plus_aff": ({(1, 2): (0, 1, 0, 0), (3, 4): (0, 0, 0, 1)}, 2,
+                     ("x1^x2 + x3^x4", "0"), ("x1^x2 + x1^x4 + x3^x4", "x1")),
+    "r3_minus1_plus_r": ({(1, 2): (0, 1, 0, 0), (1, 3): (0, 0, -1, 0)}, 2,
+                         ("x1^x4 + x2^x3", "0"), ("x1^x2 + x3^x4", "x1")),
+    "aff_plus_r2": ({(1, 2): (0, 1, 0, 0)}, 3,
+                    ("x1^x2 + x3^x4", "0"), ("x1^x2 - x2^x3 - x3^x4", "x3")),
+}
+
+
 # -- strategies ---------------------------------------------------------------
 
 small_rationals = st.fractions(
@@ -142,6 +156,11 @@ def nilpotent_algebras(draw, dims=range(4, 9)):
     dim = draw(st.sampled_from(dims))
     generators = draw(st.integers(2, min(3, dim - 1)))
     return seeded_central_extension(draw(st.integers(0, 2**32)), dim, generators)
+
+
+def non_nilpotent_4d_algebras():
+    return st.sampled_from([brackets for brackets, *_ in NON_NILPOTENT_4D.values()]) \
+        .map(lambda brackets: build_algebra(4, brackets))
 
 
 def catalog_algebras():

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 from nilforms import (
     CupObstruction,
+    InternalInvariantBreach,
+    LieAlgebra,
     NotClosed,
     betti_profile,
     ce_d,
@@ -49,6 +51,49 @@ def test_frozen_betti_values(torus, kt, filiform, six_dim):
 ], ids=["heisenberg_line_5", "filiform_10", "free_2step_4"])
 def test_dimension_ten_betti_profiles(build, profile):
     assert betti_profile(build()) == profile
+
+
+# computed with the full cohomology spaces before betti_profile took ranks
+# alone
+@pytest.mark.parametrize("build,profile", [
+    (lambda: parse_salamon("(0,0," + ",".join(f"[1,{k}]" for k in range(2, 12)) + ")"),
+     (1, 2, 6, 18, 37, 56, 64, 56, 37, 18, 6, 2, 1)),
+    (lambda: heisenberg_line(6),
+     (1, 11, 54, 154, 275, 297, 264, 297, 275, 154, 54, 11, 1)),
+], ids=["filiform_12", "heisenberg_line_6"])
+def test_dimension_twelve_betti_profiles(build, profile):
+    assert betti_profile(build()) == profile
+
+
+def test_duality_is_not_assumed_off_unimodular_algebras(solvable_nonunimodular):
+    # [X1, X2] = X2 (tr ad X1 = 1) and [X1, X2] = X1 (tr ad X2 = 1):
+    # H^2 = 0 while H^0 = R
+    for aff in (LieAlgebra(2, {(1, 2, 2): 1}), LieAlgebra(2, {(1, 2, 1): 1})):
+        assert betti_profile(aff) == betti_by_koszul(aff) == (1, 1, 0)
+    assert betti_profile(solvable_nonunimodular) \
+        == betti_by_koszul(solvable_nonunimodular) == (1, 1, 0, 0, 0)
+
+
+def test_negative_betti_numbers_are_a_breach():
+    # structure constants that fail Jacobi, so d^2 != 0: the constructor
+    # refuses them, and the shadow below skips it to reach the rank path
+    shadow = LieAlgebra.__new__(LieAlgebra)
+    shadow.dim = 3
+    shadow.constants = {key: Fraction(1) for key in
+                        ((1, 2, 3), (1, 3, 2), (2, 3, 1), (1, 2, 2))}
+    shadow._dx = shadow._build_dx()
+    shadow._d_columns = {}
+    with pytest.raises(InternalInvariantBreach):
+        betti_profile(shadow)
+
+
+def test_twisted_profiles_leave_the_cache_alone():
+    algebra = parse_salamon("(0,0,12,13)")
+    before = len(algebra._cohomology_cache)
+    for t in range(1, 201):
+        theta = algebra.covector(1).scale(t % 7 - 3) + algebra.covector(2).scale(t)
+        betti_profile(algebra, theta)
+    assert len(algebra._cohomology_cache) == before
 
 
 def test_so3_has_the_sphere_profile(so3):

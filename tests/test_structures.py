@@ -33,6 +33,7 @@ from nilforms import (
     wedge,
 )
 
+from conftest import NON_NILPOTENT_4D
 from oracles import sympy_pfaffian_squared_is_det
 
 
@@ -183,18 +184,6 @@ def test_find_lcs_candidate_cap(filiform, torus):
     assert capped.genuine_status == "CANDIDATE_LIMIT_REACHED"
     also_capped = find_lcs(torus, SearchConfig(height=3, max_candidates=7))
     assert also_capped.examined == 7 and also_capped.capped
-
-
-# Answers of the per-candidate search, frozen before the nilpotent shortcut:
-# these algebras are not nilpotent, so they still take that path.
-NON_NILPOTENT_4D = {
-    "aff_plus_aff": ({(1, 2): (0, 1, 0, 0), (3, 4): (0, 0, 0, 1)}, 2,
-                     ("x1^x2 + x3^x4", "0"), ("x1^x2 + x1^x4 + x3^x4", "x1")),
-    "r3_minus1_plus_r": ({(1, 2): (0, 1, 0, 0), (1, 3): (0, 0, -1, 0)}, 2,
-                         ("x1^x4 + x2^x3", "0"), ("x1^x2 + x3^x4", "x1")),
-    "aff_plus_r2": ({(1, 2): (0, 1, 0, 0)}, 3,
-                    ("x1^x2 + x3^x4", "0"), ("x1^x2 - x2^x3 - x3^x4", "x3")),
-}
 
 
 @pytest.mark.parametrize("brackets,examined,witness,genuine",
