@@ -84,8 +84,11 @@ def _massey_scan(algebra):
     """First nonzero triple product of degree-1 classes, if any.
 
     <a, b, c> is defined only where a.b and b.c vanish in H^2, so the cup
-    table is built once and only those triples are computed.
+    table is built once and only those triples are computed.  Below
+    dimension 2, H^2 = 0 and no triple product can be nonzero.
     """
+    if algebra.dim < 2:
+        return None, None
     reps = cohomology_space(algebra, 1).representative_basis
     h2 = cohomology_space(algebra, 2)
     cup_zero = [[h2.class_of(wedge(a, b)).is_zero for b in reps] for a in reps]

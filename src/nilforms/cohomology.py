@@ -432,13 +432,14 @@ def triple_massey(algebra, a, b, c):
     h1 = cohomology_space(algebra, 1)
     spanning = []
     for h in h1.classes():
-        spanning.append(list(cup(a, h).coords))
-        spanning.append(list(cup(h, c).coords))
-    ind_rows, ind_pivots = linalg.rref(spanning, h2.betti)
+        spanning.append(dict(enumerate(cup(a, h).coords)))
+        spanning.append(dict(enumerate(cup(h, c).coords)))
+    basis = linalg.echelon(spanning)
     indeterminacy = tuple(
-        CohomologyClass(h2, row) for row in ind_rows
+        CohomologyClass(h2, [row.get(i, ZERO) for i in range(h2.betti)])
+        for row in linalg.unit_rows(basis)
     )
-    nonzero = not linalg.in_row_space(ind_rows, ind_pivots, list(rep_class.coords))
+    nonzero = bool(linalg.reduce(dict(enumerate(rep_class.coords)), basis))
     return MasseyResult(
         representative=representative,
         rep_class=rep_class,

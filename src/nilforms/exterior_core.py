@@ -244,8 +244,11 @@ class LieAlgebra:
         return KForm(self, degrees.pop(), terms)
 
     def dx(self, i):
-        """The differential of the i-th covector as a 2-form."""
+        """The differential of the i-th covector as a 2-form; below
+        dimension 2 it is the zero form of the top degree, as from ``ce_d``."""
         self._check_index(i)
+        if self.dim < 2:
+            return self.zero_form(self.dim)
         return KForm(self, 2, dict(self._dx[i]), _normalized=True)
 
     # -- identity ------------------------------------------------------------
@@ -499,26 +502,23 @@ def lower_central_series(algebra):
     for (i, j, k), coeff in algebra.constants.items():
         ad_right[j].append((i, k, coeff))
         ad_right[i].append((j, k, -coeff))
-    identity = [[as_scalar(1 if r == c else 0) for c in range(n)] for r in range(n)]
-    current = identity
+    # sparse vectors {index: value}; g^0 is spanned by the basis
+    current = [{i: 1} for i in range(1, n + 1)]
     dims = [n]
-    while True:
+    while dims[-1]:
         generated = []
         for v in current:
             for j in range(1, n + 1):
-                w = [ZERO] * n
+                w = {}
                 for i, k, coeff in ad_right[j]:
-                    if v[i - 1]:
-                        w[k - 1] += v[i - 1] * coeff
-                if any(x != 0 for x in w):
-                    generated.append(w)
-        reduced, _ = linalg.rref(generated, n)
-        dims.append(len(reduced))
-        if len(reduced) == dims[-2]:
+                    if i in v:
+                        w[k] = w.get(k, 0) + v[i] * coeff
+                generated.append(w)
+        basis = linalg.echelon(generated)
+        dims.append(len(basis))
+        if len(basis) == dims[-2]:
             break  # stabilized without reaching zero
-        current = reduced
-        if not reduced:
-            break
+        current = basis.values()
 
     nilpotent = dims[-1] == 0
     step = len(dims) - 1 if nilpotent else None

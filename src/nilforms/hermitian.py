@@ -303,21 +303,23 @@ def koszul_connection(algebra, metric):
     """
     metric = _check_metric(algebra, metric)
     n = algebra.dim
-
-    def g_bracket(i, j, l):
-        vec = algebra.bracket(i, j)
-        basis_l = tuple(ONE if t == l - 1 else ZERO for t in range(n))
-        return metric.pairing(vec, basis_l)
-
-    inverse = [list(row) for row in metric.inverse]
+    # lowered[(i, j)][l - 1] = g([X_i, X_j], X_l) = sum_k c_ij^k g_kl
+    lowered = {}
+    for (i, j, k), coeff in algebra.constants.items():
+        for pair, c in (((i, j), coeff), ((j, i), -coeff)):
+            row = lowered.setdefault(pair, [ZERO] * n)
+            for l, g_kl in enumerate(metric.matrix[k - 1]):
+                row[l] += c * g_kl
+    zero = (ZERO,) * n
     table = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            rhs = [
-                (g_bracket(i, j, l) - g_bracket(j, l, i) + g_bracket(l, i, j)) / 2
-                for l in range(1, n + 1)
-            ]
-            table[(i, j)] = tuple(linalg.mat_vec(inverse, rhs))
+            ij = lowered.get((i, j), zero)
+            rhs = [(ij[l - 1] - lowered.get((j, l), zero)[i - 1]
+                    + lowered.get((l, i), zero)[j - 1]) / 2 for l in range(1, n + 1)]
+            support = [(l, v) for l, v in enumerate(rhs) if v]
+            table[(i, j)] = tuple(sum((row[l] * v for l, v in support), ZERO)
+                                  for row in metric.inverse)
     return ConnectionCoefficients(algebra, metric, table)
 
 

@@ -27,15 +27,14 @@ pass, and since no pivot order can change a rank it picks a fill-reducing
 one: coordinates renumbered by increasing nonzero count, vectors taken
 shortest first, in the spirit of Markowitz (Management Sci. 3, 1957).
 
-Sparse entry points: ``echelon`` (a basis of the span of some rows),
-``reduce`` (a vector modulo such a basis), ``span_rank`` (the dimension of
-a span), ``kernel`` and ``preimage`` (of a linear map given by its sparse
-columns, ``columns[c]`` the image of the c-th basis vector).  Their inputs
-may hold ints or Fractions.  ``rref``, ``rank`` (on ``span_rank``),
-``nullspace``, ``solve``, ``det``, ``invert`` and ``in_row_space`` are thin
-adapters for dense matrices: plain lists of lists of rationals, which may
-have zero rows, so ``ncols`` is passed explicitly where it cannot be
-inferred.
+The interface is sparse rows in, canonical echelon out: ``echelon`` (a
+basis of the span of some rows), ``unit_rows`` (that basis as rational
+rows), ``reduce`` (a vector modulo such a basis), ``span_rank`` (the
+dimension of a span), ``kernel`` and ``preimage`` (of a linear map given by
+its sparse columns, ``columns[c]`` the image of the c-th basis vector).
+Their inputs may hold ints or Fractions.  Only ``det`` and ``invert`` take a
+dense square matrix (a list of rows of rationals), for the Gram matrices of
+metrics.
 """
 
 from __future__ import annotations
@@ -192,75 +191,11 @@ def preimage(columns, target):
     return {p: Fraction(row[n], row[p]) for p, row in basis.items() if n in row}
 
 
-# -- dense adapters ------------------------------------------------------------
+# -- square matrices -----------------------------------------------------------
 
 
 def _sparse(row):
     return {c: v for c, v in enumerate(map(as_scalar, row)) if v}
-
-
-def _dense(vec, ncols):
-    out = [ZERO] * ncols
-    for c, v in vec.items():
-        out[c] = v
-    return out
-
-
-def _checked(rows, ncols):
-    rows = list(rows)
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("ragged matrix")
-    return rows, ncols
-
-
-def _columns(rows, ncols):
-    columns = [{} for _ in range(ncols)]
-    for r, row in enumerate(rows):
-        for c, v in _sparse(row).items():
-            columns[c][r] = v
-    return columns
-
-
-def rref(rows, ncols=None):
-    """Reduced row echelon form.
-
-    Returns ``(reduced_rows, pivot_columns)`` with zero rows dropped.
-    ``reduced_rows`` is a canonical basis of the row space.
-    """
-    rows, ncols = _checked(rows, ncols)
-    basis = echelon([_sparse(row) for row in rows])
-    return [_dense(row, ncols) for row in unit_rows(basis)], list(basis)
-
-
-def rank(rows, ncols=None):
-    rows, ncols = _checked(rows, ncols)
-    return span_rank([_sparse(row) for row in rows])
-
-
-def nullspace(rows, ncols):
-    """Deterministic kernel basis of the linear map given by ``rows``.
-
-    One basis vector per free column, in increasing column order; the free
-    coordinate is set to 1 and pivot coordinates are back-filled from rref.
-    """
-    rows, ncols = _checked(rows, ncols)
-    return [_dense(vec, ncols) for vec in kernel(_columns(rows, ncols))]
-
-
-def solve(rows, rhs, ncols=None):
-    """One particular solution of ``rows @ x = rhs`` or None if inconsistent.
-
-    Deterministic: free variables are set to zero, so the result is the
-    echelon solution with minimal support under the column order.
-    """
-    rows, ncols = _checked(rows, ncols)
-    rhs = [as_scalar(v) for v in rhs]
-    if len(rhs) != len(rows):
-        raise ValueError("rhs length does not match row count")
-    solution = preimage(_columns(rows, ncols), _sparse(rhs))
-    return None if solution is None else _dense(solution, ncols)
 
 
 def det(rows):
@@ -293,19 +228,11 @@ def det(rows):
 
 def invert(rows):
     """Exact inverse; raises ValueError on singular input."""
-    rows, n = _checked(rows, len(rows))
+    rows = list(rows)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("inverse needs a square matrix")
     basis = echelon([{**_sparse(row), n + i: ONE} for i, row in enumerate(rows)])
     if list(basis) != list(range(n)):
         raise ValueError("matrix is singular")
-    return [_dense({c - n: v for c, v in row.items() if c >= n}, n)
-            for row in unit_rows(basis)]
-
-
-def in_row_space(basis_rref, pivots, vector):
-    """Membership test against an rref basis and its pivot columns."""
-    basis = {p: _integral(_sparse(row))[0] for row, p in zip(basis_rref, pivots)}
-    return not _reduce(_integral(_sparse(vector))[0], basis)[0]
-
-
-def mat_vec(rows, vec):
-    return [sum((row[k] * vec[k] for k in range(len(vec))), ZERO) for row in rows]
+    return [[row.get(n + c, ZERO) for c in range(n)] for row in unit_rows(basis)]

@@ -48,7 +48,7 @@ from .errors import (
 from .exterior_core import (
     KForm,
     LieAlgebra,
-    as_vector,
+    _add_term,
     build_algebra,
     ce_d,
     lower_central_series,
@@ -550,13 +550,6 @@ class AlmostComplexStructure:
                 if entry != expected:
                     raise NotAlmostComplex("J^2 != -Id")
 
-    def apply(self, vector):
-        vector = as_vector(vector, self.dim)
-        return tuple(
-            sum((self.matrix[r][c] * vector[c] for c in range(self.dim)), ZERO)
-            for r in range(self.dim)
-        )
-
     def column(self, j):
         """J(X_j) as a coefficient tuple (1-based j)."""
         return tuple(self.matrix[r][j - 1] for r in range(self.dim))
@@ -604,23 +597,37 @@ def nijenhuis(algebra, acs):
     if acs.dim != algebra.dim:
         raise DimensionMismatch("J has the wrong size for this algebra")
     n = algebra.dim
+    # sparse {index: value} vectors: J(X_c) and [X_a, X_b] for a != b
+    columns = {c: {r: v for r, v in enumerate(acs.column(c), 1) if v}
+               for c in range(1, n + 1)}
+    brackets = {}
+    for (a, b, k), coeff in algebra.constants.items():
+        brackets.setdefault((a, b), {})[k] = coeff
+        brackets.setdefault((b, a), {})[k] = -coeff
+
+    def combine(pairs):
+        """The sum of value * vector over (vector, value) pairs."""
+        out = {}
+        for vec, value in pairs:
+            for k, c in vec.items():
+                _add_term(out, k, value * c)
+        return out
+
+    def bracket(v, w):
+        return combine((brackets[a, b], x * y) for a, x in v.items()
+                       for b, y in w.items() if (a, b) in brackets)
+
+    def apply_j(v):
+        return combine((columns[a], x) for a, x in v.items())
+
     components = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            xi = tuple(ONE if t == i - 1 else ZERO for t in range(n))
-            xj = tuple(ONE if t == j - 1 else ZERO for t in range(n))
-            jxi, jxj = acs.apply(xi), acs.apply(xj)
-            value = algebra.bracket_vectors(jxi, jxj)
-            value = tuple(
-                a - b - c - d
-                for a, b, c, d in zip(
-                    value,
-                    acs.apply(algebra.bracket_vectors(jxi, xj)),
-                    acs.apply(algebra.bracket_vectors(xi, jxj)),
-                    algebra.bracket_vectors(xi, xj),
-                )
-            )
-            components[(i, j)] = value
+            jxi, jxj = columns[i], columns[j]
+            mixed = combine(((bracket(jxi, {j: ONE}), ONE), (bracket({i: ONE}, jxj), ONE)))
+            value = combine(((bracket(jxi, jxj), ONE), (apply_j(mixed), -ONE),
+                             (brackets.get((i, j), {}), -ONE)))
+            components[(i, j)] = tuple(value.get(r, ZERO) for r in range(1, n + 1))
     return NijenhuisTensor(dim=n, components=components)
 
 

@@ -13,7 +13,7 @@ from nilforms import (
     cohomology_space,
     get_example,
 )
-from nilforms.linalg import det as exact_det
+from nilforms.linalg import det as exact_det, invert as exact_invert
 
 settings.register_profile(
     "suite",
@@ -194,3 +194,20 @@ def posdef_metrics(draw, dim):
     gram = [[sum(Fraction(entries[r][i]) * entries[r][j] for r in range(dim))
              for j in range(dim)] for i in range(dim)]
     return InnerProduct(gram)
+
+
+@st.composite
+def complex_structures(draw, dim):
+    """J = A J0 A^-1 for the standard J0 (J0 X_{2p-1} = X_{2p}) and A integer
+    and invertible, as a matrix acting on columns."""
+    entries = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+        min_size=dim, max_size=dim))
+    a = [list(map(Fraction, row)) for row in entries]
+    assume(exact_det(a) != 0)
+    inverse = exact_invert(a)
+    # A J0 has columns A J0 e_c: A e_{c+1} for even c, -A e_{c-1} for odd c
+    a_j0 = [[row[c + 1] if c % 2 == 0 else -row[c - 1] for c in range(dim)]
+            for row in a]
+    return tuple(tuple(sum(a_j0[r][k] * inverse[k][c] for k in range(dim))
+                       for c in range(dim)) for r in range(dim))

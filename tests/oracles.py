@@ -247,3 +247,53 @@ def reference_find_lcs(algebra, config):
         genuine_witness=genuine_witness,
         genuine_verdict=genuine_verdict,
     )
+
+
+def reference_koszul_table(algebra, metric):
+    """``koszul_connection``'s table as it was computed before it read the
+    pairings off the structure constants.
+
+    Every g([X_i, X_j], X_l) is a dense ``metric.pairing`` of a bracket with
+    a basis vector, and the solve multiplies by the inverse Gram matrix,
+    here taken from sympy.
+    """
+    n = algebra.dim
+    inverse = sympy_matrix(metric.matrix).inv()
+
+    def g_bracket(i, j, l):
+        return metric.pairing(algebra.bracket(i, j), basis_vector(n, l))
+
+    table = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            rhs = [(g_bracket(i, j, l) - g_bracket(j, l, i) + g_bracket(l, i, j)) / 2
+                   for l in range(1, n + 1)]
+            table[(i, j)] = tuple(
+                sum((as_fraction(inverse[r, k]) * rhs[k] for k in range(n)), Fraction(0))
+                for r in range(n))
+    return table
+
+
+def reference_nijenhuis(algebra, matrix):
+    """``nijenhuis`` components as they were computed before they were read
+    off J's sparse columns: J applied as a dense matrix to the dense
+    brackets of unit vectors,
+
+        N(X_i, X_j) = [JX_i, JX_j] - J[JX_i, X_j] - J[X_i, JX_j] - [X_i, X_j].
+    """
+    n = algebra.dim
+    bv = algebra.bracket_vectors
+
+    def apply(vector):
+        return tuple(sum((Fraction(matrix[r][c]) * vector[c] for c in range(n)),
+                         Fraction(0)) for r in range(n))
+
+    components = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            xi, xj = basis_vector(n, i), basis_vector(n, j)
+            jxi, jxj = apply(xi), apply(xj)
+            components[(i, j)] = tuple(
+                a - b - c - d for a, b, c, d in zip(
+                    bv(jxi, jxj), apply(bv(jxi, xj)), apply(bv(xi, jxj)), bv(xi, xj)))
+    return components

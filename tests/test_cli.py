@@ -35,6 +35,18 @@ def test_analyze_json_is_valid_and_deterministic(capsys):
     assert out == out2
 
 
+@pytest.mark.parametrize("text,step", [("()", 0), ("(0)", 1)])
+def test_analyze_below_dimension_two(capsys, text, step):
+    code, out, err = run(capsys, "analyze", text)
+    assert code == 0, err
+    assert "massey triple products (degree 1): none nonzero" in out.splitlines()
+    assert f"step {step}" in out
+    code, out, _ = run(capsys, "analyze", text, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["massey"] is None and doc["step"] == step
+
+
 def test_analyze_reports_kahler_admissibility(capsys):
     _, torus_out, _ = run(capsys, "analyze", "(0,0,0,0)")
     assert "Kahler admissible: yes" in torus_out

@@ -142,6 +142,19 @@ def test_invariants_fingerprint(filiform, torus, so3):
     assert rigid.unimodular
 
 
+def test_zero_algebra_has_step_zero():
+    zero = lower_central_series(LieAlgebra(0, {}))
+    assert zero.nilpotent and zero.step == 0
+    assert zero.lower_central_dims == (0,)
+    line = lower_central_series(LieAlgebra(1, {}))
+    assert line.step == 1 and line.lower_central_dims == (1, 0)
+
+
+def test_dx_below_dimension_two_is_the_top_degree_zero_form():
+    line = LieAlgebra(1, {})
+    assert line.dx(1).is_zero and line.dx(1) == ce_d(line.covector(1))
+
+
 def test_direct_sum_of_kt_and_line(kt):
     line = build_algebra(1, {})
     total = direct_sum(kt, line)

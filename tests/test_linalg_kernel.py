@@ -2,9 +2,12 @@
 
 ``oracles.reference_rref`` is the dense row reduction the library used before
 its fraction-free kernel.  The reduced row echelon form of a row space is
-unique, so every dense adapter must agree with it (or with sympy) exactly, on
+unique, so every entry point must agree with it (or with sympy) exactly, on
 random rational matrices of every shape: empty, wide, tall, with zero and
-repeated rows, and with large numerators and denominators.
+repeated rows, and with large numerators and denominators.  Matrices are
+drawn dense and handed to the kernel as sparse rows or columns; each test
+keeps the name of the concept it checks (row echelon form, null space,
+solving, row-space membership) under its sparse entry point.
 """
 
 from fractions import Fraction
@@ -12,7 +15,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from nilforms.linalg import det, in_row_space, invert, nullspace, rank, rref, solve
+from nilforms.linalg import (
+    det,
+    echelon,
+    invert,
+    kernel,
+    preimage,
+    reduce,
+    span_rank,
+    unit_rows,
+)
 
 from oracles import as_fraction, reference_rref, sympy_shaped
 
@@ -40,19 +52,37 @@ def matrices(draw, square=False):
     return rows, ncols
 
 
+def sparse(row):
+    return {c: v for c, v in enumerate(row) if v}
+
+
+def dense(vec, ncols):
+    return [vec.get(c, Fraction(0)) for c in range(ncols)]
+
+
+def columns_of(rows, ncols):
+    return [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(ncols)]
+
+
 @given(matrices())
 def test_rref_equals_the_reference(matrix):
     rows, ncols = matrix
-    assert rref(rows, ncols) == reference_rref(rows, ncols)
-    assert rank(rows, ncols) == len(reference_rref(rows, ncols)[1])
+    basis = echelon(map(sparse, rows))
+    reduced = [dense(row, ncols) for row in unit_rows(basis)]
+    assert (reduced, list(basis)) == reference_rref(rows, ncols)
+    expected, pivots = sympy_shaped(rows, ncols).rref()
+    assert list(basis) == list(pivots)
+    assert reduced == [[as_fraction(expected[r, c]) for c in range(ncols)]
+                       for r in range(len(pivots))]
 
 
 @given(matrices())
 def test_nullspace_equals_sympy(matrix):
     rows, ncols = matrix
-    expected = [[as_fraction(v) for v in vec]
-                for vec in sympy_shaped(rows, ncols).nullspace()]
-    assert nullspace(rows, ncols) == expected
+    reference = sympy_shaped(rows, ncols)
+    assert span_rank(list(map(sparse, rows))) == reference.rank()
+    expected = [[as_fraction(v) for v in vec] for vec in reference.nullspace()]
+    assert [dense(vec, ncols) for vec in kernel(columns_of(rows, ncols))] == expected
 
 
 @given(matrices(), st.data())
@@ -66,7 +96,8 @@ def test_solve_equals_the_reference(matrix, data):
         expected = [Fraction(0)] * ncols
         for row, p in zip(reduced, pivots):
             expected[p] = row[ncols]
-    assert solve(rows, rhs, ncols) == expected
+    solution = preimage(columns_of(rows, ncols), sparse(rhs))
+    assert (solution if solution is None else dense(solution, ncols)) == expected
 
 
 @given(matrices(square=True))
@@ -92,6 +123,6 @@ def test_in_row_space_equals_a_rank_test(matrix, data):
     row_sum = [sum((row[c] for row in rows), Fraction(0)) for c in range(ncols)]
     vector = data.draw(st.one_of(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
                                  st.just(row_sum)))
-    basis, pivots = reference_rref(rows, ncols)
-    expected = sympy_shaped(rows + [vector], ncols).rank() == len(pivots)
-    assert in_row_space(basis, pivots, vector) == expected
+    basis = echelon(map(sparse, rows))
+    expected = sympy_shaped(rows + [vector], ncols).rank() == len(basis)
+    assert (not reduce(sparse(vector), basis)) == expected

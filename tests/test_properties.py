@@ -32,12 +32,16 @@ from nilforms import (
     find_symplectic,
     format_salamon,
     format_scalar,
+    get_example,
     hodge_star,
     json_to_algebra,
     json_to_form,
+    koszul_connection,
     algebra_to_json,
     form_to_json,
     parse_salamon,
+    names,
+    nijenhuis,
     parse_scalar,
     pfaffian_volume,
     skew_matrix,
@@ -55,6 +59,7 @@ from nilforms.structures import (
 
 from conftest import (
     catalog_algebras,
+    complex_structures,
     filtered_4d_algebras,
     forms_on,
     nilpotent_algebras,
@@ -63,7 +68,12 @@ from conftest import (
     small_rationals,
     two_step_algebras,
 )
-from oracles import jacobiator, sympy_pfaffian_squared_is_det
+from oracles import (
+    jacobiator,
+    reference_koszul_table,
+    reference_nijenhuis,
+    sympy_pfaffian_squared_is_det,
+)
 
 CASE_BUDGET = []
 
@@ -179,6 +189,32 @@ def test_d_delta_adjointness_on_unimodular(metric, alpha, beta):
     beta = KForm(algebra, beta.degree, dict(beta.terms()))
     assert metric.form_pairing(ce_d(alpha), beta) \
         == metric.form_pairing(alpha, codifferential(algebra, metric, beta))
+
+
+# -- Hermitian tensors --------------------------------------------------------
+
+
+def test_hermitian_tensors_on_the_catalog_pairs_equal_the_dense_reference():
+    for name in names():
+        entry = get_example(name)
+        if entry.acs is None:
+            continue
+        metric = InnerProduct(entry.metric or [[int(i == j) for j in range(4)]
+                                               for i in range(4)])
+        table = koszul_connection(entry.algebra, metric)._table
+        assert repr(table) == repr(reference_koszul_table(entry.algebra, metric))
+        components = nijenhuis(entry.algebra, entry.acs).components
+        assert repr(components) == repr(reference_nijenhuis(entry.algebra, entry.acs))
+
+
+@fuzz(st.one_of(catalog_algebras(), nilpotent_algebras(dims=(4, 6))), st.data(), n=40)
+def test_hermitian_tensors_equal_the_dense_reference(algebra, data):
+    metric = data.draw(posdef_metrics(algebra.dim))
+    acs = data.draw(complex_structures(algebra.dim))
+    table = koszul_connection(algebra, metric)._table
+    assert repr(table) == repr(reference_koszul_table(algebra, metric))
+    components = nijenhuis(algebra, acs).components
+    assert repr(components) == repr(reference_nijenhuis(algebra, acs))
 
 
 # -- global profiles ----------------------------------------------------------

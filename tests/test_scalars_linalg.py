@@ -6,13 +6,13 @@ from hypothesis import given, strategies as st
 from nilforms import InvalidParameter, as_scalar, format_scalar, parse_scalar
 from nilforms.linalg import (
     det,
-    in_row_space,
+    echelon,
     invert,
-    mat_vec,
-    nullspace,
-    rank,
-    rref,
-    solve,
+    kernel,
+    preimage,
+    reduce,
+    span_rank,
+    unit_rows,
 )
 from nilforms.scalars import height, rational_sqrt
 
@@ -62,7 +62,7 @@ def test_det_matches_sympy():
 def test_invert_round_trip():
     inv = invert([row[:] for row in MAT])
     for i in range(3):
-        col = mat_vec(inv, [row[i] for row in MAT])
+        col = [sum(row[k] * MAT[k][i] for k in range(3)) for row in inv]
         assert col == [Fraction(1) if j == i else Fraction(0) for j in range(3)]
 
 
@@ -71,31 +71,30 @@ def test_invert_round_trip():
 def test_rank_and_nullspace_against_sympy(entries):
     rows = [[Fraction(v) for v in row] for row in entries]
     mat = sympy_matrix(rows)
-    assert rank([r[:] for r in rows]) == mat.rank()
-    kernel = nullspace([r[:] for r in rows], 4)
-    assert len(kernel) == 4 - mat.rank()
-    for vec in kernel:
-        assert all(sum(row[j] * vec[j] for j in range(4)) == 0 for row in rows)
+    assert span_rank([dict(enumerate(row)) for row in rows]) == mat.rank()
+    vectors = kernel([{r: row[j] for r, row in enumerate(rows)} for j in range(4)])
+    assert len(vectors) == 4 - mat.rank()
+    for vec in vectors:
+        assert all(sum(row[j] * v for j, v in vec.items()) == 0 for row in rows)
 
 
 def test_rref_is_idempotent():
-    reduced, pivots = rref([row[:] for row in MAT])
-    again, pivots2 = rref([row[:] for row in reduced])
-    assert reduced == again
-    assert pivots == pivots2
+    basis = echelon(dict(enumerate(row)) for row in MAT)
+    again = echelon(unit_rows(basis))
+    assert again == basis
+    assert unit_rows(again) == unit_rows(basis)
 
 
 def test_solve_finds_a_preimage():
-    rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    sol = solve([r[:] for r in rows], [Fraction(3), Fraction(6)])
+    columns = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
+    sol = preimage(columns, {0: Fraction(3), 1: Fraction(6)})
     assert sol is not None
-    assert [sum(row[j] * sol[j] for j in range(2)) for row in rows] \
+    assert [sum(columns[c].get(r, 0) * v for c, v in sol.items()) for r in range(2)] \
         == [Fraction(3), Fraction(6)]
-    assert solve([r[:] for r in rows], [Fraction(3), Fraction(7)]) is None
+    assert preimage(columns, {0: Fraction(3), 1: Fraction(7)}) is None
 
 
 def test_in_row_space():
-    basis, pivots = rref([[Fraction(1), Fraction(0), Fraction(1)],
-                          [Fraction(0), Fraction(1), Fraction(1)]])
-    assert in_row_space(basis, pivots, [Fraction(2), Fraction(3), Fraction(5)])
-    assert not in_row_space(basis, pivots, [Fraction(0), Fraction(0), Fraction(1)])
+    basis = echelon([{0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: Fraction(1)}])
+    assert not reduce({0: Fraction(2), 1: Fraction(3), 2: Fraction(5)}, basis)
+    assert reduce({2: Fraction(1)}, basis) == {2: Fraction(1)}
