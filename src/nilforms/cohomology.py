@@ -67,14 +67,26 @@ def twisted_d(algebra, theta, form):
     return result
 
 
+def _exact(value):
+    """An integral rational as an int, any other kept as its Fraction."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def _d_columns(algebra, k):
     """The columns of the untwisted d on Lambda^k, memoized per degree on the
-    algebra (so at most dim + 1 entries)."""
+    algebra (so at most dim + 1 entries).
+
+    ``_d_raw`` builds them from a copy of the covector differentials with
+    integral constants as ints, so their entries are ints wherever the
+    constants allow and no ``Fraction`` arithmetic runs for those.
+    """
     columns = algebra._d_columns.get(k)
     if columns is None:
+        dx = {i: {mono: _exact(c) for mono, c in terms.items()}
+              for i, terms in algebra._dx.items()}
         position = {mono: i for i, mono in enumerate(algebra.monomials(k + 1))}
         columns = [
-            {position[mono]: c for mono, c in _d_raw({source: 1}, algebra._dx).items()}
+            {position[mono]: c for mono, c in _d_raw({source: 1}, dx).items()}
             for source in algebra.monomials(k)
         ]
         algebra._d_columns[k] = columns
@@ -85,9 +97,10 @@ def _d_matrix(algebra, k, theta):
     """Matrix of d_theta: Lambda^k -> Lambda^{k+1} over the lex monomial bases.
 
     Returns ``(columns, domain, codomain)``: ``columns[c]`` is the image of
-    the monomial ``domain[c]``, sparse as ``{codomain position: coefficient}``.
-    Untwisted columns are the algebra's memo and must not be mutated; twisted
-    ones are built afresh, so a sweep over theta does not grow memory.
+    the monomial ``domain[c]``, sparse as ``{codomain position: coefficient}``
+    with integral coefficients held as ints.  Untwisted columns are the
+    algebra's memo and must not be mutated; twisted ones are built afresh,
+    so a sweep over theta does not grow memory.
     """
     theta = _require_twist(algebra, theta)
     domain = algebra.monomials(k)
@@ -97,7 +110,7 @@ def _d_matrix(algebra, k, theta):
         # theta ^ x_S inserts each index i of theta into S, with the sign
         # (-1)^#{s in S : s < i} of moving x_i past the smaller indices
         position = {mono: i for i, mono in enumerate(codomain)}
-        lee = [(i, c) for (i,), c in theta.coeffs.items()]
+        lee = [(i, _exact(c)) for (i,), c in theta.coeffs.items()]
         twisted = []
         for source, column in zip(domain, columns):
             column = dict(column)
@@ -396,7 +409,9 @@ def triple_massey(algebra, a, b, c):
     """<a, b, c> for degree-1 untwisted classes with a.b = b.c = 0.
 
     Closed 1-forms are accepted and lifted to their classes.  Raises
-    CupObstruction when a cup precondition fails.
+    CupObstruction when a cup precondition fails.  Below dimension 2 the
+    products land, as for ``cup``, in the clipped space H^dim, and every
+    triple product is the zero class there.
     """
     lifted = []
     for name, cls in (("a", a), ("b", b), ("c", c)):
@@ -413,7 +428,7 @@ def triple_massey(algebra, a, b, c):
         lifted.append(cls)
     a, b, c = lifted
 
-    h2 = cohomology_space(algebra, 2)
+    h2 = cohomology_space(algebra, min(2, algebra.dim))
     w_ab = wedge(a.representative, b.representative)
     if not h2.class_of(w_ab).is_zero:
         raise CupObstruction("a cup b is nonzero; <a, b, c> undefined")

@@ -20,6 +20,7 @@ are 1-based throughout, matching the classical x_1, ..., x_n notation.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 
 from . import linalg
@@ -33,8 +34,9 @@ from .errors import (
 from .scalars import ZERO, as_scalar, format_scalar
 
 # -- raw term dictionaries ---------------------------------------------------
-# Internal helpers operate on bare dicts {increasing tuple: Fraction} so the
-# Jacobi check can run before any LieAlgebra object exists.
+# Internal helpers operate on bare dicts {increasing tuple: coefficient} so the
+# Jacobi check can run before any LieAlgebra object exists.  Forms hold
+# Fractions; the cohomology module also feeds ``_d_raw`` int coefficients.
 
 
 def _sort_with_sign(indices):
@@ -72,7 +74,7 @@ def _merge_monomials(left, right):
 
 
 def _add_term(acc, mono, coeff):
-    new = acc.get(mono, ZERO) + coeff
+    new = acc.get(mono, 0) + coeff
     if new == 0:
         acc.pop(mono, None)
     else:
@@ -92,18 +94,29 @@ def _wedge_raw(a_terms, b_terms):
 
 
 def _d_raw(terms, dx_table):
-    """Graded-Leibniz extension of the covector differentials in dx_table."""
+    """Graded-Leibniz extension of the covector differentials in dx_table,
+    by index insertion.
+
+    d x_S = sum_t (-1)^t dx_{S_t} ^ x_R with R = S minus S_t.  A term
+    c x_a ^ x_b (a < b) of dx_{S_t} is placed by inserting a and b into R
+    at their insertion points at and bt, which moves them past at and bt
+    smaller indices, so it adds (-1)^(t + at + bt) c to the merged monomial
+    (nothing when a or b already lies in R).  Coefficients are only
+    multiplied and added, so they keep the type the inputs give them:
+    Fractions for forms, ints for integer-valued tables.
+    """
     out = {}
     for mono, coeff in terms.items():
         for t, index in enumerate(mono):
             rest = mono[:t] + mono[t + 1 :]
-            sign = -1 if t % 2 else 1
-            for dmono, dcoeff in dx_table.get(index, {}).items():
-                merged = _merge_monomials(dmono, rest)
-                if merged is None:
+            for (a, b), dcoeff in dx_table[index].items():
+                if a in rest or b in rest:
                     continue
-                out_mono, merge_sign = merged
-                _add_term(out, out_mono, coeff * dcoeff * sign * merge_sign)
+                at = bisect_left(rest, a)
+                bt = bisect_left(rest, b, at)
+                value = coeff * dcoeff
+                _add_term(out, rest[:at] + (a,) + rest[at:bt] + (b,) + rest[bt:],
+                          -value if (t + at + bt) % 2 else value)
     return out
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from nilforms import (
     CupObstruction,
     InternalInvariantBreach,
+    JacobiViolation,
     LieAlgebra,
     NotClosed,
     betti_profile,
@@ -24,6 +25,8 @@ from nilforms import (
     twisted_d,
     wedge,
 )
+
+from nilforms.cohomology import _d_columns
 
 from oracles import betti_by_koszul
 
@@ -233,6 +236,44 @@ def test_massey_vanishes_on_the_torus(torus):
                            torus.covector(1))
     assert not result.nonzero_mod_indeterminacy
     assert result.representative.is_zero
+
+
+def test_massey_on_a_line_is_the_zero_product():
+    # H^2 = 0 in dimension 1: the product lands, as a cup does, in the
+    # clipped space H^1, and is zero there
+    line = LieAlgebra(1, {})
+    x1 = line.covector(1)
+    result = triple_massey(line, x1, x1, x1)
+    assert result.rep_class.space is cohomology_space(line, 1)
+    assert result.rep_class.is_zero and result.representative.is_zero
+    assert result.indeterminacy_basis == ()
+    assert not result.nonzero_mod_indeterminacy
+
+
+def test_non_integral_constants_stay_exact():
+    # [X1, X2] = X3 / 2, so dx3 = -x1 ^ x2 / 2
+    algebra = LieAlgebra(3, {(1, 2, 3): Fraction(1, 2)})
+    column = _d_columns(algebra, 1)[2]
+    assert column == {0: Fraction(-1, 2)}
+    assert type(column[0]) is Fraction
+    assert [rep.coeffs for rep in cohomology_space(algebra, 1).representative_basis] \
+        == [{(1,): 1}, {(2,): 1}]
+    result = triple_massey(algebra, algebra.covector(1), algebra.covector(1),
+                           algebra.covector(2))
+    assert result.primitive_ab.is_zero
+    assert result.primitive_bc.coeffs == {(3,): Fraction(-2)}
+    assert result.representative.coeffs == {(1, 3): Fraction(-2)}
+    assert result.nonzero_mod_indeterminacy
+
+
+def test_jacobi_witness_with_rational_constants():
+    # d(dx_3) = -2/9 x2^x3^x4 + 4/9 x1^x2^x4: the witness is the first
+    # monomial of the first covector that fails
+    constants = {(2, 3, 2): Fraction(1, 3), (2, 4, 3): Fraction(-2, 3),
+                 (1, 2, 2): Fraction(-2, 3)}
+    with pytest.raises(JacobiViolation) as caught:
+        LieAlgebra(4, constants)
+    assert caught.value.triple == (1, 2, 4)
 
 
 def test_cohomology_spaces_are_memoized(filiform):

@@ -69,6 +69,7 @@ from conftest import (
     two_step_algebras,
 )
 from oracles import (
+    d_matrix_by_koszul,
     jacobiator,
     reference_koszul_table,
     reference_nijenhuis,
@@ -136,6 +137,21 @@ def test_twisted_differential_squares_to_zero(algebra, raw_theta):
     form = KForm(algebra, raw_theta.degree, dict(raw_theta.terms()))
     once = twisted_d(algebra, theta, form)
     assert twisted_d(algebra, theta, once).is_zero
+
+
+# the Koszul oracle takes over a second for one algebra of dimension 6, so
+# the dimensions stay at most 5; two-step constants have denominators up to 3
+@fuzz(st.one_of(two_step_algebras(), nilpotent_algebras(dims=(4, 5)),
+                non_nilpotent_4d_algebras()), st.data(), n=30)
+def test_d_matrix_equals_the_koszul_route(algebra, data):
+    basis = closed_covector_basis(algebra)
+    theta = _combination(algebra, basis, _nonzero_coords(data, len(basis)))
+    for twist in (None, theta):
+        for k in range(algebra.dim + 1):
+            columns, _, codomain = _d_matrix(algebra, k, twist)
+            rows, _, _ = d_matrix_by_koszul(algebra, k, twist)
+            assert [[column.get(r, 0) for column in columns]
+                    for r in range(len(codomain))] == rows
 
 
 # -- Pfaffian laws ------------------------------------------------------------
