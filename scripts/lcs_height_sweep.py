@@ -8,7 +8,7 @@ how far the semi-decision can be pushed before the enumeration blows up.
 On a nilpotent algebra whose global twisted Pfaffian Pf(d eta - theta ^ eta)
 vanishes identically, the curve is flat: no candidate but theta = 0 is
 decided, the count grows as (V + 1)^b1 and the time per level stays at a
-few milliseconds (2-4 ms per level for (0,0,0,0,12,34) up to height 4,
+few milliseconds (1-2 ms per level for (0,0,0,0,12,34) up to height 4,
 279841 candidates, on a 2-CPU Xeon with Python 3.11).  The enumeration
 cost shows where that Pfaffian is nonzero, and on algebras that are not
 nilpotent.

@@ -558,6 +558,17 @@ def _is_unimodular(algebra):
     return not any(trace.values())
 
 
+def _is_nilpotent(algebra):
+    """Whether the algebra is nilpotent, read off the structure constants
+    when they are in Salamon's order: if every [X_i, X_j] (i < j) lies in
+    the span of the X_k with k > j, each ad X strictly raises the index
+    filtration span{X_k : k >= m}, so the lower central series reaches
+    zero.  Any other basis order is left to ``lower_central_series``."""
+    if all(k > j for _, j, k in algebra.constants):
+        return True
+    return lower_central_series(algebra).nilpotent
+
+
 def direct_sum(left, right):
     """Block-diagonal direct sum; right-hand indices are shifted by left.dim."""
     shift = left.dim

@@ -34,7 +34,7 @@ from .errors import (
     WrongDimension,
     _Record,
 )
-from .exterior_core import KForm, ce_d, lower_central_series, wedge
+from .exterior_core import KForm, _is_unimodular, ce_d, wedge
 from .scalars import ZERO, ONE, as_scalar, rational_sqrt
 from .structures import AlmostComplexStructure, nijenhuis
 
@@ -59,16 +59,10 @@ class InnerProduct:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise InvalidParameter("Gram matrix must be symmetric")
-        for k in range(1, n + 1):
-            minor = linalg.det([list(row[:k]) for row in rows[:k]])
-            if minor <= 0:
-                raise DegenerateMetric(
-                    f"leading principal minor {k} is {minor}; metric is not "
-                    "positive definite")
         self.dim = n
         self.matrix = tuple(rows)
+        self.determinant = _positive_definite_det(rows)
         self.inverse = tuple(tuple(r) for r in linalg.invert([list(r) for r in rows]))
-        self.determinant = linalg.det([list(r) for r in rows])
         self.orientation = orientation
 
     def pairing(self, v, w):
@@ -112,6 +106,31 @@ class InnerProduct:
                 if gram != 0:
                     total += ca * cb * gram
         return total
+
+
+def _positive_definite_det(rows):
+    """The determinant of a symmetric matrix whose leading principal minors
+    are all positive; raises DegenerateMetric at the first that is not.
+
+    One forward elimination without row exchanges: while the minors before
+    it are nonzero, the k-th pivot is Delta_k / Delta_{k-1}, so Delta_k is
+    the product of the first k pivots and Delta_n the determinant.
+    """
+    work = [list(row) for row in rows]
+    minor = ONE
+    for k, pivot_row in enumerate(work):
+        pivot = pivot_row[k]
+        minor *= pivot
+        if minor <= 0:
+            raise DegenerateMetric(
+                f"leading principal minor {k + 1} is {minor}; metric is not "
+                "positive definite")
+        for row in work[k + 1:]:
+            factor = row[k] / pivot
+            if factor:
+                for c in range(k + 1, len(row)):
+                    row[c] -= factor * pivot_row[c]
+    return minor
 
 
 def euclidean_metric(dim):
@@ -182,7 +201,7 @@ def codifferential(algebra, metric, form):
     metric = _check_metric(algebra, metric)
     if form.algebra != algebra:
         raise AmbientMismatch("form lives over a different algebra")
-    if not lower_central_series(algebra).unimodular:
+    if not _is_unimodular(algebra):
         raise NotUnimodular("the codifferential needs a unimodular algebra")
     k = form.degree
     if k == 0 or form.is_zero:
@@ -376,7 +395,7 @@ def classify_hermitian(algebra, metric, acs):
     if algebra.dim % 2 or algebra.dim < 4:
         raise WrongDimension("Hermitian classification needs even dimension >= 4")
     metric, acs = _check_compatible(algebra, metric, acs)
-    if not lower_central_series(algebra).unimodular:
+    if not _is_unimodular(algebra):
         raise NotUnimodular("Hermitian classification needs a unimodular algebra")
 
     integrable = nijenhuis(algebra, acs).is_integrable

@@ -4,6 +4,12 @@ Small and purpose-built: enough arithmetic for symbolic Pfaffians over
 solution-space parameters and for polynomial coframes on coordinate models.
 Monomials are exponent tuples of a fixed arity; there is no variable-name
 bookkeeping here (callers keep their own name lists for printing).
+
+A coefficient is an exact rational: a ``Fraction``, or an ``int`` where it
+is integral and the caller built it from ints.  Sums and products start from
+int ``0``, so integer inputs stay on int arithmetic; the two kinds compare,
+hash and print alike, so which one a coefficient has never shows in a
+result.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from .scalars import ZERO, as_scalar
 
 
 class Poly:
-    """Immutable polynomial: {exponent tuple: nonzero Fraction}."""
+    """Immutable polynomial: {exponent tuple: nonzero rational, int where
+    integral}."""
 
     __slots__ = ("nvars", "terms")
 
@@ -83,7 +90,7 @@ class Poly:
         other = self._check(other)
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            new = out.get(expo, ZERO) + coeff
+            new = out.get(expo, 0) + coeff
             if new == 0:
                 out.pop(expo, None)
             else:
@@ -107,7 +114,7 @@ class Poly:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 expo = tuple(x + y for x, y in zip(ea, eb))
-                new = out.get(expo, ZERO) + ca * cb
+                new = out.get(expo, 0) + ca * cb
                 if new == 0:
                     out.pop(expo, None)
                 else:
@@ -224,16 +231,34 @@ def nonzero_point(poly, max_value=None):
         raise InvalidParameter("the zero polynomial has no nonzero point")
     bound = poly.total_degree() if max_value is None else max_value
     point = []
-    current = poly
+    terms = poly.terms
     for index in range(poly.nvars):
-        chosen = None
         for candidate in range(bound + 1):
-            attempt = current.substitute({index: Fraction(candidate)})
-            if not attempt.is_zero:
-                chosen = candidate
-                current = attempt
+            attempt = _fix(terms, index, candidate)
+            if attempt:
+                terms = attempt
                 break
-        if chosen is None:
+        else:
             raise InvalidParameter("no nonzero point found; polynomial was zero?")
-        point.append(Fraction(chosen))
+        point.append(Fraction(candidate))
     return tuple(point)
+
+
+def _fix(terms, index, value):
+    """The terms of a polynomial with variable ``index`` set to the integer
+    ``value``, in one walk: each term's exponent there is zeroed and its
+    coefficient multiplied by value ** exponent."""
+    out = {}
+    for expo, coeff in terms.items():
+        e = expo[index]
+        if e:
+            if not value:
+                continue
+            expo = expo[:index] + (0,) + expo[index + 1:]
+            coeff = coeff * value ** e
+        new = out.get(expo, 0) + coeff
+        if new:
+            out[expo] = new
+        else:
+            del out[expo]
+    return out

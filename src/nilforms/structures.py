@@ -18,7 +18,11 @@ On a nilpotent algebra Dixmier's theorem (H*_theta = 0 for closed
 theta != 0) makes every d_theta-closed 2-form twisted-exact, so a single
 symbolic Pfaffian over theta and the primitive settles all theta != 0
 candidates at once; when it vanishes identically only theta = 0 is decided
-and the rest are counted.  That shortcut deletes work, not honesty: the
+and the rest are counted.  Whether the algebra is nilpotent is read off its
+structure constants when they are in Salamon's order (every [X_i, X_j],
+i < j, in the span of the X_k with k > j) and left to the lower central
+series otherwise, and the Pfaffian is expanded on int coefficients
+wherever they are integral.  The shortcut deletes work, not honesty: the
 search still answers for the candidates up to height H only, and a
 nonexistence claim belongs to a separate, proof-carrying decision.
 
@@ -32,7 +36,14 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .cohomology import _coordinates, _d_matrix, _form, cohomology_space, twisted_d
+from .cohomology import (
+    _coordinates,
+    _d_matrix,
+    _exact,
+    _form,
+    cohomology_space,
+    twisted_d,
+)
 from .errors import (
     AmbientMismatch,
     DimensionMismatch,
@@ -49,9 +60,9 @@ from .exterior_core import (
     KForm,
     LieAlgebra,
     _add_term,
+    _is_nilpotent,
     build_algebra,
     ce_d,
-    lower_central_series,
     wedge,
 )
 from .polynomials import Poly, nonzero_point
@@ -164,16 +175,20 @@ def _symbolic_pfaffian(dim, nvars, contributions):
     """Pfaffian, as a Poly in ``nvars`` variables, of the skew matrix whose
     (i, j) entry (i < j) sums coeff * monomial over the contributions
     ``((i, j), exponent, coeff)``; each ((i, j), exponent) occurs at most
-    once.  The entry table is built in one walk, before the expansion."""
+    once.  The entry table is built in one walk, before the expansion.
+
+    Integral coefficients enter as ints (``_exact``) and the unit is the int
+    1, so the expansion runs on int arithmetic wherever the input allows."""
     table = {}
     for pair, expo, coeff in contributions:
         if coeff:
-            table.setdefault(pair, {})[expo] = coeff
+            table.setdefault(pair, {})[expo] = _exact(coeff)
     zero = Poly(nvars, {}, _normalized=True)
+    one = Poly(nvars, {(0,) * nvars: 1}, _normalized=True)
     entries = {pair: Poly(nvars, terms, _normalized=True)
                for pair, terms in table.items()}
     return _pfaffian_expand(lambda i, j: entries.get((i, j), zero),
-                            range(1, dim + 1), zero, Poly.constant(nvars, 1))
+                            range(1, dim + 1), zero, one)
 
 
 def _twisted_exact_pfaffian(algebra, covectors):
@@ -474,7 +489,7 @@ def find_lcs(algebra, config=SearchConfig()):
     candidates = theta_candidates(algebra, config)
     total = None
     basis = closed_covector_basis(algebra)
-    if (lower_central_series(algebra).nilpotent
+    if (_is_nilpotent(algebra)
             and _twisted_exact_pfaffian(algebra, basis).is_zero):
         # Every d_theta-closed 2-form with closed theta != 0 is some
         # d eta - theta ^ eta, and P == 0 makes each of them degenerate (on an
@@ -542,13 +557,15 @@ class AlmostComplexStructure:
             raise DimensionMismatch("J must be square")
         self.dim = n
         self.matrix = tuple(rows)
-        for i in range(n):
-            for j in range(n):
-                entry = sum((self.matrix[i][k] * self.matrix[k][j] for k in range(n)),
-                            ZERO)
-                expected = -ONE if i == j else ZERO
-                if entry != expected:
-                    raise NotAlmostComplex("J^2 != -Id")
+        # J(J X_c) = sum over the nonzero J[k][c] of J[k][c] * J(X_k)
+        columns = [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(n)]
+        for c, column in enumerate(columns):
+            square = {}
+            for k, v in column.items():
+                for r, w in columns[k].items():
+                    _add_term(square, r, v * w)
+            if square != {c: -1}:
+                raise NotAlmostComplex("J^2 != -Id")
 
     def column(self, j):
         """J(X_j) as a coefficient tuple (1-based j)."""
@@ -661,8 +678,7 @@ class Classification4D(_Record):
 def classify_4d(algebra):
     if algebra.dim != 4:
         raise WrongDimension("classification is for dimension 4 only")
-    invariants = lower_central_series(algebra)
-    if not invariants.nilpotent:
+    if not _is_nilpotent(algebra):
         raise NotNilpotent("classification is for nilpotent algebras only")
     b1 = cohomology_space(algebra, 1).betti
     label, salamon, brackets = _STANDARD_4D[b1]

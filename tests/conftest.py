@@ -158,6 +158,23 @@ def nilpotent_algebras(draw, dims=range(4, 9)):
     return seeded_central_extension(draw(st.integers(0, 2**32)), dim, generators)
 
 
+def permuted(algebra, perm):
+    """The same algebra on the renamed basis X_i -> X_perm[i - 1]."""
+    constants = {}
+    for (i, j, k), coeff in algebra.constants.items():
+        a, b = perm[i - 1], perm[j - 1]
+        constants[(min(a, b), max(a, b), perm[k - 1])] = coeff if a < b else -coeff
+    return LieAlgebra(algebra.dim, constants)
+
+
+@st.composite
+def permuted_nilpotent_algebras(draw, dims=range(4, 9)):
+    """``nilpotent_algebras`` on a shuffled basis, so that the structure
+    constants are in general no longer in Salamon's order."""
+    algebra = draw(nilpotent_algebras(dims))
+    return permuted(algebra, draw(st.permutations(range(1, algebra.dim + 1))))
+
+
 def non_nilpotent_4d_algebras():
     return st.sampled_from([brackets for brackets, *_ in NON_NILPOTENT_4D.values()]) \
         .map(lambda brackets: build_algebra(4, brackets))

@@ -297,3 +297,45 @@ def reference_nijenhuis(algebra, matrix):
                 a - b - c - d for a, b, c, d in zip(
                     bv(jxi, jxj), apply(bv(jxi, xj)), apply(bv(xi, jxj)), bv(xi, xj)))
     return components
+
+
+def reference_nonzero_point(poly, max_value=None):
+    """``polynomials.nonzero_point`` as it was before it fixed a variable in
+    one walk over the terms: each value is tried by ``Poly.substitute``,
+    which rebuilds every term from Poly products and powers."""
+    from nilforms.errors import InvalidParameter
+
+    if poly.is_zero:
+        raise InvalidParameter("the zero polynomial has no nonzero point")
+    bound = poly.total_degree() if max_value is None else max_value
+    point = []
+    current = poly
+    for index in range(poly.nvars):
+        chosen = None
+        for candidate in range(bound + 1):
+            attempt = current.substitute({index: Fraction(candidate)})
+            if not attempt.is_zero:
+                chosen = candidate
+                current = attempt
+                break
+        if chosen is None:
+            raise InvalidParameter("no nonzero point found; polynomial was zero?")
+        point.append(Fraction(chosen))
+    return tuple(point)
+
+
+def reference_symbolic_pfaffian(dim, nvars, contributions):
+    """``structures._symbolic_pfaffian`` as it was before it expanded on
+    ints: every entry coefficient and the unit are ``Fraction``s."""
+    from nilforms.polynomials import Poly
+    from nilforms.structures import _pfaffian_expand
+
+    table = {}
+    for pair, expo, coeff in contributions:
+        if coeff:
+            table.setdefault(pair, {})[expo] = Fraction(coeff)
+    zero = Poly(nvars, {}, _normalized=True)
+    entries = {pair: Poly(nvars, terms, _normalized=True)
+               for pair, terms in table.items()}
+    return _pfaffian_expand(lambda i, j: entries.get((i, j), zero),
+                            range(1, dim + 1), zero, Poly.constant(nvars, 1))

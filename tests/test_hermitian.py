@@ -40,6 +40,37 @@ def test_inner_product_validation():
         InnerProduct([[1, 0], [0, 1]], orientation=2)
 
 
+@pytest.mark.parametrize("gram,message", [
+    ([[0]], "leading principal minor 1 is 0"),
+    ([[1, 1], [1, 1]], "leading principal minor 2 is 0"),
+    ([[1, 2], [2, 1]], "leading principal minor 2 is -3"),
+    ([[2, 1, 1], [1, 1, 1], [1, 1, 0]], "leading principal minor 3 is -1"),
+    ([[2, 1, 0], [1, 1, 0], [0, 0, "-1/3"]], "leading principal minor 3 is -1/3"),
+    ([[1, 0, 0, 5], [0, -1, 0, 0], [0, 0, 1, 0], [5, 0, 0, 1]],
+     "leading principal minor 2 is -1"),
+    # leading minors before the bad one that are not 1, so the minor is not
+    # just the last pivot
+    ([[2, 1], [1, -1]], "leading principal minor 2 is -3"),
+    ([[2, 1, 0], [1, 3, 1], [0, 1, -1]], "leading principal minor 3 is -7"),
+], ids=["zero-k1", "zero-k2", "negative-k2", "negative-k3", "rational-k3", "first-failure",
+        "scaled-k2", "scaled-k3"])
+def test_degenerate_metric_reports_the_first_bad_minor(gram, message):
+    with pytest.raises(DegenerateMetric) as excinfo:
+        InnerProduct(gram)
+    assert str(excinfo.value) == f"{message}; metric is not positive definite"
+
+
+def test_inner_product_determinant_and_inverse():
+    g = InnerProduct([[2, 1, 0], [1, 2, 1], [0, 1, "5/2"]])
+    assert g.determinant == Fraction(11, 2) and type(g.determinant) is Fraction
+    assert g.inverse == (
+        (Fraction(8, 11), Fraction(-5, 11), Fraction(2, 11)),
+        (Fraction(-5, 11), Fraction(10, 11), Fraction(-4, 11)),
+        (Fraction(2, 11), Fraction(-4, 11), Fraction(6, 11)),
+    )
+    assert InnerProduct([]).determinant == 1
+
+
 def test_form_pairing_is_the_gram_minor(kt):
     g = InnerProduct([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]])
     a = kt.form({(1, 2): 1})

@@ -5,11 +5,22 @@ as ``find_lcs`` did before one polynomial, Pf(d eta - theta ^ eta), began to
 settle all theta != 0 candidates of a nilpotent algebra at once.  The two
 must report the same status, count, cap and witnesses, on generated
 nilpotent algebras whose searches both find a genuine pair and miss one.
+
+The cut rests on two cheap pieces, each checked against the route it
+replaced: the Pfaffian expanded on int coefficients against the all-Fraction
+expansion (``oracles.reference_symbolic_pfaffian``), and the nilpotency test
+read off Salamon's order against the lower central series, on bases
+shuffled so that it must fall back.
 """
 
+import itertools
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilforms import (
+    LieAlgebra,
     SearchConfig,
     build_algebra,
     find_lcs,
@@ -17,10 +28,25 @@ from nilforms import (
     lower_central_series,
     parse_salamon,
 )
+from nilforms import structures
+from nilforms.exterior_core import _is_nilpotent
+from nilforms.polynomials import nonzero_point
 from nilforms.structures import _twisted_exact_pfaffian, closed_covector_basis
 
-from conftest import seeded_central_extension
-from oracles import reference_find_lcs
+from conftest import (
+    NON_NILPOTENT_4D,
+    catalog_algebras,
+    nilpotent_algebras,
+    non_nilpotent_4d_algebras,
+    permuted,
+    permuted_nilpotent_algebras,
+    seeded_central_extension,
+)
+from oracles import (
+    reference_find_lcs,
+    reference_nonzero_point,
+    reference_symbolic_pfaffian,
+)
 
 # (dimension, b1): every algebra of dimension 4 has a genuine lcs pair; most
 # of dimension 6 and 8 have none, so both branches of the shortcut run
@@ -98,3 +124,88 @@ def test_generated_algebras_reach_both_outcomes():
                                  CONFIGS["h1"]))[0]
                 for dim, b1 in SHAPES for seed in SEEDS}
     assert statuses == {"FOUND", "NOT_FOUND_UP_TO_HEIGHT(1)"}
+
+
+# -- exact ints in the Pfaffian, and the nilpotency test that gates the cut --
+
+RATIONAL_CONSTANTS = LieAlgebra(4, {(1, 2, 3): Fraction(1, 2), (1, 3, 4): Fraction(-3, 2)})
+
+
+@settings(max_examples=40)
+@given(st.one_of(catalog_algebras(), nilpotent_algebras(dims=(4, 6)),
+                 non_nilpotent_4d_algebras(), st.just(RATIONAL_CONSTANTS)))
+def test_int_pfaffian_equals_the_fraction_expansion(algebra):
+    basis = closed_covector_basis(algebra)
+    fast = _twisted_exact_pfaffian(algebra, basis)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(structures, "_symbolic_pfaffian", reference_symbolic_pfaffian)
+        slow = _twisted_exact_pfaffian(algebra, basis)
+    assert fast == slow
+    assert repr(fast) == repr(slow)
+    if all(c.denominator == 1 for c in algebra.constants.values()) \
+            and all(c.denominator == 1 for b in basis for c in b.coeffs.values()):
+        assert all(type(c) is int for c in fast.terms.values())
+    if fast:
+        assert repr(nonzero_point(fast)) == repr(reference_nonzero_point(slow))
+
+
+def test_rational_constants_keep_their_fractions():
+    pfaffian = _twisted_exact_pfaffian(RATIONAL_CONSTANTS,
+                                       closed_covector_basis(RATIONAL_CONSTANTS))
+    assert any(c.denominator != 1 for c in pfaffian.terms.values())
+
+
+@settings(max_examples=40)
+@given(st.one_of(nilpotent_algebras(), permuted_nilpotent_algebras(),
+                 non_nilpotent_4d_algebras()))
+def test_is_nilpotent_agrees_with_the_lower_central_series(algebra):
+    assert _is_nilpotent(algebra) == lower_central_series(algebra).nilpotent
+
+
+@pytest.mark.parametrize("brackets", [b for b, *_ in NON_NILPOTENT_4D.values()]
+                         + list(SOLVABLE_WITH_ZERO_P.values()),
+                         ids=list(NON_NILPOTENT_4D) + list(SOLVABLE_WITH_ZERO_P))
+def test_is_nilpotent_rejects_solvable_algebras(brackets):
+    assert not _is_nilpotent(build_algebra(4, brackets))
+
+
+@pytest.mark.parametrize("salamon", ["(0,0,12,13)", "(0,0,0,12)",
+                                     "(0,0,12,13,14,15)", "(0,0,0,0,12,34)"])
+def test_is_nilpotent_on_a_reversed_basis(salamon):
+    # reversing the basis puts every bracket below both its arguments, so
+    # only the lower central series can decide
+    algebra = parse_salamon(salamon)
+    reversed_algebra = permuted(algebra, range(algebra.dim, 0, -1))
+    assert all(k < i for i, _, k in reversed_algebra.constants)
+    assert _is_nilpotent(reversed_algebra)
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(1, 5))),
+                         ids=lambda perm: "".join(map(str, perm)))
+def test_find_lcs_on_a_permuted_filiform(perm):
+    # the closed covectors are the images of x1 and x2, and theta = x2 is
+    # the first genuine Lee form: it is the third candidate when the images
+    # keep their order, the second when they swap
+    algebra = permuted(parse_salamon("(0,0,12,13)"), perm)
+    result = find_lcs(algebra, SearchConfig(height=2))
+    assert result.genuine_status == "FOUND"
+    assert result.examined == (3 if perm[0] < perm[1] else 2)
+    assert format_form(result.genuine_witness[1]) == f"x{perm[1]}"
+    if perm[0] < perm[1]:
+        original = find_lcs(parse_salamon("(0,0,12,13)"), SearchConfig(height=2))
+        assert (result.genuine_status, result.examined) \
+            == (original.genuine_status, original.examined)
+
+
+@pytest.mark.parametrize("perm", [(6, 5, 4, 3, 2, 1), (2, 1, 4, 3, 6, 5),
+                                  (3, 6, 1, 5, 2, 4)])
+def test_find_lcs_on_a_permuted_six_dimensional_filiform(perm):
+    salamon = parse_salamon("(0,0,12,13,14,15)")
+    algebra = permuted(salamon, perm)
+    config = SearchConfig(height=2)
+    result = find_lcs(algebra, config)
+    original = find_lcs(salamon, config)
+    assert (result.genuine_status, result.examined) \
+        == (original.genuine_status, original.examined) \
+        == ("NOT_FOUND_UP_TO_HEIGHT(2)", 49)
+    assert summary(result) == summary(reference_find_lcs(algebra, config))

@@ -1,0 +1,71 @@
+"""Polynomial arithmetic on int coefficients and the nonzero-point search.
+
+``nonzero_point`` fixes one variable at a time in one walk over the terms;
+``oracles.reference_nonzero_point`` does the same search by
+``Poly.substitute``.  The two must pick the same point, or fail the same
+way, on polynomials whose coefficients mix ints and Fractions.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nilforms import InvalidParameter, Poly
+from nilforms.polynomials import nonzero_point
+
+from oracles import reference_nonzero_point
+
+COEFFS = st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4)))
+
+
+@st.composite
+def mixed_polys(draw, max_vars=4):
+    """A sparse random polynomial times linear factors t_i - c, so that the
+    search has to step past roots; coefficients are ints and Fractions."""
+    nvars = draw(st.integers(1, max_vars))
+    exponents = st.tuples(*[st.integers(0, 2)] * nvars)
+    terms = draw(st.dictionaries(exponents, COEFFS, max_size=5))
+    poly = Poly(nvars, terms, _normalized=True)
+    for index, root in draw(st.lists(st.tuples(st.integers(0, nvars - 1),
+                                               st.integers(0, 3)), max_size=4)):
+        poly = poly * (Poly(nvars, {tuple(int(i == index) for i in range(nvars)): 1},
+                            _normalized=True) - root)
+    return poly
+
+
+def outcome(search, poly, max_value):
+    try:
+        return repr(search(poly, max_value))
+    except InvalidParameter as exc:
+        return f"InvalidParameter: {exc}"
+
+
+@settings(max_examples=150)
+@given(mixed_polys(), st.one_of(st.none(), st.integers(0, 3)))
+def test_nonzero_point_equals_the_substitution_search(poly, max_value):
+    assert outcome(nonzero_point, poly, max_value) \
+        == outcome(reference_nonzero_point, poly, max_value)
+
+
+def test_nonzero_point_steps_past_roots():
+    t = [Poly.variable(2, i) for i in range(2)]
+    poly = t[0] * (t[0] - 1) * (t[1] - 2) * (t[1] - t[0] - 1)
+    assert nonzero_point(poly) == (Fraction(2), Fraction(0))
+    assert all(type(v) is Fraction for v in nonzero_point(poly))
+    with pytest.raises(InvalidParameter, match="no nonzero point found"):
+        nonzero_point(poly, max_value=1)
+    with pytest.raises(InvalidParameter, match="zero polynomial"):
+        nonzero_point(Poly(2))
+
+
+def test_int_coefficients_stay_ints():
+    x = Poly(2, {(1, 0): 2}, _normalized=True)
+    y = Poly(2, {(0, 1): -3}, _normalized=True)
+    product = (x + y) * (x - y)
+    assert product.terms == {(2, 0): 4, (0, 2): -9}
+    assert all(type(c) is int for c in product.terms.values())
+    assert product == Poly(2, {(2, 0): 4, (0, 2): -9})
+    assert repr(product) == repr(Poly(2, {(2, 0): 4, (0, 2): -9}))
+    half = x * Fraction(1, 2)
+    assert half.terms == {(1, 0): 1} and type(half.terms[(1, 0)]) is Fraction

@@ -17,6 +17,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from nilforms import (
+    DegenerateMetric,
     InnerProduct,
     JacobiViolation,
     KForm,
@@ -69,10 +70,12 @@ from conftest import (
     two_step_algebras,
 )
 from oracles import (
+    as_fraction,
     d_matrix_by_koszul,
     jacobiator,
     reference_koszul_table,
     reference_nijenhuis,
+    sympy_matrix,
     sympy_pfaffian_squared_is_det,
 )
 
@@ -205,6 +208,49 @@ def test_d_delta_adjointness_on_unimodular(metric, alpha, beta):
     beta = KForm(algebra, beta.degree, dict(beta.terms()))
     assert metric.form_pairing(ce_d(alpha), beta) \
         == metric.form_pairing(alpha, codifferential(algebra, metric, beta))
+
+
+# -- metrics ------------------------------------------------------------------
+
+
+@fuzz(st.integers(1, 6).flatmap(posdef_metrics), n=40)
+def test_metric_determinant_and_inverse_equal_sympy(metric):
+    reference = sympy_matrix(metric.matrix)
+    assert type(metric.determinant) is Fraction
+    assert metric.determinant == as_fraction(reference.det())
+    inverse = reference.inv()
+    assert metric.inverse == tuple(
+        tuple(as_fraction(inverse[r, c]) for c in range(metric.dim))
+        for r in range(metric.dim))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    dim = draw(st.integers(1, 5))
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            rows[i][j] = rows[j][i] = draw(st.sampled_from(
+                (0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3))))
+        rows[i][i] = draw(st.integers(-1, 4))
+    return rows
+
+
+@fuzz(symmetric_matrices(), n=60)
+def test_metric_gate_reports_the_first_bad_minor_as_sympy_does(rows):
+    reference = sympy_matrix(rows)
+    minors = [as_fraction(reference[:k, :k].det()) for k in range(1, len(rows) + 1)]
+    bad = next(((k, m) for k, m in enumerate(minors, 1) if m <= 0), None)
+    if bad is None:
+        assert InnerProduct(rows).determinant == minors[-1]
+        return
+    try:
+        InnerProduct(rows)
+    except DegenerateMetric as exc:
+        assert str(exc) == (f"leading principal minor {bad[0]} is {bad[1]}; "
+                            "metric is not positive definite")
+    else:
+        raise AssertionError("an indefinite Gram matrix was accepted")
 
 
 # -- Hermitian tensors --------------------------------------------------------

@@ -245,6 +245,28 @@ def test_acs_validation():
         AlmostComplexStructure(((1, 0), (0, 1)))
 
 
+@pytest.mark.parametrize("matrix", [
+    ((1, 0), (0, 1)),
+    ((0, 0), (0, 0)),
+    ((0, -1), (1, 1)),
+    ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0)),
+    ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 1)),
+    ((0, -2, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)),
+    ((0,),),
+], ids=["identity", "zero", "trace", "zero-column", "one-entry", "scaled", "dim1"])
+def test_acs_rejects_every_non_square_root_of_minus_one(matrix):
+    with pytest.raises(NotAlmostComplex) as excinfo:
+        AlmostComplexStructure(matrix)
+    assert str(excinfo.value) == "J^2 != -Id"
+
+
+def test_acs_accepts_a_square_root_of_minus_one():
+    j = ((1, -2, 0, 0), (1, -1, 0, 0), (0, 0, 0, Fraction(-1, 2)), (0, 0, 2, 0))
+    assert AlmostComplexStructure(j).matrix == tuple(
+        tuple(Fraction(v) for v in row) for row in j)
+    assert AlmostComplexStructure(()).dim == 0
+
+
 def test_nijenhuis_vanishes_where_it_should(torus, kt):
     assert nijenhuis(torus, ROTATION_J).is_integrable
     assert nijenhuis(kt, ROTATION_J).is_integrable
