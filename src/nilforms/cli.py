@@ -281,7 +281,9 @@ def _cmd_cohomology(args):
     theta = None
     if args.theta is not None:
         theta = parse_covector_sum(algebra, args.theta)
-    betti = betti_profile(algebra, theta=theta)
+    spaces = [cohomology_space(algebra, degree, theta=theta)
+              for degree in range(algebra.dim + 1)]
+    betti = tuple(space.betti for space in spaces)
     payload = {
         "betti": list(betti),
         "theta": form_to_json(theta) if theta is not None else None,
@@ -289,8 +291,7 @@ def _cmd_cohomology(args):
     }
     label = "twisted betti" if theta is not None and not theta.is_zero else "betti"
     lines = [f"{label}: {betti}"]
-    for degree in range(algebra.dim + 1):
-        space = cohomology_space(algebra, degree, theta=theta)
+    for degree, space in enumerate(spaces):
         reps = [form_to_json(f) for f in space.representative_basis]
         payload["spaces"].append({"degree": degree, "betti": space.betti,
                                   "representatives": reps})

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatch, InvalidParameter, _Record
-from .exterior_core import _merge_monomials
+from .exterior_core import _add_term, _wedge_raw
 from .notation import parse_salamon
 from .polynomials import Poly
 
@@ -35,26 +35,38 @@ RING_VARS = 8
 _COORD_NAMES = ("x", "y", "z", "t")
 
 
-def _var(index, nvars=RING_VARS):
-    return Poly.variable(nvars, index)
+def _var(index):
+    return Poly.variable(RING_VARS, index)
 
 
-def _const(value, nvars=RING_VARS):
-    return Poly.constant(nvars, value)
+def _const(value):
+    return Poly.constant(RING_VARS, value)
+
+
+def _gradient(poly):
+    """dp as 1-form terms: the partial derivatives in the coordinate
+    variables (translation parameters differentiate to zero)."""
+    terms = {}
+    for v in range(NCOORDS):
+        partial = poly.derivative(v)
+        if not partial.is_zero:
+            terms[(v + 1,)] = partial
+    return terms
 
 
 class PolyForm:
     """Differential form on R^4 with polynomial coefficients.
 
     Keys are increasing tuples over the coordinate differentials 1..4
-    (1 = dx, ..., 4 = dt); values are Poly coefficients, possibly involving
-    the translation parameters.
+    (1 = dx, ..., 4 = dt); values are Poly coefficients in the RING_VARS
+    variables, possibly involving the translation parameters.  Products and
+    derivatives run on ``exterior_core``'s wedge, which takes Poly
+    coefficients as they are.
     """
 
-    __slots__ = ("nvars", "degree", "coeffs")
+    __slots__ = ("degree", "coeffs")
 
-    def __init__(self, degree, coeffs, nvars=RING_VARS):
-        self.nvars = nvars
+    def __init__(self, degree, coeffs):
         self.degree = degree
         clean = {}
         for mono, poly in coeffs.items():
@@ -64,7 +76,7 @@ class PolyForm:
             if any(a >= b for a, b in zip(mono, mono[1:])):
                 raise InvalidParameter(f"monomial {mono!r} is not increasing")
             if not isinstance(poly, Poly):
-                poly = Poly.constant(nvars, poly)
+                poly = _const(poly)
             if not poly.is_zero:
                 clean[mono] = poly
         self.coeffs = clean
@@ -74,65 +86,34 @@ class PolyForm:
         return not self.coeffs
 
     def coefficient(self, mono):
-        return self.coeffs.get(tuple(mono), Poly.constant(self.nvars, 0))
+        return self.coeffs.get(tuple(mono), _const(0))
 
     def __add__(self, other):
         if self.degree != other.degree and not (self.is_zero or other.is_zero):
             raise InvalidParameter("degree mismatch")
         out = dict(self.coeffs)
         for mono, poly in other.coeffs.items():
-            new = out.get(mono, Poly.constant(self.nvars, 0)) + poly
-            if new.is_zero:
-                out.pop(mono, None)
-            else:
-                out[mono] = new
-        return PolyForm(self.degree if not self.is_zero else other.degree,
-                        out, self.nvars)
+            _add_term(out, mono, poly)
+        return PolyForm(self.degree if not self.is_zero else other.degree, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, value):
-        return PolyForm(self.degree,
-                        {m: p * value for m, p in self.coeffs.items()},
-                        self.nvars)
+        return PolyForm(self.degree, {m: p * value for m, p in self.coeffs.items()})
 
     def wedge(self, other):
-        out = {}
-        for left, lp in self.coeffs.items():
-            for right, rp in other.coeffs.items():
-                merged = _merge_monomials(left, right)
-                if merged is None:
-                    continue
-                mono, sign = merged
-                contribution = lp * rp if sign > 0 else -(lp * rp)
-                new = out.get(mono, Poly.constant(self.nvars, 0)) + contribution
-                if new.is_zero:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = new
-        return PolyForm(self.degree + other.degree, out, self.nvars)
+        return PolyForm(self.degree + other.degree,
+                        _wedge_raw(self.coeffs, other.coeffs))
 
     def d(self):
-        """Exterior derivative in the coordinate variables only; translation
-        parameters differentiate to zero."""
+        """Exterior derivative in the coordinate variables only:
+        d(p dx_I) = dp ^ dx_I."""
         out = {}
         for mono, poly in self.coeffs.items():
-            for v in range(NCOORDS):
-                partial = poly.derivative(v)
-                if partial.is_zero:
-                    continue
-                merged = _merge_monomials((v + 1,), mono)
-                if merged is None:
-                    continue
-                new_mono, sign = merged
-                contribution = partial if sign > 0 else -partial
-                new = out.get(new_mono, Poly.constant(self.nvars, 0)) + contribution
-                if new.is_zero:
-                    out.pop(new_mono, None)
-                else:
-                    out[new_mono] = new
-        return PolyForm(self.degree + 1, out, self.nvars)
+            for key, value in _wedge_raw(_gradient(poly), {mono: 1}).items():
+                _add_term(out, key, value)
+        return PolyForm(self.degree + 1, out)
 
     def pullback(self, components):
         """phi^* for the polynomial map with the given coordinate components
@@ -141,17 +122,10 @@ class PolyForm:
         if len(components) != NCOORDS:
             raise DimensionMismatch("a coordinate map needs 4 components")
         assignment = {v: components[v] for v in range(NCOORDS)}
-        differentials = []
-        for comp in components:
-            d_comp = PolyForm(1, {}, self.nvars)
-            for v in range(NCOORDS):
-                partial = comp.derivative(v)
-                if not partial.is_zero:
-                    d_comp = d_comp + PolyForm(1, {(v + 1,): partial}, self.nvars)
-            differentials.append(d_comp)
-        result = PolyForm(self.degree, {}, self.nvars)
+        differentials = [PolyForm(1, _gradient(comp)) for comp in components]
+        result = PolyForm(self.degree, {})
         for mono, poly in self.coeffs.items():
-            term = PolyForm(0, {(): poly.substitute(assignment)}, self.nvars)
+            term = PolyForm(0, {(): poly.substitute(assignment)})
             for index in mono:
                 term = term.wedge(differentials[index - 1])
             result = result + term
@@ -213,15 +187,15 @@ def inverse(element):
     return (-a, -b, -c + a * b, -e + a * c - a * a * b * Fraction(1, 2))
 
 
-def invariant_coframe(nvars=RING_VARS):
+def invariant_coframe():
     """x1 = dx, x2 = dy, x3 = dz - y dx, x4 = dt - z dx."""
-    y = _var(1, nvars)
-    z = _var(2, nvars)
+    y = _var(1)
+    z = _var(2)
     return (
-        PolyForm(1, {(1,): _const(1, nvars)}, nvars),
-        PolyForm(1, {(2,): _const(1, nvars)}, nvars),
-        PolyForm(1, {(3,): _const(1, nvars), (1,): -y}, nvars),
-        PolyForm(1, {(4,): _const(1, nvars), (1,): -z}, nvars),
+        PolyForm(1, {(1,): _const(1)}),
+        PolyForm(1, {(2,): _const(1)}),
+        PolyForm(1, {(3,): _const(1), (1,): -y}),
+        PolyForm(1, {(4,): _const(1), (1,): -z}),
     )
 
 

@@ -82,6 +82,10 @@ def _add_term(acc, mono, coeff):
 
 
 def _wedge_raw(a_terms, b_terms):
+    """Wedge of two term dicts over any coefficient ring with +, unary -, *
+    and ``== 0``: ints, Fractions and ``Poly`` alike.  A sign is applied by
+    negating the product, so a ``Poly`` pays for no product with a constant
+    polynomial."""
     out = {}
     for mono_a, ca in a_terms.items():
         for mono_b, cb in b_terms.items():
@@ -89,7 +93,8 @@ def _wedge_raw(a_terms, b_terms):
             if merged is None:
                 continue
             mono, sign = merged
-            _add_term(out, mono, ca * cb * sign)
+            product = ca * cb
+            _add_term(out, mono, product if sign > 0 else -product)
     return out
 
 
@@ -370,15 +375,6 @@ class KForm:
     def terms(self):
         """(monomial, coefficient) pairs in lexicographic monomial order."""
         return [(mono, self.coeffs[mono]) for mono in sorted(self.coeffs)]
-
-    def support(self):
-        return sorted(self.coeffs)
-
-    def to_vector(self, monomial_order=None):
-        """Coordinates against a monomial list (defaults to the lex basis)."""
-        if monomial_order is None:
-            monomial_order = self.algebra.monomials(self.degree)
-        return [self.coeffs.get(mono, ZERO) for mono in monomial_order]
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -11,6 +11,13 @@ factor) the composite
 is the formal adjoint of d and is rational for every rational metric, since
 the two volume factors multiply to det(g).  Orientation cancels the same way.
 
+The star and the induced pairing share one step, raising indices: each
+covector x_i goes to sum_j g^ij x_j and the images of a monomial's covectors
+are wedged by ``exterior_core``'s one wedge routine, which also decides every
+sign.  By Cauchy-Binet the raised form's coefficients are the Gram minors of
+g^-1, so no determinant is taken.  The pairing reads <a, b> = sum_I a_I
+raised(b)_I, and star_raw sends the raised x_S to +-x_{S^c}.
+
 Lee form convention: for a compatible pair (g, J) on dimension 2m with
 fundamental form w(X, Y) = g(JX, Y), the Lee form is
 theta(X) = -(1/(m-1)) * (delta w)(JX), the unique 1-form with
@@ -19,7 +26,6 @@ d(w) = theta ^ w whenever that identity holds at all.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import linalg
@@ -34,7 +40,7 @@ from .errors import (
     WrongDimension,
     _Record,
 )
-from .exterior_core import KForm, _is_unimodular, ce_d, wedge
+from .exterior_core import KForm, _add_term, _is_unimodular, _wedge_raw, ce_d, wedge
 from .scalars import ZERO, ONE, as_scalar, rational_sqrt
 from .structures import AlmostComplexStructure, nijenhuis
 
@@ -78,19 +84,31 @@ class InnerProduct:
                 total += vi * self.matrix[i][j] * as_scalar(w[j])
         return total
 
-    def covector_gram(self, left, right):
-        """Induced inner product of basis monomials x_I, x_J (Gram minor of
-        the inverse matrix)."""
-        if len(left) != len(right):
-            return ZERO
-        if not left:
-            return ONE
-        return linalg.det([
-            [self.inverse[a - 1][b - 1] for b in right] for a in left
-        ])
+    def _raised(self, form):
+        """The form with every index raised by g^-1, as a term dict: each
+        covector x_i of a monomial goes to sum_j g^ij x_j and the images are
+        wedged.  By Cauchy-Binet the coefficient of x_S in the image of x_I
+        is the minor of g^-1 on rows I and columns S, the induced Gram entry
+        <x_I, x_S>.  The wedges run on integers, g^-1 = M / m and the
+        coefficients c / q, and the sums are divided by q m^k once."""
+        inverse, m = linalg._integral({(i, j): v for i, row in enumerate(self.inverse, 1)
+                                       for j, v in enumerate(row, 1)})
+        images = {}
+        for (i, j), v in inverse.items():
+            images.setdefault(i, {})[(j,)] = v
+        coeffs, q = linalg._integral(form.coeffs)
+        out = {}
+        for mono, c in coeffs.items():
+            raised = {(): c}
+            for i in mono:
+                raised = _wedge_raw(raised, images[i])
+            for key, value in raised.items():
+                _add_term(out, key, value)
+        scale = q * m ** form.degree
+        return {key: Fraction(value, scale) for key, value in out.items()}
 
     def form_pairing(self, a, b):
-        """Induced inner product on k-forms."""
+        """Induced inner product on k-forms: sum_I a_I * raised(b)_I."""
         if a.algebra != b.algebra:
             raise AmbientMismatch("forms live over different algebras")
         if a.algebra.dim != self.dim:
@@ -99,12 +117,11 @@ class InnerProduct:
             return ZERO
         if a.degree != b.degree:
             raise DimensionMismatch("form degrees differ")
+        raised = self._raised(b)
         total = ZERO
-        for left, ca in a.terms():
-            for right, cb in b.terms():
-                gram = self.covector_gram(left, right)
-                if gram != 0:
-                    total += ca * cb * gram
+        for mono, coeff in a.coeffs.items():
+            if mono in raised:
+                total += coeff * raised[mono]
         return total
 
 
@@ -141,29 +158,23 @@ def euclidean_metric(dim):
 # -- Hodge star and codifferential -------------------------------------------
 
 
-def _complement_sign(subset, dim):
-    """(sign of the shuffle (subset, complement), complement)."""
-    comp = tuple(i for i in range(1, dim + 1) if i not in subset)
-    inversions = sum(1 for a in subset for b in comp if a > b)
-    return (-ONE if inversions % 2 else ONE), comp
-
-
 def _star_raw(algebra, metric, form):
-    """Unnormalized star: the honest Hodge star divided by sqrt(det g)."""
+    """Unnormalized star: the honest Hodge star divided by sqrt(det g).
+
+    The raised form's x_S goes to (-1)^p x_{S^c}, p the number of pairs
+    a in S, b in S^c with a > b; the t-th smallest index s_t of S exceeds
+    s_t - t of them, so p = sum(S) - k(k+1)/2.
+    """
     n = algebra.dim
     k = form.degree
+    shift = k * (k + 1) // 2
+    raised = metric._raised(form)
     terms = {}
-    items = form.terms()
-    for subset in itertools.combinations(range(1, n + 1), k):
-        value = ZERO
-        for mono, coeff in items:
-            value += coeff * metric.covector_gram(subset, mono)
-        if value == 0:
-            continue
-        sign, comp = _complement_sign(subset, n)
-        terms[comp] = terms.get(comp, ZERO) + sign * value
-    return KForm(algebra, n - k, {m: c for m, c in terms.items() if c != 0},
-                 _normalized=True)
+    for subset in sorted(raised):
+        value = raised[subset]
+        comp = tuple(i for i in range(1, n + 1) if i not in subset)
+        terms[comp] = -value if (sum(subset) - shift) % 2 else value
+    return KForm(algebra, n - k, terms, _normalized=True)
 
 
 def _check_metric(algebra, metric):
@@ -240,13 +251,15 @@ def fundamental_form(algebra, metric, acs):
 
 
 def _fundamental_form(algebra, metric, acs):
-    """fundamental_form on a pair that passed _check_compatible."""
+    """fundamental_form on a pair that passed _check_compatible:
+    w_ij = g(J X_i, X_j) = sum_r J_ri g_rj over the nonzero J_ri."""
     n = algebra.dim
+    g = metric.matrix
     terms = {}
     for i in range(1, n + 1):
+        column = [(r, v) for r, v in enumerate(acs.column(i)) if v]
         for j in range(i + 1, n + 1):
-            value = metric.pairing(acs.column(i),
-                                   tuple(ONE if t == j - 1 else ZERO for t in range(n)))
+            value = sum((v * g[r][j - 1] for r, v in column), ZERO)
             if value != 0:
                 terms[(i, j)] = value
     return KForm(algebra, 2, terms, _normalized=True)

@@ -11,8 +11,8 @@ of Bareiss (Math. Comp. 22, 1968), with the row divided by the gcd of its
 entries afterwards in place of Bareiss's exact division.  A row's pivot is its
 first nonzero column, and back-substitution leaves the reduced row echelon
 form.  Values become ``Fraction`` only at the output boundary, as
-``row[c] / row[pivot]``; where an exact value is needed mid-way (``reduce``,
-``det``) the kernel carries the row's common denominator beside it.
+``row[c] / row[pivot]``; where an exact value is needed mid-way (``reduce``)
+the kernel carries the row's common denominator beside it.
 
 The reduced row echelon form of a row space is unique.  So neither the order
 in which rows are eliminated nor the integer scale of a row can change what
@@ -32,8 +32,8 @@ basis of the span of some rows), ``unit_rows`` (that basis as rational
 rows), ``reduce`` (a vector modulo such a basis), ``span_rank`` (the
 dimension of a span), ``kernel`` and ``preimage`` (of a linear map given by
 its sparse columns, ``columns[c]`` the image of the c-th basis vector).
-Their inputs may hold ints or Fractions.  Only ``det`` and ``invert`` take a
-dense square matrix (a list of rows of rationals), for the Gram matrices of
+Their inputs may hold ints or Fractions.  Only ``invert`` takes a dense
+square matrix (a list of rows of rationals), for the Gram matrices of
 metrics.
 """
 
@@ -196,34 +196,6 @@ def preimage(columns, target):
 
 def _sparse(row):
     return {c: v for c, v in enumerate(map(as_scalar, row)) if v}
-
-
-def det(rows):
-    """Determinant by exact elimination (square matrices only).
-
-    Each row is reduced by the rows before it, which leaves the determinant
-    alone; the reduced rows lead on distinct columns, so the determinant is
-    the product of their leading entries, signed by the order of those
-    columns.
-    """
-    rows = list(rows)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant needs a square matrix")
-    basis = {}
-    value = ONE
-    for row in rows:
-        vec, den = _integral(_sparse(row))
-        vec, den = _reduce(vec, basis, den)
-        if not vec:
-            return ZERO
-        p = min(vec)
-        value *= Fraction(vec[p], den)
-        basis[p] = _primitive(vec)
-    leading = list(basis)
-    inversions = sum(1 for i in range(n) for j in range(i + 1, n)
-                     if leading[i] > leading[j])
-    return -value if inversions % 2 else value
 
 
 def invert(rows):

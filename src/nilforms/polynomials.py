@@ -71,12 +71,6 @@ class Poly:
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, ZERO)
-
-    def coefficient_of(self, expo):
-        return self.terms.get(tuple(expo), ZERO)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other):

@@ -339,3 +339,45 @@ def reference_symbolic_pfaffian(dim, nvars, contributions):
                for pair, terms in table.items()}
     return _pfaffian_expand(lambda i, j: entries.get((i, j), zero),
                             range(1, dim + 1), zero, Poly.constant(nvars, 1))
+
+
+def _gram_minors(metric):
+    """The induced Gram entry <x_I, x_J> as a function of two increasing
+    monomials: the minor of g^-1 on rows I and columns J, from sympy's
+    inverse and determinants."""
+    inverse = sympy_matrix(metric.matrix).inv()
+
+    def minor(left, right):
+        if not left:
+            return Fraction(1)
+        return as_fraction(inverse.extract([a - 1 for a in left],
+                                           [b - 1 for b in right]).det())
+    return minor
+
+
+def reference_star_raw(algebra, metric, form):
+    """``hermitian._star_raw`` as it was before it raised indices through the
+    wedge: for every k-subset S, the value sum_I a_I <x_S, x_I> goes to the
+    complement of S, signed by the inversions of the shuffle (S, S^c)."""
+    from nilforms import KForm
+
+    n, k = algebra.dim, form.degree
+    minor = _gram_minors(metric)
+    terms = {}
+    for subset in itertools.combinations(range(1, n + 1), k):
+        value = sum((c * minor(subset, mono) for mono, c in form.terms()), Fraction(0))
+        if value == 0:
+            continue
+        comp = tuple(i for i in range(1, n + 1) if i not in subset)
+        inversions = sum(1 for a in subset for b in comp if a > b)
+        terms[comp] = -value if inversions % 2 else value
+    return KForm(algebra, n - k, terms, _normalized=True)
+
+
+def reference_form_pairing(metric, a, b):
+    """``InnerProduct.form_pairing`` as it was before it raised indices
+    through the wedge: sum over term pairs of a_I b_J <x_I, x_J>, each
+    Gram entry a sympy determinant (degrees are assumed equal)."""
+    minor = _gram_minors(metric)
+    return sum((ca * cb * minor(left, right)
+                for left, ca in a.terms() for right, cb in b.terms()), Fraction(0))

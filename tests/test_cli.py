@@ -121,6 +121,15 @@ def test_cohomology_with_twist(capsys):
     assert doc["betti"] == [0, 0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("theta", [None, "x2"])
+def test_cohomology_betti_line_reads_the_spaces(capsys, theta):
+    argv = ["cohomology", "--json", "(0,0,12,13)"] + (["--theta", theta] if theta else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["betti"] == [s["betti"] for s in doc["spaces"]]
+
+
 def test_verify_paper_passes(capsys):
     code, out, _ = run(capsys, "verify-paper")
     assert code == 0

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nilforms.linalg import (
-    det,
     echelon,
     invert,
     kernel,
@@ -101,11 +100,10 @@ def test_solve_equals_the_reference(matrix, data):
 
 
 @given(matrices(square=True))
-def test_det_and_invert_equal_sympy(matrix):
+def test_invert_equals_sympy(matrix):
     rows, n = matrix
     reference = sympy_shaped(rows, n)
     value = as_fraction(reference.det()) if n else Fraction(1)
-    assert det(rows) == value
     if value == 0:
         with pytest.raises(ValueError):
             invert(rows)

@@ -2,8 +2,9 @@
 
 Every law the acceptance criteria call out is fuzzed here: the differential
 squares to zero, the wedge is a graded-commutative Leibniz partner of d, the
-Pfaffian squares to the determinant, the star obeys its sign law, d and
-delta are adjoint on unimodular algebras, nilpotent Betti profiles satisfy
+Pfaffian squares to the determinant, the star obeys its sign law and,
+with the induced pairing, equals the Gram-minor route, d and delta are
+adjoint on unimodular algebras, nilpotent Betti profiles satisfy
 Poincare duality, the two serializers round-trip, and every witness a search
 returns survives independent re-verification.
 
@@ -14,6 +15,7 @@ suite-wide count at one thousand or more.
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilforms import (
@@ -52,6 +54,7 @@ from nilforms import (
 from nilforms import linalg
 from nilforms.cohomology import _d_matrix, _form
 from nilforms.exterior_core import lower_central_series
+from nilforms.hermitian import _star_raw
 from nilforms.structures import (
     _twisted_exact_pfaffian,
     closed_covector_basis,
@@ -74,7 +77,9 @@ from oracles import (
     d_matrix_by_koszul,
     jacobiator,
     reference_koszul_table,
+    reference_form_pairing,
     reference_nijenhuis,
+    reference_star_raw,
     sympy_matrix,
     sympy_pfaffian_squared_is_det,
 )
@@ -208,6 +213,26 @@ def test_d_delta_adjointness_on_unimodular(metric, alpha, beta):
     beta = KForm(algebra, beta.degree, dict(beta.terms()))
     assert metric.form_pairing(ce_d(alpha), beta) \
         == metric.form_pairing(alpha, codifferential(algebra, metric, beta))
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+@fuzz(st.data(), n=12)
+def test_star_and_pairing_equal_the_gram_minor_route(dim, data):
+    """Forms of one common degree, any of 0..n, on the abelian algebra of
+    the metric's dimension (the star and the pairing read only that)."""
+    metric = data.draw(posdef_metrics(dim))
+    algebra = LieAlgebra(dim, {})
+    degree = data.draw(st.integers(0, dim))
+    a, b = (data.draw(forms_on(st.just(algebra), degrees=(degree,))) for _ in range(2))
+    star = _star_raw(algebra, metric, b)
+    expected = reference_star_raw(algebra, metric, b)
+    assert star == expected and repr(star) == repr(expected)
+    pairing = metric.form_pairing(a, b)
+    expected = reference_form_pairing(metric, a, b)
+    assert pairing == expected and repr(pairing) == repr(expected)
+    # the defining law of the star: a ^ star_raw(b) = <a, b> x_1 ^ ... ^ x_n
+    top = algebra.basis_form(*range(1, algebra.dim + 1))
+    assert wedge(a, star) == top.scale(pairing)
 
 
 # -- metrics ------------------------------------------------------------------
