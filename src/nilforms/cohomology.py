@@ -187,7 +187,9 @@ class CohomologyClass:
 class CohomologySpace:
     """H^k(g) or its twisted analogue H^k_theta(g), fully materialized.
 
-    betti == len(cocycle_basis) - len(coboundary_basis) by construction.
+    The constructor raises InternalInvariantBreach unless betti equals the
+    number of cocycles minus the rank of the coboundaries, that is, unless
+    the coboundaries sit inside the cocycles.
     """
 
     def __init__(self, algebra, degree, theta=None):
@@ -209,8 +211,6 @@ class CohomologySpace:
                 "coboundaries do not sit inside cocycles; d^2 = 0 is broken")
 
         self.cocycle_basis = [self._form_from(v) for v in kernel]
-        self.coboundary_basis = [self._form_from(v)
-                                 for v in linalg.unit_rows(self._coboundaries)]
         self.representative_basis = [self._form_from(v)
                                      for v in linalg.unit_rows(self._quotient)]
 
@@ -240,9 +240,6 @@ class CohomologySpace:
 
     def class_of(self, form):
         return CohomologyClass(self, self.reduce(form))
-
-    def zero_class(self):
-        return CohomologyClass(self, [ZERO] * self.betti)
 
     def classes(self):
         """The canonical basis classes of this space."""

@@ -139,10 +139,9 @@ class LieAlgebra:
     construction, and cohomology results are memoized on the instance.
     """
 
-    __slots__ = ("dim", "constants", "labels", "_dx", "_hash", "_cohomology_cache",
-                 "_d_columns")
+    __slots__ = ("dim", "constants", "_dx", "_hash", "_cohomology_cache", "_d_columns")
 
-    def __init__(self, dim, constants, labels=None):
+    def __init__(self, dim, constants):
         if not isinstance(dim, int) or dim < 0:
             raise InvalidParameter(f"dimension must be a nonnegative integer, got {dim!r}")
         clean = {}
@@ -159,13 +158,8 @@ class LieAlgebra:
             coeff = as_scalar(value)
             if coeff != 0:
                 clean[(i, j, k)] = coeff
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != dim:
-                raise InvalidParameter(f"expected {dim} labels, got {len(labels)}")
         self.dim = dim
         self.constants = clean
-        self.labels = labels
         self._dx = self._build_dx()
         self._check_jacobi()
         self._hash = hash((dim, frozenset(self.constants.items())))
@@ -219,10 +213,6 @@ class LieAlgebra:
     def _check_index(self, i):
         if not isinstance(i, int) or not 1 <= i <= self.dim:
             raise IndexOutOfRange(f"basis index {i} outside 1..{self.dim}")
-
-    def label(self, i):
-        self._check_index(i)
-        return self.labels[i - 1] if self.labels else f"x{i}"
 
     # -- form builders -------------------------------------------------------
 
@@ -291,7 +281,7 @@ def as_vector(values, dim):
     return vec
 
 
-def build_algebra(dim, brackets, labels=None):
+def build_algebra(dim, brackets):
     """Construct a validated algebra from a bracket table.
 
     ``brackets`` maps (i, j) with i < j to the coefficient vector of
@@ -313,7 +303,7 @@ def build_algebra(dim, brackets, labels=None):
         for k, coeff in enumerate(as_vector(vec, dim), start=1):
             if coeff != 0:
                 constants[(i, j, k)] = coeff
-    return LieAlgebra(dim, constants, labels=labels)
+    return LieAlgebra(dim, constants)
 
 
 # -- differential forms ------------------------------------------------------
@@ -445,7 +435,7 @@ def format_form(form):
         return "0"
     chunks = []
     for mono, coeff in form.terms():
-        body = "^".join(form.algebra.label(i) for i in mono) if mono else "1"
+        body = "^".join(f"x{i}" for i in mono) if mono else "1"
         if coeff == 1 and mono:
             text = body
         elif coeff == -1 and mono:
@@ -571,9 +561,4 @@ def direct_sum(left, right):
     constants = dict(left.constants)
     for (i, j, k), coeff in right.constants.items():
         constants[(i + shift, j + shift, k + shift)] = coeff
-    labels = None
-    if left.labels or right.labels:
-        left_labels = left.labels or tuple(f"x{i}" for i in range(1, left.dim + 1))
-        right_labels = right.labels or tuple(f"y{i}" for i in range(1, right.dim + 1))
-        labels = left_labels + right_labels
-    return LieAlgebra(left.dim + right.dim, constants, labels=labels)
+    return LieAlgebra(left.dim + right.dim, constants)

@@ -22,6 +22,13 @@ Lee form convention: for a compatible pair (g, J) on dimension 2m with
 fundamental form w(X, Y) = g(JX, Y), the Lee form is
 theta(X) = -(1/(m-1)) * (delta w)(JX), the unique 1-form with
 d(w) = theta ^ w whenever that identity holds at all.
+
+A pair is read once: one product G J over J's sparse columns gives both the
+compatibility check and w.  Vaisman asks for a parallel Lee form, and a
+1-form is parallel exactly when it is closed and its metric dual is a
+Killing field, which the structure constants decide without the
+Levi-Civita table; ``koszul_connection`` builds that table for its own
+callers.
 """
 
 from __future__ import annotations
@@ -226,68 +233,82 @@ def codifferential(algebra, metric, form):
 # -- Hermitian pairs ---------------------------------------------------------
 
 
-def _check_compatible(algebra, metric, acs):
+def _hermitian_pair(algebra, metric, acs):
+    """(metric, J, w) for a compatible pair, else NotHermitian.
+
+    W = G J is taken over the nonzero entries of J's columns.  Then J^T W = G
+    is the compatibility check g(JX, JY) = g(X, Y), and since G is symmetric
+    the fundamental form w_ij = g(J X_i, X_j) = (J^T G)_ij is W_ji.
+    """
     metric = _check_metric(algebra, metric)
     if not isinstance(acs, AlmostComplexStructure):
         acs = AlmostComplexStructure(acs)
     if acs.dim != algebra.dim:
         raise DimensionMismatch("J has the wrong size for this algebra")
-    n = algebra.dim
     g = metric.matrix
-    # J^T G J as two products over the nonzero entries of J's columns
-    columns = [[(s, row[b]) for s, row in enumerate(acs.matrix) if row[b] != 0]
-               for b in range(n)]
-    gj = [[sum(g_r[s] * v for s, v in column) for column in columns] for g_r in g]
-    for a in range(n):
-        for b in range(n):
-            if sum(v * gj[r][b] for r, v in columns[a]) != g[a][b]:
+    columns = acs._columns
+    # w[b][a - 1] = W_ab
+    w = {b: [sum(g_a[r - 1] * v for r, v in column.items()) for g_a in g]
+         for b, column in columns.items()}
+    for a, column in columns.items():
+        for b, w_b in w.items():
+            if sum(v * w_b[r - 1] for r, v in column.items()) != g[a - 1][b - 1]:
                 raise NotHermitian("metric is not J-invariant: g(JX, JY) != g(X, Y)")
-    return metric, acs
+    terms = {(i, j): w_i[j - 1] for i, w_i in w.items()
+             for j in range(i + 1, algebra.dim + 1) if w_i[j - 1]}
+    return metric, acs, KForm(algebra, 2, terms, _normalized=True)
 
 
 def fundamental_form(algebra, metric, acs):
     """w(X, Y) = g(JX, Y); a 2-form once (g, J) is a compatible pair."""
-    return _fundamental_form(algebra, *_check_compatible(algebra, metric, acs))
-
-
-def _fundamental_form(algebra, metric, acs):
-    """fundamental_form on a pair that passed _check_compatible:
-    w_ij = g(J X_i, X_j) = sum_r J_ri g_rj over the nonzero J_ri."""
-    n = algebra.dim
-    g = metric.matrix
-    terms = {}
-    for i in range(1, n + 1):
-        column = [(r, v) for r, v in enumerate(acs.column(i)) if v]
-        for j in range(i + 1, n + 1):
-            value = sum((v * g[r][j - 1] for r, v in column), ZERO)
-            if value != 0:
-                terms[(i, j)] = value
-    return KForm(algebra, 2, terms, _normalized=True)
+    return _hermitian_pair(algebra, metric, acs)[2]
 
 
 def lee_form(algebra, metric, acs):
     """theta(X) = -(1/(m-1)) * (delta w)(JX) on dimension 2m >= 4."""
     if algebra.dim % 2 or algebra.dim < 4:
         raise WrongDimension("the Lee form needs even dimension >= 4")
-    metric, acs = _check_compatible(algebra, metric, acs)
-    omega = _fundamental_form(algebra, metric, acs)
+    metric, acs, omega = _hermitian_pair(algebra, metric, acs)
     return _lee_form(algebra, acs, codifferential(algebra, metric, omega))
 
 
 def _lee_form(algebra, acs, delta_omega):
     """lee_form from the codifferential of the fundamental form."""
-    m = algebra.dim // 2
-    factor = Fraction(-1, m - 1)
+    factor = Fraction(-1, algebra.dim // 2 - 1)
+    coeffs = delta_omega.coeffs
     terms = {}
-    for i in range(1, algebra.dim + 1):
-        jxi = acs.column(i)
-        value = ZERO
-        for k in range(1, algebra.dim + 1):
-            if jxi[k - 1] != 0:
-                value += jxi[k - 1] * delta_omega.coefficient((k,))
+    for i, column in acs._columns.items():
+        value = sum((v * coeffs.get((r,), ZERO) for r, v in column.items()), ZERO)
         if value != 0:
             terms[(i,)] = factor * value
     return KForm(algebra, 1, terms, _normalized=True)
+
+
+def _is_parallel(algebra, metric, theta):
+    """Whether the 1-form theta is parallel for the Levi-Civita connection.
+
+    With T = g^-1 theta the Koszul formula gives
+
+        2 theta(nabla_i X_j) = theta([X_i, X_j]) - g([X_i, T], X_j) - g([X_j, T], X_i),
+
+    an antisymmetric part plus a symmetric one.  So theta is parallel iff it
+    is closed and its dual T is a Killing field, ad_T skew for g (diagonal
+    included); both are read in one pass over the structure constants.
+    """
+    n = algebra.dim
+    covector = [theta.coeffs.get((k,), ZERO) for k in range(1, n + 1)]
+    dual = [sum(a * b for a, b in zip(row, covector)) for row in metric.inverse]
+    brackets = {}  # theta([X_i, X_j])
+    lowered = {}   # (l, j): g(X_l, [T, X_j])
+    for (i, j, k), c in algebra.constants.items():
+        _add_term(brackets, (i, j), c * covector[k - 1])
+        # [T, X_j] gains T_i c X_k and [T, X_i] gains -T_j c X_k
+        for column, factor in ((j, dual[i - 1] * c), (i, -dual[j - 1] * c)):
+            if factor:
+                for l, g_kl in enumerate(metric.matrix[k - 1], 1):
+                    _add_term(lowered, (l, column), factor * g_kl)
+    return not brackets and all(v + lowered.get((j, l), 0) == 0
+                                for (l, j), v in lowered.items())
 
 
 # -- Levi-Civita connection --------------------------------------------------
@@ -307,21 +328,6 @@ class ConnectionCoefficients:
 
     def nabla(self, i, j):
         return self._table[(i, j)]
-
-    def covector_is_parallel(self, theta):
-        """A constant-coefficient 1-form is parallel iff it kills every
-        nabla(i, j)."""
-        if theta.algebra != self.algebra:
-            raise AmbientMismatch("theta lives over a different algebra")
-        n = self.algebra.dim
-        for (i, j), vec in self._table.items():
-            value = ZERO
-            for k in range(1, n + 1):
-                if vec[k - 1] != 0:
-                    value += vec[k - 1] * theta.coefficient((k,))
-            if value != 0:
-                return False
-        return True
 
 
 def koszul_connection(algebra, metric):
@@ -407,12 +413,11 @@ class HermitianClassification(_Record):
 def classify_hermitian(algebra, metric, acs):
     if algebra.dim % 2 or algebra.dim < 4:
         raise WrongDimension("Hermitian classification needs even dimension >= 4")
-    metric, acs = _check_compatible(algebra, metric, acs)
+    metric, acs, omega = _hermitian_pair(algebra, metric, acs)
     if not _is_unimodular(algebra):
         raise NotUnimodular("Hermitian classification needs a unimodular algebra")
 
     integrable = nijenhuis(algebra, acs).is_integrable
-    omega = _fundamental_form(algebra, metric, acs)
     d_omega = ce_d(omega)
     delta_omega = codifferential(algebra, metric, omega)
     theta = _lee_form(algebra, acs, delta_omega)
@@ -421,7 +426,7 @@ def classify_hermitian(algebra, metric, acs):
     # B^1 = d(Lambda^0) = 0 for trivial coefficients: a closed theta is exact
     # only when it is zero
     genuine = lee_closed and not theta.is_zero
-    parallel = koszul_connection(algebra, metric).covector_is_parallel(theta)
+    parallel = _is_parallel(algebra, metric, theta)
 
     kahler = integrable and d_omega.is_zero
     lck = integrable and identity and lee_closed

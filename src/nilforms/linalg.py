@@ -22,10 +22,12 @@ representative chosen from them downstream are the same on every run and
 platform, and the same as any other exact elimination under this column
 order would give.
 
+Both entry points share one forward pass and feed it their rows shortest
+first, which keeps fill down and, by the uniqueness above, moves no output.
 A rank needs no canonical form, so ``span_rank`` stops after the forward
-pass, and since no pivot order can change a rank it picks a fill-reducing
-one: coordinates renumbered by increasing nonzero count, vectors taken
-shortest first, in the spirit of Markowitz (Management Sci. 3, 1957).
+pass, and since no pivot order can change a rank it also renumbers the
+coordinates by increasing nonzero count, in the spirit of Markowitz
+(Management Sci. 3, 1957).
 
 The interface is sparse rows in, canonical echelon out: ``echelon`` (a
 basis of the span of some rows), ``unit_rows`` (that basis as rational
@@ -96,15 +98,11 @@ def _reduce(vec, basis, den=1):
         done = p
 
 
-def echelon(rows, modulo=None):
-    """Reduced row echelon basis of the span of sparse rational ``rows``.
-
-    Returns ``{pivot column: primitive integer row}`` in increasing pivot
-    order, pivot entries positive, zero rows dropped; the row ``r`` with
-    pivot ``p`` stands for the canonical row ``r / r[p]``.  With ``modulo``
-    (another such basis) the rows are first reduced modulo its span, giving
-    the canonical basis of their image in the quotient.
-    """
+def _forward(rows, modulo=None):
+    """Forward elimination: ``{pivot column: primitive integer row}``, an
+    echelon basis of the span of ``rows`` (each first reduced modulo the
+    span of the basis ``modulo``, when given), not reduced above its
+    pivots."""
     basis = {}
     for row in rows:
         vec, _ = _integral(row)
@@ -113,12 +111,27 @@ def echelon(rows, modulo=None):
         vec, _ = _reduce(vec, basis)
         if vec:
             basis[min(vec)] = _primitive(vec)
+    return basis
+
+
+def echelon(rows, modulo=None):
+    """Reduced row echelon basis of the span of sparse rational ``rows``.
+
+    Returns ``{pivot column: primitive integer row}``, pivots and each
+    row's columns in increasing order, pivot entries positive, zero rows
+    dropped; the row ``r`` with pivot ``p`` stands for the canonical row
+    ``r / r[p]``.  With ``modulo`` (another such basis) the rows are first
+    reduced modulo its span, giving the canonical basis of their image in
+    the quotient.  Rows are eliminated shortest first, which keeps the fill
+    down and cannot change the result.
+    """
+    basis = _forward(sorted(rows, key=len), modulo)
     # back-substitution, newest row first: each row is reduced by rows that
     # are already clear of every pivot but their own
     for p in reversed(list(basis)):
         row = basis.pop(p)
         basis[p] = _primitive(_reduce(row, basis)[0])
-    return dict(sorted(basis.items()))
+    return {p: dict(sorted(row.items())) for p, row in sorted(basis.items())}
 
 
 def span_rank(vectors):
@@ -129,13 +142,8 @@ def span_rank(vectors):
     """
     count = Counter(c for vec in vectors for c, v in vec.items() if v)
     order = {c: i for i, c in enumerate(sorted(count, key=lambda c: (count[c], c)))}
-    basis = {}
-    for vec in sorted(vectors, key=len):
-        vec, _ = _integral({order[c]: v for c, v in vec.items() if v})
-        vec, _ = _reduce(vec, basis)
-        if vec:
-            basis[min(vec)] = _primitive(vec)
-    return len(basis)
+    return len(_forward({order[c]: v for c, v in vec.items() if v}
+                        for vec in sorted(vectors, key=len)))
 
 
 def unit_rows(basis):

@@ -203,7 +203,7 @@ def _parse_entry(text, start, end, n):
     return {pair: c for pair, c in terms.items() if c != 0}
 
 
-def parse_salamon(text, labels=None):
+def parse_salamon(text):
     """Build the algebra whose dual differentials match the tuple notation.
 
     Jacobi (equivalently d^2 = 0) is enforced by the algebra constructor, so
@@ -218,7 +218,7 @@ def parse_salamon(text, labels=None):
         for (i, j), coeff in _parse_entry(text, start, end, n).items():
             # dx_k = sum coeff * x_i^x_j  <=>  c^k_ij = -coeff
             constants[(i, j, k)] = -coeff
-    return LieAlgebra(n, constants, labels)
+    return LieAlgebra(n, constants)
 
 
 def _format_pair(i, j, n):
@@ -330,7 +330,7 @@ def _scalar_at(value, pointer):
 
 
 def algebra_to_json(algebra):
-    """{"dim": n, "d": {"k": [[coeff, [i, j]], ...]}, "labels"?: [...]}
+    """{"dim": n, "d": {"k": [[coeff, [i, j]], ...]}}
 
     Only nonzero differentials appear; coefficients are exact strings.
     """
@@ -340,17 +340,12 @@ def algebra_to_json(algebra):
         if dxk.is_zero:
             continue
         d[str(k)] = [[format_scalar(c), [i, j]] for (i, j), c in dxk.terms()]
-    payload = {"dim": algebra.dim, "d": d}
-    default = [f"x{i}" for i in range(1, algebra.dim + 1)]
-    labels = [algebra.label(i) for i in range(1, algebra.dim + 1)]
-    if labels != default:
-        payload["labels"] = labels
-    return payload
+    return {"dim": algebra.dim, "d": d}
 
 
 def json_to_algebra(obj):
     _expect(isinstance(obj, dict), "", "algebra document must be an object")
-    unknown = set(obj) - {"dim", "d", "labels"}
+    unknown = set(obj) - {"dim", "d"}
     _expect(not unknown, "", f"unknown keys: {sorted(unknown)}")
     _expect("dim" in obj, "/dim", "missing")
     dim = obj["dim"]
@@ -384,12 +379,7 @@ def json_to_algebra(obj):
             _expect(key_ijk not in constants, tptr,
                     f"pair [{i}, {j}] appears twice")
             constants[key_ijk] = -coeff
-    labels = obj.get("labels")
-    if labels is not None:
-        _expect(isinstance(labels, list) and len(labels) == dim
-                and all(isinstance(x, str) for x in labels),
-                "/labels", f"must be a list of {dim} strings")
-    return LieAlgebra(dim, constants, labels)
+    return LieAlgebra(dim, constants)
 
 
 def form_to_json(form):

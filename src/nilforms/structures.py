@@ -287,10 +287,6 @@ class LcsVerdict(_Record):
     def holds(self):
         return self.nondegenerate and self.lee_closed and self.identity_holds
 
-    @property
-    def is_genuine_lcs(self):
-        return self.holds and self.genuine
-
     def __bool__(self):
         return self.holds
 
@@ -548,7 +544,7 @@ class AlmostComplexStructure:
     """An exact rational matrix J with J^2 = -Id, acting on basis columns:
     J(X_c) = sum_r M[r][c] X_r."""
 
-    __slots__ = ("dim", "matrix")
+    __slots__ = ("dim", "matrix", "_columns")
 
     def __init__(self, matrix):
         rows = [tuple(as_scalar(v) for v in row) for row in matrix]
@@ -557,12 +553,14 @@ class AlmostComplexStructure:
             raise DimensionMismatch("J must be square")
         self.dim = n
         self.matrix = tuple(rows)
+        # the nonzero entries of J(X_c), 1-based: {c: {r: M[r][c]}}
+        self._columns = {c: {r: row[c - 1] for r, row in enumerate(rows, 1) if row[c - 1]}
+                         for c in range(1, n + 1)}
         # J(J X_c) = sum over the nonzero J[k][c] of J[k][c] * J(X_k)
-        columns = [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(n)]
-        for c, column in enumerate(columns):
+        for c, column in self._columns.items():
             square = {}
             for k, v in column.items():
-                for r, w in columns[k].items():
+                for r, w in self._columns[k].items():
                     _add_term(square, r, v * w)
             if square != {c: -1}:
                 raise NotAlmostComplex("J^2 != -Id")
@@ -615,8 +613,7 @@ def nijenhuis(algebra, acs):
         raise DimensionMismatch("J has the wrong size for this algebra")
     n = algebra.dim
     # sparse {index: value} vectors: J(X_c) and [X_a, X_b] for a != b
-    columns = {c: {r: v for r, v in enumerate(acs.column(c), 1) if v}
-               for c in range(1, n + 1)}
+    columns = acs._columns
     brackets = {}
     for (a, b, k), coeff in algebra.constants.items():
         brackets.setdefault((a, b), {})[k] = coeff

@@ -274,6 +274,29 @@ def reference_koszul_table(algebra, metric):
     return table
 
 
+def reference_lee_parallel(table, theta):
+    """``ConnectionCoefficients.covector_is_parallel`` as it was before the
+    classifier read parallelism off the structure constants: a constant
+    1-form is parallel iff it kills every nabla_{X_i} X_j of the
+    Levi-Civita ``table`` from ``reference_koszul_table``."""
+    covector = [theta.coefficient((k,)) for k in range(1, theta.algebra.dim + 1)]
+    return all(sum((a * b for a, b in zip(vector, covector)), Fraction(0)) == 0
+               for vector in table.values())
+
+
+def reference_fundamental_form(metric, matrix):
+    """``fundamental_form``'s terms by dense sympy products, or None when
+    the pair is not compatible: J^T G J must equal G, and then
+    w_ij = g(J X_i, X_j) = (J^T G)_ij, kept for i < j where nonzero."""
+    gram, j = sympy_matrix(metric.matrix), sympy_matrix(matrix)
+    if j.T * gram * j != gram:
+        return None
+    w = j.T * gram
+    n = metric.dim
+    return {(a + 1, b + 1): as_fraction(w[a, b])
+            for a in range(n) for b in range(a + 1, n) if w[a, b] != 0}
+
+
 def reference_nijenhuis(algebra, matrix):
     """``nijenhuis`` components as they were computed before they were read
     off J's sparse columns: J applied as a dense matrix to the dense

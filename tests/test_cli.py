@@ -173,6 +173,14 @@ def test_exit_code_2_on_schema_violation(capsys, tmp_path):
     assert main(["analyze", str(path)]) == 2
 
 
+def test_exit_code_2_on_a_labels_key(capsys, tmp_path):
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps({"dim": 4, "d": {"4": [["1", [1, 2]]]},
+                                "labels": ["a", "b", "c", "d"]}))
+    assert main(["analyze", str(path)]) == 2
+    assert "unknown keys: ['labels']" in capsys.readouterr().err
+
+
 def test_console_script_is_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "nilforms", "analyze", "(0,0,0,0)", "--quiet"],

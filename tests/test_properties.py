@@ -24,8 +24,10 @@ from nilforms import (
     JacobiViolation,
     KForm,
     LieAlgebra,
+    NotHermitian,
     SearchConfig,
     betti_profile,
+    build_algebra,
     ce_d,
     check_lcs,
     check_symplectic,
@@ -34,6 +36,7 @@ from nilforms import (
     find_lcs,
     find_symplectic,
     format_salamon,
+    fundamental_form,
     format_scalar,
     get_example,
     hodge_star,
@@ -53,8 +56,8 @@ from nilforms import (
 )
 from nilforms import linalg
 from nilforms.cohomology import _d_matrix, _form
-from nilforms.exterior_core import lower_central_series
-from nilforms.hermitian import _star_raw
+from nilforms.exterior_core import direct_sum, lower_central_series
+from nilforms.hermitian import _is_parallel, _star_raw
 from nilforms.structures import (
     _twisted_exact_pfaffian,
     closed_covector_basis,
@@ -74,10 +77,13 @@ from conftest import (
 )
 from oracles import (
     as_fraction,
+    basis_vector,
     d_matrix_by_koszul,
     jacobiator,
     reference_koszul_table,
     reference_form_pairing,
+    reference_fundamental_form,
+    reference_lee_parallel,
     reference_nijenhuis,
     reference_star_raw,
     sympy_matrix,
@@ -302,6 +308,95 @@ def test_hermitian_tensors_equal_the_dense_reference(algebra, data):
     assert repr(table) == repr(reference_koszul_table(algebra, metric))
     components = nijenhuis(algebra, acs).components
     assert repr(components) == repr(reference_nijenhuis(algebra, acs))
+
+
+def _reductive_plus_line():
+    """so(3) + R and e(2) + R: unimodular, not nilpotent, X4 central."""
+    line = LieAlgebra(1, {})
+    so3 = build_algebra(3, {(1, 2): (0, 0, 1), (2, 3): (1, 0, 0), (1, 3): (0, -1, 0)})
+    e2 = build_algebra(3, {(1, 2): (0, 0, 1), (1, 3): (0, -1, 0)})
+    return st.sampled_from([direct_sum(so3, line), direct_sum(e2, line)])
+
+
+def _planted_covectors(algebra, metric, orthogonal):
+    """g(Z, .) over a kernel basis of central Z; with ``orthogonal`` Z is
+    also g-orthogonal to [g, g], so g(Z, .) is closed as well as dual to a
+    Killing field (ad_Z = 0), hence parallel."""
+    n = algebra.dim
+    columns = []
+    for c in range(1, n + 1):
+        column = {("ad", j, k): v for j in range(1, n + 1)
+                  for k, v in enumerate(algebra.bracket(c, j), 1) if v}
+        if orthogonal:
+            for i, j in itertools.combinations(range(1, n + 1), 2):
+                value = metric.pairing(basis_vector(n, c), algebra.bracket(i, j))
+                if value:
+                    column[("g", i, j)] = value
+        columns.append(column)
+    return [algebra.form({(l,): metric.pairing([z.get(c, 0) for c in range(n)],
+                                               basis_vector(n, l))
+                          for l in range(1, n + 1)})
+            for z in linalg.kernel(columns)]
+
+
+def test_parallel_check_equals_the_connection_table():
+    """``classify_hermitian``'s parallel Lee form (closed, with a Killing
+    dual) against the full Levi-Civita table, on random, closed and planted
+    covectors; both outcomes occur on nonzero covectors."""
+    seen = set()
+
+    @settings(max_examples=60)
+    @given(st.one_of(nilpotent_algebras(), non_nilpotent_4d_algebras(),
+                     _reductive_plus_line(), catalog_algebras()), st.data())
+    def check(algebra, data):
+        n = algebra.dim
+        # a diagonal metric can make ad_T fail skewness on the diagonal alone
+        metric = data.draw(st.one_of(
+            posdef_metrics(n),
+            st.lists(st.integers(1, 3), min_size=n, max_size=n).map(
+                lambda d: InnerProduct([[d[i] if i == j else 0 for j in range(n)]
+                                        for i in range(n)]))))
+        basis = closed_covector_basis(algebra)
+        raw = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        thetas = [algebra.form({(k,): v for k, v in enumerate(raw, 1)}),
+                  _combination(algebra, basis, _nonzero_coords(data, len(basis)))
+                  if basis else algebra.zero_form(1),
+                  *_planted_covectors(algebra, metric, orthogonal=False),
+                  *_planted_covectors(algebra, metric, orthogonal=True)]
+        table = reference_koszul_table(algebra, metric)
+        for theta in thetas:
+            parallel = _is_parallel(algebra, metric, theta)
+            assert parallel == reference_lee_parallel(table, theta)
+            if not theta.is_zero:
+                seen.add(parallel)
+
+    check()
+    assert seen == {True, False}
+
+
+@fuzz(st.one_of(catalog_algebras(), nilpotent_algebras(dims=(4, 6))), st.data(),
+      st.booleans())
+def test_fundamental_form_and_compatibility_equal_the_dense_reference(
+        algebra, data, compatible):
+    n = algebra.dim
+    base = data.draw(posdef_metrics(n)).matrix
+    acs = data.draw(complex_structures(n))
+    gram = base
+    if compatible:
+        # g = B + J^T B J is J-invariant because J^2 = -Id
+        gram = [[base[a][b] + sum(acs[r][a] * base[r][s] * acs[s][b]
+                                  for r in range(n) for s in range(n))
+                 for b in range(n)] for a in range(n)]
+    metric = InnerProduct(gram)
+    expected = reference_fundamental_form(metric, acs)
+    assert expected is not None or not compatible
+    try:
+        omega = fundamental_form(algebra, metric, acs)
+    except NotHermitian as exc:
+        assert expected is None
+        assert str(exc) == "metric is not J-invariant: g(JX, JY) != g(X, Y)"
+    else:
+        assert repr(omega.coeffs) == repr(expected)
 
 
 # -- global profiles ----------------------------------------------------------

@@ -93,3 +93,47 @@ def test_in_row_space():
     basis = echelon([{0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: Fraction(1)}])
     assert not reduce({0: Fraction(2), 1: Fraction(3), 2: Fraction(5)}, basis)
     assert reduce({2: Fraction(1)}, basis) == {2: Fraction(1)}
+
+
+ROW_ENTRIES = st.sampled_from(
+    [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4), 10**12 + 1]).map(Fraction)
+
+
+@st.composite
+def row_operations(draw):
+    """(rows, target, perm, scales): a matrix with its right-hand side, a
+    permutation of its rows and a nonzero integer scale for each."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(ROW_ENTRIES, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    target = draw(st.lists(ROW_ENTRIES, min_size=nrows, max_size=nrows))
+    perm = draw(st.permutations(range(nrows)))
+    scales = draw(st.lists(st.integers(-6, 6).filter(bool),
+                           min_size=nrows, max_size=nrows))
+    return rows, target, perm, scales
+
+
+@given(row_operations(), st.lists(st.lists(ROW_ENTRIES, min_size=6, max_size=6),
+                                  max_size=3))
+def test_row_order_and_scale_move_no_output(case, other):
+    """The reduced echelon form of a row space is unique, so permuting the
+    rows and scaling them by nonzero integers changes no ``echelon`` (also
+    modulo another span), ``kernel`` or ``preimage``."""
+    rows, target, perm, scales = case
+    ncols = len(rows[0]) if rows else 0
+    moved = [[scales[r] * v for v in rows[perm[r]]] for r in range(len(rows))]
+    moved_target = [scales[r] * target[perm[r]] for r in range(len(rows))]
+    modulo = echelon(dict(enumerate(row[:ncols])) for row in other)
+
+    def outputs(matrix, rhs):
+        columns = [{r: row[c] for r, row in enumerate(matrix) if row[c]}
+                   for c in range(ncols)]
+        sparse_rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+        return (echelon(sparse_rows), echelon(sparse_rows, modulo=modulo),
+                kernel(columns),
+                preimage(columns, {r: v for r, v in enumerate(rhs) if v}))
+
+    before, after = outputs(rows, target), outputs(moved, moved_target)
+    assert before == after
+    assert repr(before) == repr(after)
