@@ -19,7 +19,7 @@ values in tests are meaningful.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from itertools import combinations
 from math import comb
 
 from . import linalg
@@ -34,7 +34,15 @@ from .errors import (
     OmegaNotClosed,
     _Record,
 )
-from .exterior_core import KForm, _add_term, _d_raw, _is_unimodular, ce_d, wedge
+from .exterior_core import (
+    KForm,
+    _add_term,
+    _is_unimodular,
+    _leibniz,
+    _leibniz_table,
+    ce_d,
+    wedge,
+)
 from .scalars import ZERO, as_scalar
 
 
@@ -72,23 +80,35 @@ def _exact(value):
     return value.numerator if value.denominator == 1 else value
 
 
+def _masks(algebra, k):
+    """The degree-k monomials as bitmasks sum(1 << i), in the lex order of
+    ``algebra.monomials(k)``."""
+    bits = [1 << i for i in range(1, algebra.dim + 1)]
+    return [sum(mono) for mono in combinations(bits, k)]
+
+
 def _d_columns(algebra, k):
     """The columns of the untwisted d on Lambda^k, memoized per degree on the
     algebra (so at most dim + 1 entries).
 
-    ``_d_raw`` builds them from a copy of the covector differentials with
-    integral constants as ints, so their entries are ints wherever the
-    constants allow and no ``Fraction`` arithmetic runs for those.
+    Each source monomial x_S is the bitmask sum(1 << i for i in S), and
+    ``exterior_core._leibniz`` adds d x_S term by term with the sign
+    (-1)^(t + |R & below a| + |R & below b|); a position dict keyed by the
+    codomain masks turns the result into a column.  The table holds the
+    covector differentials with integral constants as ints, so entries are
+    ints wherever the constants allow and no ``Fraction`` arithmetic runs
+    for those.
     """
     columns = algebra._d_columns.get(k)
     if columns is None:
-        dx = {i: {mono: _exact(c) for mono, c in terms.items()}
-              for i, terms in algebra._dx.items()}
-        position = {mono: i for i, mono in enumerate(algebra.monomials(k + 1))}
-        columns = [
-            {position[mono]: c for mono, c in _d_raw({source: 1}, dx).items()}
-            for source in algebra.monomials(k)
-        ]
+        table = _leibniz_table({i: {mono: _exact(c) for mono, c in terms.items()}
+                                for i, terms in algebra._dx.items()})
+        position = {mask: i for i, mask in enumerate(_masks(algebra, k + 1))}
+        columns = []
+        for source in _masks(algebra, k):
+            image = {}
+            _leibniz(image, source, 1, table)
+            columns.append({position[mask]: c for mask, c in image.items()})
         algebra._d_columns[k] = columns
     return columns
 
@@ -103,25 +123,22 @@ def _d_matrix(algebra, k, theta):
     so a sweep over theta does not grow memory.
     """
     theta = _require_twist(algebra, theta)
-    domain = algebra.monomials(k)
-    codomain = algebra.monomials(k + 1)
     columns = _d_columns(algebra, k)
     if theta is not None:
-        # theta ^ x_S inserts each index i of theta into S, with the sign
-        # (-1)^#{s in S : s < i} of moving x_i past the smaller indices
-        position = {mono: i for i, mono in enumerate(codomain)}
-        lee = [(i, _exact(c)) for (i,), c in theta.coeffs.items()]
+        # theta ^ x_S adds each index i of theta to the mask of S, with the
+        # sign (-1)^|S & below i| of moving x_i past the smaller indices
+        position = {mask: i for i, mask in enumerate(_masks(algebra, k + 1))}
+        lee = [(1 << i, (1 << i) - 1, _exact(c)) for (i,), c in theta.coeffs.items()]
         twisted = []
-        for source, column in zip(domain, columns):
+        for source, column in zip(_masks(algebra, k), columns):
             column = dict(column)
-            for i, c in lee:
-                if i not in source:
-                    at = bisect_left(source, i)
-                    mono = source[:at] + (i,) + source[at:]
-                    _add_term(column, position[mono], c if at % 2 else -c)
+            for bit, below, c in lee:
+                if not source & bit:
+                    _add_term(column, position[source | bit],
+                              c if (source & below).bit_count() & 1 else -c)
             twisted.append(column)
         columns = twisted
-    return columns, domain, codomain
+    return columns, algebra.monomials(k), algebra.monomials(k + 1)
 
 
 def _coordinates(form, monomials):
@@ -255,16 +272,34 @@ class CohomologySpace:
         return f"H^{self.degree}(dim {self.algebra.dim}{twist}) rank {self.betti}"
 
 
+# Twisted spaces kept per algebra, least recently used evicted first: a
+# sweep over theta holds at most this many, and every degree of one twist
+# fits up to dimension 31.
+_TWISTED_SPACES = 32
+
+
 def cohomology_space(algebra, degree, theta=None):
-    """Memoized accessor; spaces are computed once per (degree, theta)."""
+    """Memoized accessor.  Untwisted spaces are computed once per degree;
+    twisted ones are kept in a per-algebra LRU of ``_TWISTED_SPACES``
+    entries, so an evicted (degree, theta) is computed afresh, equal but
+    not the same object."""
     theta = _require_twist(algebra, theta)
     if not 0 <= degree <= algebra.dim:
         raise InvalidParameter(f"degree {degree} outside 0..{algebra.dim}")
-    key = (degree, None if theta is None else tuple(sorted(theta.coeffs.items())))
-    cache = algebra._cohomology_cache
-    if key not in cache:
-        cache[key] = CohomologySpace(algebra, degree, theta)
-    return cache[key]
+    if theta is None:
+        cache = algebra._cohomology_cache
+        if degree not in cache:
+            cache[degree] = CohomologySpace(algebra, degree)
+        return cache[degree]
+    key = (degree, tuple(sorted(theta.coeffs.items())))
+    cache = algebra._twisted_spaces
+    space = cache.pop(key, None)
+    if space is None:
+        space = CohomologySpace(algebra, degree, theta)
+        if len(cache) >= _TWISTED_SPACES:
+            del cache[next(iter(cache))]
+    cache[key] = space
+    return space
 
 
 def class_of(space, form):

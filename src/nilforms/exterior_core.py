@@ -20,7 +20,6 @@ are 1-based throughout, matching the classical x_1, ..., x_n notation.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from fractions import Fraction
 
 from . import linalg
@@ -36,7 +35,7 @@ from .scalars import ZERO, as_scalar, format_scalar
 # -- raw term dictionaries ---------------------------------------------------
 # Internal helpers operate on bare dicts {increasing tuple: coefficient} so the
 # Jacobi check can run before any LieAlgebra object exists.  Forms hold
-# Fractions; the cohomology module also feeds ``_d_raw`` int coefficients.
+# Fractions; the cohomology module also feeds ``_leibniz`` int coefficients.
 
 
 def _sort_with_sign(indices):
@@ -98,31 +97,69 @@ def _wedge_raw(a_terms, b_terms):
     return out
 
 
-def _d_raw(terms, dx_table):
-    """Graded-Leibniz extension of the covector differentials in dx_table,
-    by index insertion.
+def _indices(mask):
+    """The increasing index tuple of a bitmask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _leibniz_table(dx_table):
+    """The covector differentials ``{i: {(a, b): c}}`` keyed by the bit
+    1 << i, each term as ``(1 << a | 1 << b, (1 << a) - 1, (1 << b) - 1, c)``:
+    its bits and the masks of the indices below a and below b."""
+    return {1 << i: [((1 << a) | (1 << b), (1 << a) - 1, (1 << b) - 1, c)
+                     for (a, b), c in terms.items()]
+            for i, terms in dx_table.items()}
+
+
+def _leibniz(out, mask, coeff, table):
+    """Add coeff * d x_S to ``out`` (keyed by bitmask), S given by its mask.
 
     d x_S = sum_t (-1)^t dx_{S_t} ^ x_R with R = S minus S_t.  A term
-    c x_a ^ x_b (a < b) of dx_{S_t} is placed by inserting a and b into R
-    at their insertion points at and bt, which moves them past at and bt
-    smaller indices, so it adds (-1)^(t + at + bt) c to the merged monomial
-    (nothing when a or b already lies in R).  Coefficients are only
-    multiplied and added, so they keep the type the inputs give them:
-    Fractions for forms, ints for integer-valued tables.
+    c x_a ^ x_b (a < b) of dx_{S_t} lands on the monomial R + a + b, moving
+    x_a past the indices of R below a and x_b past those below b, so it adds
+    (-1)^(t + |R & below a| + |R & below b|) c there, and nothing when a or
+    b already lies in R.  Coefficients are only multiplied and added, in a
+    fixed order, so they keep the type the inputs give them.
+    """
+    t = 0
+    bits = mask
+    while bits:
+        low = bits & -bits
+        rest = mask ^ low
+        for pair, below_a, below_b, dcoeff in table[low]:
+            if rest & pair:
+                continue
+            value = coeff * dcoeff
+            if (t + (rest & below_a).bit_count() + (rest & below_b).bit_count()) & 1:
+                value = -value
+            key = rest | pair
+            new = out.get(key, 0) + value
+            if new:
+                out[key] = new
+            else:
+                out.pop(key, None)
+        bits ^= low
+        t += 1
+
+
+def _d_raw(terms, table):
+    """d of a term dict ``{increasing tuple: coefficient}`` under a
+    ``_leibniz_table``, for forms and the Jacobi check.
+
+    Each monomial x_S goes in as the bitmask sum(1 << i for i in S), and
+    ``_leibniz`` adds c x_a ^ x_b of dx_{S_t} to R + a + b with the sign
+    (-1)^(t + popcount(R & ((1 << a) - 1)) + popcount(R & ((1 << b) - 1))),
+    R = S minus S_t; the result's masks go back to increasing tuples.
     """
     out = {}
     for mono, coeff in terms.items():
-        for t, index in enumerate(mono):
-            rest = mono[:t] + mono[t + 1 :]
-            for (a, b), dcoeff in dx_table[index].items():
-                if a in rest or b in rest:
-                    continue
-                at = bisect_left(rest, a)
-                bt = bisect_left(rest, b, at)
-                value = coeff * dcoeff
-                _add_term(out, rest[:at] + (a,) + rest[at:bt] + (b,) + rest[bt:],
-                          -value if (t + at + bt) % 2 else value)
-    return out
+        _leibniz(out, sum(1 << i for i in mono), coeff, table)
+    return {_indices(mask): c for mask, c in out.items()}
 
 
 # -- Lie algebras ------------------------------------------------------------
@@ -139,7 +176,8 @@ class LieAlgebra:
     construction, and cohomology results are memoized on the instance.
     """
 
-    __slots__ = ("dim", "constants", "_dx", "_hash", "_cohomology_cache", "_d_columns")
+    __slots__ = ("dim", "constants", "_dx", "_leibniz_dx", "_hash", "_cohomology_cache",
+                 "_twisted_spaces", "_d_columns")
 
     def __init__(self, dim, constants):
         if not isinstance(dim, int) or dim < 0:
@@ -161,9 +199,11 @@ class LieAlgebra:
         self.dim = dim
         self.constants = clean
         self._dx = self._build_dx()
+        self._leibniz_dx = _leibniz_table(self._dx)
         self._check_jacobi()
         self._hash = hash((dim, frozenset(self.constants.items())))
         self._cohomology_cache = {}
+        self._twisted_spaces = {}
         self._d_columns = {}
 
     def _build_dx(self):
@@ -174,7 +214,7 @@ class LieAlgebra:
 
     def _check_jacobi(self):
         for m in range(1, self.dim + 1):
-            dd = _d_raw(self._dx[m], self._dx)
+            dd = _d_raw(self._dx[m], self._leibniz_dx)
             if dd:
                 witness = min(dd)  # lexicographically first offending 3-monomial
                 raise JacobiViolation(witness)
@@ -468,7 +508,7 @@ def ce_d(a):
     degree = a.degree + 1
     if degree > algebra.dim:
         return algebra.zero_form(algebra.dim)
-    return KForm(algebra, degree, _d_raw(a.coeffs, algebra._dx), _normalized=True)
+    return KForm(algebra, degree, _d_raw(a.coeffs, algebra._leibniz_dx), _normalized=True)
 
 
 # -- invariants --------------------------------------------------------------

@@ -29,6 +29,21 @@ pass, and since no pivot order can change a rank it also renumbers the
 coordinates by increasing nonzero count, in the spirit of Markowitz
 (Management Sci. 3, 1957).
 
+Before it eliminates, ``span_rank`` peels singletons, the first step of the
+structured Gaussian elimination of LaMacchia and Odlyzko (CRYPTO '90, LNCS
+537).  Two rules read only the supports of the vectors still live:
+
+- a coordinate held by exactly one vector makes that vector independent of
+  the others (every combination that uses it is nonzero there), so the rank
+  is one more than the rank of the rest: count it and drop it;
+- a vector with exactly one coordinate c is a multiple of e_c, so the span
+  is span(e_c) plus the span of the others with their c-entries removed,
+  and the rank is one more than the rank of those: count it and delete c
+  from every other vector, which creates no fill.
+
+Neither rule touches a value, and whatever neither rule can take goes to
+the forward pass.
+
 The interface is sparse rows in, canonical echelon out: ``echelon`` (a
 basis of the span of some rows), ``unit_rows`` (that basis as rational
 rows), ``reduce`` (a vector modulo such a basis), ``span_rank`` (the
@@ -41,7 +56,6 @@ metrics.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -137,13 +151,62 @@ def echelon(rows, modulo=None):
 def span_rank(vectors):
     """Dimension of the span of sparse rational ``vectors``.
 
-    Forward elimination only, under the fill-reducing order above; the
+    First the two peeling rules of the module docstring, which read only
+    the supports: a coordinate held by one live vector counts that vector
+    and drops it, and a vector with one live coordinate counts itself and
+    deletes that coordinate from every other vector.  Then forward
+    elimination of what is left, under the fill-reducing order above; the
     basis it builds is not canonical and never leaves this function.
     """
-    count = Counter(c for vec in vectors for c, v in vec.items() if v)
-    order = {c: i for i, c in enumerate(sorted(count, key=lambda c: (count[c], c)))}
-    return len(_forward({order[c]: v for c, v in vec.items() if v}
-                        for vec in sorted(vectors, key=len)))
+    rows = {}
+    holders = {}
+    for i, vec in enumerate(vectors):
+        row = {c: v for c, v in vec.items() if v}
+        if row:
+            rows[i] = row
+            for c in row:
+                holders.setdefault(c, set()).add(i)
+    rank = 0
+    # rule one; dropping a vector shrinks only the holder sets of its
+    # coordinates, so it can make new singleton coordinates but never a
+    # singleton vector
+    single = [c for c, held in holders.items() if len(held) == 1]
+    while single:
+        held = holders.get(single.pop())
+        if held is None or len(held) != 1:
+            continue
+        rank += 1
+        i = held.pop()
+        for c in rows.pop(i):
+            held = holders[c]
+            held.discard(i)
+            if len(held) == 1:
+                single.append(c)
+            elif not held:
+                del holders[c]
+    # rule two; deleting a coordinate shortens only the vectors that hold
+    # it and changes no other holder set, so it can make new singleton
+    # vectors but never a singleton coordinate: one sweep of each rule
+    # reaches the point where neither applies
+    single = [i for i, row in rows.items() if len(row) == 1]
+    while single:
+        row = rows.pop(single.pop(), None)
+        if row is None:
+            continue
+        rank += 1
+        (c,) = row
+        for i in holders.pop(c):
+            row = rows.get(i)
+            if row is not None:
+                del row[c]
+                if len(row) == 1:
+                    single.append(i)
+                elif not row:
+                    del rows[i]
+    order = sorted(holders, key=lambda c: (len(holders[c]), c))
+    order = {c: i for i, c in enumerate(order)}
+    return rank + len(_forward({order[c]: v for c, v in row.items()}
+                               for row in sorted(rows.values(), key=len)))
 
 
 def unit_rows(basis):

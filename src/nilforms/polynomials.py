@@ -103,6 +103,11 @@ class Poly:
         return self._check(other) + (-self)
 
     def __mul__(self, other):
+        if not isinstance(other, Poly):
+            # a scalar scales each value, as its constant polynomial would
+            value = as_scalar(other)
+            terms = {e: c * value for e, c in self.terms.items()} if value else {}
+            return Poly(self.nvars, terms, _normalized=True)
         other = self._check(other)
         out = {}
         for ea, ca in self.terms.items():

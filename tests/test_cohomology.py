@@ -26,7 +26,7 @@ from nilforms import (
     wedge,
 )
 
-from nilforms.cohomology import _d_columns
+from nilforms.cohomology import _TWISTED_SPACES, CohomologySpace, _d_columns
 
 from oracles import betti_by_koszul
 
@@ -68,6 +68,22 @@ def test_dimension_twelve_betti_profiles(build, profile):
     assert betti_profile(build()) == profile
 
 
+# bench/gen.py's draw(1, "w", 14, 3); the profile is the one the elimination
+# gave before span_rank peeled singletons
+DRAW_1_W_14_3 = (
+    "(0,0,0,-[1,3]+[2,3],-[1,4]+2*[2,3]+[2,4],-[1,4]+[2,3]+[2,4],"
+    "4*[1,4]-2*[1,5]-[2,3]+2*[2,5],5*[1,4]-2*[1,5]-[2,4]+2*[2,6],"
+    "7*[1,4]-3*[1,5]+[1,7]-2*[2,7]+[2,8],-[1,3]+2*[3,4],"
+    "-[1,4]+2*[1,5]-2*[1,6]+[1,10]-[2,10]-2*[3,6],[1,4]-[1,10]-2*[2,4]+[2,10]+2*[3,5],"
+    "-6*[1,4]+[1,5]+[1,12]+2*[2,4]+2*[2,10]-[2,12]-2*[4,5],[1,4]-[1,6]+[2,6])"
+)
+
+
+def test_dimension_fourteen_betti_profile():
+    assert betti_profile(parse_salamon(DRAW_1_W_14_3)) \
+        == (1, 3, 12, 32, 67, 117, 165, 186, 165, 117, 67, 32, 12, 3, 1)
+
+
 def test_duality_is_not_assumed_off_unimodular_algebras(solvable_nonunimodular):
     # [X1, X2] = X2 (tr ad X1 = 1) and [X1, X2] = X1 (tr ad X2 = 1):
     # H^2 = 0 while H^0 = R
@@ -97,6 +113,30 @@ def test_twisted_profiles_leave_the_cache_alone():
         theta = algebra.covector(1).scale(t % 7 - 3) + algebra.covector(2).scale(t)
         betti_profile(algebra, theta)
     assert len(algebra._cohomology_cache) == before
+
+
+def test_twisted_spaces_are_a_bounded_cache():
+    algebra = parse_salamon("(0,0,0,12,13)")
+    x1, x2, x3 = (algebra.covector(i) for i in (1, 2, 3))
+    thetas = [x1.scale(s) + x2.scale(t) + x3
+              for s in range(-3, 4) for t in range(-3, 4)]
+    for theta in thetas:
+        for k in (1, 2):
+            cohomology_space(algebra, k, theta)
+            assert len(algebra._twisted_spaces) <= _TWISTED_SPACES
+    assert 2 * len(thetas) > _TWISTED_SPACES
+    # a kept entry is returned as it is; an evicted one is rebuilt, equal to
+    # a fresh space
+    kept = cohomology_space(algebra, 2, thetas[-1])
+    assert cohomology_space(algebra, 2, thetas[-1]) is kept
+    for theta in thetas[:3] + thetas[-3:]:
+        for k in (1, 2):
+            cached = cohomology_space(algebra, k, theta)
+            fresh = CohomologySpace(algebra, k, theta)
+            assert (cached.betti, cached.cocycle_basis, cached.representative_basis) \
+                == (fresh.betti, fresh.cocycle_basis, fresh.representative_basis)
+    assert len(algebra._twisted_spaces) <= _TWISTED_SPACES
+    assert not algebra._cohomology_cache
 
 
 def test_so3_has_the_sphere_profile(so3):

@@ -84,6 +84,45 @@ def test_nullspace_equals_sympy(matrix):
     assert [dense(vec, ncols) for vec in kernel(columns_of(rows, ncols))] == expected
 
 
+NONZERO = st.one_of(st.integers(-3, 3),
+                    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))).filter(bool)
+
+
+@st.composite
+def peelable(draw):
+    """(vectors, ncols): sparse int and Fraction vectors, some entries an
+    explicit zero, with singleton vectors, singleton coordinates, zero
+    vectors and repeated vectors planted among them, in any order."""
+    ncols = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), NONZERO)
+    vectors = [{c: draw(entry) for c in draw(st.sets(st.integers(0, ncols - 1)))}
+               for _ in range(draw(st.integers(0, 5)))]
+    for kind in draw(st.lists(st.sampled_from(("row", "column", "zero", "repeat")),
+                              max_size=6)):
+        if kind == "row":
+            vectors.append({draw(st.integers(0, ncols - 1)): draw(NONZERO)})
+        elif kind == "column" and vectors:
+            draw(st.sampled_from(vectors))[ncols] = draw(NONZERO)
+            ncols += 1
+        elif kind == "zero":
+            vectors.append(dict(draw(st.sampled_from(({}, {0: 0})))))
+        elif kind == "repeat" and vectors:
+            scale = draw(NONZERO)
+            original = draw(st.sampled_from(vectors))
+            vectors.append({c: scale * v for c, v in original.items()})
+    return draw(st.permutations(vectors)), ncols
+
+
+@given(peelable())
+def test_peeled_rank_equals_sympy(matrix):
+    vectors, ncols = matrix
+    rows = [dense(vec, ncols) for vec in vectors]
+    transposed = [{r: vec[c] for r, vec in enumerate(vectors) if vec.get(c)}
+                  for c in range(ncols)]
+    expected = sympy_shaped(rows, ncols).rank()
+    assert span_rank(vectors) == span_rank(transposed) == expected
+
+
 @given(matrices(), st.data())
 def test_solve_equals_the_reference(matrix, data):
     rows, ncols = matrix

@@ -69,3 +69,14 @@ def test_int_coefficients_stay_ints():
     assert repr(product) == repr(Poly(2, {(2, 0): 4, (0, 2): -9}))
     half = x * Fraction(1, 2)
     assert half.terms == {(1, 0): 1} and type(half.terms[(1, 0)]) is Fraction
+
+
+def test_scalar_factors_equal_their_constant_polynomials():
+    x = Poly(2, {(1, 0): 2, (0, 1): Fraction(1, 3)}, _normalized=True)
+    for scalar in (0, 1, -3, True, Fraction(3, 2), "-5/4"):
+        constant = Poly.constant(2, scalar)
+        for product in (x * scalar, scalar * x):
+            expected = Poly.__mul__(x, constant)
+            assert [(e, c, type(c)) for e, c in product.terms.items()] \
+                == [(e, c, type(c)) for e, c in expected.terms.items()]
+            assert repr(product) == repr(expected)
