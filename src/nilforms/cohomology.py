@@ -19,7 +19,6 @@ values in tests are meaningful.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 
 from . import linalg
@@ -37,9 +36,11 @@ from .errors import (
 from .exterior_core import (
     KForm,
     _add_term,
+    _bit,
     _is_unimodular,
     _leibniz,
     _leibniz_table,
+    _masks,
     ce_d,
     wedge,
 )
@@ -80,13 +81,6 @@ def _exact(value):
     return value.numerator if value.denominator == 1 else value
 
 
-def _masks(algebra, k):
-    """The degree-k monomials as bitmasks sum(1 << i), in the lex order of
-    ``algebra.monomials(k)``."""
-    bits = [1 << i for i in range(1, algebra.dim + 1)]
-    return [sum(mono) for mono in combinations(bits, k)]
-
-
 def _d_columns(algebra, k):
     """The columns of the untwisted d on Lambda^k, memoized per degree on the
     algebra (so at most dim + 1 entries).
@@ -103,9 +97,9 @@ def _d_columns(algebra, k):
     if columns is None:
         table = _leibniz_table({i: {mono: _exact(c) for mono, c in terms.items()}
                                 for i, terms in algebra._dx.items()})
-        position = {mask: i for i, mask in enumerate(_masks(algebra, k + 1))}
+        position = {mask: i for i, mask in enumerate(_masks(algebra.dim, k + 1))}
         columns = []
-        for source in _masks(algebra, k):
+        for source in _masks(algebra.dim, k):
             image = {}
             _leibniz(image, source, 1, table)
             columns.append({position[mask]: c for mask, c in image.items()})
@@ -127,10 +121,10 @@ def _d_matrix(algebra, k, theta):
     if theta is not None:
         # theta ^ x_S adds each index i of theta to the mask of S, with the
         # sign (-1)^|S & below i| of moving x_i past the smaller indices
-        position = {mask: i for i, mask in enumerate(_masks(algebra, k + 1))}
-        lee = [(1 << i, (1 << i) - 1, _exact(c)) for (i,), c in theta.coeffs.items()]
+        position = {mask: i for i, mask in enumerate(_masks(algebra.dim, k + 1))}
+        lee = [(*_bit(i), _exact(c)) for (i,), c in theta.coeffs.items()]
         twisted = []
-        for source, column in zip(_masks(algebra, k), columns):
+        for source, column in zip(_masks(algebra.dim, k), columns):
             column = dict(column)
             for bit, below, c in lee:
                 if not source & bit:
@@ -272,34 +266,16 @@ class CohomologySpace:
         return f"H^{self.degree}(dim {self.algebra.dim}{twist}) rank {self.betti}"
 
 
-# Twisted spaces kept per algebra, least recently used evicted first: a
-# sweep over theta holds at most this many, and every degree of one twist
-# fits up to dimension 31.
-_TWISTED_SPACES = 32
-
-
 def cohomology_space(algebra, degree, theta=None):
-    """Memoized accessor.  Untwisted spaces are computed once per degree;
-    twisted ones are kept in a per-algebra LRU of ``_TWISTED_SPACES``
-    entries, so an evicted (degree, theta) is computed afresh, equal but
-    not the same object."""
+    """Memoized accessor; spaces are computed once per (degree, theta)."""
     theta = _require_twist(algebra, theta)
     if not 0 <= degree <= algebra.dim:
         raise InvalidParameter(f"degree {degree} outside 0..{algebra.dim}")
-    if theta is None:
-        cache = algebra._cohomology_cache
-        if degree not in cache:
-            cache[degree] = CohomologySpace(algebra, degree)
-        return cache[degree]
-    key = (degree, tuple(sorted(theta.coeffs.items())))
-    cache = algebra._twisted_spaces
-    space = cache.pop(key, None)
-    if space is None:
-        space = CohomologySpace(algebra, degree, theta)
-        if len(cache) >= _TWISTED_SPACES:
-            del cache[next(iter(cache))]
-    cache[key] = space
-    return space
+    key = (degree, None if theta is None else tuple(sorted(theta.coeffs.items())))
+    cache = algebra._cohomology_cache
+    if key not in cache:
+        cache[key] = CohomologySpace(algebra, degree, theta)
+    return cache[key]
 
 
 def class_of(space, form):

@@ -107,10 +107,22 @@ def _indices(mask):
     return tuple(out)
 
 
+def _bit(i):
+    """The bit of index i and the mask of the indices below it."""
+    return 1 << i, (1 << i) - 1
+
+
+def _masks(dim, k):
+    """The degree-k monomials in dim variables as bitmasks sum(1 << i), in
+    lex order (the order of ``LieAlgebra.monomials(k)``)."""
+    bits = [1 << i for i in range(1, dim + 1)]
+    return [sum(mono) for mono in itertools.combinations(bits, k)]
+
+
 def _leibniz_table(dx_table):
     """The covector differentials ``{i: {(a, b): c}}`` keyed by the bit
     1 << i, each term as ``(1 << a | 1 << b, (1 << a) - 1, (1 << b) - 1, c)``:
-    its bits and the masks of the indices below a and below b."""
+    its bits and the masks of the indices below a and below b (``_bit``)."""
     return {1 << i: [((1 << a) | (1 << b), (1 << a) - 1, (1 << b) - 1, c)
                      for (a, b), c in terms.items()]
             for i, terms in dx_table.items()}
@@ -177,7 +189,7 @@ class LieAlgebra:
     """
 
     __slots__ = ("dim", "constants", "_dx", "_leibniz_dx", "_hash", "_cohomology_cache",
-                 "_twisted_spaces", "_d_columns")
+                 "_d_columns")
 
     def __init__(self, dim, constants):
         if not isinstance(dim, int) or dim < 0:
@@ -203,7 +215,6 @@ class LieAlgebra:
         self._check_jacobi()
         self._hash = hash((dim, frozenset(self.constants.items())))
         self._cohomology_cache = {}
-        self._twisted_spaces = {}
         self._d_columns = {}
 
     def _build_dx(self):
