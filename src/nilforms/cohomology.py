@@ -10,11 +10,12 @@ The twisted variant uses the Lichnerowicz differential
 
 for a closed 1-form theta; d_theta^2 = 0 follows from d(theta) = 0.
 
-Determinism: every space carries a canonical representative basis, obtained
-by reducing the cocycle space modulo the echelon basis of the coboundaries
-and re-reducing, all under the lexicographic monomial order.  Two runs (or
-two machines) always produce identical representatives, so frozen expected
-values in tests are meaningful.
+Determinism: every space carries a canonical representative basis, the rows
+of the reduced echelon basis of the cocycles Z (lexicographic monomial order)
+whose pivots are not pivots of the coboundaries B.  B sits in Z, so each such
+row is 0 on B's pivots, the one cocycle of its class that is: these rows are
+the reduced echelon basis of Z / B, identical on every run and machine, so
+frozen expected values in tests are meaningful.
 """
 
 from __future__ import annotations
@@ -135,6 +136,12 @@ def _d_matrix(algebra, k, theta):
     return columns, algebra.monomials(k), algebra.monomials(k + 1)
 
 
+def _space_key(algebra, degree, theta):
+    """A space's value: algebra, degree, theta's sorted terms (None plain)."""
+    twist = None if theta is None else tuple(sorted(theta.coeffs.items()))
+    return algebra, degree, twist
+
+
 def _coordinates(form, monomials):
     """A form's coefficients as a sparse ``{position in monomials: value}``."""
     position = {mono: i for i, mono in enumerate(monomials)}
@@ -149,7 +156,8 @@ def _form(algebra, degree, monomials, vector):
 
 class CohomologyClass:
     """An element of a CohomologySpace: coordinates against the canonical
-    representative basis, plus the representative form they name."""
+    representative basis, plus the representative form they name.  Classes
+    compare, hash and add by their space's value (algebra, degree, twist)."""
 
     __slots__ = ("space", "coords", "representative")
 
@@ -174,7 +182,7 @@ class CohomologyClass:
                                self.representative.scale(value))
 
     def __add__(self, other):
-        if not isinstance(other, CohomologyClass) or other.space is not self.space:
+        if not isinstance(other, CohomologyClass) or other.space._key != self.space._key:
             raise AmbientMismatch("classes live in different cohomology spaces")
         return CohomologyClass(self.space,
                                [a + b for a, b in zip(self.coords, other.coords)],
@@ -186,10 +194,10 @@ class CohomologyClass:
     def __eq__(self, other):
         if not isinstance(other, CohomologyClass):
             return NotImplemented
-        return self.space is other.space and self.coords == other.coords
+        return self.space._key == other.space._key and self.coords == other.coords
 
     def __hash__(self):
-        return hash((id(self.space), self.coords))
+        return hash((self.space._key, self.coords))
 
     def __repr__(self):
         return f"<class {self.coords} in {self.space!r}>"
@@ -198,9 +206,9 @@ class CohomologyClass:
 class CohomologySpace:
     """H^k(g) or its twisted analogue H^k_theta(g), fully materialized.
 
-    The constructor raises InternalInvariantBreach unless betti equals the
-    number of cocycles minus the rank of the coboundaries, that is, unless
-    the coboundaries sit inside the cocycles.
+    The constructor raises InternalInvariantBreach unless d_theta maps
+    every coboundary to zero (checked exactly), that is, unless the
+    coboundaries sit inside the cocycles, as the quotient basis needs.
     """
 
     def __init__(self, algebra, degree, theta=None):
@@ -208,18 +216,24 @@ class CohomologySpace:
         self.algebra = algebra
         self.degree = degree
         self.theta = theta
+        self._key = _space_key(algebra, degree, theta)
         self._monomials = algebra.monomials(degree)
 
         columns, _, _ = _d_matrix(algebra, degree, theta)
-        kernel = linalg.kernel(columns)
         images = _d_matrix(algebra, degree - 1, theta)[0] if degree else []
+        for image in images:
+            square = {}
+            for r, v in image.items():
+                for s, w in columns[r].items():
+                    _add_term(square, s, v * w)
+            if square:
+                raise InternalInvariantBreach(
+                    "coboundaries do not sit inside cocycles; d^2 = 0 is broken")
+        kernel = linalg.kernel(columns)
         self._coboundaries = linalg.echelon(images)
-        self._quotient = linalg.echelon(kernel, modulo=self._coboundaries)
-
+        self._quotient = {p: row for p, row in linalg.echelon(kernel).items()
+                          if p not in self._coboundaries}
         self.betti = len(self._quotient)
-        if self.betti != len(kernel) - len(self._coboundaries):
-            raise InternalInvariantBreach(
-                "coboundaries do not sit inside cocycles; d^2 = 0 is broken")
 
         self.cocycle_basis = [self._form_from(v) for v in kernel]
         self.representative_basis = [self._form_from(v)
@@ -254,12 +268,8 @@ class CohomologySpace:
 
     def classes(self):
         """The canonical basis classes of this space."""
-        out = []
-        for i in range(self.betti):
-            coords = [ZERO] * self.betti
-            coords[i] = as_scalar(1)
-            out.append(CohomologyClass(self, coords, self.representative_basis[i]))
-        return out
+        return [CohomologyClass(self, [int(i == j) for j in range(self.betti)], rep)
+                for i, rep in enumerate(self.representative_basis)]
 
     def __repr__(self):
         twist = "" if self.theta is None else ", twisted"
@@ -271,7 +281,7 @@ def cohomology_space(algebra, degree, theta=None):
     theta = _require_twist(algebra, theta)
     if not 0 <= degree <= algebra.dim:
         raise InvalidParameter(f"degree {degree} outside 0..{algebra.dim}")
-    key = (degree, None if theta is None else tuple(sorted(theta.coeffs.items())))
+    key = _space_key(algebra, degree, theta)
     cache = algebra._cohomology_cache
     if key not in cache:
         cache[key] = CohomologySpace(algebra, degree, theta)
@@ -404,13 +414,12 @@ class MasseyResult(_Record):
     primitive_bc: KForm
 
 
-def _primitive(algebra, target):
-    """Deterministic solve of d(x) = target for a 1-form x (free vars zero)."""
-    columns, domain, codomain = _d_matrix(algebra, 1, None)
+def _primitive(algebra, target, theta=None):
+    """The 1-form x with d_theta(x) = target and free variables zero, or
+    None when target is not d_theta-exact."""
+    columns, domain, codomain = _d_matrix(algebra, 1, theta)
     solution = linalg.preimage(columns, _coordinates(target, codomain))
-    if solution is None:
-        raise InternalInvariantBreach("exact form has no primitive")
-    return _form(algebra, 1, domain, solution)
+    return None if solution is None else _form(algebra, 1, domain, solution)
 
 
 def triple_massey(algebra, a, b, c):
@@ -446,6 +455,8 @@ def triple_massey(algebra, a, b, c):
 
     x = _primitive(algebra, w_ab)
     y = _primitive(algebra, w_bc)
+    if x is None or y is None:
+        raise InternalInvariantBreach("exact form has no primitive")
     # representative x^c + (-1)^(|a|+1) a^y; |a| = 1 makes the sign +1
     representative = wedge(x, c.representative) + wedge(a.representative, y)
     if not ce_d(representative).is_zero:

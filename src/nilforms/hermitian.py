@@ -369,16 +369,16 @@ class HermitianClassification(_Record):
     (g, J) satisfies.
 
     ``lck`` is the conformal identity d(w) = theta ^ w with closed Lee form;
-    ``genuine_lee`` records [theta] != 0 (so lck and not genuine_lee is the
-    globally conformal case); ``vaisman`` adds a parallel nonzero Lee form.
-    ``label`` applies the precedence not_integrable > kahler > vaisman >
-    lck > gck > integrable_non_lck.
+    ``genuine_lee`` records [theta] != 0; ``vaisman`` adds a parallel
+    nonzero Lee form.  ``label`` applies the precedence not_integrable >
+    kahler > vaisman > lck > integrable_non_lck.
 
-    ``gck`` (globally conformally Kahler) is never set for invariant data:
-    B^1 = 0 for trivial coefficients, so a Lee form that is closed but not
-    genuine is zero, the identity then reads d(w) = 0, and an integrable J
-    with a closed fundamental form is Kahler, which ``gck`` excludes.  The
-    flag and label stay so the classification keeps its full vocabulary.
+    The vocabulary has no globally conformally Kahler case (lck with an
+    exact Lee form) because invariant data never reach it: B^1 = 0 for
+    trivial coefficients, so a Lee form that is closed but not genuine is
+    zero, the identity then reads d(w) = 0, and an integrable J with a
+    closed fundamental form is Kahler.  So an lck pair that is not Kahler
+    has a genuine Lee form.
     """
 
     integrable: bool
@@ -391,7 +391,6 @@ class HermitianClassification(_Record):
     lee_parallel: bool
     kahler: bool
     lck: bool
-    gck: bool
     vaisman: bool
     label: str
 
@@ -405,7 +404,7 @@ class HermitianClassification(_Record):
 
     @property
     def flags(self):
-        active = tuple(name for name in ("kahler", "vaisman", "lck", "gck")
+        active = tuple(name for name in ("kahler", "vaisman", "lck")
                        if getattr(self, name))
         return active or ("none",)
 
@@ -430,7 +429,6 @@ def classify_hermitian(algebra, metric, acs):
 
     kahler = integrable and d_omega.is_zero
     lck = integrable and identity and lee_closed
-    gck = lck and not genuine and not kahler
     vaisman = lck and genuine and parallel
 
     if not integrable:
@@ -439,10 +437,8 @@ def classify_hermitian(algebra, metric, acs):
         label = "kahler"
     elif vaisman:
         label = "vaisman"
-    elif lck and genuine:
+    elif lck:
         label = "lck"
-    elif gck:
-        label = "gck"
     else:
         label = "integrable_non_lck"
 
@@ -457,7 +453,6 @@ def classify_hermitian(algebra, metric, acs):
         lee_parallel=parallel,
         kahler=kahler,
         lck=lck,
-        gck=gck,
         vaisman=vaisman,
         label=label,
     )

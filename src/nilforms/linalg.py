@@ -49,9 +49,10 @@ basis of the span of some rows), ``unit_rows`` (that basis as rational
 rows), ``reduce`` (a vector modulo such a basis), ``span_rank`` (the
 dimension of a span), ``kernel`` and ``preimage`` (of a linear map given by
 its sparse columns, ``columns[c]`` the image of the c-th basis vector).
-Their inputs may hold ints or Fractions.  Only ``invert`` takes a dense
-square matrix (a list of rows of rationals), for the Gram matrices of
-metrics.
+Their inputs may hold ints or Fractions, and none takes an option: for
+spans B inside Z, the rows of ``echelon`` of Z whose pivots B lacks are the
+canonical basis of Z modulo B.  Only ``invert`` takes a dense square matrix
+(a list of rows of rationals), for the Gram matrices of metrics.
 """
 
 from __future__ import annotations
@@ -112,34 +113,27 @@ def _reduce(vec, basis, den=1):
         done = p
 
 
-def _forward(rows, modulo=None):
+def _forward(rows):
     """Forward elimination: ``{pivot column: primitive integer row}``, an
-    echelon basis of the span of ``rows`` (each first reduced modulo the
-    span of the basis ``modulo``, when given), not reduced above its
-    pivots."""
+    echelon basis of the span of ``rows``, not reduced above its pivots."""
     basis = {}
     for row in rows:
-        vec, _ = _integral(row)
-        if modulo:
-            vec, _ = _reduce(vec, modulo)
-        vec, _ = _reduce(vec, basis)
+        vec, _ = _reduce(_integral(row)[0], basis)
         if vec:
             basis[min(vec)] = _primitive(vec)
     return basis
 
 
-def echelon(rows, modulo=None):
+def echelon(rows):
     """Reduced row echelon basis of the span of sparse rational ``rows``.
 
     Returns ``{pivot column: primitive integer row}``, pivots and each
     row's columns in increasing order, pivot entries positive, zero rows
     dropped; the row ``r`` with pivot ``p`` stands for the canonical row
-    ``r / r[p]``.  With ``modulo`` (another such basis) the rows are first
-    reduced modulo its span, giving the canonical basis of their image in
-    the quotient.  Rows are eliminated shortest first, which keeps the fill
+    ``r / r[p]``.  Rows are eliminated shortest first, which keeps the fill
     down and cannot change the result.
     """
-    basis = _forward(sorted(rows, key=len), modulo)
+    basis = _forward(sorted(rows, key=len))
     # back-substitution, newest row first: each row is reduced by rows that
     # are already clear of every pivot but their own
     for p in reversed(list(basis)):

@@ -217,7 +217,7 @@ class Poly:
         return "Poly(" + " + ".join(chunks) + ")"
 
 
-def nonzero_point(poly, max_value=None):
+def nonzero_point(poly):
     """A deterministic rational point where ``poly`` does not vanish.
 
     Standard derandomized search: a nonzero polynomial of total degree d,
@@ -228,7 +228,7 @@ def nonzero_point(poly, max_value=None):
     """
     if poly.is_zero:
         raise InvalidParameter("the zero polynomial has no nonzero point")
-    bound = poly.total_degree() if max_value is None else max_value
+    bound = poly.total_degree()
     point = []
     terms = poly.terms
     for index in range(poly.nvars):

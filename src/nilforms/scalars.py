@@ -1,9 +1,10 @@
 """Exact rational scalars.
 
-Every coefficient in this package is a ``fractions.Fraction``.  Floats are
-rejected at the boundary: binary floating point cannot represent most of the
-rationals that show up here, and silent rounding would defeat the whole point
-of an exact kernel.  ``as_scalar`` is the single coercion chokepoint.
+Every coefficient in this package is exact: a ``fractions.Fraction`` in forms,
+metrics and results, an int where a kernel keeps an integral value.  Floats
+are rejected at the boundary: binary floating point cannot represent most of
+the rationals that show up here, and silent rounding would defeat the whole
+point of an exact kernel.  ``as_scalar`` is the single coercion chokepoint.
 """
 
 from __future__ import annotations

@@ -37,10 +37,10 @@ from fractions import Fraction
 
 from . import linalg
 from .cohomology import (
-    _coordinates,
     _d_matrix,
     _exact,
     _form,
+    _primitive,
     cohomology_space,
     twisted_d,
 )
@@ -338,12 +338,8 @@ def twisted_exactness_witness(algebra, omega, theta):
             "twisted exactness needs a valid lcs pair; got "
             f"nondegenerate={verdict.nondegenerate}, lee_closed={verdict.lee_closed}, "
             f"identity_holds={verdict.identity_holds}")
-    columns, domain, codomain = _d_matrix(algebra, 1, theta)
-    solution = linalg.preimage(columns, _coordinates(omega, codomain))
-    if solution is None:
-        return None
-    eta = _form(algebra, 1, domain, solution)
-    if twisted_d(algebra, theta, eta) != omega:
+    eta = _primitive(algebra, omega, theta)
+    if eta is not None and twisted_d(algebra, theta, eta) != omega:
         raise InternalInvariantBreach("twisted primitive failed re-verification")
     return eta
 

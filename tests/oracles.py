@@ -322,7 +322,7 @@ def reference_nijenhuis(algebra, matrix):
     return components
 
 
-def reference_nonzero_point(poly, max_value=None):
+def reference_nonzero_point(poly):
     """``polynomials.nonzero_point`` as it was before it fixed a variable in
     one walk over the terms: each value is tried by ``Poly.substitute``,
     which rebuilds every term from Poly products and powers."""
@@ -330,7 +330,7 @@ def reference_nonzero_point(poly, max_value=None):
 
     if poly.is_zero:
         raise InvalidParameter("the zero polynomial has no nonzero point")
-    bound = poly.total_degree() if max_value is None else max_value
+    bound = poly.total_degree()
     point = []
     current = poly
     for index in range(poly.nvars):

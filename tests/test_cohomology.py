@@ -9,6 +9,8 @@ import pytest
 from fractions import Fraction
 
 from nilforms import (
+    AmbientMismatch,
+    CohomologySpace,
     CupObstruction,
     InternalInvariantBreach,
     JacobiViolation,
@@ -106,6 +108,20 @@ def test_negative_betti_numbers_are_a_breach():
         betti_profile(shadow)
 
 
+def test_coboundaries_outside_the_cocycles_are_a_breach():
+    # dx1 = -x12, dx2 = -x12, dx3 = -x13 fails Jacobi: d(dx3) = x123.  In
+    # degree 2 the cocycles x12 and x13 - x23/2 and the coboundaries x12 and
+    # x13 have the same pivots, so the pivots alone would give H^2 = 0; the
+    # exact check d(dx3) != 0 must raise instead
+    shadow = LieAlgebra.__new__(LieAlgebra)
+    shadow.dim = 3
+    shadow.constants = {key: Fraction(1) for key in ((1, 2, 2), (1, 3, 3), (1, 2, 1))}
+    shadow._dx = shadow._build_dx()
+    shadow._d_columns = {}
+    with pytest.raises(InternalInvariantBreach, match="d\\^2 = 0 is broken"):
+        CohomologySpace(shadow, 2)
+
+
 def test_twisted_profiles_leave_the_cache_alone():
     algebra = parse_salamon("(0,0,12,13)")
     before = len(algebra._cohomology_cache)
@@ -116,8 +132,8 @@ def test_twisted_profiles_leave_the_cache_alone():
 
 
 def test_a_sweep_over_theta_keeps_each_twisted_space():
-    # classes compare and add by the identity of their space, so a space
-    # must come back as the same object however many twists came after it
+    # a space must come back as the same object however many twists came
+    # after it, and its classes must still compare and add
     algebra = LieAlgebra(2, {(1, 2, 2): 1})
     x1 = algebra.covector(1)
     space = cohomology_space(algebra, 1, x1.scale(-1))
@@ -129,6 +145,25 @@ def test_a_sweep_over_theta_keeps_each_twisted_space():
     (new,) = again.classes()
     assert old == new and hash(old) == hash(new)
     assert old + new == new.scale(2)
+
+
+def test_classes_of_equal_algebras_built_apart_are_equal():
+    # classes compare by the value of their space, not by which algebra
+    # object's cache holds it
+    spaces = []
+    for _ in range(2):
+        algebra = LieAlgebra(2, {(1, 2, 2): 1})
+        spaces.append(cohomology_space(algebra, 1, algebra.covector(1).scale(-1)))
+    assert spaces[0] is not spaces[1]
+    (x,), (y,) = (space.classes() for space in spaces)
+    assert x == y and hash(x) == hash(y)
+    assert x + y == y.scale(2) == x.scale(2)
+    assert x - y == x.scale(0)
+    plain = cohomology_space(spaces[0].algebra, 1)
+    (z,) = plain.classes()
+    assert z != x
+    with pytest.raises(AmbientMismatch):
+        x + z
 
 
 def test_so3_has_the_sphere_profile(so3):

@@ -224,6 +224,6 @@ def test_classifier_is_conformally_stable(kt):
     scaled_gram = [[4 * v for v in row]
                    for row in euclidean_metric(4).matrix]
     scaled = classify_hermitian(kt, InnerProduct(scaled_gram), ROTATION_J)
-    for flag in ("integrable", "kahler", "lck", "gck", "vaisman", "label"):
+    for flag in ("integrable", "kahler", "lck", "vaisman", "label"):
         assert getattr(base, flag) == getattr(scaled, flag)
     assert base.lee == scaled.lee

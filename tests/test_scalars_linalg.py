@@ -114,24 +114,21 @@ def row_operations(draw):
     return rows, target, perm, scales
 
 
-@given(row_operations(), st.lists(st.lists(ROW_ENTRIES, min_size=6, max_size=6),
-                                  max_size=3))
-def test_row_order_and_scale_move_no_output(case, other):
+@given(row_operations())
+def test_row_order_and_scale_move_no_output(case):
     """The reduced echelon form of a row space is unique, so permuting the
-    rows and scaling them by nonzero integers changes no ``echelon`` (also
-    modulo another span), ``kernel`` or ``preimage``."""
+    rows and scaling them by nonzero integers changes no ``echelon``,
+    ``kernel`` or ``preimage``."""
     rows, target, perm, scales = case
     ncols = len(rows[0]) if rows else 0
     moved = [[scales[r] * v for v in rows[perm[r]]] for r in range(len(rows))]
     moved_target = [scales[r] * target[perm[r]] for r in range(len(rows))]
-    modulo = echelon(dict(enumerate(row[:ncols])) for row in other)
 
     def outputs(matrix, rhs):
         columns = [{r: row[c] for r, row in enumerate(matrix) if row[c]}
                    for c in range(ncols)]
         sparse_rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
-        return (echelon(sparse_rows), echelon(sparse_rows, modulo=modulo),
-                kernel(columns),
+        return (echelon(sparse_rows), kernel(columns),
                 preimage(columns, {r: v for r, v in enumerate(rhs) if v}))
 
     before, after = outputs(rows, target), outputs(moved, moved_target)
