@@ -82,28 +82,57 @@ def _exact(value):
     return value.numerator if value.denominator == 1 else value
 
 
-def _d_columns(algebra, k):
-    """The columns of the untwisted d on Lambda^k, memoized per degree on the
-    algebra (so at most dim + 1 entries).
+def _lee_terms(theta):
+    """theta's terms as ``(bit, below, c)`` (``_bit``, c exact): theta ^ x_S
+    adds each index i of theta to the mask of S, with the sign
+    (-1)^|S & below i| of moving x_i past the smaller indices, and d_theta
+    subtracts it."""
+    return [(*_bit(i), _exact(c)) for (i,), c in theta.coeffs.items()]
 
-    Each source monomial x_S is the bitmask sum(1 << i for i in S), and
+
+def _d_images(algebra, degrees, theta=None):
+    """For each k in ``degrees``, the images d_theta x_S of the degree-k
+    monomials in lex order, each a sparse ``{target bitmask: coefficient}``;
+    theta is validated already.  Nothing is cached.
+
+    A monomial x_S is the bitmask sum(1 << i for i in S), and
     ``exterior_core._leibniz`` adds d x_S term by term with the sign
-    (-1)^(t + |R & below a| + |R & below b|); a position dict keyed by the
-    codomain masks turns the result into a column.  The table holds the
-    covector differentials with integral constants as ints, so entries are
-    ints wherever the constants allow and no ``Fraction`` arithmetic runs
-    for those.
+    (-1)^(t + |R & below a| + |R & below b|), from one int table built per
+    call out of ``algebra._dx``: integral constants stay ints, so no
+    ``Fraction`` arithmetic runs for them.  Every Leibniz term of d x_S
+    carries a factor dx_i with i in S, so a source whose indices are all
+    closed gets no Leibniz pass.  A twist subtracts theta ^ x_S on the same
+    masks (``_lee_terms``).
     """
-    columns = algebra._d_columns.get(k)
-    if columns is None:
-        table = _leibniz_table({i: {mono: _exact(c) for mono, c in terms.items()}
-                                for i, terms in algebra._dx.items()})
-        position = {mask: i for i, mask in enumerate(_masks(algebra.dim, k + 1))}
-        columns = []
+    dx = algebra._dx
+    table = _leibniz_table({i: {mono: _exact(c) for mono, c in terms.items()}
+                            for i, terms in dx.items()})
+    unclosed = sum(1 << i for i, terms in dx.items() if terms)
+    lee = [] if theta is None else _lee_terms(theta)
+    for k in degrees:
+        images = []
         for source in _masks(algebra.dim, k):
             image = {}
-            _leibniz(image, source, 1, table)
-            columns.append({position[mask]: c for mask, c in image.items()})
+            if source & unclosed:
+                _leibniz(image, source, 1, table)
+            for bit, below, c in lee:
+                if not source & bit:
+                    _add_term(image, source | bit,
+                              c if (source & below).bit_count() & 1 else -c)
+            images.append(image)
+        yield images
+
+
+def _d_columns(algebra, k):
+    """The columns of the untwisted d on Lambda^k: the ``_d_images`` re-keyed
+    by the lex position of their target monomials, memoized per degree on
+    the algebra (so at most dim + 1 entries) for the cohomology spaces and
+    lcs candidates that read them again and again."""
+    columns = algebra._d_columns.get(k)
+    if columns is None:
+        (images,) = _d_images(algebra, [k])
+        position = {mask: i for i, mask in enumerate(_masks(algebra.dim, k + 1))}
+        columns = [{position[mask]: c for mask, c in image.items()} for image in images]
         algebra._d_columns[k] = columns
     return columns
 
@@ -114,16 +143,15 @@ def _d_matrix(algebra, k, theta):
     Returns ``(columns, domain, codomain)``: ``columns[c]`` is the image of
     the monomial ``domain[c]``, sparse as ``{codomain position: coefficient}``
     with integral coefficients held as ints.  Untwisted columns are the
-    algebra's memo and must not be mutated; twisted ones are built afresh,
-    so a sweep over theta does not grow memory.
+    algebra's memo (``_d_columns``) and must not be mutated; twisted ones
+    are copies of it with theta ^ x_S subtracted, so a sweep over theta
+    reuses one Leibniz pass and does not grow memory.
     """
     theta = _require_twist(algebra, theta)
     columns = _d_columns(algebra, k)
     if theta is not None:
-        # theta ^ x_S adds each index i of theta to the mask of S, with the
-        # sign (-1)^|S & below i| of moving x_i past the smaller indices
         position = {mask: i for i, mask in enumerate(_masks(algebra.dim, k + 1))}
-        lee = [(*_bit(i), _exact(c)) for (i,), c in theta.coeffs.items()]
+        lee = _lee_terms(theta)
         twisted = []
         for source, column in zip(_masks(algebra.dim, k), columns):
             column = dict(column)
@@ -296,21 +324,21 @@ def betti_profile(algebra, theta=None):
     """(b_0, ..., b_n), twisted when theta is given, from ranks alone.
 
     b_k = C(n, k) - r_k - r_{k-1}, where r_k is the rank of
-    d_theta : Lambda^k -> Lambda^{k+1} (r_{-1} = r_n = 0); no cohomology
-    space is built and nothing is cached.  On a unimodular algebra the
-    untwisted d on Lambda^{n-1-k} is, up to sign, the transpose of d on
-    Lambda^k under the wedge pairing into Lambda^n (Poincare duality), so
-    r_{n-1-k} = r_k and only k <= (n - 1) / 2 is eliminated.  Twisted and
-    non-unimodular profiles take every rank.
+    d_theta : Lambda^k -> Lambda^{k+1} (r_{-1} = r_n = 0), taken of the
+    bitmask images of ``_d_images`` as they come: no position table, no
+    cohomology space, and nothing is cached on the algebra.  On a
+    unimodular algebra the untwisted d on Lambda^{n-1-k} is, up to sign,
+    the transpose of d on Lambda^k under the wedge pairing into Lambda^n
+    (Poincare duality), so r_{n-1-k} = r_k and only k <= (n - 1) / 2 is
+    eliminated.  Twisted and non-unimodular profiles take every rank.
     """
     theta = _require_twist(algebra, theta)
     n = algebra.dim
     if theta is None and _is_unimodular(algebra):
-        half = [linalg.span_rank(_d_matrix(algebra, k, None)[0])
-                for k in range((n + 1) // 2)]
+        half = list(map(linalg.span_rank, _d_images(algebra, range((n + 1) // 2))))
         ranks = [half[min(k, n - 1 - k)] for k in range(n)]
     else:
-        ranks = [linalg.span_rank(_d_matrix(algebra, k, theta)[0]) for k in range(n)]
+        ranks = list(map(linalg.span_rank, _d_images(algebra, range(n), theta)))
     ranks = [0, *ranks, 0]
     betti = tuple(comb(n, k) - ranks[k + 1] - ranks[k] for k in range(n + 1))
     if min(betti) < 0:

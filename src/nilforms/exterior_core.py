@@ -116,7 +116,7 @@ def _masks(dim, k):
     """The degree-k monomials in dim variables as bitmasks sum(1 << i), in
     lex order (the order of ``LieAlgebra.monomials(k)``)."""
     bits = [1 << i for i in range(1, dim + 1)]
-    return [sum(mono) for mono in itertools.combinations(bits, k)]
+    return list(map(sum, itertools.combinations(bits, k)))
 
 
 def _leibniz_table(dx_table):

@@ -354,10 +354,20 @@ class SearchConfig(_Record):
     echelon basis of closed covectors) are rationals p/q with
     max(|p|, q) <= height.
     ``max_candidates``: hard cap on examined candidates (None: exhaust).
+    Both are non-negative ints (bool excluded); anything else raises
+    InvalidParameter.
     """
 
     height: int = 2
     max_candidates: int | None = None
+
+    def __post_init__(self):
+        checked = {"height": self.height}
+        if self.max_candidates is not None:
+            checked["max_candidates"] = self.max_candidates
+        for name, value in checked.items():
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise InvalidParameter(f"{name} must be a non-negative int, got {value!r}")
 
 
 class LcsSearchResult(_Record):
@@ -423,12 +433,13 @@ def theta_candidates(algebra, config):
     for h = 1..height, all coordinate vectors over the closed-covector basis
     whose maximum coordinate height is exactly h, by support size, then
     support position, then the documented value order, except that the
-    unit basis covectors are hoisted to the front of level 1.
+    unit basis covectors are hoisted to the front of level 1.  Height 0
+    yields the zero form alone.
     """
     basis = closed_covector_basis(algebra)
     m = len(basis)
     yield algebra.zero_form(1)
-    if m == 0:
+    if m == 0 or config.height == 0:
         return
 
     def assemble(assignment):

@@ -163,6 +163,12 @@ def test_exit_code_3_on_invalid_algebra(capsys):
     assert "Jacobi" in err or "jacobi" in err
 
 
+@pytest.mark.parametrize("command", ["search-lcs", "analyze"])
+def test_exit_code_3_on_a_negative_height(capsys, command):
+    assert main([command, "(0,0,0,12)", "--height", "-1"]) == 3
+    assert "height" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_missing_file(capsys):
     assert main(["analyze", "no_such_file.json"]) == 3
 

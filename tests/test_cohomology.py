@@ -122,6 +122,14 @@ def test_coboundaries_outside_the_cocycles_are_a_breach():
         CohomologySpace(shadow, 2)
 
 
+def test_betti_profile_caches_nothing():
+    algebra = parse_salamon("(0,0,12,13,14,15)")
+    assert betti_profile(algebra) == (1, 2, 3, 4, 3, 2, 1)
+    assert betti_profile(algebra, algebra.covector(1)) == (0,) * 7
+    assert algebra._d_columns == {}
+    assert algebra._cohomology_cache == {}
+
+
 def test_twisted_profiles_leave_the_cache_alone():
     algebra = parse_salamon("(0,0,12,13)")
     before = len(algebra._cohomology_cache)

@@ -54,6 +54,8 @@ SHAPES = ((4, 2), (4, 3), (6, 2), (6, 3), (8, 2), (8, 3))
 SEEDS = range(4)
 
 CONFIGS = {
+    # theta = 0 alone: no basis covector may slip in ahead of level 1
+    "h0": SearchConfig(height=0),
     "h1": SearchConfig(height=1),
     "h2": SearchConfig(height=2),
     "h2-cap5": SearchConfig(height=2, max_candidates=5),

@@ -14,6 +14,7 @@ suite-wide count at one thousand or more.
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +72,7 @@ from conftest import (
     forms_on,
     nilpotent_algebras,
     non_nilpotent_4d_algebras,
+    permuted_nilpotent_algebras,
     posdef_metrics,
     small_rationals,
     two_step_algebras,
@@ -78,6 +80,7 @@ from conftest import (
 from oracles import (
     as_fraction,
     basis_vector,
+    betti_by_koszul,
     d_matrix_by_koszul,
     jacobiator,
     reference_koszul_table,
@@ -492,6 +495,41 @@ def test_twisted_rank_profile_equals_the_full_spaces(algebra, data):
     basis = closed_covector_basis(algebra)
     theta = _combination(algebra, basis, _nonzero_coords(data, len(basis)))
     assert betti_profile(algebra, theta) == _full_betti(algebra, theta)
+
+
+# betti_profile ranks its own bitmask images, skips the sources whose indices
+# are all closed, and uses duality on unimodular input; the reference ranks
+# the position-keyed _d_matrix columns of every degree.  Permuted bases put
+# closed covectors between non-closed ones, and the constants below are not
+# integral: x1, x2, x4 closed, dx3 = -x12 / 2, dx5 = 3 x13 / 2 - x24 / 3.
+NON_INTEGRAL = LieAlgebra(5, {(1, 2, 3): Fraction(1, 2), (1, 3, 5): Fraction(-3, 2),
+                              (2, 4, 5): Fraction(1, 3)})
+
+
+def _betti_by_d_matrix(algebra, theta=None):
+    n = algebra.dim
+    ranks = [0, *(linalg.span_rank(_d_matrix(algebra, k, theta)[0]) for k in range(n)), 0]
+    return tuple(comb(n, k) - ranks[k + 1] - ranks[k] for k in range(n + 1))
+
+
+def _plain_and_twisted(algebra, data):
+    basis = closed_covector_basis(algebra)
+    return None, _combination(algebra, basis, _nonzero_coords(data, len(basis)))
+
+
+@fuzz(st.one_of(permuted_nilpotent_algebras(), st.just(NON_INTEGRAL),
+                non_nilpotent_4d_algebras()), st.data(), n=40)
+def test_betti_profile_equals_the_ranks_of_the_d_matrix(algebra, data):
+    for theta in _plain_and_twisted(algebra, data):
+        assert betti_profile(algebra, theta) == _betti_by_d_matrix(algebra, theta)
+
+
+# the Koszul oracle takes about 1.3 s per profile in dimension 6
+@fuzz(st.one_of(permuted_nilpotent_algebras(dims=(4, 5, 6)), st.just(NON_INTEGRAL),
+                non_nilpotent_4d_algebras()), st.data(), n=10)
+def test_betti_profile_equals_the_koszul_oracle(algebra, data):
+    for theta in _plain_and_twisted(algebra, data):
+        assert betti_profile(algebra, theta) == betti_by_koszul(algebra, theta)
 
 
 # -- Dixmier vanishing ---------------------------------------------------------

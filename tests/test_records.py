@@ -49,8 +49,8 @@ def test_records_of_different_types_differ():
     verdict = LcsVerdict(True, True, True, False, Fraction(1))
     assert verdict != SearchConfig()
     assert verdict == LcsVerdict(True, True, True, False, Fraction(1))
-    # equal field values, different types
-    assert SymplecticVerdict(True, Fraction(1)) != SearchConfig(True, Fraction(1))
+    # equal field values, different types (values SearchConfig accepts)
+    assert SymplecticVerdict(1, 2) != SearchConfig(1, 2)
 
 
 def test_reprs():

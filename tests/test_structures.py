@@ -8,6 +8,7 @@ import pytest
 from nilforms import (
     AlmostComplexStructure,
     InternalInvariantBreach,
+    InvalidParameter,
     NotAlmostComplex,
     NotNilpotent,
     OddDimension,
@@ -176,6 +177,35 @@ def test_find_lcs_abelian_count_matches_enumeration(torus):
     config = SearchConfig(height=2)
     streamed = sum(1 for _ in theta_candidates(torus, config))
     assert find_lcs(torus, config).examined == streamed
+
+
+@pytest.mark.parametrize("h", [0, 1, 3])  # height 2: the test above
+def test_find_lcs_abelian_count_matches_enumeration_at_each_height(torus, h):
+    config = SearchConfig(height=h)
+    streamed = sum(1 for _ in theta_candidates(torus, config))
+    assert find_lcs(torus, config).examined == streamed
+
+
+@pytest.mark.parametrize("salamon", ["(0,0,0,12)", "(0,0,12,13)",
+                                     "(0,0,0,0,12,34)", "(0,0,12,13,14,15)"])
+def test_height_zero_examines_theta_zero_alone(salamon):
+    algebra = parse_salamon(salamon)
+    config = SearchConfig(height=0)
+    assert [theta.is_zero for theta in theta_candidates(algebra, config)] == [True]
+    result = find_lcs(algebra, config)
+    assert (result.examined, result.capped) == (1, False)
+    assert result.genuine_witness is None
+    assert result.genuine_status == "NOT_FOUND_UP_TO_HEIGHT(0)"
+
+
+@pytest.mark.parametrize("fields", [
+    {"height": -3}, {"height": -1}, {"height": "2"}, {"height": 2.5},
+    {"height": True}, {"height": None}, {"max_candidates": -2},
+    {"max_candidates": False}, {"max_candidates": 1.0}, {"max_candidates": "5"},
+], ids=repr)
+def test_search_config_rejects_what_is_not_a_count(fields):
+    with pytest.raises(InvalidParameter):
+        SearchConfig(**fields)
 
 
 def test_find_lcs_candidate_cap(filiform, torus):
