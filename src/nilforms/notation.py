@@ -137,7 +137,8 @@ def _checked_pair(i, j, n, pos):
 
 
 def _parse_entry(text, start, end, n):
-    """One differential, as {(i, j): coefficient}."""
+    """One differential, as {(i, j): coefficient}; a coefficient stays an
+    int unless the entry writes it as a fraction."""
     cur = _Cursor(text, start, end)
     cur.skip_space()
     if cur.peek() == "":
@@ -157,7 +158,7 @@ def _parse_entry(text, start, end, n):
         sign = -1 if cur.take() == "-" else 1
     while True:
         cur.skip_space()
-        coeff = Fraction(sign)
+        coeff = sign
         if cur.peek().isdigit():
             num_pos = cur.pos
             d = cur.digits("coefficient or pair")
@@ -191,7 +192,7 @@ def _parse_entry(text, start, end, n):
             raise SalamonSyntaxError(
                 f"unexpected {cur.peek()!r}" if cur.peek() else "unexpected end",
                 cur.pos, ("coefficient", "pair"))
-        terms[pair] = terms.get(pair, Fraction(0)) + coeff
+        terms[pair] = terms.get(pair, 0) + coeff
         cur.skip_space()
         if cur.pos == cur.end:
             break

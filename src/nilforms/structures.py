@@ -32,11 +32,14 @@ unique and the conformal dichotomy collapses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
+from operator import add, lshift
 
 from . import linalg
 from .cohomology import (
+    _d_columns,
     _d_matrix,
     _exact,
     _form,
@@ -91,12 +94,15 @@ def skew_matrix(omega):
     return rows
 
 
-def _pfaffian_expand(entry, indices, zero, one):
+def _pfaffian_expand(rows, indices, one, combine):
     """Pfaffian by first-row expansion, memoized on index subsets.
 
-    Generic over the coefficient ring: ``entry(i, j)`` (i < j) must support
-    +, unary -, * and truth-testing.  Used with Fractions for numeric
-    Pfaffians and with Poly for symbolic ones.
+    Generic over the coefficient ring: ``rows[i][j]`` (i < j) holds the
+    nonzero entries, ``one`` is the unit, and ``combine(terms)`` sums
+    a * b, negated when ``odd``, over the ``(odd, a, b)`` terms of one
+    expansion.  Used with exact scalars and ``_signed_sum`` for numeric
+    Pfaffians, and with packed-exponent dicts and ``_packed_sum`` for
+    symbolic ones.
     """
     memo = {}
 
@@ -105,18 +111,16 @@ def _pfaffian_expand(entry, indices, zero, one):
             return one
         if subset in memo:
             return memo[subset]
-        first, rest = subset[0], subset[1:]
-        total = zero
+        row = rows.get(subset[0], {})
+        rest = subset[1:]
+        terms = []
         for pos, partner in enumerate(rest):
-            e = entry(first, partner)
-            if not e:
-                continue
-            sub = pf(tuple(x for x in rest if x != partner))
-            if not sub:
-                continue
-            term = e * sub
-            total = total + (term if pos % 2 == 0 else -term)
-        memo[subset] = total
+            e = row.get(partner)
+            if e:
+                sub = pf(rest[:pos] + rest[pos + 1:])
+                if sub:
+                    terms.append((pos & 1, e, sub))
+        total = memo[subset] = combine(terms)
         return total
 
     try:
@@ -127,18 +131,40 @@ def _pfaffian_expand(entry, indices, zero, one):
         del pf
 
 
+def _signed_sum(terms):
+    """The expansion step on exact scalars, from int 0."""
+    total = 0
+    for odd, a, b in terms:
+        total = total - a * b if odd else total + a * b
+    return total
+
+
+def _packed_sum(terms):
+    """The expansion step on polynomials held as ``{packed exponent:
+    coefficient}`` dicts: multiplying monomials adds their keys."""
+    out = {}
+    get = out.get
+    for odd, a, b in terms:
+        for ka, ca in a.items():
+            if odd:
+                ca = -ca
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
 def pfaffian_volume(algebra, omega):
     """Pfaffian of omega's skew matrix == coefficient of the top monomial in
-    omega^n / n!.  Nonzero iff omega is nondegenerate."""
+    omega^n / n!.  Nonzero iff omega is nondegenerate.  Expanded on the
+    coefficients as ints wherever they are integral; returned as a Fraction."""
     if algebra.dim % 2:
         raise OddDimension("the Pfaffian needs an even-dimensional algebra")
     _check_two_form(algebra, omega)
-    return _pfaffian_expand(
-        lambda i, j: omega.coefficient((i, j)),
-        range(1, algebra.dim + 1),
-        ZERO,
-        ONE,
-    )
+    rows = {}
+    for (i, j), c in omega.coeffs.items():
+        rows.setdefault(i, {})[j] = _exact(c)
+    return as_scalar(_pfaffian_expand(rows, range(1, algebra.dim + 1), 1, _signed_sum))
 
 
 # -- symplectic --------------------------------------------------------------
@@ -166,29 +192,41 @@ def check_symplectic(algebra, omega):
     )
 
 
-def _unit_exponent(nvars, *variables):
-    """Exponent tuple of the product of the given (distinct) variables."""
-    return tuple(1 if t in variables else 0 for t in range(nvars))
+def _unit_exponents(nvars):
+    """The exponent tuple of each single variable, in index order."""
+    zeros = (0,) * nvars
+    return [zeros[:v] + (1,) + zeros[v + 1:] for v in range(nvars)]
 
 
 def _symbolic_pfaffian(dim, nvars, contributions):
     """Pfaffian, as a Poly in ``nvars`` variables, of the skew matrix whose
     (i, j) entry (i < j) sums coeff * monomial over the contributions
     ``((i, j), exponent, coeff)``; each ((i, j), exponent) occurs at most
-    once.  The entry table is built in one walk, before the expansion.
+    once, and each exponent is a product of distinct variables (entries 0
+    or 1).  The entry table is built in one walk, before the expansion.
 
-    Integral coefficients enter as ints (``_exact``) and the unit is the int
-    1, so the expansion runs on int arithmetic wherever the input allows."""
-    table = {}
-    for pair, expo, coeff in contributions:
+    The expansion runs on ``{packed exponent: coefficient}`` dicts: an
+    exponent tuple e becomes the int sum(e_v << (w * v)), so a product of
+    monomials is a sum of ints.  A product of dim / 2 entries raises no
+    variable above dim / 2, and w = bit length of dim / 2 holds that, so
+    no field carries into the next.  Integral coefficients enter as ints
+    (``_exact``) and the unit is {0: 1}, so the arithmetic stays on ints
+    wherever the input allows; the result is unpacked to a Poly once, at
+    the end."""
+    width = max(1, (dim // 2).bit_length())
+    shifts = range(0, width * nvars, width)
+    packed = {}
+    rows = {}
+    for (i, j), expo, coeff in contributions:
         if coeff:
-            table.setdefault(pair, {})[expo] = _exact(coeff)
-    zero = Poly(nvars, {}, _normalized=True)
-    one = Poly(nvars, {(0,) * nvars: 1}, _normalized=True)
-    entries = {pair: Poly(nvars, terms, _normalized=True)
-               for pair, terms in table.items()}
-    return _pfaffian_expand(lambda i, j: entries.get((i, j), zero),
-                            range(1, dim + 1), zero, one)
+            key = packed.get(expo)
+            if key is None:
+                key = packed[expo] = sum(map(lshift, expo, shifts))
+            rows.setdefault(i, {}).setdefault(j, {})[key] = _exact(coeff)
+    pf = _pfaffian_expand(rows, range(1, dim + 1), {0: 1}, _packed_sum)
+    mask = (1 << width) - 1
+    return Poly(nvars, {tuple([key >> s & mask for s in shifts]): c
+                        for key, c in pf.items()}, _normalized=True)
 
 
 def _twisted_exact_pfaffian(algebra, covectors):
@@ -204,16 +242,20 @@ def _twisted_exact_pfaffian(algebra, covectors):
     """
     n, m = algebra.dim, len(covectors)
     nvars = m + n
+    units = _unit_exponents(nvars)
+    # each covector's terms (k, beta_k), integral betas as ints
+    lee = [[(k, _exact(beta)) for (k,), beta in covector.coeffs.items()]
+           for covector in covectors]
 
     def contributions():
         for j in range(1, n + 1):
-            a_j = m + j - 1
-            for pair, coeff in algebra.dx(j).coeffs.items():
-                yield pair, _unit_exponent(nvars, a_j), coeff
-            for i, covector in enumerate(covectors):
-                expo = _unit_exponent(nvars, i, a_j)
+            a_j = units[m + j - 1]
+            for pair, coeff in algebra._dx[j].items():
+                yield pair, a_j, coeff
+            for t_i, terms in zip(units, lee):
+                expo = tuple(map(add, t_i, a_j))
                 # -t_i a_j (beta_k x_k ^ x_j) for each term beta_k x_k of b_i
-                for (k,), beta in covector.coeffs.items():
+                for k, beta in terms:
                     if k < j:
                         yield (k, j), expo, -beta
                     elif k > j:
@@ -239,8 +281,8 @@ def nondegenerate_in_span(algebra, basis_forms):
 
     nvars = len(basis_forms)
     pfaffian = _symbolic_pfaffian(algebra.dim, nvars, (
-        (pair, _unit_exponent(nvars, v), coeff)
-        for v, form in enumerate(basis_forms)
+        (pair, unit, coeff)
+        for unit, form in zip(_unit_exponents(nvars), basis_forms)
         for pair, coeff in form.coeffs.items()))
     if pfaffian.is_zero:
         return None
@@ -405,10 +447,11 @@ class LcsSearchResult(_Record):
         return f"NOT_FOUND_UP_TO_HEIGHT({self.height})"
 
 
+@functools.lru_cache(maxsize=32)
 def _ordered_values(max_height):
     """Nonzero rationals of height <= max_height in the documented order:
     by height, integers before proper fractions, positive before negative,
-    then by magnitude."""
+    then by magnitude.  A pure function of the height, kept as a tuple."""
     values = set()
     for den in range(1, max_height + 1):
         for num in range(-max_height, max_height + 1):
@@ -417,13 +460,16 @@ def _ordered_values(max_height):
             v = Fraction(num, den)
             if height(v) <= max_height:
                 values.add(v)
-    return sorted(values, key=lambda v: (
-        height(v), 0 if v.denominator == 1 else 1, 0 if v > 0 else 1, abs(v)))
+    return tuple(sorted(values, key=lambda v: (
+        height(v), 0 if v.denominator == 1 else 1, 0 if v > 0 else 1, abs(v))))
 
 
 def closed_covector_basis(algebra):
-    """Echelon basis of the closed 1-forms (= H^1 cocycles)."""
-    return cohomology_space(algebra, 1).cocycle_basis
+    """Echelon basis of the closed 1-forms: the kernel of d on Lambda^1,
+    the cocycle basis of H^1 without building the space (in degree 1 the
+    coboundaries are 0, so the space would add nothing to check)."""
+    return [_form(algebra, 1, algebra.monomials(1), vec)
+            for vec in linalg.kernel(_d_columns(algebra, 1))]
 
 
 def theta_candidates(algebra, config):
@@ -436,7 +482,11 @@ def theta_candidates(algebra, config):
     unit basis covectors are hoisted to the front of level 1.  Height 0
     yields the zero form alone.
     """
-    basis = closed_covector_basis(algebra)
+    yield from _theta_stream(algebra, config, closed_covector_basis(algebra))
+
+
+def _theta_stream(algebra, config, basis):
+    """``theta_candidates`` over a closed-covector basis already computed."""
     m = len(basis)
     yield algebra.zero_form(1)
     if m == 0 or config.height == 0:
@@ -489,9 +539,9 @@ def find_lcs(algebra, config=SearchConfig()):
     if algebra.dim < 4:
         raise WrongDimension("lcs search needs dim >= 4")
 
-    candidates = theta_candidates(algebra, config)
-    total = None
     basis = closed_covector_basis(algebra)
+    candidates = _theta_stream(algebra, config, basis)
+    total = None
     if (_is_nilpotent(algebra)
             and _twisted_exact_pfaffian(algebra, basis).is_zero):
         # Every d_theta-closed 2-form with closed theta != 0 is some

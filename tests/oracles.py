@@ -349,7 +349,8 @@ def reference_nonzero_point(poly):
 
 def reference_symbolic_pfaffian(dim, nvars, contributions):
     """``structures._symbolic_pfaffian`` as it was before it expanded on
-    ints: every entry coefficient and the unit are ``Fraction``s."""
+    ints and packed exponents: ``Poly`` entries with exponent tuples, and
+    every entry coefficient and the unit are ``Fraction``s."""
     from nilforms.polynomials import Poly
     from nilforms.structures import _pfaffian_expand
 
@@ -358,10 +359,17 @@ def reference_symbolic_pfaffian(dim, nvars, contributions):
         if coeff:
             table.setdefault(pair, {})[expo] = Fraction(coeff)
     zero = Poly(nvars, {}, _normalized=True)
-    entries = {pair: Poly(nvars, terms, _normalized=True)
-               for pair, terms in table.items()}
-    return _pfaffian_expand(lambda i, j: entries.get((i, j), zero),
-                            range(1, dim + 1), zero, Poly.constant(nvars, 1))
+    rows = {}
+    for (i, j), terms in table.items():
+        rows.setdefault(i, {})[j] = Poly(nvars, terms, _normalized=True)
+
+    def combine(terms):
+        total = zero
+        for odd, a, b in terms:
+            total = total - a * b if odd else total + a * b
+        return total
+
+    return _pfaffian_expand(rows, range(1, dim + 1), Poly.constant(nvars, 1), combine)
 
 
 def _gram_minors(metric):

@@ -6,11 +6,14 @@ settle all theta != 0 candidates of a nilpotent algebra at once.  The two
 must report the same status, count, cap and witnesses, on generated
 nilpotent algebras whose searches both find a genuine pair and miss one.
 
-The cut rests on two cheap pieces, each checked against the route it
-replaced: the Pfaffian expanded on int coefficients against the all-Fraction
-expansion (``oracles.reference_symbolic_pfaffian``), and the nilpotency test
-read off Salamon's order against the lower central series, on bases
-shuffled so that it must fall back.
+The cut rests on cheap pieces, each checked against the route it
+replaced: the Pfaffian expanded on int coefficients and packed exponents
+against the all-Fraction expansion on exponent tuples
+(``oracles.reference_symbolic_pfaffian``), for the global polynomial and for
+the span witnesses alike; the closed covectors read off the kernel of d on
+Lambda^1 against the cocycle basis of H^1; and the nilpotency test read off
+Salamon's order against the lower central series, on bases shuffled so that
+it must fall back.
 """
 
 import itertools
@@ -23,15 +26,22 @@ from nilforms import (
     LieAlgebra,
     SearchConfig,
     build_algebra,
+    cohomology_space,
     find_lcs,
     format_form,
     lower_central_series,
     parse_salamon,
 )
-from nilforms import structures
+from nilforms import linalg, structures
+from nilforms.cohomology import _d_matrix, _form
 from nilforms.exterior_core import _is_nilpotent
-from nilforms.polynomials import nonzero_point
-from nilforms.structures import _twisted_exact_pfaffian, closed_covector_basis
+from nilforms.polynomials import Poly, nonzero_point
+from nilforms.structures import (
+    _symbolic_pfaffian,
+    _twisted_exact_pfaffian,
+    closed_covector_basis,
+    nondegenerate_in_span,
+)
 
 from conftest import (
     NON_NILPOTENT_4D,
@@ -149,6 +159,60 @@ def test_int_pfaffian_equals_the_fraction_expansion(algebra):
         assert all(type(c) is int for c in fast.terms.values())
     if fast:
         assert repr(nonzero_point(fast)) == repr(reference_nonzero_point(slow))
+
+
+@settings(max_examples=30)
+@given(st.one_of(nilpotent_algebras(dims=(4, 6, 8)), st.just(RATIONAL_CONSTANTS)))
+def test_span_witness_equals_the_fraction_expansion(algebra):
+    # the spans find_lcs decides: the closed 2-forms, and the d_theta-closed
+    # ones for the first closed covector
+    basis = closed_covector_basis(algebra)
+    for theta in (None, *basis[:1]):
+        columns, domain, _ = _d_matrix(algebra, 2, theta)
+        span = [_form(algebra, 2, domain, vec) for vec in linalg.kernel(columns)]
+        fast = nondegenerate_in_span(algebra, span)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(structures, "_symbolic_pfaffian", reference_symbolic_pfaffian)
+            slow = nondegenerate_in_span(algebra, span)
+        assert fast == slow
+        assert repr(fast) == repr(slow)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+def test_the_exponent_width_holds_the_top_power(dim):
+    # a * sum x_{2i-1} ^ x_{2i} has Pfaffian a^m, m = dim / 2, the largest
+    # exponent a packed field must hold; b, in no entry, would show a carry
+    m = dim // 2
+    algebra = LieAlgebra(dim, {})
+    omega = algebra.form({(2 * i - 1, 2 * i): 1 for i in range(1, m + 1)})
+    contributions = [(pair, (1, 0), c) for pair, c in omega.coeffs.items()]
+    pfaffian = _symbolic_pfaffian(dim, 2, contributions)
+    assert pfaffian == Poly(2, {(m, 0): 1})
+    assert repr(pfaffian) == repr(reference_symbolic_pfaffian(dim, 2, contributions))
+    assert nondegenerate_in_span(algebra, [omega]) == omega
+
+
+@settings(max_examples=40)
+@given(st.one_of(catalog_algebras(), nilpotent_algebras(), non_nilpotent_4d_algebras()))
+def test_closed_covectors_equal_the_cocycles_of_h1(algebra):
+    direct = closed_covector_basis(algebra)
+    cocycles = cohomology_space(algebra, 1).cocycle_basis
+    assert [form.coeffs for form in direct] == [form.coeffs for form in cocycles]
+    assert repr(direct) == repr(cocycles)
+
+
+@pytest.mark.parametrize("salamon", ["(0,0,12,13)", "(0,0,0,0,12,34)", "(0,0,0,0)"])
+def test_find_lcs_reads_the_closed_covectors_once(salamon):
+    calls = []
+
+    def counted(algebra):
+        calls.append(algebra)
+        return closed_covector_basis(algebra)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(structures, "closed_covector_basis", counted)
+        find_lcs(parse_salamon(salamon), SearchConfig(height=2))
+    assert len(calls) == 1
 
 
 def test_rational_constants_keep_their_fractions():

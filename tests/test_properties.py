@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from nilforms import (
     DegenerateMetric,
@@ -97,10 +97,16 @@ from oracles import (
 CASE_BUDGET = []
 
 
-def fuzz(*strategies, n=60, **kw):
+# for properties whose every example reruns a slow oracle: each shrink step
+# would rerun it too, so a failure reports as it is found instead of after
+# minutes of shrinking
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
+def fuzz(*strategies, n=60, phases=tuple(Phase), **kw):
     def wrap(fn):
         CASE_BUDGET.append((fn.__name__, n))
-        return settings(max_examples=n)(given(*strategies, **kw)(fn))
+        return settings(max_examples=n, phases=phases)(given(*strategies, **kw)(fn))
     return wrap
 
 
@@ -160,7 +166,7 @@ def test_twisted_differential_squares_to_zero(algebra, raw_theta):
 # the Koszul oracle takes over a second for one algebra of dimension 6, so
 # the dimensions stay at most 5; two-step constants have denominators up to 3
 @fuzz(st.one_of(two_step_algebras(), nilpotent_algebras(dims=(4, 5)),
-                non_nilpotent_4d_algebras()), st.data(), n=30)
+                non_nilpotent_4d_algebras()), st.data(), n=30, phases=NO_SHRINK)
 def test_d_matrix_equals_the_koszul_route(algebra, data):
     basis = closed_covector_basis(algebra)
     theta = _combination(algebra, basis, _nonzero_coords(data, len(basis)))
@@ -526,7 +532,7 @@ def test_betti_profile_equals_the_ranks_of_the_d_matrix(algebra, data):
 
 # the Koszul oracle takes about 1.3 s per profile in dimension 6
 @fuzz(st.one_of(permuted_nilpotent_algebras(dims=(4, 5, 6)), st.just(NON_INTEGRAL),
-                non_nilpotent_4d_algebras()), st.data(), n=10)
+                non_nilpotent_4d_algebras()), st.data(), n=10, phases=NO_SHRINK)
 def test_betti_profile_equals_the_koszul_oracle(algebra, data):
     for theta in _plain_and_twisted(algebra, data):
         assert betti_profile(algebra, theta) == betti_by_koszul(algebra, theta)
