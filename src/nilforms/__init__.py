@@ -68,7 +68,6 @@ from .exterior_core import (
     wedge,
 )
 from .hermitian import (
-    ConnectionCoefficients,
     HermitianClassification,
     InnerProduct,
     classify_hermitian,
@@ -76,7 +75,6 @@ from .hermitian import (
     euclidean_metric,
     fundamental_form,
     hodge_star,
-    koszul_connection,
     lee_form,
 )
 from .notation import (

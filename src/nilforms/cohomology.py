@@ -16,6 +16,14 @@ whose pivots are not pivots of the coboundaries B.  B sits in Z, so each such
 row is 0 on B's pivots, the one cocycle of its class that is: these rows are
 the reduced echelon basis of Z / B, identical on every run and machine, so
 frozen expected values in tests are meaningful.
+
+Differentials: ``_d_matrix`` gives d_theta on Lambda^k by its columns, the
+images of the lex-ordered monomials with their targets keyed by bitmask.  A
+kernel or a preimage reads only the source order (the reduced echelon form
+of a row space is unique under its column order, and the sources are the
+columns there), so it takes the images as they come.  The coboundaries B
+are the one place where targets become echelon columns, so a space re-keys
+only B's images, by the lex position of their targets in Lambda^k.
 """
 
 from __future__ import annotations
@@ -40,12 +48,11 @@ from .exterior_core import (
     _bit,
     _is_unimodular,
     _leibniz,
-    _leibniz_table,
     _masks,
     ce_d,
     wedge,
 )
-from .scalars import ZERO, as_scalar
+from .scalars import ZERO, _exact, as_scalar
 
 
 def _require_twist(algebra, theta):
@@ -66,6 +73,13 @@ def _require_twist(algebra, theta):
     return theta
 
 
+def _require_degree(degree, top, name="degree"):
+    """Refuse a degree that is not an int in 0..top; a bool is refused too,
+    since True == 1 would pass for a degree (and hit its cache key)."""
+    if isinstance(degree, bool) or not isinstance(degree, int) or not 0 <= degree <= top:
+        raise InvalidParameter(f"{name} must be an int in 0..{top}, got {degree!r}")
+
+
 def twisted_d(algebra, theta, form):
     """Lichnerowicz differential d_theta = d - theta ^ . (theta=None: plain d)."""
     if form.algebra != algebra:
@@ -77,11 +91,6 @@ def twisted_d(algebra, theta, form):
     return result
 
 
-def _exact(value):
-    """An integral rational as an int, any other kept as its Fraction."""
-    return value.numerator if value.denominator == 1 else value
-
-
 def _lee_terms(theta):
     """theta's terms as ``(bit, below, c)`` (``_bit``, c exact): theta ^ x_S
     adds each index i of theta to the mask of S, with the sign
@@ -90,78 +99,38 @@ def _lee_terms(theta):
     return [(*_bit(i), _exact(c)) for (i,), c in theta.coeffs.items()]
 
 
-def _d_images(algebra, degrees, theta=None):
-    """For each k in ``degrees``, the images d_theta x_S of the degree-k
-    monomials in lex order, each a sparse ``{target bitmask: coefficient}``;
-    theta is validated already.  Nothing is cached.
+def _d_matrix(algebra, k, theta=None):
+    """The map d_theta: Lambda^k -> Lambda^{k+1} by its columns: the images
+    d_theta x_S of the degree-k monomials in lex order, each a sparse
+    ``{target bitmask: coefficient}``.  Nothing is cached.
 
     A monomial x_S is the bitmask sum(1 << i for i in S), and
     ``exterior_core._leibniz`` adds d x_S term by term with the sign
-    (-1)^(t + |R & below a| + |R & below b|), from one int table built per
-    call out of ``algebra._dx``: integral constants stay ints, so no
-    ``Fraction`` arithmetic runs for them.  Every Leibniz term of d x_S
-    carries a factor dx_i with i in S, so a source whose indices are all
-    closed gets no Leibniz pass.  A twist subtracts theta ^ x_S on the same
-    masks (``_lee_terms``).
-    """
-    dx = algebra._dx
-    table = _leibniz_table({i: {mono: _exact(c) for mono, c in terms.items()}
-                            for i, terms in dx.items()})
-    unclosed = sum(1 << i for i, terms in dx.items() if terms)
-    lee = [] if theta is None else _lee_terms(theta)
-    for k in degrees:
-        images = []
-        for source in _masks(algebra.dim, k):
-            image = {}
-            if source & unclosed:
-                _leibniz(image, source, 1, table)
-            for bit, below, c in lee:
-                if not source & bit:
-                    _add_term(image, source | bit,
-                              c if (source & below).bit_count() & 1 else -c)
-            images.append(image)
-        yield images
+    (-1)^(t + |R & below a| + |R & below b|) from ``algebra._leibniz_dx``,
+    whose integral constants are ints, so no ``Fraction`` arithmetic runs
+    for them.  Every Leibniz term of d x_S carries a factor dx_i with i in
+    S, so a source whose indices are all closed gets no Leibniz pass.  A
+    twist subtracts theta ^ x_S on the same masks (``_lee_terms``).
 
-
-def _d_columns(algebra, k):
-    """The columns of the untwisted d on Lambda^k: the ``_d_images`` re-keyed
-    by the lex position of their target monomials, memoized per degree on
-    the algebra (so at most dim + 1 entries) for the cohomology spaces and
-    lcs candidates that read them again and again."""
-    columns = algebra._d_columns.get(k)
-    if columns is None:
-        (images,) = _d_images(algebra, [k])
-        position = {mask: i for i, mask in enumerate(_masks(algebra.dim, k + 1))}
-        columns = [{position[mask]: c for mask, c in image.items()} for image in images]
-        algebra._d_columns[k] = columns
-    return columns
-
-
-def _d_matrix(algebra, k, theta):
-    """Matrix of d_theta: Lambda^k -> Lambda^{k+1} over the lex monomial bases.
-
-    Returns ``(columns, domain, codomain)``: ``columns[c]`` is the image of
-    the monomial ``domain[c]``, sparse as ``{codomain position: coefficient}``
-    with integral coefficients held as ints.  Untwisted columns are the
-    algebra's memo (``_d_columns``) and must not be mutated; twisted ones
-    are copies of it with theta ^ x_S subtracted, so a sweep over theta
-    reuses one Leibniz pass and does not grow memory.
+    Targets stay keyed by mask: a kernel or preimage over these columns
+    is a statement about the sources, and the echelon form that yields it
+    is unique under the source order whatever the targets are called.
     """
     theta = _require_twist(algebra, theta)
-    columns = _d_columns(algebra, k)
-    if theta is not None:
-        position = {mask: i for i, mask in enumerate(_masks(algebra.dim, k + 1))}
-        lee = _lee_terms(theta)
-        twisted = []
-        for source, column in zip(_masks(algebra.dim, k), columns):
-            column = dict(column)
-            for bit, below, c in lee:
-                if not source & bit:
-                    _add_term(column, position[source | bit],
-                              c if (source & below).bit_count() & 1 else -c)
-            twisted.append(column)
-        columns = twisted
-    return columns, algebra.monomials(k), algebra.monomials(k + 1)
+    table = algebra._leibniz_dx
+    unclosed = sum(bit for bit, terms in table.items() if terms)
+    lee = [] if theta is None else _lee_terms(theta)
+    images = []
+    for source in _masks(algebra.dim, k):
+        image = {}
+        if source & unclosed:
+            _leibniz(image, source, 1, table)
+        for bit, below, c in lee:
+            if not source & bit:
+                _add_term(image, source | bit,
+                          c if (source & below).bit_count() & 1 else -c)
+        images.append(image)
+    return images
 
 
 def _space_key(algebra, degree, theta):
@@ -237,9 +206,16 @@ class CohomologySpace:
     The constructor raises InternalInvariantBreach unless d_theta maps
     every coboundary to zero (checked exactly), that is, unless the
     coboundaries sit inside the cocycles, as the quotient basis needs.
+
+    The cocycles are the kernel of ``_d_matrix`` on Lambda^k, keyed by
+    source position whatever its targets are keyed by.  The coboundaries
+    are rows whose columns are targets, so their echelon form, and with it
+    the quotient basis, follows the target order: only they are re-keyed
+    by the lex position of their targets in Lambda^k.
     """
 
     def __init__(self, algebra, degree, theta=None):
+        _require_degree(degree, algebra.dim)
         theta = _require_twist(algebra, theta)
         self.algebra = algebra
         self.degree = degree
@@ -247,8 +223,10 @@ class CohomologySpace:
         self._key = _space_key(algebra, degree, theta)
         self._monomials = algebra.monomials(degree)
 
-        columns, _, _ = _d_matrix(algebra, degree, theta)
-        images = _d_matrix(algebra, degree - 1, theta)[0] if degree else []
+        columns = _d_matrix(algebra, degree, theta)
+        position = {mask: i for i, mask in enumerate(_masks(algebra.dim, degree))}
+        images = [{position[mask]: c for mask, c in image.items()}
+                  for image in _d_matrix(algebra, degree - 1, theta)] if degree else []
         for image in images:
             square = {}
             for r, v in image.items():
@@ -306,9 +284,8 @@ class CohomologySpace:
 
 def cohomology_space(algebra, degree, theta=None):
     """Memoized accessor; spaces are computed once per (degree, theta)."""
+    _require_degree(degree, algebra.dim)
     theta = _require_twist(algebra, theta)
-    if not 0 <= degree <= algebra.dim:
-        raise InvalidParameter(f"degree {degree} outside 0..{algebra.dim}")
     key = _space_key(algebra, degree, theta)
     cache = algebra._cohomology_cache
     if key not in cache:
@@ -325,7 +302,7 @@ def betti_profile(algebra, theta=None):
 
     b_k = C(n, k) - r_k - r_{k-1}, where r_k is the rank of
     d_theta : Lambda^k -> Lambda^{k+1} (r_{-1} = r_n = 0), taken of the
-    bitmask images of ``_d_images`` as they come: no position table, no
+    bitmask images of ``_d_matrix`` as they come: no position table, no
     cohomology space, and nothing is cached on the algebra.  On a
     unimodular algebra the untwisted d on Lambda^{n-1-k} is, up to sign,
     the transpose of d on Lambda^k under the wedge pairing into Lambda^n
@@ -335,10 +312,10 @@ def betti_profile(algebra, theta=None):
     theta = _require_twist(algebra, theta)
     n = algebra.dim
     if theta is None and _is_unimodular(algebra):
-        half = list(map(linalg.span_rank, _d_images(algebra, range((n + 1) // 2))))
+        half = [linalg.span_rank(_d_matrix(algebra, k)) for k in range((n + 1) // 2)]
         ranks = [half[min(k, n - 1 - k)] for k in range(n)]
     else:
-        ranks = list(map(linalg.span_rank, _d_images(algebra, range(n), theta)))
+        ranks = [linalg.span_rank(_d_matrix(algebra, k, theta)) for k in range(n)]
     ranks = [0, *ranks, 0]
     betti = tuple(comb(n, k) - ranks[k + 1] - ranks[k] for k in range(n + 1))
     if min(betti) < 0:
@@ -393,8 +370,7 @@ def lefschetz_map(algebra, omega, p):
     if algebra.dim % 2:
         raise OddDimension("Lefschetz maps need an even-dimensional algebra")
     n = algebra.dim // 2
-    if not 0 <= p <= n:
-        raise InvalidParameter(f"p must lie in 0..{n}")
+    _require_degree(p, n, "p")
     if omega.algebra != algebra:
         raise AmbientMismatch("omega lives over a different algebra")
     if omega.degree != 2:
@@ -444,10 +420,11 @@ class MasseyResult(_Record):
 
 def _primitive(algebra, target, theta=None):
     """The 1-form x with d_theta(x) = target and free variables zero, or
-    None when target is not d_theta-exact."""
-    columns, domain, codomain = _d_matrix(algebra, 1, theta)
-    solution = linalg.preimage(columns, _coordinates(target, codomain))
-    return None if solution is None else _form(algebra, 1, domain, solution)
+    None when target is not d_theta-exact; the target is keyed by mask, as
+    the columns are."""
+    masks = {sum(1 << i for i in mono): c for mono, c in target.coeffs.items()}
+    solution = linalg.preimage(_d_matrix(algebra, 1, theta), masks)
+    return None if solution is None else _form(algebra, 1, algebra.monomials(1), solution)
 
 
 def triple_massey(algebra, a, b, c):

@@ -30,12 +30,12 @@ from .errors import (
     JacobiViolation,
     _Record,
 )
-from .scalars import ZERO, as_scalar, format_scalar
+from .scalars import ZERO, _exact, as_scalar, format_scalar
 
 # -- raw term dictionaries ---------------------------------------------------
 # Internal helpers operate on bare dicts {increasing tuple: coefficient} so the
 # Jacobi check can run before any LieAlgebra object exists.  Forms hold
-# Fractions; the cohomology module also feeds ``_leibniz`` int coefficients.
+# Fractions; an algebra's differential tables hold ints where integral.
 
 
 def _sort_with_sign(indices):
@@ -188,8 +188,7 @@ class LieAlgebra:
     construction, and cohomology results are memoized on the instance.
     """
 
-    __slots__ = ("dim", "constants", "_dx", "_leibniz_dx", "_hash", "_cohomology_cache",
-                 "_d_columns")
+    __slots__ = ("dim", "constants", "_dx", "_leibniz_dx", "_hash", "_cohomology_cache")
 
     def __init__(self, dim, constants):
         if not isinstance(dim, int) or dim < 0:
@@ -208,20 +207,25 @@ class LieAlgebra:
             coeff = as_scalar(value)
             if coeff != 0:
                 clean[(i, j, k)] = coeff
-        self.dim = dim
-        self.constants = clean
-        self._dx = self._build_dx()
-        self._leibniz_dx = _leibniz_table(self._dx)
+        self._build(dim, clean)
         self._check_jacobi()
-        self._hash = hash((dim, frozenset(self.constants.items())))
-        self._cohomology_cache = {}
-        self._d_columns = {}
 
-    def _build_dx(self):
-        table = {i: {} for i in range(1, self.dim + 1)}
-        for (i, j, k), coeff in self.constants.items():
-            _add_term(table[k], (i, j), -coeff)
-        return table
+    def _build(self, dim, constants):
+        """Set every field from validated ``{(i, j, k): Fraction}`` constants,
+        without the Jacobi check.
+
+        ``_dx`` maps i to the terms ``{(a, b): c}`` of dx_i with each
+        integral c an int (``_exact``), and ``_leibniz_dx`` is the one table
+        d runs on, derived from it once; ``constants`` keeps its Fractions,
+        which the hash, equality and every repr read."""
+        self.dim = dim
+        self.constants = constants
+        self._dx = {i: {} for i in range(1, dim + 1)}
+        for (i, j, k), coeff in constants.items():
+            self._dx[k][(i, j)] = _exact(-coeff)
+        self._leibniz_dx = _leibniz_table(self._dx)
+        self._hash = hash((dim, frozenset(constants.items())))
+        self._cohomology_cache = {}
 
     def _check_jacobi(self):
         for m in range(1, self.dim + 1):
@@ -245,21 +249,6 @@ class LieAlgebra:
         self._check_index(i)
         self._check_index(j)
         return tuple(self.c(i, j, k) for k in range(1, self.dim + 1))
-
-    def bracket_vectors(self, v, w):
-        """Bilinear extension of the bracket to arbitrary coefficient vectors."""
-        v = as_vector(v, self.dim)
-        w = as_vector(w, self.dim)
-        out = [ZERO] * self.dim
-        for (i, j, k), coeff in self.constants.items():
-            factor = v[i - 1] * w[j - 1] - v[j - 1] * w[i - 1]
-            if factor != 0:
-                out[k - 1] += coeff * factor
-        return tuple(out)
-
-    @property
-    def is_abelian(self):
-        return not self.constants
 
     def _check_index(self, i):
         if not isinstance(i, int) or not 1 <= i <= self.dim:
@@ -308,7 +297,8 @@ class LieAlgebra:
         self._check_index(i)
         if self.dim < 2:
             return self.zero_form(self.dim)
-        return KForm(self, 2, dict(self._dx[i]), _normalized=True)
+        return KForm(self, 2, {pair: as_scalar(c) for pair, c in self._dx[i].items()},
+                     _normalized=True)
 
     # -- identity ------------------------------------------------------------
 

@@ -27,8 +27,7 @@ A pair is read once: one product G J over J's sparse columns gives both the
 compatibility check and w.  Vaisman asks for a parallel Lee form, and a
 1-form is parallel exactly when it is closed and its metric dual is a
 Killing field, which the structure constants decide without the
-Levi-Civita table; ``koszul_connection`` builds that table for its own
-callers.
+Levi-Civita table.
 """
 
 from __future__ import annotations
@@ -311,56 +310,6 @@ def _is_parallel(algebra, metric, theta):
                                 for (l, j), v in lowered.items())
 
 
-# -- Levi-Civita connection --------------------------------------------------
-
-
-class ConnectionCoefficients:
-    """Levi-Civita connection of an invariant metric, tabulated on basis
-    pairs: nabla(i, j) is the coefficient vector of the derivative of X_j
-    along X_i."""
-
-    __slots__ = ("algebra", "metric", "_table")
-
-    def __init__(self, algebra, metric, table):
-        self.algebra = algebra
-        self.metric = metric
-        self._table = table
-
-    def nabla(self, i, j):
-        return self._table[(i, j)]
-
-
-def koszul_connection(algebra, metric):
-    """Solve the invariant Koszul identity
-
-        2 g(nabla_i X_j, X_l) =
-            g([X_i, X_j], X_l) - g([X_j, X_l], X_i) + g([X_l, X_i], X_j)
-
-    for every basis pair.  Torsion-free and metric by construction; both are
-    re-checked in the test suite rather than here.
-    """
-    metric = _check_metric(algebra, metric)
-    n = algebra.dim
-    # lowered[(i, j)][l - 1] = g([X_i, X_j], X_l) = sum_k c_ij^k g_kl
-    lowered = {}
-    for (i, j, k), coeff in algebra.constants.items():
-        for pair, c in (((i, j), coeff), ((j, i), -coeff)):
-            row = lowered.setdefault(pair, [ZERO] * n)
-            for l, g_kl in enumerate(metric.matrix[k - 1]):
-                row[l] += c * g_kl
-    zero = (ZERO,) * n
-    table = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            ij = lowered.get((i, j), zero)
-            rhs = [(ij[l - 1] - lowered.get((j, l), zero)[i - 1]
-                    + lowered.get((l, i), zero)[j - 1]) / 2 for l in range(1, n + 1)]
-            support = [(l, v) for l, v in enumerate(rhs) if v]
-            table[(i, j)] = tuple(sum((row[l] * v for l, v in support), ZERO)
-                                  for row in metric.inverse)
-    return ConnectionCoefficients(algebra, metric, table)
-
-
 # -- classification ----------------------------------------------------------
 
 
@@ -393,10 +342,6 @@ class HermitianClassification(_Record):
     lck: bool
     vaisman: bool
     label: str
-
-    @property
-    def kahler_form(self):
-        return self.fundamental
 
     @property
     def lee_form(self):

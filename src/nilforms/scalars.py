@@ -44,6 +44,12 @@ def as_scalar(value) -> Fraction:
     raise InvalidParameter(f"cannot interpret {value!r} as a rational scalar")
 
 
+def _exact(value):
+    """An integral rational as an int, any other kept as its Fraction: the
+    one place that decides where a kernel may run on ints."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def format_scalar(value: Fraction) -> str:
     """Render canonically: ``"p"`` for integers, ``"p/q"`` otherwise."""
     value = as_scalar(value)

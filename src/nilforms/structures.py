@@ -39,9 +39,7 @@ from operator import add, lshift
 
 from . import linalg
 from .cohomology import (
-    _d_columns,
     _d_matrix,
-    _exact,
     _form,
     _primitive,
     cohomology_space,
@@ -69,7 +67,7 @@ from .exterior_core import (
     wedge,
 )
 from .polynomials import Poly, nonzero_point
-from .scalars import ZERO, ONE, as_scalar, height
+from .scalars import ZERO, ONE, _exact, as_scalar, height
 
 
 # -- Pfaffian ----------------------------------------------------------------
@@ -469,7 +467,7 @@ def closed_covector_basis(algebra):
     the cocycle basis of H^1 without building the space (in degree 1 the
     coboundaries are 0, so the space would add nothing to check)."""
     return [_form(algebra, 1, algebra.monomials(1), vec)
-            for vec in linalg.kernel(_d_columns(algebra, 1))]
+            for vec in linalg.kernel(_d_matrix(algebra, 1))]
 
 
 def theta_candidates(algebra, config):
@@ -553,6 +551,7 @@ def find_lcs(algebra, config=SearchConfig()):
         total = (len(_ordered_values(config.height)) + 1) ** len(basis)
         candidates = itertools.islice(candidates, 1)
 
+    domain = algebra.monomials(2)
     examined = 0
     capped = False
     witness = verdict = None
@@ -563,8 +562,8 @@ def find_lcs(algebra, config=SearchConfig()):
             break
         examined += 1
 
-        columns, domain, _ = _d_matrix(algebra, 2, theta)
-        span = [_form(algebra, 2, domain, vec) for vec in linalg.kernel(columns)]
+        span = [_form(algebra, 2, domain, vec)
+                for vec in linalg.kernel(_d_matrix(algebra, 2, theta))]
         omega = nondegenerate_in_span(algebra, span)
         if omega is None:
             continue

@@ -79,6 +79,15 @@ NON_NILPOTENT_4D = {
 }
 
 
+def unchecked_algebra(dim, constants):
+    """An algebra on ``constants`` built by the constructor's own table
+    builder, without its Jacobi check: the one way a test reaches a later
+    check with d^2 != 0, or reads the jacobiator of rejected constants."""
+    algebra = LieAlgebra.__new__(LieAlgebra)
+    algebra._build(dim, {key: Fraction(value) for key, value in constants.items()})
+    return algebra
+
+
 # -- strategies ---------------------------------------------------------------
 
 small_rationals = st.fractions(

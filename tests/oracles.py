@@ -7,6 +7,7 @@ shuffle sums, determinants and ranks through sympy.  Agreement between
 these routes and the library is the point of the tests that import them.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -83,11 +84,20 @@ def shuffle_wedge_eval(a, b, indices):
     return total
 
 
+def bracket_vectors(algebra, v, w):
+    """[v, w] for coefficient vectors, by bilinearity over the structure
+    constants."""
+    out = [Fraction(0)] * algebra.dim
+    for (i, j, k), coeff in algebra.constants.items():
+        out[k - 1] += coeff * (v[i - 1] * w[j - 1] - v[j - 1] * w[i - 1])
+    return tuple(out)
+
+
 def jacobiator(algebra, i, j, k):
     """[[X_i,X_j],X_k] + [[X_j,X_k],X_i] + [[X_k,X_i],X_j] componentwise."""
     n = algebra.dim
     vi, vj, vk = (basis_vector(n, t) for t in (i, j, k))
-    bv = algebra.bracket_vectors
+    bv = functools.partial(bracket_vectors, algebra)
     terms = (bv(bv(vi, vj), vk), bv(bv(vj, vk), vi), bv(bv(vk, vi), vj))
     return tuple(sum(t[r] for t in terms) for r in range(n))
 
@@ -223,8 +233,8 @@ def reference_find_lcs(algebra, config):
         if theta.is_zero:
             omega = find_symplectic(algebra)
         else:
-            columns, domain, _ = _d_matrix(algebra, 2, theta)
-            span = [_form(algebra, 2, domain, vec) for vec in linalg.kernel(columns)]
+            span = [_form(algebra, 2, algebra.monomials(2), vec)
+                    for vec in linalg.kernel(_d_matrix(algebra, 2, theta))]
             omega = nondegenerate_in_span(algebra, span)
 
         if omega is None:
@@ -250,8 +260,12 @@ def reference_find_lcs(algebra, config):
 
 
 def reference_koszul_table(algebra, metric):
-    """``koszul_connection``'s table as it was computed before it read the
-    pairings off the structure constants.
+    """The Levi-Civita connection of an invariant metric on basis pairs:
+    ``table[(i, j)]`` is the coefficient vector of nabla_{X_i} X_j, solved
+    from the invariant Koszul identity
+
+        2 g(nabla_i X_j, X_l) =
+            g([X_i, X_j], X_l) - g([X_j, X_l], X_i) + g([X_l, X_i], X_j).
 
     Every g([X_i, X_j], X_l) is a dense ``metric.pairing`` of a bracket with
     a basis vector, and the solve multiplies by the inverse Gram matrix,
@@ -275,10 +289,10 @@ def reference_koszul_table(algebra, metric):
 
 
 def reference_lee_parallel(table, theta):
-    """``ConnectionCoefficients.covector_is_parallel`` as it was before the
-    classifier read parallelism off the structure constants: a constant
-    1-form is parallel iff it kills every nabla_{X_i} X_j of the
-    Levi-Civita ``table`` from ``reference_koszul_table``."""
+    """Whether theta is parallel, as the classifier decided it before it
+    read parallelism off the structure constants: a constant 1-form is
+    parallel iff it kills every nabla_{X_i} X_j of the Levi-Civita
+    ``table`` from ``reference_koszul_table``."""
     covector = [theta.coefficient((k,)) for k in range(1, theta.algebra.dim + 1)]
     return all(sum((a * b for a, b in zip(vector, covector)), Fraction(0)) == 0
                for vector in table.values())
@@ -305,7 +319,7 @@ def reference_nijenhuis(algebra, matrix):
         N(X_i, X_j) = [JX_i, JX_j] - J[JX_i, X_j] - J[X_i, JX_j] - [X_i, X_j].
     """
     n = algebra.dim
-    bv = algebra.bracket_vectors
+    bv = functools.partial(bracket_vectors, algebra)
 
     def apply(vector):
         return tuple(sum((Fraction(matrix[r][c]) * vector[c] for c in range(n)),

@@ -13,13 +13,16 @@ from nilforms import (
     CohomologySpace,
     CupObstruction,
     InternalInvariantBreach,
+    InvalidParameter,
     JacobiViolation,
     LieAlgebra,
     NotClosed,
+    SearchConfig,
     betti_profile,
     ce_d,
     cohomology_space,
     cup,
+    find_lcs,
     heisenberg_line,
     lefschetz_map,
     parse_salamon,
@@ -28,8 +31,9 @@ from nilforms import (
     wedge,
 )
 
-from nilforms.cohomology import _d_columns
+from nilforms.cohomology import _d_matrix
 
+from conftest import unchecked_algebra
 from oracles import betti_by_koszul
 
 
@@ -98,12 +102,8 @@ def test_duality_is_not_assumed_off_unimodular_algebras(solvable_nonunimodular):
 def test_negative_betti_numbers_are_a_breach():
     # structure constants that fail Jacobi, so d^2 != 0: the constructor
     # refuses them, and the shadow below skips it to reach the rank path
-    shadow = LieAlgebra.__new__(LieAlgebra)
-    shadow.dim = 3
-    shadow.constants = {key: Fraction(1) for key in
-                        ((1, 2, 3), (1, 3, 2), (2, 3, 1), (1, 2, 2))}
-    shadow._dx = shadow._build_dx()
-    shadow._d_columns = {}
+    shadow = unchecked_algebra(3, dict.fromkeys(
+        ((1, 2, 3), (1, 3, 2), (2, 3, 1), (1, 2, 2)), 1))
     with pytest.raises(InternalInvariantBreach):
         betti_profile(shadow)
 
@@ -113,11 +113,7 @@ def test_coboundaries_outside_the_cocycles_are_a_breach():
     # degree 2 the cocycles x12 and x13 - x23/2 and the coboundaries x12 and
     # x13 have the same pivots, so the pivots alone would give H^2 = 0; the
     # exact check d(dx3) != 0 must raise instead
-    shadow = LieAlgebra.__new__(LieAlgebra)
-    shadow.dim = 3
-    shadow.constants = {key: Fraction(1) for key in ((1, 2, 2), (1, 3, 3), (1, 2, 1))}
-    shadow._dx = shadow._build_dx()
-    shadow._d_columns = {}
+    shadow = unchecked_algebra(3, dict.fromkeys(((1, 2, 2), (1, 3, 3), (1, 2, 1)), 1))
     with pytest.raises(InternalInvariantBreach, match="d\\^2 = 0 is broken"):
         CohomologySpace(shadow, 2)
 
@@ -126,7 +122,11 @@ def test_betti_profile_caches_nothing():
     algebra = parse_salamon("(0,0,12,13,14,15)")
     assert betti_profile(algebra) == (1, 2, 3, 4, 3, 2, 1)
     assert betti_profile(algebra, algebra.covector(1)) == (0,) * 7
-    assert algebra._d_columns == {}
+    assert algebra._cohomology_cache == {}
+    # nor does find_lcs: it reads the closed covectors and each candidate's
+    # d_theta-closed 2-forms off the kernels of _d_matrix
+    algebra = parse_salamon("(0,0,12,13)")
+    assert find_lcs(algebra, SearchConfig(height=1)).genuine_found
     assert algebra._cohomology_cache == {}
 
 
@@ -326,11 +326,11 @@ def test_massey_on_a_line_is_the_zero_product():
 
 
 def test_non_integral_constants_stay_exact():
-    # [X1, X2] = X3 / 2, so dx3 = -x1 ^ x2 / 2
+    # [X1, X2] = X3 / 2, so dx3 = -x1 ^ x2 / 2, on the target mask of x1 ^ x2
     algebra = LieAlgebra(3, {(1, 2, 3): Fraction(1, 2)})
-    column = _d_columns(algebra, 1)[2]
-    assert column == {0: Fraction(-1, 2)}
-    assert type(column[0]) is Fraction
+    column = _d_matrix(algebra, 1)[2]
+    assert column == {0b110: Fraction(-1, 2)}
+    assert type(column[0b110]) is Fraction
     assert [rep.coeffs for rep in cohomology_space(algebra, 1).representative_basis] \
         == [{(1,): 1}, {(2,): 1}]
     result = triple_massey(algebra, algebra.covector(1), algebra.covector(1),
@@ -339,6 +339,33 @@ def test_non_integral_constants_stay_exact():
     assert result.primitive_bc.coeffs == {(3,): Fraction(-2)}
     assert result.representative.coeffs == {(1, 3): Fraction(-2)}
     assert result.nonzero_mod_indeterminacy
+
+
+def test_integral_constants_run_on_ints():
+    # the Leibniz table holds ints where a constant is integral; the
+    # constants and the forms built from them keep their Fractions
+    algebra = parse_salamon("(0,0,12,2*13)")
+    assert _d_matrix(algebra, 1) == [{}, {}, {0b110: 1}, {0b1010: 2}]
+    assert {type(c) for image in _d_matrix(algebra, 2, algebra.covector(2))
+            for c in image.values()} == {int}
+    assert {type(c) for c in algebra.constants.values()} == {Fraction}
+    assert type(algebra.dx(4).coeffs[(1, 3)]) is Fraction
+    assert type(ce_d(algebra.covector(4)).coeffs[(1, 3)]) is Fraction
+
+
+@pytest.mark.parametrize("degree", [-1, 5, 7, True, False, 1.5, "2", None])
+def test_degrees_outside_0_to_dim_are_refused(filiform, degree):
+    with pytest.raises(InvalidParameter):
+        cohomology_space(filiform, degree)
+    with pytest.raises(InvalidParameter):
+        CohomologySpace(filiform, degree)
+
+
+@pytest.mark.parametrize("p", [-1, 3, True, 1.0, "1", None])
+def test_lefschetz_refuses_a_p_that_is_not_an_int_in_range(kt, p):
+    omega = kt.basis_form(1, 4) + kt.basis_form(2, 3)
+    with pytest.raises(InvalidParameter):
+        lefschetz_map(kt, omega, p)
 
 
 def test_jacobi_witness_with_rational_constants():

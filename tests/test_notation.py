@@ -27,7 +27,7 @@ def test_parse_the_catalog_tuples():
     assert six.dx(6) == six.basis_form(3, 4)
     kt = parse_salamon("(0,0,0,12)")
     assert kt.dx(4) == kt.basis_form(1, 2)
-    assert parse_salamon("(0,0,0,0)").is_abelian
+    assert not parse_salamon("(0,0,0,0)").constants
 
 
 def test_parse_signs_and_coefficients():
