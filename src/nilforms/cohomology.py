@@ -10,6 +10,12 @@ The twisted variant uses the Lichnerowicz differential
 
 for a closed 1-form theta; d_theta^2 = 0 follows from d(theta) = 0.
 
+Arguments are checked once, at the public boundary: every form through
+``exterior_core._require_form``, and theta (closed included) once per public
+call, by ``_require_twist`` in ``twisted_d``, ``CohomologySpace``,
+``cohomology_space`` and ``betti_profile``.  The private builders
+``_d_matrix`` and ``_cocycles`` validate nothing and trust their callers.
+
 Determinism: every space carries a canonical representative basis, the rows
 of the reduced echelon basis of the cocycles Z (lexicographic monomial order)
 whose pivots are not pivots of the coboundaries B.  B sits in Z, so each such
@@ -49,6 +55,7 @@ from .exterior_core import (
     _is_unimodular,
     _leibniz,
     _masks,
+    _require_form,
     ce_d,
     wedge,
 )
@@ -56,18 +63,13 @@ from .scalars import ZERO, _exact, as_scalar
 
 
 def _require_twist(algebra, theta):
-    """Validate a twisting form: degree-1 closed, right ambient.  None is
-    the untwisted case."""
+    """Validate a twisting form: a closed 1-form over the algebra.  None and
+    the zero form are the untwisted case, returned as None."""
     if theta is None:
         return None
-    if not isinstance(theta, KForm):
-        raise InvalidParameter("theta must be a KForm or None")
-    if theta.algebra != algebra:
-        raise AmbientMismatch("theta lives over a different algebra")
+    _require_form(algebra, theta, "theta", 1)
     if theta.is_zero:
         return None
-    if theta.degree != 1:
-        raise InvalidParameter(f"theta must be a 1-form, got degree {theta.degree}")
     if not ce_d(theta).is_zero:
         raise LeeFormNotClosed("theta is not closed, so d_theta^2 != 0")
     return theta
@@ -82,8 +84,7 @@ def _require_degree(degree, top, name="degree"):
 
 def twisted_d(algebra, theta, form):
     """Lichnerowicz differential d_theta = d - theta ^ . (theta=None: plain d)."""
-    if form.algebra != algebra:
-        raise AmbientMismatch("form lives over a different algebra")
+    _require_form(algebra, form, "form")
     theta = _require_twist(algebra, theta)
     result = ce_d(form)
     if theta is not None:
@@ -115,8 +116,13 @@ def _d_matrix(algebra, k, theta=None):
     Targets stay keyed by mask: a kernel or preimage over these columns
     is a statement about the sources, and the echelon form that yields it
     is unique under the source order whatever the targets are called.
+
+    Nothing is validated here: theta is None or a closed 1-form (a zero
+    form of any degree twists nothing).  The public callers pass it through
+    ``_require_twist`` first; ``find_lcs`` passes combinations of closed
+    covectors, closed by construction, and ``twisted_exactness_witness``
+    passes theta to ``_primitive`` only once ``check_lcs`` holds.
     """
-    theta = _require_twist(algebra, theta)
     table = algebra._leibniz_dx
     unclosed = sum(bit for bit, terms in table.items() if terms)
     lee = [] if theta is None else _lee_terms(theta)
@@ -139,16 +145,19 @@ def _space_key(algebra, degree, theta):
     return algebra, degree, twist
 
 
-def _coordinates(form, monomials):
-    """A form's coefficients as a sparse ``{position in monomials: value}``."""
-    position = {mono: i for i, mono in enumerate(monomials)}
-    return {position[mono]: c for mono, c in form.coeffs.items()}
-
-
 def _form(algebra, degree, monomials, vector):
     """The form whose coefficients are the sparse ``vector`` over monomials."""
     terms = {monomials[i]: c for i, c in sorted(vector.items())}
     return KForm(algebra, degree, terms, _normalized=True)
+
+
+def _cocycles(algebra, k, theta=None):
+    """Z^k_theta as k-forms: the echelon basis of the kernel of
+    ``_d_matrix``, the one source of cocycles for the searches.  Validates
+    nothing, as ``_d_matrix``."""
+    monomials = algebra.monomials(k)
+    return [_form(algebra, k, monomials, vector)
+            for vector in linalg.kernel(_d_matrix(algebra, k, theta))]
 
 
 class CohomologyClass:
@@ -222,6 +231,7 @@ class CohomologySpace:
         self.theta = theta
         self._key = _space_key(algebra, degree, theta)
         self._monomials = algebra.monomials(degree)
+        self._position = {mono: i for i, mono in enumerate(self._monomials)}
 
         columns = _d_matrix(algebra, degree, theta)
         position = {mask: i for i, mask in enumerate(_masks(algebra.dim, degree))}
@@ -255,14 +265,11 @@ class CohomologySpace:
 
         Raises NotClosed when the form is not a d_theta-cocycle.
         """
-        if form.algebra != self.algebra:
-            raise AmbientMismatch("form lives over a different algebra")
-        if form.degree != self.degree and not form.is_zero:
-            raise InvalidParameter(
-                f"form has degree {form.degree}, space has degree {self.degree}")
+        _require_form(self.algebra, form, "form", self.degree)
         if not twisted_d(self.algebra, self.theta, form).is_zero:
             raise NotClosed("form is not a cocycle for this differential")
-        vec = linalg.reduce(_coordinates(form, self._monomials), self._coboundaries)
+        vec = linalg.reduce({self._position[mono]: c for mono, c in form.coeffs.items()},
+                            self._coboundaries)
         coords = tuple(vec.get(p, ZERO) for p in self._quotient)
         # the reduced vector must be exactly the coordinate combination
         if linalg.reduce(vec, self._quotient):
@@ -371,10 +378,7 @@ def lefschetz_map(algebra, omega, p):
         raise OddDimension("Lefschetz maps need an even-dimensional algebra")
     n = algebra.dim // 2
     _require_degree(p, n, "p")
-    if omega.algebra != algebra:
-        raise AmbientMismatch("omega lives over a different algebra")
-    if omega.degree != 2:
-        raise InvalidParameter("omega must be a 2-form")
+    _require_form(algebra, omega, "omega", 2)
     if not ce_d(omega).is_zero:
         raise OmegaNotClosed("omega must be closed")
 

@@ -20,7 +20,6 @@ are 1-based throughout, matching the classical x_1, ..., x_n notation.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import linalg
 from .errors import (
@@ -468,6 +467,19 @@ class KForm:
 
     def __repr__(self):
         return f"<{self.degree}-form {format_form(self)}>"
+
+
+def _require_form(algebra, form, name, degree=None):
+    """Refuse anything but a KForm over ``algebra`` for the argument ``name``;
+    with ``degree`` given, also a nonzero form of another degree (zero is
+    zero whatever its degree, as ``KForm.__eq__`` has it).  Public entry
+    points call this once per form argument; private builders trust them."""
+    if not isinstance(form, KForm):
+        raise InvalidParameter(f"{name} must be a KForm")
+    if form.algebra != algebra:
+        raise AmbientMismatch(f"{name} lives over a different algebra")
+    if degree is not None and form.degree != degree and not form.is_zero:
+        raise InvalidParameter(f"{name} must be a {degree}-form, got degree {form.degree}")
 
 
 def format_form(form):

@@ -36,7 +36,6 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import (
-    AmbientMismatch,
     DegenerateMetric,
     DimensionMismatch,
     InvalidParameter,
@@ -46,9 +45,9 @@ from .errors import (
     WrongDimension,
     _Record,
 )
-from .exterior_core import KForm, _add_term, _is_unimodular, _wedge_raw, ce_d, wedge
+from .exterior_core import KForm, _add_term, _is_unimodular, _require_form, _wedge_raw, ce_d
 from .scalars import ZERO, ONE, as_scalar, rational_sqrt
-from .structures import AlmostComplexStructure, nijenhuis
+from .structures import AlmostComplexStructure, check_lcs, nijenhuis
 
 
 class InnerProduct:
@@ -115,9 +114,10 @@ class InnerProduct:
 
     def form_pairing(self, a, b):
         """Induced inner product on k-forms: sum_I a_I * raised(b)_I."""
-        if a.algebra != b.algebra:
-            raise AmbientMismatch("forms live over different algebras")
-        if a.algebra.dim != self.dim:
+        algebra = getattr(a, "algebra", None)  # b must share a's algebra
+        _require_form(algebra, a, "a")
+        _require_form(algebra, b, "b")
+        if algebra.dim != self.dim:
             raise DimensionMismatch("metric dimension does not match the algebra")
         if a.is_zero or b.is_zero:
             return ZERO
@@ -198,8 +198,7 @@ def hodge_star(algebra, metric, form):
     (the codifferential stays available, its volume factors cancel).
     """
     metric = _check_metric(algebra, metric)
-    if form.algebra != algebra:
-        raise AmbientMismatch("form lives over a different algebra")
+    _require_form(algebra, form, "form")
     scale = rational_sqrt(metric.determinant)
     if scale is None:
         raise IrrationalVolume(
@@ -216,8 +215,7 @@ def codifferential(algebra, metric, form):
     behind adjointness fails.
     """
     metric = _check_metric(algebra, metric)
-    if form.algebra != algebra:
-        raise AmbientMismatch("form lives over a different algebra")
+    _require_form(algebra, form, "form")
     if not _is_unimodular(algebra):
         raise NotUnimodular("the codifferential needs a unimodular algebra")
     k = form.degree
@@ -362,19 +360,14 @@ def classify_hermitian(algebra, metric, acs):
         raise NotUnimodular("Hermitian classification needs a unimodular algebra")
 
     integrable = nijenhuis(algebra, acs).is_integrable
-    d_omega = ce_d(omega)
     delta_omega = codifferential(algebra, metric, omega)
     theta = _lee_form(algebra, acs, delta_omega)
-    lee_closed = ce_d(theta).is_zero
-    identity = d_omega == wedge(theta, omega)
-    # B^1 = d(Lambda^0) = 0 for trivial coefficients: a closed theta is exact
-    # only when it is zero
-    genuine = lee_closed and not theta.is_zero
+    verdict = check_lcs(algebra, omega, theta)
     parallel = _is_parallel(algebra, metric, theta)
 
-    kahler = integrable and d_omega.is_zero
-    lck = integrable and identity and lee_closed
-    vaisman = lck and genuine and parallel
+    kahler = integrable and ce_d(omega).is_zero
+    lck = integrable and verdict.identity_holds and verdict.lee_closed
+    vaisman = lck and verdict.genuine and parallel
 
     if not integrable:
         label = "not_integrable"
@@ -392,9 +385,9 @@ def classify_hermitian(algebra, metric, acs):
         fundamental=omega,
         delta_fundamental=delta_omega,
         lee=theta,
-        lee_closed=lee_closed,
-        identity_holds=identity,
-        genuine_lee=genuine,
+        lee_closed=verdict.lee_closed,
+        identity_holds=verdict.identity_holds,
+        genuine_lee=verdict.genuine,
         lee_parallel=parallel,
         kahler=kahler,
         lck=lck,

@@ -37,16 +37,13 @@ import itertools
 from fractions import Fraction
 from operator import add, lshift
 
-from . import linalg
 from .cohomology import (
-    _d_matrix,
-    _form,
+    _cocycles,
     _primitive,
     cohomology_space,
     twisted_d,
 )
 from .errors import (
-    AmbientMismatch,
     DimensionMismatch,
     InternalInvariantBreach,
     InvalidParameter,
@@ -62,6 +59,7 @@ from .exterior_core import (
     LieAlgebra,
     _add_term,
     _is_nilpotent,
+    _require_form,
     build_algebra,
     ce_d,
     wedge,
@@ -71,15 +69,6 @@ from .scalars import ZERO, ONE, _exact, as_scalar, height
 
 
 # -- Pfaffian ----------------------------------------------------------------
-
-
-def _check_two_form(algebra, omega, name="omega"):
-    if not isinstance(omega, KForm):
-        raise InvalidParameter(f"{name} must be a KForm")
-    if omega.algebra != algebra:
-        raise AmbientMismatch(f"{name} lives over a different algebra")
-    if omega.degree != 2 and not omega.is_zero:
-        raise InvalidParameter(f"{name} must be a 2-form, got degree {omega.degree}")
 
 
 def skew_matrix(omega):
@@ -158,7 +147,7 @@ def pfaffian_volume(algebra, omega):
     coefficients as ints wherever they are integral; returned as a Fraction."""
     if algebra.dim % 2:
         raise OddDimension("the Pfaffian needs an even-dimensional algebra")
-    _check_two_form(algebra, omega)
+    _require_form(algebra, omega, "omega", 2)
     rows = {}
     for (i, j), c in omega.coeffs.items():
         rows.setdefault(i, {})[j] = _exact(c)
@@ -183,11 +172,8 @@ class SymplecticVerdict(_Record):
 def check_symplectic(algebra, omega):
     if algebra.dim % 2:
         raise OddDimension("symplectic structures need even dimension")
-    _check_two_form(algebra, omega)
-    return SymplecticVerdict(
-        closed=ce_d(omega).is_zero,
-        pfaffian=pfaffian_volume(algebra, omega),
-    )
+    pfaffian = pfaffian_volume(algebra, omega)
+    return SymplecticVerdict(closed=ce_d(omega).is_zero, pfaffian=pfaffian)
 
 
 def _unit_exponents(nvars):
@@ -275,7 +261,7 @@ def nondegenerate_in_span(algebra, basis_forms):
     if not basis_forms:
         return None
     for form in basis_forms:
-        _check_two_form(algebra, form, "basis form")
+        _require_form(algebra, form, "basis form", 2)
 
     nvars = len(basis_forms)
     pfaffian = _symbolic_pfaffian(algebra.dim, nvars, (
@@ -307,8 +293,7 @@ def find_symplectic(algebra):
     """
     if algebra.dim % 2:
         raise OddDimension("symplectic structures need even dimension")
-    closed = cohomology_space(algebra, 2).cocycle_basis
-    return nondegenerate_in_span(algebra, closed)
+    return nondegenerate_in_span(algebra, _cocycles(algebra, 2))
 
 
 # -- locally conformal symplectic --------------------------------------------
@@ -331,26 +316,16 @@ class LcsVerdict(_Record):
         return self.holds
 
 
-def _check_lcs_input(algebra, omega, theta):
+def check_lcs(algebra, omega, theta):
+    """Does d(omega) = theta ^ omega hold, with theta closed and omega
+    nondegenerate?  ``genuine`` additionally records [theta] != 0."""
     if algebra.dim % 2:
         raise OddDimension("lcs structures need even dimension")
     if algebra.dim < 4:
         raise WrongDimension(
             "lcs operations need dim >= 4 (in dimension 2 the Lee form is not unique)")
-    _check_two_form(algebra, omega)
-    if not isinstance(theta, KForm):
-        raise InvalidParameter("theta must be a KForm")
-    if theta.algebra != algebra:
-        raise AmbientMismatch("theta lives over a different algebra")
-    if theta.degree != 1 and not theta.is_zero:
-        raise InvalidParameter(f"theta must be a 1-form, got degree {theta.degree}")
-
-
-def check_lcs(algebra, omega, theta):
-    """Does d(omega) = theta ^ omega hold, with theta closed and omega
-    nondegenerate?  ``genuine`` additionally records [theta] != 0."""
-    _check_lcs_input(algebra, omega, theta)
     volume = pfaffian_volume(algebra, omega)
+    _require_form(algebra, theta, "theta", 1)
     lee_closed = ce_d(theta).is_zero
     identity = ce_d(omega) == wedge(theta, omega)
     # B^1 = d(Lambda^0) = 0 for trivial coefficients: a closed theta is exact
@@ -466,8 +441,7 @@ def closed_covector_basis(algebra):
     """Echelon basis of the closed 1-forms: the kernel of d on Lambda^1,
     the cocycle basis of H^1 without building the space (in degree 1 the
     coboundaries are 0, so the space would add nothing to check)."""
-    return [_form(algebra, 1, algebra.monomials(1), vec)
-            for vec in linalg.kernel(_d_matrix(algebra, 1))]
+    return _cocycles(algebra, 1)
 
 
 def theta_candidates(algebra, config):
@@ -536,6 +510,8 @@ def find_lcs(algebra, config=SearchConfig()):
         raise OddDimension("lcs structures need even dimension")
     if algebra.dim < 4:
         raise WrongDimension("lcs search needs dim >= 4")
+    if not isinstance(config, SearchConfig):
+        raise InvalidParameter(f"config must be a SearchConfig, got {type(config).__name__}")
 
     basis = closed_covector_basis(algebra)
     candidates = _theta_stream(algebra, config, basis)
@@ -551,7 +527,6 @@ def find_lcs(algebra, config=SearchConfig()):
         total = (len(_ordered_values(config.height)) + 1) ** len(basis)
         candidates = itertools.islice(candidates, 1)
 
-    domain = algebra.monomials(2)
     examined = 0
     capped = False
     witness = verdict = None
@@ -562,9 +537,8 @@ def find_lcs(algebra, config=SearchConfig()):
             break
         examined += 1
 
-        span = [_form(algebra, 2, domain, vec)
-                for vec in linalg.kernel(_d_matrix(algebra, 2, theta))]
-        omega = nondegenerate_in_span(algebra, span)
+        # theta combines closed covectors, so it is closed by construction
+        omega = nondegenerate_in_span(algebra, _cocycles(algebra, 2, theta))
         if omega is None:
             continue
         this_verdict = check_lcs(algebra, omega, theta)

@@ -20,10 +20,14 @@ from nilforms import (
     SearchConfig,
     betti_profile,
     ce_d,
+    codifferential,
     cohomology_space,
     cup,
+    euclidean_metric,
     find_lcs,
+    find_symplectic,
     heisenberg_line,
+    hodge_star,
     lefschetz_map,
     parse_salamon,
     triple_massey,
@@ -31,6 +35,7 @@ from nilforms import (
     wedge,
 )
 
+from nilforms import cohomology
 from nilforms.cohomology import _d_matrix
 
 from conftest import unchecked_algebra
@@ -128,6 +133,32 @@ def test_betti_profile_caches_nothing():
     algebra = parse_salamon("(0,0,12,13)")
     assert find_lcs(algebra, SearchConfig(height=1)).genuine_found
     assert algebra._cohomology_cache == {}
+    # nor does find_symplectic: it reads the closed 2-forms the same way
+    assert find_symplectic(algebra) is not None
+    assert algebra._cohomology_cache == {}
+
+
+def test_theta_is_checked_once_per_public_call(monkeypatch):
+    # each public call proves theta closed once (one d of theta); the
+    # matrices of d_theta behind it trust that check
+    calls = []
+
+    def counted(form):
+        calls.append(form)
+        return ce_d(form)
+
+    monkeypatch.setattr(cohomology, "ce_d", counted)
+    algebra = parse_salamon("(0,0,12,13,14,15,16)")
+    x1 = algebra.covector(1)
+    counts = []
+    for call in (lambda: betti_profile(algebra, theta=x1),
+                 lambda: CohomologySpace(algebra, 3, x1),
+                 lambda: cohomology_space(algebra, 3, x1)):
+        calls.clear()
+        call()
+        counts.append(len(calls))
+    # cohomology_space checks theta before its cache, the space it builds again
+    assert counts == [1, 1, 2]
 
 
 def test_twisted_profiles_leave_the_cache_alone():
@@ -359,6 +390,50 @@ def test_degrees_outside_0_to_dim_are_refused(filiform, degree):
         cohomology_space(filiform, degree)
     with pytest.raises(InvalidParameter):
         CohomologySpace(filiform, degree)
+
+
+NON_FORM_CALLS = {
+    "twisted_d": lambda g: twisted_d(g, None, 5),
+    "reduce": lambda g: cohomology_space(g, 2).reduce(5),
+    "class_of": lambda g: cohomology_space(g, 2).class_of("x"),
+    "lefschetz_map": lambda g: lefschetz_map(g, 5, 1),
+    "hodge_star": lambda g: hodge_star(g, euclidean_metric(4), 5),
+    "codifferential": lambda g: codifferential(g, euclidean_metric(4), 5),
+    "form_pairing": lambda g: euclidean_metric(4).form_pairing(5, 5),
+    "form_pairing_second": lambda g: euclidean_metric(4).form_pairing(g.covector(1), 5),
+    "find_lcs_config": lambda g: find_lcs(g, None),
+}
+
+
+@pytest.mark.parametrize("call", NON_FORM_CALLS.values(), ids=NON_FORM_CALLS)
+def test_arguments_of_the_wrong_type_are_invalid_parameters(kt, call):
+    with pytest.raises(InvalidParameter):
+        call(kt)
+
+
+FOREIGN_FORM_CALLS = {
+    "twisted_d": lambda g, x: twisted_d(g, None, x(1)),
+    "twisted_d_theta": lambda g, x: twisted_d(g, x(1), g.covector(1)),
+    "reduce": lambda g, x: cohomology_space(g, 1).reduce(x(1)),
+    "lefschetz_map": lambda g, x: lefschetz_map(g, x(1, 2), 1),
+    "hodge_star": lambda g, x: hodge_star(g, euclidean_metric(4), x(1)),
+    "codifferential": lambda g, x: codifferential(g, euclidean_metric(4), x(1)),
+    "form_pairing": lambda g, x: euclidean_metric(4).form_pairing(g.covector(1), x(1)),
+}
+
+
+@pytest.mark.parametrize("call", FOREIGN_FORM_CALLS.values(), ids=FOREIGN_FORM_CALLS)
+def test_forms_over_another_algebra_are_ambient_mismatches(kt, torus, call):
+    with pytest.raises(AmbientMismatch):
+        call(kt, torus.basis_form)
+
+
+def test_lefschetz_takes_a_zero_form_of_any_degree(kt):
+    # as pfaffian_volume does: zero is zero whatever its degree
+    result = lefschetz_map(kt, kt.zero_form(3), 1)
+    assert result.rank == 0 and result.domain_betti == 3
+    with pytest.raises(InvalidParameter, match="omega must be a 2-form, got degree 1"):
+        lefschetz_map(kt, kt.covector(1), 1)
 
 
 @pytest.mark.parametrize("p", [-1, 3, True, 1.0, "1", None])

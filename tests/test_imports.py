@@ -1,0 +1,46 @@
+"""Every name a module of the package imports is read in that module.
+
+``__init__.py`` is exempt, since its imports are the public re-exports, and
+so are ``from __future__`` imports, which bind nothing.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nilforms"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree):
+    """The names the module's imports bind, each with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _read(tree):
+    """The names the module reads anywhere, annotations included."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = _read(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in read]
+    assert not unused, f"{path.name} imports names it never reads: {', '.join(unused)}"
+
+
+def test_the_guard_sees_an_unused_import():
+    tree = ast.parse("from fractions import Fraction\nimport os.path\nos.sep\n")
+    read = _read(tree)
+    assert [name for name, _ in _imported(tree) if name not in read] == ["Fraction"]
