@@ -23,9 +23,15 @@ row is 0 on B's pivots, the one cocycle of its class that is: these rows are
 the reduced echelon basis of Z / B, identical on every run and machine, so
 frozen expected values in tests are meaningful.
 
-Differentials: ``_d_matrix`` gives d_theta on Lambda^k by its columns, the
-images of the lex-ordered monomials with their targets keyed by bitmask.  A
-kernel or a preimage reads only the source order (the reduced echelon form
+Differentials: ``_d_images`` sweeps the degrees once.  It gives d_theta on
+Lambda^k by its columns, the images of the lex-ordered monomials with their
+targets keyed by bitmask, and builds them from those of Lambda^(k-1) by
+d_theta(x_i ^ x_R) = dx_i ^ x_R - x_i ^ d_theta(x_R), i the lowest index.
+``betti_profile`` ranks each degree as the sweep yields it, with
+``linalg._rank``, which only reads the images the sweep builds the next
+degree from; a space takes degrees k - 1 and k off one sweep; and
+``_d_matrix`` reads one degree off it for the searches.  A kernel or a
+preimage reads only the source order (the reduced echelon form
 of a row space is unique under its column order, and the sources are the
 columns there), so it takes the images as they come.  The coboundaries B
 are the one place where targets become echelon columns, so a space re-keys
@@ -34,6 +40,7 @@ only B's images, by the lex position of their targets in Lambda^k.
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 
 from . import linalg
@@ -53,7 +60,6 @@ from .exterior_core import (
     _add_term,
     _bit,
     _is_unimodular,
-    _leibniz,
     _masks,
     _require_form,
     ce_d,
@@ -85,37 +91,35 @@ def _require_degree(degree, top, name="degree"):
 def twisted_d(algebra, theta, form):
     """Lichnerowicz differential d_theta = d - theta ^ . (theta=None: plain d)."""
     _require_form(algebra, form, "form")
-    theta = _require_twist(algebra, theta)
+    return _twisted_d(_require_twist(algebra, theta), form)
+
+
+def _twisted_d(theta, form):
+    """d_theta(form) for a theta already validated (None: plain d)."""
     result = ce_d(form)
-    if theta is not None:
-        result = result - wedge(theta, form)
-    return result
+    return result if theta is None else result - wedge(theta, form)
 
 
-def _lee_terms(theta):
-    """theta's terms as ``(bit, below, c)`` (``_bit``, c exact): theta ^ x_S
-    adds each index i of theta to the mask of S, with the sign
-    (-1)^|S & below i| of moving x_i past the smaller indices, and d_theta
-    subtracts it."""
-    return [(*_bit(i), _exact(c)) for (i,), c in theta.coeffs.items()]
+def _d_images(algebra, theta=None):
+    """Yield d_theta on Lambda^0, Lambda^1, ..., Lambda^n by its columns:
+    for each degree k, the images d_theta x_S of the degree-k monomials in
+    lex order, each a sparse ``{target bitmask: coefficient}``.  Nothing
+    is cached, and a yielded list is never touched again: the next degree
+    only reads it.
 
+    A monomial x_S is the bitmask sum(1 << i for i in S).  With i the
+    lowest index of S and R the rest,
 
-def _d_matrix(algebra, k, theta=None):
-    """The map d_theta: Lambda^k -> Lambda^{k+1} by its columns: the images
-    d_theta x_S of the degree-k monomials in lex order, each a sparse
-    ``{target bitmask: coefficient}``.  Nothing is cached.
+        d_theta(x_i ^ x_R) = dx_i ^ x_R - x_i ^ d_theta(x_R),
+        d_theta(1) = -theta,
 
-    A monomial x_S is the bitmask sum(1 << i for i in S), and
-    ``exterior_core._leibniz`` adds d x_S term by term with the sign
-    (-1)^(t + |R & below a| + |R & below b|) from ``algebra._leibniz_dx``,
-    whose integral constants are ints, so no ``Fraction`` arithmetic runs
-    for them.  Every Leibniz term of d x_S carries a factor dx_i with i in
-    S, so a source whose indices are all closed gets no Leibniz pass.  A
-    twist subtracts theta ^ x_S on the same masks (``_lee_terms``).
-
-    Targets stay keyed by mask: a kernel or preimage over these columns
-    is a statement about the sources, and the echelon form that yields it
-    is unique under the source order whatever the targets are called.
+    so degree k is built from degree k - 1.  In lex order the sources with
+    lowest index i come in a block, and their rests R, the (k-1)-subsets of
+    {i+1..n}, are the last C(n - i, k - 1) sources of degree k - 1, in
+    order.  A term c x_a ^ x_b of dx_i (``algebra._leibniz_dx``, ints
+    wherever integral) lands on R + a + b with the sign
+    (-1)^(|R & below a| + |R & below b|), and x_i ^ x_T moves x_i past the
+    indices of T below i.
 
     Nothing is validated here: theta is None or a closed 1-form (a zero
     form of any degree twists nothing).  The public callers pass it through
@@ -123,20 +127,47 @@ def _d_matrix(algebra, k, theta=None):
     covectors, closed by construction, and ``twisted_exactness_witness``
     passes theta to ``_primitive`` only once ``check_lcs`` holds.
     """
+    n = algebra.dim
     table = algebra._leibniz_dx
-    unclosed = sum(bit for bit, terms in table.items() if terms)
-    lee = [] if theta is None else _lee_terms(theta)
-    images = []
-    for source in _masks(algebra.dim, k):
-        image = {}
-        if source & unclosed:
-            _leibniz(image, source, 1, table)
-        for bit, below, c in lee:
-            if not source & bit:
-                _add_term(image, source | bit,
-                          c if (source & below).bit_count() & 1 else -c)
-        images.append(image)
-    return images
+    masks = [0]
+    images = [{} if theta is None else
+              {1 << i: -_exact(c) for (i,), c in theta.coeffs.items()}]
+    yield images
+    for k in range(1, n + 1):
+        last = len(masks)
+        new_masks, new_images = [], []
+        for i in range(1, n + 1):
+            bit, below = _bit(i)
+            dx = table[bit]
+            for r in range(last - comb(n - i, k - 1), last):
+                rest = masks[r]
+                image = {}
+                for pair, below_a, below_b, c in dx:
+                    if not rest & pair:
+                        odd = ((rest & below_a).bit_count() + (rest & below_b).bit_count()) & 1
+                        image[rest | pair] = -c if odd else c
+                for target, c in images[r].items():
+                    if not target & bit:
+                        key = target | bit
+                        value = image.get(key, 0) + (c if (target & below).bit_count() & 1 else -c)
+                        if value:
+                            image[key] = value
+                        else:
+                            del image[key]
+                new_masks.append(bit | rest)
+                new_images.append(image)
+        masks, images = new_masks, new_images
+        yield images
+
+
+def _d_matrix(algebra, k, theta=None):
+    """d_theta on Lambda^k by its columns, degree k of ``_d_images``.
+
+    Targets stay keyed by mask: a kernel or preimage over these columns
+    is a statement about the sources, and the echelon form that yields it
+    is unique under the source order whatever the targets are called.
+    """
+    return next(itertools.islice(_d_images(algebra, theta), k, None))
 
 
 def _space_key(algebra, degree, theta):
@@ -216,8 +247,9 @@ class CohomologySpace:
     every coboundary to zero (checked exactly), that is, unless the
     coboundaries sit inside the cocycles, as the quotient basis needs.
 
-    The cocycles are the kernel of ``_d_matrix`` on Lambda^k, keyed by
-    source position whatever its targets are keyed by.  The coboundaries
+    d_theta on Lambda^(k-1) and on Lambda^k come off one ``_d_images``
+    sweep.  The cocycles are the kernel of the latter, keyed by source
+    position whatever its targets are keyed by.  The coboundaries
     are rows whose columns are targets, so their echelon form, and with it
     the quotient basis, follows the target order: only they are re-keyed
     by the lex position of their targets in Lambda^k.
@@ -233,10 +265,12 @@ class CohomologySpace:
         self._monomials = algebra.monomials(degree)
         self._position = {mono: i for i, mono in enumerate(self._monomials)}
 
-        columns = _d_matrix(algebra, degree, theta)
+        # d_theta on Lambda^(k-1) (none in degree 0) and on Lambda^k, off one sweep
+        *lower, columns = itertools.islice(_d_images(algebra, theta),
+                                           max(degree - 1, 0), degree + 1)
         position = {mask: i for i, mask in enumerate(_masks(algebra.dim, degree))}
         images = [{position[mask]: c for mask, c in image.items()}
-                  for image in _d_matrix(algebra, degree - 1, theta)] if degree else []
+                  for below in lower for image in below]
         for image in images:
             square = {}
             for r, v in image.items():
@@ -266,7 +300,7 @@ class CohomologySpace:
         Raises NotClosed when the form is not a d_theta-cocycle.
         """
         _require_form(self.algebra, form, "form", self.degree)
-        if not twisted_d(self.algebra, self.theta, form).is_zero:
+        if not _twisted_d(self.theta, form).is_zero:
             raise NotClosed("form is not a cocycle for this differential")
         vec = linalg.reduce({self._position[mono]: c for mono, c in form.coeffs.items()},
                             self._coboundaries)
@@ -319,10 +353,12 @@ def betti_profile(algebra, theta=None):
     theta = _require_twist(algebra, theta)
     n = algebra.dim
     if theta is None and _is_unimodular(algebra):
-        half = [linalg.span_rank(_d_matrix(algebra, k)) for k in range((n + 1) // 2)]
+        half = [linalg._rank(images)
+                for images in itertools.islice(_d_images(algebra), (n + 1) // 2)]
         ranks = [half[min(k, n - 1 - k)] for k in range(n)]
     else:
-        ranks = [linalg.span_rank(_d_matrix(algebra, k, theta)) for k in range(n)]
+        ranks = [linalg._rank(images)
+                 for images in itertools.islice(_d_images(algebra, theta), n)]
     ranks = [0, *ranks, 0]
     betti = tuple(comb(n, k) - ranks[k + 1] - ranks[k] for k in range(n + 1))
     if min(betti) < 0:

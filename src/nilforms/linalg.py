@@ -22,14 +22,19 @@ representative chosen from them downstream are the same on every run and
 platform, and the same as any other exact elimination under this column
 order would give.
 
-Both entry points share one forward pass and feed it their rows shortest
-first, which keeps fill down and, by the uniqueness above, moves no output.
-A rank needs no canonical form, so ``span_rank`` stops after the forward
-pass, and since no pivot order can change a rank it also renumbers the
-coordinates by increasing nonzero count, in the spirit of Markowitz
-(Management Sci. 3, 1957).
+``echelon`` feeds the forward pass its rows shortest first, which keeps
+fill down and, by the uniqueness above, moves no output.  A rank needs no
+canonical form, so ``_rank``, the one rank path (``span_rank`` is ``_rank``
+of a copy without zero entries), runs a forward pass of its own and stops
+there.  It takes its rows shortest first too, and since no pivot order can
+change a rank it renumbers the coordinates by increasing nonzero count, in
+the spirit of Markowitz (Management Sci. 3, 1957).  It clears every pivot
+column of a row, least first off a heap, by the step above without the
+gcd, and divides the row by the gcd of its entries once, when it stores
+it.  It only reads its input, so ``cohomology`` can rank the images of one
+degree while it still builds the next degree from them.
 
-Before it eliminates, ``span_rank`` peels singletons, the first step of the
+Before it eliminates, ``_rank`` peels singletons, the first step of the
 structured Gaussian elimination of LaMacchia and Odlyzko (CRYPTO '90, LNCS
 537).  Two rules read only the supports of the vectors still live:
 
@@ -41,8 +46,9 @@ structured Gaussian elimination of LaMacchia and Odlyzko (CRYPTO '90, LNCS
   and the rank is one more than the rank of those: count it and delete c
   from every other vector, which creates no fill.
 
-Neither rule touches a value, and whatever neither rule can take goes to
-the forward pass.
+Neither rule touches a value, and neither writes to a vector: a deleted
+coordinate leaves the holder sets and lowers the live count of each vector
+that held it.  Whatever neither rule can take goes to the forward pass.
 
 The interface is sparse rows in, canonical echelon out: ``echelon`` (a
 basis of the span of some rows), ``unit_rows`` (that basis as rational
@@ -58,6 +64,7 @@ canonical basis of Z modulo B.  Only ``invert`` takes a dense square matrix
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .scalars import ZERO, ONE, as_scalar
@@ -143,22 +150,29 @@ def echelon(rows):
 
 
 def span_rank(vectors):
-    """Dimension of the span of sparse rational ``vectors``.
+    """Dimension of the span of sparse rational ``vectors``, which may hold
+    zero entries: ``_rank`` of a copy without them."""
+    return _rank([{c: v for c, v in vec.items() if v} for vec in vectors])
+
+
+def _rank(vectors):
+    """Dimension of the span of sparse rational ``vectors`` without zero
+    entries, which it only reads, so a caller may hand over rows it still
+    needs.
 
     First the two peeling rules of the module docstring, which read only
-    the supports: a coordinate held by one live vector counts that vector
-    and drops it, and a vector with one live coordinate counts itself and
-    deletes that coordinate from every other vector.  Then forward
-    elimination of what is left, under the fill-reducing order above; the
-    basis it builds is not canonical and never leaves this function.
+    the supports; a deletion takes the coordinate out of ``holders`` and
+    lowers the ``live`` count of each vector that held it, and the
+    renumbering below skips it.  Then forward elimination of what is left,
+    under the fill-reducing order above; the basis it builds is not
+    canonical and never leaves this function.
     """
     rows = {}
     holders = {}
     for i, vec in enumerate(vectors):
-        row = {c: v for c, v in vec.items() if v}
-        if row:
-            rows[i] = row
-            for c in row:
+        if vec:
+            rows[i] = vec
+            for c in vec:
                 holders.setdefault(c, set()).add(i)
     rank = 0
     # rule one; dropping a vector shrinks only the holder sets of its
@@ -182,25 +196,56 @@ def span_rank(vectors):
     # it and changes no other holder set, so it can make new singleton
     # vectors but never a singleton coordinate: one sweep of each rule
     # reaches the point where neither applies
-    single = [i for i, row in rows.items() if len(row) == 1]
+    live = {i: len(row) for i, row in rows.items()}
+    single = [i for i, count in live.items() if count == 1]
     while single:
         row = rows.pop(single.pop(), None)
         if row is None:
             continue
         rank += 1
-        (c,) = row
-        for i in holders.pop(c):
-            row = rows.get(i)
-            if row is not None:
-                del row[c]
-                if len(row) == 1:
+        for i in holders.pop(next(c for c in row if c in holders)):
+            if i in rows:
+                live[i] -= 1
+                if live[i] == 1:
                     single.append(i)
-                elif not row:
+                elif not live[i]:
                     del rows[i]
     order = sorted(holders, key=lambda c: (len(holders[c]), c))
     order = {c: i for i, c in enumerate(order)}
-    return rank + len(_forward({order[c]: v for c, v in row.items()}
-                               for row in sorted(rows.values(), key=len)))
+    basis = {}
+    for i in sorted(rows, key=live.__getitem__):
+        vec, _ = _integral({order[c]: v for c, v in rows[i].items() if c in order})
+        # the pivot columns of vec, least first; a pivot row has no entry
+        # left of its pivot, so a cleared column stays clear, and a column
+        # pushed twice is found clear the second time
+        pending = [c for c in vec if c in basis]
+        heapify(pending)
+        while pending:
+            p = heappop(pending)
+            x = vec.get(p)
+            if x is None:
+                continue
+            row = basis[p]
+            g = gcd(x, row[p])
+            a, b = x // g, row[p] // g
+            if b != 1:
+                vec = {c: v * b for c, v in vec.items()}
+            for c, r in row.items():
+                v = vec.get(c)
+                if v is None:
+                    vec[c] = -a * r
+                    if c in basis:
+                        heappush(pending, c)
+                else:
+                    v -= a * r
+                    if v:
+                        vec[c] = v
+                    else:
+                        del vec[c]
+        if vec:
+            g = gcd(*vec.values())
+            basis[min(vec)] = vec if g == 1 else {c: v // g for c, v in vec.items()}
+    return rank + len(basis)
 
 
 def unit_rows(basis):

@@ -452,9 +452,17 @@ def theta_candidates(algebra, config):
     whose maximum coordinate height is exactly h, by support size, then
     support position, then the documented value order, except that the
     unit basis covectors are hoisted to the front of level 1.  Height 0
-    yields the zero form alone.
+    yields the zero form alone.  ``config`` is checked at the call, not at
+    the first ``next``.
     """
-    yield from _theta_stream(algebra, config, closed_covector_basis(algebra))
+    _require_config(config)
+    return _theta_stream(algebra, config, closed_covector_basis(algebra))
+
+
+def _require_config(config):
+    """Refuse a search config that is not a ``SearchConfig`` (exit 3)."""
+    if not isinstance(config, SearchConfig):
+        raise InvalidParameter(f"config must be a SearchConfig, got {type(config).__name__}")
 
 
 def _theta_stream(algebra, config, basis):
@@ -510,8 +518,7 @@ def find_lcs(algebra, config=SearchConfig()):
         raise OddDimension("lcs structures need even dimension")
     if algebra.dim < 4:
         raise WrongDimension("lcs search needs dim >= 4")
-    if not isinstance(config, SearchConfig):
-        raise InvalidParameter(f"config must be a SearchConfig, got {type(config).__name__}")
+    _require_config(config)
 
     basis = closed_covector_basis(algebra)
     candidates = _theta_stream(algebra, config, basis)

@@ -161,6 +161,43 @@ def test_theta_is_checked_once_per_public_call(monkeypatch):
     assert counts == [1, 1, 2]
 
 
+def test_reduce_applies_the_stored_theta(monkeypatch):
+    # the space proved theta closed when it was built: a reduce takes one d,
+    # that of its form
+    algebra = parse_salamon("(0,0,0,12)")
+    space = CohomologySpace(algebra, 2, algebra.covector(1))
+    calls = []
+
+    def counted(form):
+        calls.append(form)
+        return ce_d(form)
+
+    monkeypatch.setattr(cohomology, "ce_d", counted)
+    forms = [algebra.form({(1, 2): 1}), algebra.form({(1, 3): 2}), algebra.zero_form(2)]
+    assert [space.reduce(form) for form in forms] == [(), (), ()]
+    assert calls == forms
+    # x2 ^ x3 is d-closed, but d_theta of it is -x1 ^ x2 ^ x3
+    with pytest.raises(NotClosed):
+        space.reduce(algebra.form({(2, 3): 1}))
+
+
+def test_betti_profile_sweeps_the_images_once(monkeypatch):
+    # one sweep gives every degree; a sweep per degree would be quadratic
+    starts = []
+    sweep = cohomology._d_images
+
+    def counted(*args):
+        starts.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(cohomology, "_d_images", counted)
+    algebra = parse_salamon("(0,0,12,13,14,15,16)")
+    for theta in (None, algebra.covector(1)):
+        starts.clear()
+        betti_profile(algebra, theta)
+        assert len(starts) == 1
+
+
 def test_twisted_profiles_leave_the_cache_alone():
     algebra = parse_salamon("(0,0,12,13)")
     before = len(algebra._cohomology_cache)

@@ -12,6 +12,7 @@ The module keeps its own case budget; ``test_total_fuzz_budget`` pins the
 suite-wide count at one thousand or more.
 """
 
+import copy
 import itertools
 from fractions import Fraction
 from math import comb
@@ -55,7 +56,7 @@ from nilforms import (
     wedge,
 )
 from nilforms import linalg
-from nilforms.cohomology import _d_matrix, _form
+from nilforms.cohomology import _d_images, _d_matrix, _form
 from nilforms.exterior_core import _is_nilpotent, direct_sum, lower_central_series
 from nilforms.hermitian import _is_parallel, _star_raw
 from nilforms.structures import (
@@ -73,6 +74,7 @@ from conftest import (
     non_nilpotent_4d_algebras,
     permuted_nilpotent_algebras,
     posdef_metrics,
+    small_nonzero,
     small_rationals,
     two_step_algebras,
     unchecked_algebra,
@@ -498,9 +500,9 @@ def test_twisted_rank_profile_equals_the_full_spaces(algebra, data):
     assert betti_profile(algebra, theta) == _full_betti(algebra, theta)
 
 
-# betti_profile skips the sources whose indices are all closed and uses
+# betti_profile ranks the degrees of one sweep as they come and uses
 # duality on unimodular input; the reference ranks the _d_matrix columns of
-# every degree.  Permuted bases put
+# every degree, each off a fresh sweep.  Permuted bases put
 # closed covectors between non-closed ones, and the constants below are not
 # integral: x1, x2, x4 closed, dx3 = -x12 / 2, dx5 = 3 x13 / 2 - x24 / 3.
 NON_INTEGRAL = LieAlgebra(5, {(1, 2, 3): Fraction(1, 2), (1, 3, 5): Fraction(-3, 2),
@@ -523,6 +525,42 @@ def _plain_and_twisted(algebra, data):
 def test_betti_profile_equals_the_ranks_of_the_d_matrix(algebra, data):
     for theta in _plain_and_twisted(algebra, data):
         assert betti_profile(algebra, theta) == _betti_by_d_matrix(algebra, theta)
+
+
+# _d_matrix reads one degree off the sweep of _d_images, which builds each
+# degree from the one below; twisted_d takes each monomial on its own
+# through exterior_core's Leibniz rule.  The Koszul route above stops at
+# dimension 5
+@fuzz(st.one_of(nilpotent_algebras(dims=(6, 7, 8)), st.just(NON_INTEGRAL),
+                non_nilpotent_4d_algebras()), st.data(), n=30)
+def test_d_matrix_equals_twisted_d_on_each_monomial(algebra, data):
+    for theta in _plain_and_twisted(algebra, data):
+        for k in range(algebra.dim + 1):
+            images = [twisted_d(algebra, theta, algebra.form({mono: 1})).coeffs
+                      for mono in algebra.monomials(k)]
+            assert _d_matrix(algebra, k, theta) == [
+                {sum(1 << i for i in mono): c for mono, c in image.items()}
+                for image in images]
+
+
+# _rank only reads its vectors: betti_profile ranks degree k of the sweep
+# while _d_images still needs it to build degree k + 1.  Vectors of at most
+# four entries over six coordinates give both peeling rules work
+@fuzz(st.lists(st.dictionaries(st.integers(0, 5), small_nonzero, max_size=4), max_size=8))
+def test_rank_leaves_its_vectors_as_they_were(vectors):
+    before = copy.deepcopy(vectors)
+    rank = linalg._rank(vectors)
+    assert vectors == before
+    dense = [[vec.get(c, 0) for c in range(6)] for vec in vectors]
+    assert rank == len(reference_rref(dense, 6)[1])
+
+
+@fuzz(permuted_nilpotent_algebras(), n=20)
+def test_rank_leaves_the_images_of_the_sweep_as_they_were(algebra):
+    for images in _d_images(algebra):
+        before = copy.deepcopy(images)
+        linalg._rank(images)
+        assert images == before
 
 
 # the Koszul oracle takes about 1.3 s per profile in dimension 6

@@ -186,6 +186,13 @@ def test_find_lcs_abelian_count_matches_enumeration_at_each_height(torus, h):
     assert find_lcs(torus, config).examined == streamed
 
 
+@pytest.mark.parametrize("config", [None, {"height": 1}, 1], ids=repr)
+def test_theta_candidates_checks_its_config_when_called(config):
+    # the error comes from the call itself, before any candidate is asked for
+    with pytest.raises(InvalidParameter, match="config must be a SearchConfig"):
+        theta_candidates(parse_salamon("(0,0,0,12)"), config)
+
+
 @pytest.mark.parametrize("salamon", ["(0,0,0,12)", "(0,0,12,13)",
                                      "(0,0,0,0,12,34)", "(0,0,12,13,14,15)"])
 def test_height_zero_examines_theta_zero_alone(salamon):
