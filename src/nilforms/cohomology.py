@@ -343,8 +343,8 @@ def betti_profile(algebra, theta=None):
 
     b_k = C(n, k) - r_k - r_{k-1}, where r_k is the rank of
     d_theta : Lambda^k -> Lambda^{k+1} (r_{-1} = r_n = 0), taken of the
-    bitmask images of ``_d_matrix`` as they come: no position table, no
-    cohomology space, and nothing is cached on the algebra.  On a
+    bitmask images of one ``_d_images`` sweep as they come: no position
+    table, no cohomology space, and nothing is cached on the algebra.  On a
     unimodular algebra the untwisted d on Lambda^{n-1-k} is, up to sign,
     the transpose of d on Lambda^k under the wedge pairing into Lambda^n
     (Poincare duality), so r_{n-1-k} = r_k and only k <= (n - 1) / 2 is

@@ -22,17 +22,18 @@ representative chosen from them downstream are the same on every run and
 platform, and the same as any other exact elimination under this column
 order would give.
 
-``echelon`` feeds the forward pass its rows shortest first, which keeps
-fill down and, by the uniqueness above, moves no output.  A rank needs no
-canonical form, so ``_rank``, the one rank path (``span_rank`` is ``_rank``
-of a copy without zero entries), runs a forward pass of its own and stops
-there.  It takes its rows shortest first too, and since no pivot order can
-change a rank it renumbers the coordinates by increasing nonzero count, in
-the spirit of Markowitz (Management Sci. 3, 1957).  It clears every pivot
-column of a row, least first off a heap, by the step above without the
-gcd, and divides the row by the gcd of its entries once, when it stores
-it.  It only reads its input, so ``cohomology`` can rank the images of one
-degree while it still builds the next degree from them.
+One forward pass serves both ``echelon`` and ``_rank``.  It clears the pivot
+columns of each row least first, off a heap to which a fill column that is a
+pivot is pushed as it appears, so no step searches the row for its next
+pivot.  ``echelon`` feeds it its rows shortest first, which keeps fill down
+and, by the uniqueness above, moves no output, and then back-substitutes.
+A rank needs no canonical form, so ``_rank``, the one rank path
+(``span_rank`` is ``_rank`` of a copy without zero entries), stops after the
+forward pass.  It takes its rows shortest first too, and since no pivot
+order can change a rank it renumbers the coordinates by increasing nonzero
+count, in the spirit of Markowitz (Management Sci. 3, 1957).  It only reads
+its input, so ``cohomology`` can rank the images of one degree while it
+still builds the next degree from them.
 
 Before it eliminates, ``_rank`` peels singletons, the first step of the
 structured Gaussian elimination of LaMacchia and Odlyzko (CRYPTO '90, LNCS
@@ -91,33 +92,43 @@ def _reduce(vec, basis, den=1):
     the integer row ``vec``.
 
     Exact: returns ``(vec', den')`` with ``vec' / den'`` equal to
-    ``vec / den`` minus a combination of basis rows.  Columns are cleared in
-    increasing order; a basis row has no entry left of its pivot, so a
-    cleared column stays clear.
+    ``vec / den`` minus a combination of basis rows.  The pivot columns of
+    the row wait on a heap and are cleared least first, a fill column that
+    is a pivot joining the heap as it appears; a basis row has no entry left
+    of its pivot, so a cleared column stays clear, and a column pushed twice
+    is found clear the second time.
     """
     vec = dict(vec)
-    done = -1
-    while True:
-        p = min((c for c in vec if c > done and c in basis), default=None)
-        if p is None:
-            return vec, den
+    pending = [c for c in vec if c in basis]
+    heapify(pending)
+    while pending:
+        p = heappop(pending)
+        x = vec.get(p)
+        if x is None:
+            continue
         row = basis[p]
-        g = gcd(vec[p], row[p])
-        a, b = vec[p] // g, row[p] // g
+        g = gcd(x, row[p])
+        a, b = x // g, row[p] // g
         if b != 1:
             vec = {c: v * b for c, v in vec.items()}
             den *= b
         for c, r in row.items():
-            v = vec.get(c, 0) - a * r
-            if v:
-                vec[c] = v
+            v = vec.get(c)
+            if v is None:
+                vec[c] = -a * r
+                if c in basis:
+                    heappush(pending, c)
             else:
-                del vec[c]
+                v -= a * r
+                if v:
+                    vec[c] = v
+                else:
+                    del vec[c]
         g = gcd(den, *vec.values())
         if g != 1:
             vec = {c: v // g for c, v in vec.items()}
             den //= g
-        done = p
+    return vec, den
 
 
 def _forward(rows):
@@ -163,7 +174,7 @@ def _rank(vectors):
     First the two peeling rules of the module docstring, which read only
     the supports; a deletion takes the coordinate out of ``holders`` and
     lowers the ``live`` count of each vector that held it, and the
-    renumbering below skips it.  Then forward elimination of what is left,
+    renumbering below skips it.  Then the forward pass over what is left,
     under the fill-reducing order above; the basis it builds is not
     canonical and never leaves this function.
     """
@@ -212,40 +223,9 @@ def _rank(vectors):
                     del rows[i]
     order = sorted(holders, key=lambda c: (len(holders[c]), c))
     order = {c: i for i, c in enumerate(order)}
-    basis = {}
-    for i in sorted(rows, key=live.__getitem__):
-        vec, _ = _integral({order[c]: v for c, v in rows[i].items() if c in order})
-        # the pivot columns of vec, least first; a pivot row has no entry
-        # left of its pivot, so a cleared column stays clear, and a column
-        # pushed twice is found clear the second time
-        pending = [c for c in vec if c in basis]
-        heapify(pending)
-        while pending:
-            p = heappop(pending)
-            x = vec.get(p)
-            if x is None:
-                continue
-            row = basis[p]
-            g = gcd(x, row[p])
-            a, b = x // g, row[p] // g
-            if b != 1:
-                vec = {c: v * b for c, v in vec.items()}
-            for c, r in row.items():
-                v = vec.get(c)
-                if v is None:
-                    vec[c] = -a * r
-                    if c in basis:
-                        heappush(pending, c)
-                else:
-                    v -= a * r
-                    if v:
-                        vec[c] = v
-                    else:
-                        del vec[c]
-        if vec:
-            g = gcd(*vec.values())
-            basis[min(vec)] = vec if g == 1 else {c: v // g for c, v in vec.items()}
-    return rank + len(basis)
+    return rank + len(_forward(
+        {order[c]: v for c, v in rows[i].items() if c in order}
+        for i in sorted(rows, key=live.__getitem__)))
 
 
 def unit_rows(basis):
