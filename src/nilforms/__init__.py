@@ -16,7 +16,6 @@ from .cohomology import (
     LefschetzResult,
     MasseyResult,
     betti_profile,
-    class_of,
     cohomology_space,
     cup,
     lefschetz_map,

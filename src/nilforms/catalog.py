@@ -2,7 +2,7 @@
 
 Every ExpectedFact carries a provenance tag:
 
-* "derived": recomputed here from scratch; asserted by the tests.
+* "derived": recomputed from scratch, every one, by the tests.
 * "literature": a classical statement (attributed in the README) whose
   machine-checkable shadow, if any, is a separate derived fact.  Printed,
   never asserted.

@@ -21,7 +21,11 @@ of the reduced echelon basis of the cocycles Z (lexicographic monomial order)
 whose pivots are not pivots of the coboundaries B.  B sits in Z, so each such
 row is 0 on B's pivots, the one cocycle of its class that is: these rows are
 the reduced echelon basis of Z / B, identical on every run and machine, so
-frozen expected values in tests are meaningful.
+frozen expected values in tests are meaningful.  One elimination gives that
+basis of Z: the kernel of d_theta with its sources reversed.  Each kernel
+vector is 1 at its free source, 0 at the other free ones and nonzero only at
+pivots before it in that order, so in lex order it is a row of the unique
+reduced echelon basis of Z.
 
 Differentials: ``_d_images`` sweeps the degrees once.  It gives d_theta on
 Lambda^k by its columns, the images of the lex-ordered monomials with their
@@ -183,8 +187,8 @@ def _form(algebra, degree, monomials, vector):
 
 
 def _cocycles(algebra, k, theta=None):
-    """Z^k_theta as k-forms: the echelon basis of the kernel of
-    ``_d_matrix``, the one source of cocycles for the searches.  Validates
+    """Z^k_theta as k-forms: the ``linalg.kernel`` basis of ``_d_matrix``
+    (not echelon), the one source of cocycles for the searches.  Validates
     nothing, as ``_d_matrix``."""
     monomials = algebra.monomials(k)
     return [_form(algebra, k, monomials, vector)
@@ -248,10 +252,10 @@ class CohomologySpace:
     coboundaries sit inside the cocycles, as the quotient basis needs.
 
     d_theta on Lambda^(k-1) and on Lambda^k come off one ``_d_images``
-    sweep.  The cocycles are the kernel of the latter, keyed by source
-    position whatever its targets are keyed by.  The coboundaries
-    are rows whose columns are targets, so their echelon form, and with it
-    the quotient basis, follows the target order: only they are re-keyed
+    sweep.  The cocycles are the kernel of the latter under the reversed
+    source order, keyed back: the reduced echelon basis of Z, and the only
+    one kept.  The coboundaries are rows whose columns are targets, so
+    their echelon form follows the target order: only they are re-keyed
     by the lex position of their targets in Lambda^k.
     """
 
@@ -279,18 +283,16 @@ class CohomologySpace:
             if square:
                 raise InternalInvariantBreach(
                     "coboundaries do not sit inside cocycles; d^2 = 0 is broken")
-        kernel = linalg.kernel(columns)
         self._coboundaries = linalg.echelon(images)
-        self._quotient = {p: row for p, row in linalg.echelon(kernel).items()
-                          if p not in self._coboundaries}
+        # Z's reduced echelon basis (module docstring); echelon makes int rows
+        last = len(columns) - 1
+        cocycles = ({last - c: v for c, v in vector.items()}
+                    for vector in linalg.kernel(columns[::-1]))
+        self._quotient = linalg.echelon(z for z in cocycles
+                                        if min(z) not in self._coboundaries)
         self.betti = len(self._quotient)
-
-        self.cocycle_basis = [self._form_from(v) for v in kernel]
-        self.representative_basis = [self._form_from(v)
+        self.representative_basis = [_form(algebra, degree, self._monomials, v)
                                      for v in linalg.unit_rows(self._quotient)]
-
-    def _form_from(self, vector):
-        return _form(self.algebra, self.degree, self._monomials, vector)
 
     # -- the quotient map ----------------------------------------------------
 
@@ -332,10 +334,6 @@ def cohomology_space(algebra, degree, theta=None):
     if key not in cache:
         cache[key] = CohomologySpace(algebra, degree, theta)
     return cache[key]
-
-
-def class_of(space, form):
-    return space.class_of(form)
 
 
 def betti_profile(algebra, theta=None):

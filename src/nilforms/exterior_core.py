@@ -463,7 +463,9 @@ class KForm:
         return self.degree == other.degree and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.algebra, self.degree, frozenset(self.coeffs.items())))
+        # zero is zero whatever its degree, as in __eq__
+        return hash((self.algebra, self.degree if self.coeffs else None,
+                     frozenset(self.coeffs.items())))
 
     def __repr__(self):
         return f"<{self.degree}-form {format_form(self)}>"

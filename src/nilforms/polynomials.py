@@ -195,7 +195,7 @@ class Poly:
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, str)):
+        if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented

@@ -438,9 +438,9 @@ def _ordered_values(max_height):
 
 
 def closed_covector_basis(algebra):
-    """Echelon basis of the closed 1-forms: the kernel of d on Lambda^1,
-    the cocycle basis of H^1 without building the space (in degree 1 the
-    coboundaries are 0, so the space would add nothing to check)."""
+    """Basis of the closed 1-forms: the ``linalg.kernel`` of d on Lambda^1,
+    read without building H^1 (in degree 1 the coboundaries are 0, so the
+    space would add nothing to check)."""
     return _cocycles(algebra, 1)
 
 

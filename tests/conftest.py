@@ -13,6 +13,7 @@ from nilforms import (
     cohomology_space,
     get_example,
 )
+from nilforms.cohomology import _cocycles
 from nilforms.linalg import invert as exact_invert, span_rank
 
 settings.register_profile(
@@ -140,7 +141,7 @@ def central_extension(rng, dim, generators):
     constants = {}
     for k in range(generators + 1, dim + 1):
         space = cohomology_space(LieAlgebra(k - 1, constants), 2)
-        closed = space.cocycle_basis
+        closed = _cocycles(space.algebra, 2)
         while True:
             dx = sum((f.scale(rng.choice(EXTENSION_COEFFS))
                       for f in rng.sample(closed, min(2, len(closed)))),

@@ -16,7 +16,6 @@ from nilforms import (
     get_example,
     ce_d,
     check_lcs,
-    class_of,
     classify_4d,
     classify_hermitian,
     cohomology_space,
@@ -66,7 +65,7 @@ def test_criterion_3_genuine_lcs_identity(filiform):
     assert ce_d(omega) == wedge(theta, omega)
     assert ce_d(theta) == filiform.zero_form(2)
     h1 = cohomology_space(filiform, 1)
-    assert not class_of(h1, theta).is_zero
+    assert not h1.class_of(theta).is_zero
     assert pfaffian_volume(filiform, omega) == 1
     verdict = check_lcs(filiform, omega, theta)
     assert verdict.holds and verdict.genuine

@@ -3,15 +3,71 @@
 import pytest
 
 from nilforms import (
+    ExpectedFact,
     InvalidParameter,
     UnknownName,
     betti_profile,
+    check_lcs,
+    check_symplectic,
+    classify_4d,
+    classify_hermitian,
+    cohomology_space,
     format_salamon,
     get_example,
     heisenberg_line,
+    lefschetz_map,
+    nijenhuis,
     parse_salamon,
+    triple_massey,
+    verify_realization,
 )
 from nilforms.catalog import PROVENANCES, names
+
+
+def _lee(entry):
+    return entry.algebra.form(entry.fact("genuine_lcs_witness").value["theta"])
+
+
+def _symplectic(entry):
+    return entry.algebra.form(entry.fact("symplectic_witness").value)
+
+
+def _genuine_lcs(g, witness):
+    verdict = check_lcs(g, g.form(witness["omega"]), g.form(witness["theta"]))
+    return verdict.holds and verdict.genuine
+
+
+def _lattice_closed(entry):
+    report = verify_realization()
+    return report.salamon == entry.salamon and dict(report.checks)["lattice_closed"]
+
+
+# each derived fact recomputed from scratch: rule(entry, value) holds exactly
+# when the library agrees with the recorded value
+DERIVED_RULES = {
+    "betti_profile": lambda e, v: betti_profile(e.algebra) == v,
+    "b1": lambda e, v: cohomology_space(e.algebra, 1).betti == v,
+    "first_betti_odd": lambda e, v: (betti_profile(e.algebra)[1] % 2 == 1) == v,
+    "symplectic_witness": lambda e, v: check_symplectic(e.algebra, e.algebra.form(v)),
+    "genuine_lcs_witness": lambda e, v: _genuine_lcs(e.algebra, v),
+    "twisted_betti_at_lee": lambda e, v: betti_profile(e.algebra, _lee(e)) == v,
+    "lefschetz_p1_rank": lambda e, v: lefschetz_map(e.algebra, _symplectic(e), 1).rank == v,
+    "massey_triple_nonzero": lambda e, v: triple_massey(
+        e.algebra, *map(e.algebra.covector, v)).nonzero_mod_indeterminacy,
+    "standard_acs_not_integrable": lambda e, v:
+        (not nijenhuis(e.algebra, e.acs).is_integrable) == v,
+    "lattice_quotient_compact": lambda e, v: _lattice_closed(e) == v,
+    "hermitian_label": lambda e, v: classify_hermitian(e.algebra, e.metric, e.acs).label == v,
+    "kahler_admissible": lambda e, v: classify_4d(e.algebra).kahler_admissible == v,
+}
+
+DERIVED = [(name, fact) for name in names() for fact in get_example(name).facts
+           if fact.provenance == "derived"]
+
+
+def _holds(entry, fact):
+    assert fact.fact in DERIVED_RULES, f"no rule recomputes the derived fact {fact.fact!r}"
+    return bool(DERIVED_RULES[fact.fact](entry, fact.value))
 
 
 def test_names_are_stable():
@@ -38,10 +94,16 @@ def test_every_fact_has_a_known_provenance():
             assert fact.provenance in PROVENANCES
 
 
-def test_derived_betti_facts_recompute():
-    for name in ("torus4", "kodaira_thurston", "filiform_0_0_12_13"):
-        entry = get_example(name)
-        assert betti_profile(entry.algebra) == entry.fact("betti_profile").value
+@pytest.mark.parametrize("name,fact", DERIVED,
+                         ids=[f"{name}-{fact.fact}" for name, fact in DERIVED])
+def test_every_derived_fact_recomputes(name, fact):
+    assert _holds(get_example(name), fact)
+
+
+def test_a_derived_fact_without_a_rule_fails():
+    fact = ExpectedFact("no_such_fact", True, "derived")
+    with pytest.raises(AssertionError, match="no rule"):
+        _holds(get_example("torus4"), fact)
 
 
 def test_literature_facts_are_flagged_not_asserted():

@@ -8,6 +8,8 @@ none of the library's matrix plumbing is trusted twice.
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings
+
 from nilforms import (
     AmbientMismatch,
     CohomologySpace,
@@ -35,11 +37,12 @@ from nilforms import (
     wedge,
 )
 
-from nilforms import cohomology
+from nilforms import cohomology, linalg
 from nilforms.cohomology import _d_matrix
 
 from conftest import unchecked_algebra
 from oracles import betti_by_koszul
+from test_linalg_kernel import columns_of, matrices
 
 
 def test_betti_profiles_match_the_koszul_oracle(torus, kt, filiform, so3):
@@ -488,6 +491,20 @@ def test_jacobi_witness_with_rational_constants():
     with pytest.raises(JacobiViolation) as caught:
         LieAlgebra(4, constants)
     assert caught.value.triple == (1, 2, 4)
+
+
+@settings(max_examples=300)
+@given(matrices())
+def test_the_reversed_kernel_is_the_reduced_echelon_basis_of_the_kernel(matrix):
+    # the identity CohomologySpace reads Z off: the kernel under the reversed
+    # column order, keyed back, is the reduced echelon basis of the kernel
+    rows, ncols = matrix
+    columns = columns_of(rows, ncols)
+    last = ncols - 1
+    reversed_kernel = [{last - c: v for c, v in vector.items()}
+                       for vector in linalg.kernel(columns[::-1])]
+    expected = linalg.unit_rows(linalg.echelon(linalg.kernel(columns)))
+    assert sorted(reversed_kernel, key=min) == expected
 
 
 def test_cohomology_spaces_are_memoized(filiform):

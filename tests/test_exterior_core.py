@@ -130,6 +130,12 @@ def test_zero_forms_compare_equal_across_degrees(torus):
     assert torus.zero_form(0) == torus.zero_form(2)
 
 
+def test_zero_forms_hash_equal_across_degrees(torus):
+    assert hash(torus.zero_form(1)) == hash(torus.zero_form(2))
+    assert len({torus.zero_form(k) for k in range(5)}) == 1
+    assert len({torus.covector(1), torus.covector(1).scale(2), torus.zero_form(1)}) == 3
+
+
 def test_format_form(filiform):
     omega = filiform.form({(1, 3): 1, (2, 4): -1})
     assert format_form(omega) == "x1^x3 - x2^x4"

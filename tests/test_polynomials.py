@@ -68,6 +68,15 @@ def test_int_coefficients_stay_ints():
     assert half.terms == {(1, 0): 1} and type(half.terms[(1, 0)]) is Fraction
 
 
+def test_polynomials_compare_only_with_polynomials_and_rationals():
+    three = Poly.constant(2, 3)
+    assert three == 3 and three == Fraction(3) and three == Poly.constant(2, 3)
+    assert three != Fraction(1, 3) and Poly(2) == 0
+    for other in ("abc", "3", None, 3.0, (3,)):
+        assert (three == other) is False
+        assert (three != other) is True
+
+
 def test_scalar_factors_equal_their_constant_polynomials():
     x = Poly(2, {(1, 0): 2, (0, 1): Fraction(1, 3)}, _normalized=True)
     for scalar in (0, 1, -3, True, Fraction(3, 2), "-5/4"):

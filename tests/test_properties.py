@@ -56,7 +56,7 @@ from nilforms import (
     wedge,
 )
 from nilforms import linalg
-from nilforms.cohomology import _d_images, _d_matrix, _form
+from nilforms.cohomology import _cocycles, _d_images, _d_matrix, _form
 from nilforms.exterior_core import _is_nilpotent, direct_sum, lower_central_series
 from nilforms.hermitian import _is_parallel, _star_raw
 from nilforms.structures import (
@@ -429,10 +429,11 @@ def _full_betti(algebra, theta=None):
 
 def _quotient_by_reference(algebra, k, theta):
     """The representative rows of H^k_theta the way they were built before
-    the quotient was read off the cocycle echelon: every cocycle reduced
-    modulo the reduced echelon form of the coboundaries (images of the
-    monomials under ``twisted_d``), then the reduced echelon form of what is
-    left, all by dense Fraction reduction."""
+    the quotient was read off the cocycle echelon: every cocycle of the
+    natural-order kernel (``_cocycles``) reduced modulo the reduced echelon
+    form of the coboundaries (images of the monomials under ``twisted_d``),
+    then the reduced echelon form of what is left, all by dense Fraction
+    reduction."""
     monomials = algebra.monomials(k)
 
     def dense(form):
@@ -442,7 +443,7 @@ def _quotient_by_reference(algebra, k, theta):
               for mono in algebra.monomials(k - 1)] if k else []
     boundary, pivots = reference_rref(images, len(monomials))
     reduced = []
-    for cocycle in cohomology_space(algebra, k, theta).cocycle_basis:
+    for cocycle in _cocycles(algebra, k, theta):
         vec = dense(cocycle)
         for row, p in zip(boundary, pivots):
             vec = [a - vec[p] * b for a, b in zip(vec, row)]
