@@ -9,6 +9,8 @@ Sign convention, used everywhere: dx_k(X_i, X_j) = -x_k([X_i, X_j]), so in
 tuple notation "(0,0,0,12)" means dx_4 = x1^x2, i.e. [X_1, X_2] = -X_4.
 """
 
+from types import ModuleType as _ModuleType
+
 from .catalog import CatalogEntry, ExpectedFact, get_example, heisenberg_line, names
 from .cohomology import (
     CohomologyClass,
@@ -24,10 +26,7 @@ from .cohomology import (
 )
 from .coordinate_model import (
     PolyForm,
-    PolyMap,
     RealizationReport,
-    poly_d,
-    pullback,
     verify_realization,
 )
 from .errors import (
@@ -83,9 +82,7 @@ from .notation import (
     json_to_algebra,
     json_to_form,
     parse_covector_sum,
-    parse_json,
     parse_salamon,
-    serialize_json,
 )
 from .polynomials import Poly, nonzero_point
 from .scalars import Scalar, as_scalar, format_scalar, parse_scalar
@@ -113,4 +110,6 @@ from .verification import CheckResult, all_machine_pass, verify_all
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the re-exported names, without the submodules that importing them binds
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -142,30 +142,6 @@ class PolyForm:
         return f"PolyForm(degree={self.degree}, terms={len(self.coeffs)})"
 
 
-class PolyMap(_Record):
-    """Polynomial coordinate map, one Poly component per target coordinate."""
-
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if len(comps) != NCOORDS:
-            raise DimensionMismatch(f"a coordinate map needs {NCOORDS} components")
-        object.__setattr__(self, "components", comps)
-
-
-def poly_d(form):
-    """Exterior derivative, free-function spelling of ``PolyForm.d``."""
-    return form.d()
-
-
-def pullback(mapping, form):
-    """phi^* form, for phi given as a PolyMap or a bare component tuple."""
-    components = (mapping.components if isinstance(mapping, PolyMap)
-                  else tuple(mapping))
-    return form.pullback(components)
-
-
 # -- the group law -----------------------------------------------------------
 
 

@@ -135,9 +135,9 @@ class _Record:
 
     Fields are given positionally or by keyword; a value assigned in the
     class body is the field's default.  ``__post_init__`` runs after the
-    fields are set and may replace one with ``object.__setattr__``.  Records
-    of the same class are equal when their fields are, hash by their
-    fields, print like ``Name(field=value, ...)`` and refuse assignment.
+    fields are set.  Records of the same class are equal when their fields
+    are, hash by their fields, print like ``Name(field=value, ...)`` and
+    refuse assignment.
     """
 
     def __init_subclass__(cls, **kwargs):

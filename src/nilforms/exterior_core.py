@@ -199,7 +199,7 @@ class LieAlgebra:
             except (TypeError, ValueError):
                 raise InvalidParameter(f"constants key {key!r} is not an (i, j, k) triple")
             for idx in (i, j, k):
-                if not isinstance(idx, int) or not 1 <= idx <= dim:
+                if isinstance(idx, bool) or not isinstance(idx, int) or not 1 <= idx <= dim:
                     raise IndexOutOfRange(f"index {idx} outside 1..{dim} in key {key!r}")
             if i >= j:
                 raise IndexOutOfRange(f"bracket key needs i < j, got ({i}, {j})")
@@ -250,7 +250,7 @@ class LieAlgebra:
         return tuple(self.c(i, j, k) for k in range(1, self.dim + 1))
 
     def _check_index(self, i):
-        if not isinstance(i, int) or not 1 <= i <= self.dim:
+        if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= self.dim:
             raise IndexOutOfRange(f"basis index {i} outside 1..{self.dim}")
 
     # -- form builders -------------------------------------------------------
@@ -334,7 +334,7 @@ def build_algebra(dim, brackets):
             i, j = key
         except (TypeError, ValueError):
             raise InvalidParameter(f"bracket key {key!r} is not an (i, j) pair")
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in (i, j)):
             raise InvalidParameter(f"bracket key {key!r} must hold integers")
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise IndexOutOfRange(f"bracket key {key!r} outside 1..{dim}")
@@ -376,7 +376,8 @@ class KForm:
                 raise InvalidParameter(
                     f"term {mono} has length {len(mono)}, expected degree {degree}")
             for idx in mono:
-                if not isinstance(idx, int) or not 1 <= idx <= algebra.dim:
+                if (isinstance(idx, bool) or not isinstance(idx, int)
+                        or not 1 <= idx <= algebra.dim):
                     raise IndexOutOfRange(f"index {idx} outside 1..{algebra.dim}")
             coeff = as_scalar(value)
             if coeff == 0:

@@ -52,20 +52,15 @@ from .structures import AlmostComplexStructure, check_lcs, nijenhuis
 
 class InnerProduct:
     """Positive definite symmetric bilinear form on the algebra's vector
-    space, given by its Gram matrix in the preferred basis.
+    space, given by its Gram matrix in the preferred basis."""
 
-    ``orientation`` is +1 or -1 relative to the ordered basis; it flips the
-    sign of the Hodge star and cancels out of the codifferential."""
+    __slots__ = ("dim", "matrix", "inverse", "determinant")
 
-    __slots__ = ("dim", "matrix", "inverse", "determinant", "orientation")
-
-    def __init__(self, matrix, orientation=1):
+    def __init__(self, matrix):
         rows = [tuple(as_scalar(v) for v in row) for row in matrix]
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DimensionMismatch("Gram matrix must be square")
-        if orientation not in (1, -1):
-            raise InvalidParameter("orientation must be +1 or -1")
         for i in range(n):
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
@@ -74,7 +69,6 @@ class InnerProduct:
         self.matrix = tuple(rows)
         self.determinant = _positive_definite_det(rows)
         self.inverse = tuple(tuple(r) for r in linalg.invert([list(r) for r in rows]))
-        self.orientation = orientation
 
     def pairing(self, v, w):
         """g(v, w) on coefficient vectors."""
@@ -204,7 +198,7 @@ def hodge_star(algebra, metric, form):
         raise IrrationalVolume(
             f"sqrt(det g) = sqrt({metric.determinant}) is irrational; "
             "the star map leaves the rational field")
-    return _star_raw(algebra, metric, form).scale(scale * metric.orientation)
+    return _star_raw(algebra, metric, form).scale(scale)
 
 
 def codifferential(algebra, metric, form):
@@ -340,10 +334,6 @@ class HermitianClassification(_Record):
     lck: bool
     vaisman: bool
     label: str
-
-    @property
-    def lee_form(self):
-        return self.lee
 
     @property
     def flags(self):

@@ -422,33 +422,3 @@ def json_to_form(algebra, obj):
         if coeff != 0:
             terms[key] = coeff
     return KForm(algebra, degree, terms, _normalized=True)
-
-
-def serialize_json(obj):
-    """Type-dispatched serializer: algebras and forms become their schema
-    documents, report dicts pass through unchanged."""
-    if isinstance(obj, LieAlgebra):
-        return algebra_to_json(obj)
-    if isinstance(obj, KForm):
-        return form_to_json(obj)
-    if isinstance(obj, dict):
-        return obj
-    raise InvalidParameter(
-        f"cannot serialize {type(obj).__name__}; expected LieAlgebra, KForm, "
-        "or a report dict")
-
-
-def parse_json(obj, algebra=None):
-    """Inverse dispatch on the document shape.
-
-    An object with "dim" parses as an algebra; one with "degree" parses as a
-    form over ``algebra`` (required in that case).
-    """
-    _expect(isinstance(obj, dict), "", "document must be an object")
-    if "dim" in obj:
-        return json_to_algebra(obj)
-    if "degree" in obj:
-        if algebra is None:
-            raise InvalidParameter("parsing a form document needs the algebra")
-        return json_to_form(algebra, obj)
-    raise SchemaViolation("", 'document has neither "dim" nor "degree"')

@@ -54,7 +54,7 @@ class Poly:
 
     @classmethod
     def variable(cls, nvars, index):
-        if not 0 <= index < nvars:
+        if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < nvars:
             raise InvalidParameter(f"variable index {index} outside 0..{nvars - 1}")
         expo = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {expo: as_scalar(1)}, _normalized=True)
@@ -202,6 +202,10 @@ class Poly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its value (see __eq__), so it hashes as the value
+        constant = (0,) * self.nvars
+        if not self.terms or self.terms.keys() == {constant}:
+            return hash(self.terms.get(constant, 0))
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilforms import DimensionMismatch, Poly, PolyMap, poly_d, pullback
+from nilforms import DimensionMismatch, Poly
 from nilforms.coordinate_model import (
     NCOORDS,
     RING_VARS,
@@ -53,37 +53,37 @@ def test_numeric_spot_check():
 
 def test_poly_d_of_the_coframe():
     x1, x2, x3, x4 = invariant_coframe()
-    assert poly_d(x1).is_zero
-    assert poly_d(x2).is_zero
-    assert poly_d(x3) == x1.wedge(x2)
-    assert poly_d(x4) == x1.wedge(x3)
+    assert x1.d().is_zero
+    assert x2.d().is_zero
+    assert x3.d() == x1.wedge(x2)
+    assert x4.d() == x1.wedge(x3)
 
 
 def test_poly_d_squared_is_zero():
     x, y, z, t = coordinates()
     form = PolyForm(1, {(1,): y * z, (3,): x * x, (4,): t})
-    assert poly_d(poly_d(form)).is_zero
+    assert form.d().d().is_zero
 
 
 def test_pullback_under_identity_and_translation():
     x1, x2, x3, x4 = invariant_coframe()
-    identity = PolyMap(coordinates())
-    assert pullback(identity, x3) == x3
-    translation = PolyMap(multiply(translation_parameters(), coordinates()))
+    assert x3.pullback(coordinates()) == x3
+    translation = multiply(translation_parameters(), coordinates())
     for covector in (x1, x2, x3, x4):
-        assert pullback(translation, covector) == covector
+        assert covector.pullback(translation) == covector
 
 
 def test_pullback_commutes_with_d():
     x, y, z, t = coordinates()
-    translation = PolyMap(multiply(translation_parameters(), coordinates()))
+    translation = multiply(translation_parameters(), coordinates())
     form = PolyForm(1, {(1,): z, (2,): x * y})
-    assert pullback(translation, poly_d(form)) == poly_d(pullback(translation, form))
+    assert form.d().pullback(translation) == form.pullback(translation).d()
 
 
-def test_polymap_validates_arity():
+def test_pullback_validates_arity():
+    x1 = invariant_coframe()[0]
     with pytest.raises(DimensionMismatch):
-        PolyMap(coordinates()[:3])
+        x1.pullback(coordinates()[:3])
 
 
 def test_verify_realization_passes_everything():

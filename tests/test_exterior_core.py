@@ -10,9 +10,12 @@ from fractions import Fraction
 import pytest
 
 from nilforms import (
+    IndexOutOfRange,
+    InvalidParameter,
     JacobiViolation,
     KForm,
     LieAlgebra,
+    Poly,
     build_algebra,
     ce_d,
     direct_sum,
@@ -134,6 +137,22 @@ def test_zero_forms_hash_equal_across_degrees(torus):
     assert hash(torus.zero_form(1)) == hash(torus.zero_form(2))
     assert len({torus.zero_form(k) for k in range(5)}) == 1
     assert len({torus.covector(1), torus.covector(1).scale(2), torus.zero_form(1)}) == 3
+
+
+def test_bool_basis_indices_are_refused(kt):
+    """True == 1, but a bool is not a basis index (it would print as
+    ``xTrue``), so every index check refuses it with its own class."""
+    with pytest.raises(IndexOutOfRange):
+        LieAlgebra(3, {(True, 2, 3): 1})
+    for call in (kt.covector, kt.dx, lambda i: kt.bracket(i, 2)):
+        with pytest.raises(IndexOutOfRange):
+            call(True)
+    with pytest.raises(InvalidParameter):
+        build_algebra(3, {(True, 2): (0, 0, 1)})
+    with pytest.raises(IndexOutOfRange):
+        kt.form({(True, 2): 1})
+    with pytest.raises(InvalidParameter):
+        Poly.variable(2, False)
 
 
 def test_format_form(filiform):

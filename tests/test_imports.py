@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -44,3 +45,13 @@ def test_the_guard_sees_an_unused_import():
     tree = ast.parse("from fractions import Fraction\nimport os.path\nos.sep\n")
     read = _read(tree)
     assert [name for name, _ in _imported(tree) if name not in read] == ["Fraction"]
+
+
+def test_all_lists_only_public_names():
+    import nilforms
+
+    modules = [name for name in nilforms.__all__
+               if isinstance(getattr(nilforms, name), ModuleType)]
+    assert not modules, f"__all__ lists submodules: {modules}"
+    removed = {"poly_d", "pullback", "PolyMap", "serialize_json", "parse_json"}
+    assert not removed & set(nilforms.__all__)

@@ -15,9 +15,7 @@ from nilforms import (
     json_to_algebra,
     json_to_form,
     parse_covector_sum,
-    parse_json,
     parse_salamon,
-    serialize_json,
 )
 
 
@@ -118,22 +116,6 @@ def test_schema_violations_point_at_the_problem():
 def test_json_rejects_floats_in_coefficients():
     with pytest.raises(SchemaViolation):
         json_to_algebra({"dim": 4, "d": {"4": [[0.5, [1, 2]]]}})
-
-
-def test_serialize_json_dispatch(kt):
-    assert serialize_json(kt) == algebra_to_json(kt)
-    omega = kt.form({(1, 4): 1})
-    assert serialize_json(omega) == form_to_json(omega)
-    report = {"betti": [1, 3, 4, 3, 1]}
-    assert serialize_json(report) is report
-
-
-def test_parse_json_dispatch(kt):
-    assert parse_json(algebra_to_json(kt)) == kt
-    omega = kt.form({(1, 4): 1, (2, 3): 1})
-    assert parse_json(form_to_json(omega), kt) == omega
-    with pytest.raises(SchemaViolation):
-        parse_json({"neither": 1})
 
 
 def test_parse_covector_sum(filiform):

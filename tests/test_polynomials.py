@@ -77,6 +77,16 @@ def test_polynomials_compare_only_with_polynomials_and_rationals():
         assert (three != other) is True
 
 
+def test_constants_hash_as_the_rationals_they_equal():
+    for value in (0, 3, -2, Fraction(3, 2)):
+        constant = Poly.constant(2, value)
+        assert constant == value and hash(constant) == hash(value)
+        assert len({value, constant}) == 1
+    assert hash(Poly(2, {})) == hash(0)
+    x = Poly.variable(2, 0)
+    assert hash(x + 3 - x) == hash(3)
+
+
 def test_scalar_factors_equal_their_constant_polynomials():
     x = Poly(2, {(1, 0): 2, (0, 1): Fraction(1, 3)}, _normalized=True)
     for scalar in (0, 1, -3, True, Fraction(3, 2), "-5/4"):

@@ -7,13 +7,10 @@ import pytest
 
 from nilforms import (
     CheckResult,
-    DimensionMismatch,
     ExpectedFact,
     InvalidParameter,
     LcsSearchResult,
     LcsVerdict,
-    Poly,
-    PolyMap,
     SearchConfig,
     SymplecticVerdict,
 )
@@ -71,13 +68,3 @@ def test_post_init_checks_run():
     assert ExpectedFact("b1", 2, "derived").provenance == "derived"
     with pytest.raises(InvalidParameter):
         ExpectedFact("b1", 2, "bogus")
-    components = tuple(Poly.variable(4, v) for v in range(3))
-    with pytest.raises(DimensionMismatch):
-        PolyMap(components)
-
-
-def test_post_init_may_normalise_a_field():
-    components = [Poly.variable(4, v) for v in range(4)]
-    mapped = PolyMap(components)
-    assert isinstance(mapped.components, tuple)
-    assert mapped == PolyMap(tuple(components))
