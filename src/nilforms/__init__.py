@@ -37,7 +37,6 @@ from .errors import (
     IndexOutOfRange,
     InternalInvariantBreach,
     InvalidParameter,
-    IrrationalVolume,
     JacobiViolation,
     LeeFormNotClosed,
     NilformsError,
@@ -45,7 +44,6 @@ from .errors import (
     NotClosed,
     NotHermitian,
     NotNilpotent,
-    NotUnimodular,
     OddDimension,
     OmegaNotClosed,
     PreconditionFailed,
@@ -69,10 +67,8 @@ from .hermitian import (
     HermitianClassification,
     InnerProduct,
     classify_hermitian,
-    codifferential,
     euclidean_metric,
     fundamental_form,
-    hodge_star,
     lee_form,
 )
 from .notation import (

@@ -52,10 +52,6 @@ class NotNilpotent(NilformsError, ValueError):
     """The operation is only defined for nilpotent algebras."""
 
 
-class NotUnimodular(NilformsError, ValueError):
-    """The operation needs a unimodular algebra (traceless adjoints)."""
-
-
 class NotClosed(NilformsError, ValueError):
     """A form expected to be a cocycle is not."""
 
@@ -78,12 +74,6 @@ class PreconditionFailed(NilformsError, ValueError):
 
 class DegenerateMetric(NilformsError, ValueError):
     """The symmetric matrix is not positive definite."""
-
-
-class IrrationalVolume(NilformsError, ValueError):
-    """det(g) is not a perfect rational square, so the unit volume form
-    (and hence the Hodge star itself) leaves the rational field.  The
-    codifferential and Lee form do not need it and stay available."""
 
 
 class NotAlmostComplex(NilformsError, ValueError):

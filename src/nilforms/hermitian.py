@@ -1,27 +1,19 @@
-"""Invariant metrics, Hodge theory, and Hermitian classification.
+"""Invariant metrics, Lee forms, and Hermitian classification.
 
-Everything is exact.  The only place a square root can appear is the metric
-volume sqrt(det g) inside the honest Hodge star; ``hodge_star`` therefore
-refuses metrics with irrational volume instead of approximating.  The
-codifferential dodges the problem: with the unnormalized star (no volume
-factor) the composite
+Everything is exact.  For a compatible pair (g, J) on dimension 2m >= 4 with
+fundamental form w(X, Y) = g(JX, Y), the Lee form is the unique 1-form theta
+with
 
-    delta = (-1)^(n(k+1)+1) * det(g) * star_raw d star_raw
+    d(w) ^ w^(m-2) = theta ^ w^(m-1),
 
-is the formal adjoint of d and is rational for every rational metric, since
-the two volume factors multiply to det(g).  Orientation cancels the same way.
-
-The star and the induced pairing share one step, raising indices: each
-covector x_i goes to sum_j g^ij x_j and the images of a monomial's covectors
-are wedged by ``exterior_core``'s one wedge routine, which also decides every
-sign.  By Cauchy-Binet the raised form's coefficients are the Gram minors of
-g^-1, so no determinant is taken.  The pairing reads <a, b> = sum_I a_I
-raised(b)_I, and star_raw sends the raised x_S to +-x_{S^c}.
-
-Lee form convention: for a compatible pair (g, J) on dimension 2m with
-fundamental form w(X, Y) = g(JX, Y), the Lee form is
-theta(X) = -(1/(m-1)) * (delta w)(JX), the unique 1-form with
-d(w) = theta ^ w whenever that identity holds at all.
+Gauduchon's torsion 1-form (Math. Ann. 267, 1984) divided by m - 1.  Wedging
+with w^(m-1) maps the 1-forms isomorphically onto the (2m-1)-forms when w is
+nondegenerate, so theta exists, is unique, and is one sparse solve over the
+columns x_i ^ w^(m-1): it reads w alone, and no volume, Hodge star or
+adjoint of d enters.  Whenever d(w) = theta' ^ w holds at all, wedging it
+with w^(m-2) shows theta' = theta.  The test suite checks theta against the
+metric route theta(X) = -(1/(m-1)) * (delta w)(JX), delta the formal
+adjoint of d.
 
 A pair is read once: one product G J over J's sparse columns gives both the
 compatibility check and w.  Vaisman asks for a parallel Lee form, and a
@@ -32,21 +24,18 @@ Levi-Civita table.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .errors import (
     DegenerateMetric,
     DimensionMismatch,
+    InternalInvariantBreach,
     InvalidParameter,
-    IrrationalVolume,
     NotHermitian,
-    NotUnimodular,
     WrongDimension,
     _Record,
 )
-from .exterior_core import KForm, _add_term, _is_unimodular, _require_form, _wedge_raw, ce_d
-from .scalars import ZERO, ONE, as_scalar, rational_sqrt
+from .exterior_core import KForm, _add_term, ce_d, wedge
+from .scalars import ZERO, ONE, as_scalar
 from .structures import AlmostComplexStructure, check_lcs, nijenhuis
 
 
@@ -83,47 +72,6 @@ class InnerProduct:
                 total += vi * self.matrix[i][j] * as_scalar(w[j])
         return total
 
-    def _raised(self, form):
-        """The form with every index raised by g^-1, as a term dict: each
-        covector x_i of a monomial goes to sum_j g^ij x_j and the images are
-        wedged.  By Cauchy-Binet the coefficient of x_S in the image of x_I
-        is the minor of g^-1 on rows I and columns S, the induced Gram entry
-        <x_I, x_S>.  The wedges run on integers, g^-1 = M / m and the
-        coefficients c / q, and the sums are divided by q m^k once."""
-        inverse, m = linalg._integral({(i, j): v for i, row in enumerate(self.inverse, 1)
-                                       for j, v in enumerate(row, 1)})
-        images = {}
-        for (i, j), v in inverse.items():
-            images.setdefault(i, {})[(j,)] = v
-        coeffs, q = linalg._integral(form.coeffs)
-        out = {}
-        for mono, c in coeffs.items():
-            raised = {(): c}
-            for i in mono:
-                raised = _wedge_raw(raised, images[i])
-            for key, value in raised.items():
-                _add_term(out, key, value)
-        scale = q * m ** form.degree
-        return {key: Fraction(value, scale) for key, value in out.items()}
-
-    def form_pairing(self, a, b):
-        """Induced inner product on k-forms: sum_I a_I * raised(b)_I."""
-        algebra = getattr(a, "algebra", None)  # b must share a's algebra
-        _require_form(algebra, a, "a")
-        _require_form(algebra, b, "b")
-        if algebra.dim != self.dim:
-            raise DimensionMismatch("metric dimension does not match the algebra")
-        if a.is_zero or b.is_zero:
-            return ZERO
-        if a.degree != b.degree:
-            raise DimensionMismatch("form degrees differ")
-        raised = self._raised(b)
-        total = ZERO
-        for mono, coeff in a.coeffs.items():
-            if mono in raised:
-                total += coeff * raised[mono]
-        return total
-
 
 def _positive_definite_det(rows):
     """The determinant of a symmetric matrix whose leading principal minors
@@ -155,72 +103,6 @@ def euclidean_metric(dim):
                          for i in range(dim)])
 
 
-# -- Hodge star and codifferential -------------------------------------------
-
-
-def _star_raw(algebra, metric, form):
-    """Unnormalized star: the honest Hodge star divided by sqrt(det g).
-
-    The raised form's x_S goes to (-1)^p x_{S^c}, p the number of pairs
-    a in S, b in S^c with a > b; the t-th smallest index s_t of S exceeds
-    s_t - t of them, so p = sum(S) - k(k+1)/2.
-    """
-    n = algebra.dim
-    k = form.degree
-    shift = k * (k + 1) // 2
-    raised = metric._raised(form)
-    terms = {}
-    for subset in sorted(raised):
-        value = raised[subset]
-        comp = tuple(i for i in range(1, n + 1) if i not in subset)
-        terms[comp] = -value if (sum(subset) - shift) % 2 else value
-    return KForm(algebra, n - k, terms, _normalized=True)
-
-
-def _check_metric(algebra, metric):
-    if not isinstance(metric, InnerProduct):
-        metric = InnerProduct(metric)
-    if metric.dim != algebra.dim:
-        raise DimensionMismatch("metric dimension does not match the algebra")
-    return metric
-
-
-def hodge_star(algebra, metric, form):
-    """The Riemannian Hodge star for the standard orientation.
-
-    Needs sqrt(det g) to be rational; otherwise IrrationalVolume is raised
-    (the codifferential stays available, its volume factors cancel).
-    """
-    metric = _check_metric(algebra, metric)
-    _require_form(algebra, form, "form")
-    scale = rational_sqrt(metric.determinant)
-    if scale is None:
-        raise IrrationalVolume(
-            f"sqrt(det g) = sqrt({metric.determinant}) is irrational; "
-            "the star map leaves the rational field")
-    return _star_raw(algebra, metric, form).scale(scale)
-
-
-def codifferential(algebra, metric, form):
-    """Formal adjoint of d: <d a, b> = <a, delta b> for all invariant a.
-
-    Exact for every rational positive definite metric.  Restricted to
-    unimodular algebras: beyond those the invariant integration by parts
-    behind adjointness fails.
-    """
-    metric = _check_metric(algebra, metric)
-    _require_form(algebra, form, "form")
-    if not _is_unimodular(algebra):
-        raise NotUnimodular("the codifferential needs a unimodular algebra")
-    k = form.degree
-    if k == 0 or form.is_zero:
-        return algebra.zero_form(max(k - 1, 0))
-    n = algebra.dim
-    sign = -ONE if (n * (k + 1) + 1) % 2 else ONE
-    inner = _star_raw(algebra, metric, ce_d(_star_raw(algebra, metric, form)))
-    return inner.scale(sign * metric.determinant)
-
-
 # -- Hermitian pairs ---------------------------------------------------------
 
 
@@ -231,7 +113,10 @@ def _hermitian_pair(algebra, metric, acs):
     is the compatibility check g(JX, JY) = g(X, Y), and since G is symmetric
     the fundamental form w_ij = g(J X_i, X_j) = (J^T G)_ij is W_ji.
     """
-    metric = _check_metric(algebra, metric)
+    if not isinstance(metric, InnerProduct):
+        metric = InnerProduct(metric)
+    if metric.dim != algebra.dim:
+        raise DimensionMismatch("metric dimension does not match the algebra")
     if not isinstance(acs, AlmostComplexStructure):
         acs = AlmostComplexStructure(acs)
     if acs.dim != algebra.dim:
@@ -256,23 +141,26 @@ def fundamental_form(algebra, metric, acs):
 
 
 def lee_form(algebra, metric, acs):
-    """theta(X) = -(1/(m-1)) * (delta w)(JX) on dimension 2m >= 4."""
+    """The Lee form of a compatible pair on dimension 2m >= 4."""
     if algebra.dim % 2 or algebra.dim < 4:
         raise WrongDimension("the Lee form needs even dimension >= 4")
-    metric, acs, omega = _hermitian_pair(algebra, metric, acs)
-    return _lee_form(algebra, acs, codifferential(algebra, metric, omega))
+    return _lee_form(algebra, fundamental_form(algebra, metric, acs))
 
 
-def _lee_form(algebra, acs, delta_omega):
-    """lee_form from the codifferential of the fundamental form."""
-    factor = Fraction(-1, algebra.dim // 2 - 1)
-    coeffs = delta_omega.coeffs
-    terms = {}
-    for i, column in acs._columns.items():
-        value = sum((v * coeffs.get((r,), ZERO) for r, v in column.items()), ZERO)
-        if value != 0:
-            terms[(i,)] = factor * value
-    return KForm(algebra, 1, terms, _normalized=True)
+def _lee_form(algebra, omega):
+    """The unique theta with d(w) ^ w^(m-2) = theta ^ w^(m-1), as the
+    preimage of the left side over the columns x_i ^ w^(m-1)."""
+    power = algebra.one()
+    for _ in range(algebra.dim // 2 - 2):
+        power = wedge(power, omega)
+    top = wedge(power, omega)
+    columns = [wedge(algebra.covector(i), top).coeffs for i in range(1, algebra.dim + 1)]
+    solution = linalg.preimage(columns, wedge(ce_d(omega), power).coeffs)
+    if solution is None:
+        raise InternalInvariantBreach(
+            "no Lee form: wedging with w^(m-1) is not onto the (2m-1)-forms")
+    return KForm(algebra, 1, {(c + 1,): solution[c] for c in sorted(solution)},
+                 _normalized=True)
 
 
 def _is_parallel(algebra, metric, theta):
@@ -324,7 +212,6 @@ class HermitianClassification(_Record):
 
     integrable: bool
     fundamental: KForm
-    delta_fundamental: KForm
     lee: KForm
     lee_closed: bool
     identity_holds: bool
@@ -346,12 +233,9 @@ def classify_hermitian(algebra, metric, acs):
     if algebra.dim % 2 or algebra.dim < 4:
         raise WrongDimension("Hermitian classification needs even dimension >= 4")
     metric, acs, omega = _hermitian_pair(algebra, metric, acs)
-    if not _is_unimodular(algebra):
-        raise NotUnimodular("Hermitian classification needs a unimodular algebra")
 
     integrable = nijenhuis(algebra, acs).is_integrable
-    delta_omega = codifferential(algebra, metric, omega)
-    theta = _lee_form(algebra, acs, delta_omega)
+    theta = _lee_form(algebra, omega)
     verdict = check_lcs(algebra, omega, theta)
     parallel = _is_parallel(algebra, metric, theta)
 
@@ -373,7 +257,6 @@ def classify_hermitian(algebra, metric, acs):
     return HermitianClassification(
         integrable=integrable,
         fundamental=omega,
-        delta_fundamental=delta_omega,
         lee=theta,
         lee_closed=verdict.lee_closed,
         identity_holds=verdict.identity_holds,

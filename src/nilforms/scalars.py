@@ -9,7 +9,6 @@ point of an exact kernel.  ``as_scalar`` is the single coercion chokepoint.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import InvalidParameter
@@ -68,15 +67,3 @@ def height(value: Fraction) -> int:
     if value == 0:
         return 0
     return max(abs(value.numerator), value.denominator)
-
-
-def rational_sqrt(value: Fraction) -> Fraction | None:
-    """Exact square root if ``value`` is a perfect rational square, else None."""
-    value = as_scalar(value)
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None

@@ -56,6 +56,9 @@ def so3():
     })
 
 
+SOLVABLE_NONUNIMODULAR = {(1, 2, 2): -1, (1, 3, 3): -1, (1, 4, 4): -1}
+
+
 @pytest.fixture(scope="session")
 def solvable_nonunimodular():
     """dx2 = e12, dx3 = e13, dx4 = e14.
@@ -63,7 +66,7 @@ def solvable_nonunimodular():
     Jacobi holds, trace(ad X1) = -3, and every closed 2-form lies in the
     span of e12, e13, e14, so no symplectic form exists.
     """
-    return LieAlgebra(4, {(1, 2, 2): -1, (1, 3, 3): -1, (1, 4, 4): -1})
+    return LieAlgebra(4, SOLVABLE_NONUNIMODULAR)
 
 
 # Brackets of three solvable 4-dimensional algebras that are not nilpotent,

@@ -401,9 +401,10 @@ def _gram_minors(metric):
 
 
 def reference_star_raw(algebra, metric, form):
-    """``hermitian._star_raw`` as it was before it raised indices through the
-    wedge: for every k-subset S, the value sum_I a_I <x_S, x_I> goes to the
-    complement of S, signed by the inversions of the shuffle (S, S^c)."""
+    """The unnormalized Hodge star, the honest star divided by sqrt(det g),
+    so it stays rational: for every k-subset S, the value sum_I a_I
+    <x_S, x_I> goes to the complement of S, signed by the inversions of the
+    shuffle (S, S^c).  Then a ^ star_raw(b) = <a, b> x_1 ^ ... ^ x_n."""
     from nilforms import KForm
 
     n, k = algebra.dim, form.degree
@@ -420,9 +421,40 @@ def reference_star_raw(algebra, metric, form):
 
 
 def reference_form_pairing(metric, a, b):
-    """``InnerProduct.form_pairing`` as it was before it raised indices
-    through the wedge: sum over term pairs of a_I b_J <x_I, x_J>, each
-    Gram entry a sympy determinant (degrees are assumed equal)."""
+    """The inner product g induces on k-forms: sum over term pairs of
+    a_I b_J <x_I, x_J>, each Gram entry a sympy determinant (degrees are
+    assumed equal)."""
     minor = _gram_minors(metric)
     return sum((ca * cb * minor(left, right)
                 for left, ca in a.terms() for right, cb in b.terms()), Fraction(0))
+
+
+def reference_codifferential(algebra, metric, form):
+    """delta = (-1)^(n(k+1)+1) det(g) star_raw d star_raw, the formal adjoint
+    of d on unimodular algebras; rational, as the two volume factors the raw
+    stars leave out multiply to det(g).  d comes from ``koszul_d_eval``."""
+    from nilforms import KForm
+
+    n, k = algebra.dim, form.degree
+    if k == 0:
+        return algebra.zero_form(0)
+    inner = reference_star_raw(algebra, metric, form)
+    d_inner = KForm(algebra, n - k + 1, {
+        mono: koszul_d_eval(algebra, inner, list(mono))
+        for mono in itertools.combinations(range(1, n + 1), n - k + 1)})
+    scale = as_fraction(sympy_matrix(metric.matrix).det()) * (-1) ** (n * (k + 1) + 1)
+    return reference_star_raw(algebra, metric, d_inner).scale(scale)
+
+
+def reference_lee_form(algebra, metric, matrix):
+    """The metric route to the Lee form of a compatible pair (g, J) on
+    dimension 2m: theta(X) = -(1/(m-1)) * (delta w)(JX), w(X, Y) = g(JX, Y)."""
+    from nilforms import KForm
+
+    n = algebra.dim
+    delta = reference_codifferential(
+        algebra, metric, KForm(algebra, 2, reference_fundamental_form(metric, matrix)))
+    return KForm(algebra, 1, {
+        (i,): Fraction(-1, n // 2 - 1)
+        * eval_form(delta, [tuple(Fraction(row[i - 1]) for row in matrix)])
+        for i in range(1, n + 1)})

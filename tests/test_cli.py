@@ -215,3 +215,16 @@ def test_metric_without_acs_is_a_usage_error(tmp_path, capsys):
     path.write_text(json.dumps([[1, 0, 0, 0], [0, 1, 0, 0],
                                 [0, 0, 1, 0], [0, 0, 0, 1]]))
     assert main(["analyze", "(0,0,0,12)", "--metric", str(path)]) == 2
+
+
+def test_a_pair_on_a_non_unimodular_algebra_is_classified(tmp_path, capsys):
+    # the Lee form reads the fundamental form alone, so no unimodularity gate
+    metric, acs = tmp_path / "I4.json", tmp_path / "J.json"
+    metric.write_text(json.dumps([[1, 0, 0, 0], [0, 1, 0, 0],
+                                  [0, 0, 1, 0], [0, 0, 0, 1]]))
+    acs.write_text(json.dumps([[0, -1, 0, 0], [1, 0, 0, 0],
+                               [0, 0, 0, -1], [0, 0, 1, 0]]))
+    code, out, err = run(capsys, "analyze", "(0,12,13,14)",
+                         "--metric", str(metric), "--acs", str(acs))
+    assert (code, err) == (0, "")
+    assert "hermitian pair: lck (Lee form 2*x1)" in out.splitlines()

@@ -22,14 +22,11 @@ from nilforms import (
     SearchConfig,
     betti_profile,
     ce_d,
-    codifferential,
     cohomology_space,
     cup,
-    euclidean_metric,
     find_lcs,
     find_symplectic,
     heisenberg_line,
-    hodge_star,
     lefschetz_map,
     parse_salamon,
     triple_massey,
@@ -437,10 +434,6 @@ NON_FORM_CALLS = {
     "reduce": lambda g: cohomology_space(g, 2).reduce(5),
     "class_of": lambda g: cohomology_space(g, 2).class_of("x"),
     "lefschetz_map": lambda g: lefschetz_map(g, 5, 1),
-    "hodge_star": lambda g: hodge_star(g, euclidean_metric(4), 5),
-    "codifferential": lambda g: codifferential(g, euclidean_metric(4), 5),
-    "form_pairing": lambda g: euclidean_metric(4).form_pairing(5, 5),
-    "form_pairing_second": lambda g: euclidean_metric(4).form_pairing(g.covector(1), 5),
     "find_lcs_config": lambda g: find_lcs(g, None),
 }
 
@@ -456,9 +449,6 @@ FOREIGN_FORM_CALLS = {
     "twisted_d_theta": lambda g, x: twisted_d(g, x(1), g.covector(1)),
     "reduce": lambda g, x: cohomology_space(g, 1).reduce(x(1)),
     "lefschetz_map": lambda g, x: lefschetz_map(g, x(1, 2), 1),
-    "hodge_star": lambda g, x: hodge_star(g, euclidean_metric(4), x(1)),
-    "codifferential": lambda g, x: codifferential(g, euclidean_metric(4), x(1)),
-    "form_pairing": lambda g, x: euclidean_metric(4).form_pairing(g.covector(1), x(1)),
 }
 
 

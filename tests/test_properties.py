@@ -2,9 +2,10 @@
 
 Every law the acceptance criteria call out is fuzzed here: the differential
 squares to zero, the wedge is a graded-commutative Leibniz partner of d, the
-Pfaffian squares to the determinant, the star obeys its sign law and,
-with the induced pairing, equals the Gram-minor route, d and delta are
-adjoint on unimodular algebras, nilpotent Betti profiles satisfy
+Pfaffian squares to the determinant, the oracle's raw star obeys its
+sign law and its defining law with the induced pairing, d and the oracle's
+delta are adjoint on unimodular algebras, the Lee form equals the oracle's
+codifferential route, nilpotent Betti profiles satisfy
 Poincare duality, the two serializers round-trip, and every witness a search
 returns survives independent re-verification.
 
@@ -33,7 +34,7 @@ from nilforms import (
     ce_d,
     check_lcs,
     check_symplectic,
-    codifferential,
+    classify_hermitian,
     cohomology_space,
     find_lcs,
     find_symplectic,
@@ -41,7 +42,6 @@ from nilforms import (
     fundamental_form,
     format_scalar,
     get_example,
-    hodge_star,
     json_to_algebra,
     json_to_form,
     algebra_to_json,
@@ -58,7 +58,7 @@ from nilforms import (
 from nilforms import linalg
 from nilforms.cohomology import _cocycles, _d_images, _d_matrix, _form
 from nilforms.exterior_core import _is_nilpotent, direct_sum, lower_central_series
-from nilforms.hermitian import _is_parallel, _star_raw
+from nilforms.hermitian import _is_parallel
 from nilforms.structures import (
     _twisted_exact_pfaffian,
     closed_covector_basis,
@@ -66,6 +66,7 @@ from nilforms.structures import (
 )
 
 from conftest import (
+    SOLVABLE_NONUNIMODULAR,
     catalog_algebras,
     complex_structures,
     filtered_4d_algebras,
@@ -84,9 +85,11 @@ from oracles import (
     betti_by_koszul,
     d_matrix_by_koszul,
     jacobiator,
+    reference_codifferential,
     reference_koszul_table,
     reference_form_pairing,
     reference_fundamental_form,
+    reference_lee_form,
     reference_lee_parallel,
     reference_nijenhuis,
     reference_rref,
@@ -208,7 +211,7 @@ def test_pfaffian_matches_the_power_route(coeffs):
         == square.coefficient((1, 2, 3, 4)) / 2
 
 
-# -- Hodge laws ---------------------------------------------------------------
+# -- Hodge laws of the oracle's Lee-form route -------------------------------
 
 
 @fuzz(posdef_metrics(4), forms_on(catalog_algebras(), degrees=(0, 1, 2, 3)))
@@ -217,8 +220,8 @@ def test_star_star_sign_law(metric, form):
     if algebra.dim != 4:
         return
     k = form.degree
-    twice = hodge_star(algebra, metric, hodge_star(algebra, metric, form))
-    assert twice == form.scale((-1) ** (k * (4 - k)))
+    twice = reference_star_raw(algebra, metric, reference_star_raw(algebra, metric, form))
+    assert twice == form.scale(Fraction((-1) ** (k * (4 - k))) / metric.determinant)
 
 
 @fuzz(posdef_metrics(4),
@@ -230,28 +233,24 @@ def test_d_delta_adjointness_on_unimodular(metric, alpha, beta):
             or beta.degree != alpha.degree + 1:
         return
     beta = KForm(algebra, beta.degree, dict(beta.terms()))
-    assert metric.form_pairing(ce_d(alpha), beta) \
-        == metric.form_pairing(alpha, codifferential(algebra, metric, beta))
+    assert reference_form_pairing(metric, ce_d(alpha), beta) \
+        == reference_form_pairing(metric, alpha,
+                                  reference_codifferential(algebra, metric, beta))
 
 
 @pytest.mark.parametrize("dim", range(2, 7))
 @fuzz(st.data(), n=12)
-def test_star_and_pairing_equal_the_gram_minor_route(dim, data):
-    """Forms of one common degree, any of 0..n, on the abelian algebra of
-    the metric's dimension (the star and the pairing read only that)."""
+def test_the_raw_star_obeys_its_defining_law(dim, data):
+    """a ^ star_raw(b) = <a, b> x_1 ^ ... ^ x_n for forms of one common
+    degree, any of 0..n, on the abelian algebra of the metric's dimension
+    (the star and the pairing read only that)."""
     metric = data.draw(posdef_metrics(dim))
     algebra = LieAlgebra(dim, {})
     degree = data.draw(st.integers(0, dim))
     a, b = (data.draw(forms_on(st.just(algebra), degrees=(degree,))) for _ in range(2))
-    star = _star_raw(algebra, metric, b)
-    expected = reference_star_raw(algebra, metric, b)
-    assert star == expected and repr(star) == repr(expected)
-    pairing = metric.form_pairing(a, b)
-    expected = reference_form_pairing(metric, a, b)
-    assert pairing == expected and repr(pairing) == repr(expected)
-    # the defining law of the star: a ^ star_raw(b) = <a, b> x_1 ^ ... ^ x_n
     top = algebra.basis_form(*range(1, algebra.dim + 1))
-    assert wedge(a, star) == top.scale(pairing)
+    assert wedge(a, reference_star_raw(algebra, metric, b)) \
+        == top.scale(reference_form_pairing(metric, a, b))
 
 
 # -- metrics ------------------------------------------------------------------
@@ -380,20 +379,22 @@ def test_parallel_check_equals_the_connection_table():
     assert seen == {True, False}
 
 
+def _j_invariant(base, acs):
+    """g = B + J^T B J, which is J-invariant because J^2 = -Id."""
+    n = len(acs)
+    return InnerProduct([[base[a][b] + sum(acs[r][a] * base[r][s] * acs[s][b]
+                                           for r in range(n) for s in range(n))
+                          for b in range(n)] for a in range(n)])
+
+
 @fuzz(st.one_of(catalog_algebras(), nilpotent_algebras(dims=(4, 6))), st.data(),
       st.booleans())
 def test_fundamental_form_and_compatibility_equal_the_dense_reference(
         algebra, data, compatible):
     n = algebra.dim
-    base = data.draw(posdef_metrics(n)).matrix
+    base = data.draw(posdef_metrics(n))
     acs = data.draw(complex_structures(n))
-    gram = base
-    if compatible:
-        # g = B + J^T B J is J-invariant because J^2 = -Id
-        gram = [[base[a][b] + sum(acs[r][a] * base[r][s] * acs[s][b]
-                                  for r in range(n) for s in range(n))
-                 for b in range(n)] for a in range(n)]
-    metric = InnerProduct(gram)
+    metric = _j_invariant(base.matrix, acs) if compatible else base
     expected = reference_fundamental_form(metric, acs)
     assert expected is not None or not compatible
     try:
@@ -403,6 +404,20 @@ def test_fundamental_form_and_compatibility_equal_the_dense_reference(
         assert str(exc) == "metric is not J-invariant: g(JX, JY) != g(X, Y)"
     else:
         assert repr(omega.coeffs) == repr(expected)
+
+
+@fuzz(st.one_of(catalog_algebras(), nilpotent_algebras(dims=(6, 4)),
+                non_nilpotent_4d_algebras(),
+                st.just(LieAlgebra(4, SOLVABLE_NONUNIMODULAR))),
+      st.data(), n=40, phases=NO_SHRINK)
+def test_the_lee_form_equals_the_codifferential_route(algebra, data):
+    """theta solved from d(w) ^ w^(m-2) = theta ^ w^(m-1) against the
+    oracle's -(1/(m-1)) * (delta w)(J.), on unimodular algebras and not."""
+    n = algebra.dim
+    acs = data.draw(complex_structures(n))
+    metric = _j_invariant(data.draw(posdef_metrics(n)).matrix, acs)
+    assert classify_hermitian(algebra, metric, acs).lee \
+        == reference_lee_form(algebra, metric, acs)
 
 
 # -- global profiles ----------------------------------------------------------

@@ -13,7 +13,7 @@ from nilforms.linalg import (
     span_rank,
     unit_rows,
 )
-from nilforms.scalars import height, rational_sqrt
+from nilforms.scalars import height
 
 from oracles import sympy_matrix
 
@@ -43,12 +43,6 @@ def test_height():
     assert height(Fraction(0)) == 0
     assert height(Fraction(-3)) == 3
     assert height(Fraction(2, 5)) == 5
-
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(0)) == 0
 
 
 MAT = [[Fraction(v) for v in row] for row in [[2, 1, 1], [1, 3, 2], [1, 0, 0]]]
