@@ -58,7 +58,6 @@ from .exterior_core import (
     LieAlgebra,
     build_algebra,
     ce_d,
-    direct_sum,
     format_form,
     lower_central_series,
     wedge,
@@ -67,8 +66,6 @@ from .hermitian import (
     HermitianClassification,
     InnerProduct,
     classify_hermitian,
-    euclidean_metric,
-    fundamental_form,
     lee_form,
 )
 from .notation import (
@@ -98,7 +95,6 @@ from .structures import (
     nijenhuis,
     nondegenerate_in_span,
     pfaffian_volume,
-    skew_matrix,
     theta_candidates,
     twisted_exactness_witness,
 )

@@ -610,11 +610,3 @@ def _is_nilpotent(algebra):
         return True
     return lower_central_series(algebra).nilpotent
 
-
-def direct_sum(left, right):
-    """Block-diagonal direct sum; right-hand indices are shifted by left.dim."""
-    shift = left.dim
-    constants = dict(left.constants)
-    for (i, j, k), coeff in right.constants.items():
-        constants[(i + shift, j + shift, k + shift)] = coeff
-    return LieAlgebra(left.dim + right.dim, constants)

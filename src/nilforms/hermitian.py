@@ -15,9 +15,11 @@ with w^(m-2) shows theta' = theta.  The test suite checks theta against the
 metric route theta(X) = -(1/(m-1)) * (delta w)(JX), delta the formal
 adjoint of d.
 
-A pair is read once: one product G J over J's sparse columns gives both the
-compatibility check and w.  Vaisman asks for a parallel Lee form, and a
-1-form is parallel exactly when it is closed and its metric dual is a
+A metric is its Gram matrix G alone, checked symmetric with every leading
+principal minor positive.  A pair is read once: one product G J over J's
+sparse columns gives both the compatibility check and w.  Vaisman asks for
+a parallel Lee form, and a 1-form is parallel exactly when it is closed and
+its metric dual T = g^-1 theta, one sparse solve over G's columns, is a
 Killing field, which the structure constants decide without the
 Levi-Civita table.
 """
@@ -34,7 +36,7 @@ from .errors import (
     WrongDimension,
     _Record,
 )
-from .exterior_core import KForm, _add_term, ce_d, wedge
+from .exterior_core import KForm, _add_term, _wedge_raw, ce_d
 from .scalars import ZERO, ONE, as_scalar
 from .structures import AlmostComplexStructure, check_lcs, nijenhuis
 
@@ -43,7 +45,7 @@ class InnerProduct:
     """Positive definite symmetric bilinear form on the algebra's vector
     space, given by its Gram matrix in the preferred basis."""
 
-    __slots__ = ("dim", "matrix", "inverse", "determinant")
+    __slots__ = ("dim", "matrix")
 
     def __init__(self, matrix):
         rows = [tuple(as_scalar(v) for v in row) for row in matrix]
@@ -54,32 +56,18 @@ class InnerProduct:
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
                     raise InvalidParameter("Gram matrix must be symmetric")
+        _require_positive_definite(rows)
         self.dim = n
         self.matrix = tuple(rows)
-        self.determinant = _positive_definite_det(rows)
-        self.inverse = tuple(tuple(r) for r in linalg.invert([list(r) for r in rows]))
-
-    def pairing(self, v, w):
-        """g(v, w) on coefficient vectors."""
-        if len(v) != self.dim or len(w) != self.dim:
-            raise DimensionMismatch("vector length does not match the metric")
-        total = ZERO
-        for i in range(self.dim):
-            vi = as_scalar(v[i])
-            if vi == 0:
-                continue
-            for j in range(self.dim):
-                total += vi * self.matrix[i][j] * as_scalar(w[j])
-        return total
 
 
-def _positive_definite_det(rows):
-    """The determinant of a symmetric matrix whose leading principal minors
-    are all positive; raises DegenerateMetric at the first that is not.
+def _require_positive_definite(rows):
+    """Raise DegenerateMetric at the first leading principal minor of a
+    symmetric matrix that is not positive.
 
     One forward elimination without row exchanges: while the minors before
     it are nonzero, the k-th pivot is Delta_k / Delta_{k-1}, so Delta_k is
-    the product of the first k pivots and Delta_n the determinant.
+    the product of the first k pivots.
     """
     work = [list(row) for row in rows]
     minor = ONE
@@ -95,12 +83,6 @@ def _positive_definite_det(rows):
             if factor:
                 for c in range(k + 1, len(row)):
                     row[c] -= factor * pivot_row[c]
-    return minor
-
-
-def euclidean_metric(dim):
-    return InnerProduct([[1 if i == j else 0 for j in range(dim)]
-                         for i in range(dim)])
 
 
 # -- Hermitian pairs ---------------------------------------------------------
@@ -135,27 +117,23 @@ def _hermitian_pair(algebra, metric, acs):
     return metric, acs, KForm(algebra, 2, terms, _normalized=True)
 
 
-def fundamental_form(algebra, metric, acs):
-    """w(X, Y) = g(JX, Y); a 2-form once (g, J) is a compatible pair."""
-    return _hermitian_pair(algebra, metric, acs)[2]
-
-
 def lee_form(algebra, metric, acs):
     """The Lee form of a compatible pair on dimension 2m >= 4."""
     if algebra.dim % 2 or algebra.dim < 4:
         raise WrongDimension("the Lee form needs even dimension >= 4")
-    return _lee_form(algebra, fundamental_form(algebra, metric, acs))
+    return _lee_form(algebra, _hermitian_pair(algebra, metric, acs)[2])
 
 
 def _lee_form(algebra, omega):
     """The unique theta with d(w) ^ w^(m-2) = theta ^ w^(m-1), as the
     preimage of the left side over the columns x_i ^ w^(m-1)."""
-    power = algebra.one()
+    w = omega.coeffs
+    power = {(): ONE}
     for _ in range(algebra.dim // 2 - 2):
-        power = wedge(power, omega)
-    top = wedge(power, omega)
-    columns = [wedge(algebra.covector(i), top).coeffs for i in range(1, algebra.dim + 1)]
-    solution = linalg.preimage(columns, wedge(ce_d(omega), power).coeffs)
+        power = _wedge_raw(power, w)
+    top = _wedge_raw(power, w)
+    columns = [_wedge_raw({(i,): ONE}, top) for i in range(1, algebra.dim + 1)]
+    solution = linalg.preimage(columns, _wedge_raw(ce_d(omega).coeffs, power))
     if solution is None:
         raise InternalInvariantBreach(
             "no Lee form: wedging with w^(m-1) is not onto the (2m-1)-forms")
@@ -166,7 +144,8 @@ def _lee_form(algebra, omega):
 def _is_parallel(algebra, metric, theta):
     """Whether the 1-form theta is parallel for the Levi-Civita connection.
 
-    With T = g^-1 theta the Koszul formula gives
+    With T = g^-1 theta, one sparse solve over the Gram matrix's columns,
+    the Koszul formula gives
 
         2 theta(nabla_i X_j) = theta([X_i, X_j]) - g([X_i, T], X_j) - g([X_j, T], X_i),
 
@@ -176,7 +155,11 @@ def _is_parallel(algebra, metric, theta):
     """
     n = algebra.dim
     covector = [theta.coeffs.get((k,), ZERO) for k in range(1, n + 1)]
-    dual = [sum(a * b for a, b in zip(row, covector)) for row in metric.inverse]
+    # g is symmetric, so its c-th column is its c-th row
+    solution = linalg.preimage(
+        [{r: v for r, v in enumerate(row) if v} for row in metric.matrix],
+        {k - 1: v for (k,), v in theta.coeffs.items()})
+    dual = [solution.get(k, ZERO) for k in range(n)]
     brackets = {}  # theta([X_i, X_j])
     lowered = {}   # (l, j): g(X_l, [T, X_j])
     for (i, j, k), c in algebra.constants.items():
@@ -239,7 +222,9 @@ def classify_hermitian(algebra, metric, acs):
     verdict = check_lcs(algebra, omega, theta)
     parallel = _is_parallel(algebra, metric, theta)
 
-    kahler = integrable and ce_d(omega).is_zero
+    # d(w) = 0 gives theta ^ w^(m-1) = 0, so theta = 0; conversely theta = 0
+    # and d(w) = theta ^ w give d(w) = 0
+    kahler = integrable and theta.is_zero and verdict.identity_holds
     lck = integrable and verdict.identity_holds and verdict.lee_closed
     vaisman = lck and verdict.genuine and parallel
 

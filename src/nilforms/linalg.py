@@ -58,8 +58,7 @@ dimension of a span), ``kernel`` and ``preimage`` (of a linear map given by
 its sparse columns, ``columns[c]`` the image of the c-th basis vector).
 Their inputs may hold ints or Fractions, and none takes an option: for
 spans B inside Z, the rows of ``echelon`` of Z whose pivots B lacks are the
-canonical basis of Z modulo B.  Only ``invert`` takes a dense square matrix
-(a list of rows of rationals), for the Gram matrices of metrics.
+canonical basis of Z modulo B.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .scalars import ZERO, ONE, as_scalar
+from .scalars import ONE
 
 # -- the kernel: sparse integer rows -----------------------------------------
 
@@ -280,21 +279,3 @@ def preimage(columns, target):
         return None
     return {p: Fraction(row[n], row[p]) for p, row in basis.items() if n in row}
 
-
-# -- square matrices -----------------------------------------------------------
-
-
-def _sparse(row):
-    return {c: v for c, v in enumerate(map(as_scalar, row)) if v}
-
-
-def invert(rows):
-    """Exact inverse; raises ValueError on singular input."""
-    rows = list(rows)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("inverse needs a square matrix")
-    basis = echelon([{**_sparse(row), n + i: ONE} for i, row in enumerate(rows)])
-    if list(basis) != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [[row.get(n + c, ZERO) for c in range(n)] for row in unit_rows(basis)]

@@ -71,16 +71,6 @@ from .scalars import ZERO, ONE, _exact, as_scalar, height
 # -- Pfaffian ----------------------------------------------------------------
 
 
-def skew_matrix(omega):
-    """Coefficient matrix A with A[i][j] = omega(X_{i+1}, X_{j+1})."""
-    n = omega.algebra.dim
-    rows = [[ZERO] * n for _ in range(n)]
-    for (i, j), coeff in omega.coeffs.items():
-        rows[i - 1][j - 1] = coeff
-        rows[j - 1][i - 1] = -coeff
-    return rows
-
-
 def _pfaffian_expand(rows, indices, one, combine):
     """Pfaffian by first-row expansion, memoized on index subsets.
 

@@ -14,7 +14,9 @@ from nilforms import (
     get_example,
 )
 from nilforms.cohomology import _cocycles
-from nilforms.linalg import invert as exact_invert, span_rank
+from nilforms.linalg import span_rank
+
+from oracles import as_fraction, sympy_matrix
 
 settings.register_profile(
     "suite",
@@ -213,6 +215,11 @@ def forms_on(draw, algebra_strategy, degrees=(0, 1, 2, 3)):
         else algebra.zero_form(degree)
 
 
+def euclidean_metric(dim):
+    """The metric whose Gram matrix is the identity."""
+    return InnerProduct([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
+
+
 @st.composite
 def posdef_metrics(draw, dim):
     """Gram matrices A^T A with A integer and invertible; the determinant is
@@ -235,9 +242,9 @@ def complex_structures(draw, dim):
         min_size=dim, max_size=dim))
     a = [list(map(Fraction, row)) for row in entries]
     assume(span_rank([dict(enumerate(row)) for row in a]) == dim)
-    inverse = exact_invert(a)
+    inverse = sympy_matrix(a).inv()
     # A J0 has columns A J0 e_c: A e_{c+1} for even c, -A e_{c-1} for odd c
     a_j0 = [[row[c + 1] if c % 2 == 0 else -row[c - 1] for c in range(dim)]
             for row in a]
-    return tuple(tuple(sum(a_j0[r][k] * inverse[k][c] for k in range(dim))
+    return tuple(tuple(sum(a_j0[r][k] * as_fraction(inverse[k, c]) for k in range(dim))
                        for c in range(dim)) for r in range(dim))

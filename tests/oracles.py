@@ -259,6 +259,14 @@ def reference_find_lcs(algebra, config):
     )
 
 
+def reference_pairing(metric, v, w):
+    """g(v, w) on coefficient vectors, as the dense double sum over the
+    Gram matrix."""
+    n = metric.dim
+    return sum((v[i] * metric.matrix[i][j] * w[j] for i in range(n) if v[i]
+                for j in range(n) if w[j]), Fraction(0))
+
+
 def reference_koszul_table(algebra, metric):
     """The Levi-Civita connection of an invariant metric on basis pairs:
     ``table[(i, j)]`` is the coefficient vector of nabla_{X_i} X_j, solved
@@ -267,15 +275,15 @@ def reference_koszul_table(algebra, metric):
         2 g(nabla_i X_j, X_l) =
             g([X_i, X_j], X_l) - g([X_j, X_l], X_i) + g([X_l, X_i], X_j).
 
-    Every g([X_i, X_j], X_l) is a dense ``metric.pairing`` of a bracket with
-    a basis vector, and the solve multiplies by the inverse Gram matrix,
-    here taken from sympy.
+    Every g([X_i, X_j], X_l) is a dense ``reference_pairing`` of a bracket
+    with a basis vector, and the solve multiplies by the inverse Gram
+    matrix, here taken from sympy.
     """
     n = algebra.dim
     inverse = sympy_matrix(metric.matrix).inv()
 
     def g_bracket(i, j, l):
-        return metric.pairing(algebra.bracket(i, j), basis_vector(n, l))
+        return reference_pairing(metric, algebra.bracket(i, j), basis_vector(n, l))
 
     table = {}
     for i in range(1, n + 1):
@@ -458,3 +466,25 @@ def reference_lee_form(algebra, metric, matrix):
         (i,): Fraction(-1, n // 2 - 1)
         * eval_form(delta, [tuple(Fraction(row[i - 1]) for row in matrix)])
         for i in range(1, n + 1)})
+
+
+def direct_sum(left, right):
+    """Block-diagonal direct sum of two algebras; right-hand indices are
+    shifted by left.dim."""
+    from nilforms import LieAlgebra
+
+    shift = left.dim
+    constants = dict(left.constants)
+    for (i, j, k), coeff in right.constants.items():
+        constants[(i + shift, j + shift, k + shift)] = coeff
+    return LieAlgebra(left.dim + right.dim, constants)
+
+
+def skew_matrix(omega):
+    """The coefficient matrix of a 2-form: A[i][j] = omega(X_{i+1}, X_{j+1})."""
+    n = omega.algebra.dim
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), coeff in omega.coeffs.items():
+        rows[i - 1][j - 1] = coeff
+        rows[j - 1][i - 1] = -coeff
+    return rows

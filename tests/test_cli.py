@@ -228,3 +228,19 @@ def test_a_pair_on_a_non_unimodular_algebra_is_classified(tmp_path, capsys):
                          "--metric", str(metric), "--acs", str(acs))
     assert (code, err) == (0, "")
     assert "hermitian pair: lck (Lee form 2*x1)" in out.splitlines()
+
+
+@pytest.mark.parametrize("gram,message", [
+    ([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+     "leading principal minor 2 is -3; metric is not positive definite"),
+    ([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+     "Gram matrix must be symmetric"),
+], ids=["indefinite", "not-symmetric"])
+def test_a_bad_gram_file_is_a_typed_error(tmp_path, capsys, gram, message):
+    metric, acs = tmp_path / "g.json", tmp_path / "J.json"
+    metric.write_text(json.dumps(gram))
+    acs.write_text(json.dumps([[0, -1, 0, 0], [1, 0, 0, 0],
+                               [0, 0, 0, -1], [0, 0, 1, 0]]))
+    code, out, err = run(capsys, "analyze", "(0,0,0,12)",
+                         "--metric", str(metric), "--acs", str(acs))
+    assert (code, out, err) == (3, "", f"error: {message}\n")

@@ -18,7 +18,6 @@ from nilforms import (
     Poly,
     build_algebra,
     ce_d,
-    direct_sum,
     format_form,
     lower_central_series,
     parse_salamon,
@@ -28,6 +27,7 @@ from nilforms import (
 from conftest import unchecked_algebra
 from oracles import (
     bracket_vectors,
+    direct_sum,
     eval_on_basis,
     jacobiator,
     koszul_d_eval,

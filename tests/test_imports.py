@@ -54,5 +54,6 @@ def test_all_lists_only_public_names():
                if isinstance(getattr(nilforms, name), ModuleType)]
     assert not modules, f"__all__ lists submodules: {modules}"
     removed = {"poly_d", "pullback", "PolyMap", "serialize_json", "parse_json",
-               "hodge_star", "codifferential", "IrrationalVolume", "NotUnimodular"}
+               "hodge_star", "codifferential", "IrrationalVolume", "NotUnimodular",
+               "euclidean_metric", "fundamental_form", "direct_sum", "skew_matrix"}
     assert not removed & set(nilforms.__all__)

@@ -12,12 +12,10 @@ solving, row-space membership) under its sparse entry point.
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from nilforms.linalg import (
     echelon,
-    invert,
     kernel,
     preimage,
     reduce,
@@ -35,10 +33,10 @@ ENTRIES = st.one_of(
 
 
 @st.composite
-def matrices(draw, square=False):
+def matrices(draw):
     """(rows, ncols), with some rows made zero or a combination of others."""
     nrows = draw(st.integers(0, 6))
-    ncols = nrows if square else draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 6))
     rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
     for r in range(1, nrows):
@@ -136,22 +134,6 @@ def test_solve_equals_the_reference(matrix, data):
             expected[p] = row[ncols]
     solution = preimage(columns_of(rows, ncols), sparse(rhs))
     assert (solution if solution is None else dense(solution, ncols)) == expected
-
-
-@given(matrices(square=True))
-def test_invert_equals_sympy(matrix):
-    rows, n = matrix
-    reference = sympy_shaped(rows, n)
-    value = as_fraction(reference.det()) if n else Fraction(1)
-    if value == 0:
-        with pytest.raises(ValueError):
-            invert(rows)
-    elif n:
-        inverse = reference.inv()
-        assert invert(rows) == [[as_fraction(inverse[i, j]) for j in range(n)]
-                                for i in range(n)]
-    else:
-        assert invert(rows) == []
 
 
 @given(matrices(), st.data())

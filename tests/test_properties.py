@@ -39,7 +39,6 @@ from nilforms import (
     find_lcs,
     find_symplectic,
     format_salamon,
-    fundamental_form,
     format_scalar,
     get_example,
     json_to_algebra,
@@ -51,14 +50,13 @@ from nilforms import (
     nijenhuis,
     parse_scalar,
     pfaffian_volume,
-    skew_matrix,
     twisted_d,
     wedge,
 )
 from nilforms import linalg
 from nilforms.cohomology import _cocycles, _d_images, _d_matrix, _form
-from nilforms.exterior_core import _is_nilpotent, direct_sum, lower_central_series
-from nilforms.hermitian import _is_parallel
+from nilforms.exterior_core import _is_nilpotent, lower_central_series
+from nilforms.hermitian import _hermitian_pair, _is_parallel
 from nilforms.structures import (
     _twisted_exact_pfaffian,
     closed_covector_basis,
@@ -84,6 +82,7 @@ from oracles import (
     basis_vector,
     betti_by_koszul,
     d_matrix_by_koszul,
+    direct_sum,
     jacobiator,
     reference_codifferential,
     reference_koszul_table,
@@ -92,8 +91,10 @@ from oracles import (
     reference_lee_form,
     reference_lee_parallel,
     reference_nijenhuis,
+    reference_pairing,
     reference_rref,
     reference_star_raw,
+    skew_matrix,
     sympy_matrix,
     sympy_pfaffian_squared_is_det,
 )
@@ -221,7 +222,8 @@ def test_star_star_sign_law(metric, form):
         return
     k = form.degree
     twice = reference_star_raw(algebra, metric, reference_star_raw(algebra, metric, form))
-    assert twice == form.scale(Fraction((-1) ** (k * (4 - k))) / metric.determinant)
+    det = as_fraction(sympy_matrix(metric.matrix).det())
+    assert twice == form.scale(Fraction((-1) ** (k * (4 - k))) / det)
 
 
 @fuzz(posdef_metrics(4),
@@ -256,17 +258,6 @@ def test_the_raw_star_obeys_its_defining_law(dim, data):
 # -- metrics ------------------------------------------------------------------
 
 
-@fuzz(st.integers(1, 6).flatmap(posdef_metrics), n=40)
-def test_metric_determinant_and_inverse_equal_sympy(metric):
-    reference = sympy_matrix(metric.matrix)
-    assert type(metric.determinant) is Fraction
-    assert metric.determinant == as_fraction(reference.det())
-    inverse = reference.inv()
-    assert metric.inverse == tuple(
-        tuple(as_fraction(inverse[r, c]) for c in range(metric.dim))
-        for r in range(metric.dim))
-
-
 @st.composite
 def symmetric_matrices(draw):
     dim = draw(st.integers(1, 5))
@@ -285,7 +276,7 @@ def test_metric_gate_reports_the_first_bad_minor_as_sympy_does(rows):
     minors = [as_fraction(reference[:k, :k].det()) for k in range(1, len(rows) + 1)]
     bad = next(((k, m) for k, m in enumerate(minors, 1) if m <= 0), None)
     if bad is None:
-        assert InnerProduct(rows).determinant == minors[-1]
+        assert InnerProduct(rows).dim == len(rows)
         return
     try:
         InnerProduct(rows)
@@ -334,12 +325,12 @@ def _planted_covectors(algebra, metric, orthogonal):
                   for k, v in enumerate(algebra.bracket(c, j), 1) if v}
         if orthogonal:
             for i, j in itertools.combinations(range(1, n + 1), 2):
-                value = metric.pairing(basis_vector(n, c), algebra.bracket(i, j))
+                value = reference_pairing(metric, basis_vector(n, c), algebra.bracket(i, j))
                 if value:
                     column[("g", i, j)] = value
         columns.append(column)
-    return [algebra.form({(l,): metric.pairing([z.get(c, 0) for c in range(n)],
-                                               basis_vector(n, l))
+    return [algebra.form({(l,): reference_pairing(metric, [z.get(c, 0) for c in range(n)],
+                                                  basis_vector(n, l))
                           for l in range(1, n + 1)})
             for z in linalg.kernel(columns)]
 
@@ -398,7 +389,7 @@ def test_fundamental_form_and_compatibility_equal_the_dense_reference(
     expected = reference_fundamental_form(metric, acs)
     assert expected is not None or not compatible
     try:
-        omega = fundamental_form(algebra, metric, acs)
+        omega = _hermitian_pair(algebra, metric, acs)[2]
     except NotHermitian as exc:
         assert expected is None
         assert str(exc) == "metric is not J-invariant: g(JX, JY) != g(X, Y)"

@@ -27,7 +27,6 @@ from nilforms import (
     nondegenerate_in_span,
     parse_salamon,
     pfaffian_volume,
-    skew_matrix,
     theta_candidates,
     twisted_d,
     twisted_exactness_witness,
@@ -35,7 +34,7 @@ from nilforms import (
 )
 
 from conftest import NON_NILPOTENT_4D
-from oracles import sympy_pfaffian_squared_is_det
+from oracles import skew_matrix, sympy_pfaffian_squared_is_det
 
 
 def top_coefficient_of_power(omega, half):
