@@ -31,6 +31,7 @@ from .errors import (
 from .exterior_core import format_form, lower_central_series, wedge
 from .hermitian import classify_hermitian
 from .notation import (
+    _scalar_at,
     algebra_to_json,
     form_to_json,
     format_salamon,
@@ -66,7 +67,8 @@ def _load_matrix(path):
         doc = json.load(handle)
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise SchemaViolation("", "matrix file must hold a list of rows")
-    return doc
+    return [[_scalar_at(value, f"/{r}/{c}") for c, value in enumerate(row)]
+            for r, row in enumerate(doc)]
 
 
 def _emit(args, payload, text_lines):

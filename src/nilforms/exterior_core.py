@@ -190,7 +190,7 @@ class LieAlgebra:
     __slots__ = ("dim", "constants", "_dx", "_leibniz_dx", "_hash", "_cohomology_cache")
 
     def __init__(self, dim, constants):
-        if not isinstance(dim, int) or dim < 0:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
             raise InvalidParameter(f"dimension must be a nonnegative integer, got {dim!r}")
         clean = {}
         for key, value in dict(constants).items():
@@ -358,7 +358,7 @@ class KForm:
     def __init__(self, algebra, degree, terms, _normalized=False):
         if not isinstance(algebra, LieAlgebra):
             raise InvalidParameter("first argument must be a LieAlgebra")
-        if not isinstance(degree, int) or degree < 0:
+        if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
             raise InvalidParameter(f"degree must be a nonnegative integer, got {degree!r}")
         if degree > algebra.dim:
             raise InvalidParameter(

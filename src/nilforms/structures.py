@@ -21,8 +21,10 @@ candidates at once; when it vanishes identically only theta = 0 is decided
 and the rest are counted.  Whether the algebra is nilpotent is read off its
 structure constants when they are in Salamon's order (every [X_i, X_j],
 i < j, in the span of the X_k with k > j) and left to the lower central
-series otherwise, and the Pfaffian is expanded on int coefficients
-wherever they are integral.  The shortcut deletes work, not honesty: the
+series otherwise.  Every Pfaffian, symbolic or numeric, comes from one
+memoized first-row expansion (``_symbolic_pfaffian``; a numeric Pfaffian is
+its no-variable case), run on int coefficients wherever they are
+integral.  The shortcut deletes work, not honesty: the
 search still answers for the candidates up to height H only, and a
 nonexistence claim belongs to a separate, proof-carrying decision.
 
@@ -71,77 +73,79 @@ from .scalars import ZERO, ONE, _exact, as_scalar, height
 # -- Pfaffian ----------------------------------------------------------------
 
 
-def _pfaffian_expand(rows, indices, one, combine):
-    """Pfaffian by first-row expansion, memoized on index subsets.
+def _symbolic_pfaffian(dim, nvars, contributions):
+    """Pfaffian, as a Poly in ``nvars`` variables, of the skew matrix whose
+    (i, j) entry (i < j) sums coeff * monomial over the contributions
+    ``((i, j), exponent, coeff)``; each ((i, j), exponent) occurs at most
+    once, and each exponent is a product of distinct variables (entries 0
+    or 1).  The entry table is built in one walk, before the expansion.
 
-    Generic over the coefficient ring: ``rows[i][j]`` (i < j) holds the
-    nonzero entries, ``one`` is the unit, and ``combine(terms)`` sums
-    a * b, negated when ``odd``, over the ``(odd, a, b)`` terms of one
-    expansion.  Used with exact scalars and ``_signed_sum`` for numeric
-    Pfaffians, and with packed-exponent dicts and ``_packed_sum`` for
-    symbolic ones.
-    """
-    memo = {}
+    The one Pfaffian expansion of the package: by the first row, memoized
+    on index subsets, Pf(S) = sum over the partners j of s_1 of
+    (-1)^pos a_{s_1 j} Pf(S minus s_1, j), pos being j's place among the
+    rest of S.  It runs on ``{packed exponent: coefficient}`` dicts: an
+    exponent tuple e becomes the int sum(e_v << (w * v)), so a product of
+    monomials is a sum of ints.  A product of dim / 2 entries raises no
+    variable above dim / 2, and w = bit length of dim / 2 holds that, so
+    no field carries into the next.  Integral coefficients enter as ints
+    (``_exact``) and the unit is {0: 1}, so the arithmetic stays on ints
+    wherever the input allows; the result is unpacked to a Poly once, at
+    the end."""
+    width = max(1, (dim // 2).bit_length())
+    shifts = range(0, width * nvars, width)
+    packed = {}
+    rows = {}
+    for (i, j), expo, coeff in contributions:
+        if coeff:
+            key = packed.get(expo)
+            if key is None:
+                key = packed[expo] = sum(map(lshift, expo, shifts))
+            rows.setdefault(i, {}).setdefault(j, {})[key] = _exact(coeff)
+    memo = {(): {0: 1}}
 
     def pf(subset):
-        if not subset:
-            return one
-        if subset in memo:
-            return memo[subset]
+        total = memo.get(subset)
+        if total is not None:
+            return total
         row = rows.get(subset[0], {})
         rest = subset[1:]
-        terms = []
+        total = {}
+        get = total.get
         for pos, partner in enumerate(rest):
-            e = row.get(partner)
-            if e:
+            entry = row.get(partner)
+            if entry:
                 sub = pf(rest[:pos] + rest[pos + 1:])
-                if sub:
-                    terms.append((pos & 1, e, sub))
-        total = memo[subset] = combine(terms)
+                for ka, ca in entry.items():
+                    if pos & 1:
+                        ca = -ca
+                    for kb, cb in sub.items():
+                        k = ka + kb
+                        total[k] = get(k, 0) + ca * cb
+        total = memo[subset] = {k: c for k, c in total.items() if c}
         return total
 
     try:
-        return pf(tuple(indices))
+        expanded = pf(tuple(range(1, dim + 1)))
     finally:
         # pf refers to itself: unbinding it frees the memo of symbolic minors
         # now, not whenever the cycle collector next runs
         del pf
-
-
-def _signed_sum(terms):
-    """The expansion step on exact scalars, from int 0."""
-    total = 0
-    for odd, a, b in terms:
-        total = total - a * b if odd else total + a * b
-    return total
-
-
-def _packed_sum(terms):
-    """The expansion step on polynomials held as ``{packed exponent:
-    coefficient}`` dicts: multiplying monomials adds their keys."""
-    out = {}
-    get = out.get
-    for odd, a, b in terms:
-        for ka, ca in a.items():
-            if odd:
-                ca = -ca
-            for kb, cb in b.items():
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-    return {k: c for k, c in out.items() if c}
+    mask = (1 << width) - 1
+    return Poly(nvars, {tuple([key >> s & mask for s in shifts]): c
+                        for key, c in expanded.items()}, _normalized=True)
 
 
 def pfaffian_volume(algebra, omega):
     """Pfaffian of omega's skew matrix == coefficient of the top monomial in
-    omega^n / n!.  Nonzero iff omega is nondegenerate.  Expanded on the
-    coefficients as ints wherever they are integral; returned as a Fraction."""
+    omega^n / n!.  Nonzero iff omega is nondegenerate.  The no-variable case
+    of ``_symbolic_pfaffian``, so expanded on ints wherever the coefficients
+    are integral; returned as a Fraction."""
     if algebra.dim % 2:
         raise OddDimension("the Pfaffian needs an even-dimensional algebra")
     _require_form(algebra, omega, "omega", 2)
-    rows = {}
-    for (i, j), c in omega.coeffs.items():
-        rows.setdefault(i, {})[j] = _exact(c)
-    return as_scalar(_pfaffian_expand(rows, range(1, algebra.dim + 1), 1, _signed_sum))
+    pf = _symbolic_pfaffian(algebra.dim, 0, (
+        (pair, (), c) for pair, c in omega.coeffs.items()))
+    return as_scalar(pf.terms.get((), 0))
 
 
 # -- symplectic --------------------------------------------------------------
@@ -170,37 +174,6 @@ def _unit_exponents(nvars):
     """The exponent tuple of each single variable, in index order."""
     zeros = (0,) * nvars
     return [zeros[:v] + (1,) + zeros[v + 1:] for v in range(nvars)]
-
-
-def _symbolic_pfaffian(dim, nvars, contributions):
-    """Pfaffian, as a Poly in ``nvars`` variables, of the skew matrix whose
-    (i, j) entry (i < j) sums coeff * monomial over the contributions
-    ``((i, j), exponent, coeff)``; each ((i, j), exponent) occurs at most
-    once, and each exponent is a product of distinct variables (entries 0
-    or 1).  The entry table is built in one walk, before the expansion.
-
-    The expansion runs on ``{packed exponent: coefficient}`` dicts: an
-    exponent tuple e becomes the int sum(e_v << (w * v)), so a product of
-    monomials is a sum of ints.  A product of dim / 2 entries raises no
-    variable above dim / 2, and w = bit length of dim / 2 holds that, so
-    no field carries into the next.  Integral coefficients enter as ints
-    (``_exact``) and the unit is {0: 1}, so the arithmetic stays on ints
-    wherever the input allows; the result is unpacked to a Poly once, at
-    the end."""
-    width = max(1, (dim // 2).bit_length())
-    shifts = range(0, width * nvars, width)
-    packed = {}
-    rows = {}
-    for (i, j), expo, coeff in contributions:
-        if coeff:
-            key = packed.get(expo)
-            if key is None:
-                key = packed[expo] = sum(map(lshift, expo, shifts))
-            rows.setdefault(i, {}).setdefault(j, {})[key] = _exact(coeff)
-    pf = _pfaffian_expand(rows, range(1, dim + 1), {0: 1}, _packed_sum)
-    mask = (1 << width) - 1
-    return Poly(nvars, {tuple([key >> s & mask for s in shifts]): c
-                        for key, c in pf.items()}, _normalized=True)
 
 
 def _twisted_exact_pfaffian(algebra, covectors):

@@ -370,28 +370,33 @@ def reference_nonzero_point(poly):
 
 
 def reference_symbolic_pfaffian(dim, nvars, contributions):
-    """``structures._symbolic_pfaffian`` as it was before it expanded on
-    ints and packed exponents: ``Poly`` entries with exponent tuples, and
-    every entry coefficient and the unit are ``Fraction``s."""
+    """``structures._symbolic_pfaffian`` from the textbook recursion alone,
+    sharing no code with it: Pf(A) = sum_j (-1)^j a_{1j} Pf(A minus rows
+    and columns 1 and j), j = 2..m counted inside the current index list,
+    expanded afresh at every level (no memo, no packed exponents) on
+    ``Poly`` entries whose coefficients are all ``Fraction``s.  With
+    ``nvars = 0`` its constant term is the numeric Pfaffian."""
     from nilforms.polynomials import Poly
-    from nilforms.structures import _pfaffian_expand
 
     table = {}
     for pair, expo, coeff in contributions:
         if coeff:
             table.setdefault(pair, {})[expo] = Fraction(coeff)
-    zero = Poly(nvars, {}, _normalized=True)
-    rows = {}
-    for (i, j), terms in table.items():
-        rows.setdefault(i, {})[j] = Poly(nvars, terms, _normalized=True)
+    entries = {pair: Poly(nvars, terms) for pair, terms in table.items()}
 
-    def combine(terms):
-        total = zero
-        for odd, a, b in terms:
-            total = total - a * b if odd else total + a * b
+    def pf(indices):
+        if not indices:
+            return Poly.constant(nvars, 1)
+        total = Poly(nvars, {})
+        first = indices[0]
+        for j in range(2, len(indices) + 1):
+            entry = entries.get((first, indices[j - 1]))
+            if entry is not None:
+                minor = pf(indices[1:j - 1] + indices[j:])
+                total = total + (-1) ** j * entry * minor
         return total
 
-    return _pfaffian_expand(rows, range(1, dim + 1), Poly.constant(nvars, 1), combine)
+    return pf(tuple(range(1, dim + 1)))
 
 
 def _gram_minors(metric):

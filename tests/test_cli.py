@@ -230,17 +230,28 @@ def test_a_pair_on_a_non_unimodular_algebra_is_classified(tmp_path, capsys):
     assert "hermitian pair: lck (Lee form 2*x1)" in out.splitlines()
 
 
-@pytest.mark.parametrize("gram,message", [
-    ([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+ROTATION_J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("gram,acs,code,message", [
+    ([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], ROTATION_J, 3,
      "leading principal minor 2 is -3; metric is not positive definite"),
-    ([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    ([[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], ROTATION_J, 3,
      "Gram matrix must be symmetric"),
-], ids=["indefinite", "not-symmetric"])
-def test_a_bad_gram_file_is_a_typed_error(tmp_path, capsys, gram, message):
-    metric, acs = tmp_path / "g.json", tmp_path / "J.json"
-    metric.write_text(json.dumps(gram))
-    acs.write_text(json.dumps([[0, -1, 0, 0], [1, 0, 0, 0],
-                               [0, 0, 0, -1], [0, 0, 1, 0]]))
-    code, out, err = run(capsys, "analyze", "(0,0,0,12)",
-                         "--metric", str(metric), "--acs", str(acs))
-    assert (code, out, err) == (3, "", f"error: {message}\n")
+    # JSON true is no rational, as in an algebra document: read as 1, it
+    # would pass for the identity Gram matrix
+    ([[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], ROTATION_J, 2,
+     "/0/0: expected a rational, got a boolean"),
+    ([[1.0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], ROTATION_J, 2,
+     "/0/0: expected an integer or 'p/q' string"),
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+     [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, True, 0]], 2,
+     "/3/2: expected a rational, got a boolean"),
+], ids=["indefinite", "not-symmetric", "true-in-gram", "float-in-gram", "true-in-acs"])
+def test_a_bad_gram_file_is_a_typed_error(tmp_path, capsys, gram, acs, code, message):
+    metric_path, acs_path = tmp_path / "g.json", tmp_path / "J.json"
+    metric_path.write_text(json.dumps(gram))
+    acs_path.write_text(json.dumps(acs))
+    result = run(capsys, "analyze", "(0,0,0,12)",
+                 "--metric", str(metric_path), "--acs", str(acs_path))
+    assert result == (code, "", f"error: {message}\n")

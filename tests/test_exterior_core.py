@@ -155,6 +155,18 @@ def test_bool_basis_indices_are_refused(kt):
         Poly.variable(2, False)
 
 
+def test_bool_dimensions_and_degrees_are_refused(kt):
+    """Nor is a bool a dimension or a degree: ``LieAlgebra(True, {})`` would
+    pass for ``LieAlgebra(1, {})`` and ``KForm(g, True, ...)`` would print
+    as a ``True``-form."""
+    for call in (lambda: LieAlgebra(True, {}), lambda: LieAlgebra(False, {}),
+                 lambda: build_algebra(True, {}),
+                 lambda: KForm(kt, True, {(1,): 1}), lambda: kt.zero_form(True),
+                 lambda: kt.zero_form(False)):
+        with pytest.raises(InvalidParameter, match="must be a nonnegative integer"):
+            call()
+
+
 def test_format_form(filiform):
     omega = filiform.form({(1, 3): 1, (2, 4): -1})
     assert format_form(omega) == "x1^x3 - x2^x4"

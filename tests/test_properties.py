@@ -94,6 +94,7 @@ from oracles import (
     reference_pairing,
     reference_rref,
     reference_star_raw,
+    reference_symbolic_pfaffian,
     skew_matrix,
     sympy_matrix,
     sympy_pfaffian_squared_is_det,
@@ -210,6 +211,17 @@ def test_pfaffian_matches_the_power_route(coeffs):
     square = wedge(omega, omega)
     assert pfaffian_volume(algebra, omega) \
         == square.coefficient((1, 2, 3, 4)) / 2
+
+
+@fuzz(st.integers(1, 4),
+      st.lists(small_rationals, min_size=28, max_size=28))
+def test_pfaffian_equals_the_independent_expansion(half, coeffs):
+    # Pf^2 = det cannot see the sign; the oracle's own recursion can
+    algebra = LieAlgebra(2 * half, {})
+    omega = _random_two_form(algebra, coeffs)
+    reference = reference_symbolic_pfaffian(
+        algebra.dim, 0, [(pair, (), c) for pair, c in omega.coeffs.items()])
+    assert pfaffian_volume(algebra, omega) == reference.terms.get((), 0)
 
 
 # -- Hodge laws of the oracle's Lee-form route -------------------------------
