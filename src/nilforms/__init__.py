@@ -24,11 +24,7 @@ from .cohomology import (
     triple_massey,
     twisted_d,
 )
-from .coordinate_model import (
-    PolyForm,
-    RealizationReport,
-    verify_realization,
-)
+from .coordinate_model import RealizationReport, verify_realization
 from .errors import (
     AmbientMismatch,
     CupObstruction,

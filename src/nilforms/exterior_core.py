@@ -256,6 +256,8 @@ class LieAlgebra:
     # -- form builders -------------------------------------------------------
 
     def monomials(self, k):
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise InvalidParameter(f"degree {k!r} is not an int")
         if not 0 <= k <= self.dim:
             return []
         return list(itertools.combinations(range(1, self.dim + 1), k))

@@ -27,15 +27,18 @@ class Poly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None, _normalized=False):
+        if isinstance(nvars, bool) or not isinstance(nvars, int) or nvars < 0:
+            raise InvalidParameter(f"polynomial arity {nvars!r} is not an int >= 0")
         self.nvars = nvars
         if _normalized:
             self.terms = terms or {}
             return
         clean = {}
         for expo, coeff in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != nvars or any(e < 0 for e in expo):
-                raise InvalidParameter(f"bad exponent tuple {expo} for arity {nvars}")
+            expo = tuple(expo)
+            if len(expo) != nvars or any(isinstance(e, bool) or not isinstance(e, int)
+                                         or e < 0 for e in expo):
+                raise InvalidParameter(f"bad exponent tuple {expo!r} for arity {nvars}")
             coeff = as_scalar(coeff)
             if coeff != 0:
                 clean[expo] = clean.get(expo, ZERO) + coeff
@@ -195,7 +198,7 @@ class Poly:
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = Poly.constant(self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented

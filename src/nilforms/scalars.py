@@ -22,13 +22,14 @@ ONE = Fraction(1)
 def as_scalar(value) -> Fraction:
     """Coerce ``value`` to an exact rational.
 
-    Accepts int, Fraction, and strings like ``"3"`` or ``"-2/5"``.  Floats are
-    refused (use a string or Fraction instead).
+    Accepts int, Fraction, and strings like ``"3"`` or ``"-2/5"``.  Floats and
+    bools are refused (use a string or Fraction instead).
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        return Fraction(int(value))
+    if isinstance(value, (bool, float)):
+        raise InvalidParameter(f"{type(value).__name__} {value!r} rejected: "
+                               "pass an int, Fraction, or 'p/q' string")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -36,10 +37,6 @@ def as_scalar(value) -> Fraction:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParameter(f"not a rational literal: {value!r}") from exc
-    if isinstance(value, float):
-        raise InvalidParameter(
-            f"float {value!r} rejected: pass an int, Fraction, or 'p/q' string"
-        )
     raise InvalidParameter(f"cannot interpret {value!r} as a rational scalar")
 
 

@@ -12,12 +12,15 @@ from nilforms import DimensionMismatch, Poly
 from nilforms.coordinate_model import (
     NCOORDS,
     RING_VARS,
-    PolyForm,
+    _d,
+    _is_integral,
+    _pullback,
     invariant_coframe,
     inverse,
     multiply,
     verify_realization,
 )
+from nilforms.exterior_core import _wedge_raw
 
 
 def coordinates():
@@ -53,47 +56,72 @@ def test_numeric_spot_check():
 
 def test_poly_d_of_the_coframe():
     x1, x2, x3, x4 = invariant_coframe()
-    assert x1.d().is_zero
-    assert x2.d().is_zero
-    assert x3.d() == x1.wedge(x2)
-    assert x4.d() == x1.wedge(x3)
+    assert _d(x1) == {}
+    assert _d(x2) == {}
+    assert _d(x3) == _wedge_raw(x1, x2)
+    assert _d(x4) == _wedge_raw(x1, x3)
 
 
 def test_poly_d_squared_is_zero():
     x, y, z, t = coordinates()
-    form = PolyForm(1, {(1,): y * z, (3,): x * x, (4,): t})
-    assert form.d().d().is_zero
+    form = {(1,): y * z, (3,): x * x, (4,): t}
+    assert _d(_d(form)) == {}
 
 
 def test_pullback_under_identity_and_translation():
     x1, x2, x3, x4 = invariant_coframe()
-    assert x3.pullback(coordinates()) == x3
+    assert _pullback(x3, coordinates()) == x3
     translation = multiply(translation_parameters(), coordinates())
     for covector in (x1, x2, x3, x4):
-        assert covector.pullback(translation) == covector
+        assert _pullback(covector, translation) == covector
+
+
+def test_pullback_sees_forms_that_are_not_invariant():
+    # a left translation moves dz and y dx, so the invariance check is not vacuous
+    y = coordinates()[1]
+    b = translation_parameters()[1]
+    one = Poly.constant(RING_VARS, 1)
+    translation = multiply(translation_parameters(), coordinates())
+    assert _pullback({(3,): one}, translation) == {(3,): one, (1,): b}
+    assert _pullback({(1,): y}, translation) == {(1,): b + y}
 
 
 def test_pullback_commutes_with_d():
     x, y, z, t = coordinates()
     translation = multiply(translation_parameters(), coordinates())
-    form = PolyForm(1, {(1,): z, (2,): x * y})
-    assert form.d().pullback(translation) == form.pullback(translation).d()
+    form = {(1,): z, (2,): x * y}
+    assert _d(_pullback(form, translation)) == _pullback(_d(form), translation)
 
 
 def test_pullback_validates_arity():
     x1 = invariant_coframe()[0]
     with pytest.raises(DimensionMismatch):
-        x1.pullback(coordinates()[:3])
+        _pullback(x1, coordinates()[:3])
+
+
+def test_integrality_refutes_the_integer_lattice():
+    # on generic points of Z^4 the law and the inverse leave halves, which
+    # the symbolic integrality behind ``lattice_closed`` must see
+    # exponents over (x, y, z, t, a, b, c, e)
+    b_x2 = (2, 0, 0, 0, 0, 1, 0, 0)
+    a2_b = (0, 0, 0, 0, 2, 1, 0, 0)
+    product = multiply(translation_parameters(), coordinates())[3]
+    inverted = inverse(translation_parameters())[3]
+    assert product.terms[b_x2] == Fraction(1, 2)
+    assert inverted.terms[a2_b] == Fraction(-1, 2)
+    assert not _is_integral(product)
+    assert not _is_integral(inverted)
 
 
 def test_verify_realization_passes_everything():
     report = verify_realization()
     assert report.salamon == "(0,0,12,13)"
     assert report.all_pass
-    assert report.check("structure_equations")
-    assert report.check("left_invariance")
-    assert report.check("lattice_closed")
-    assert report.check("integer_lattice_negative_control")
+    checks = dict(report.checks)
+    assert checks["structure_equations"]
+    assert checks["left_invariance"]
+    assert checks["lattice_closed"]
+    assert checks["integer_lattice_negative_control"]
 
 
 def test_report_names_are_stable():

@@ -167,6 +167,14 @@ def test_bool_dimensions_and_degrees_are_refused(kt):
             call()
 
 
+def test_bool_coefficients_and_monomial_degrees_are_refused(kt):
+    """A bool is no structure constant, form coefficient or monomial degree."""
+    for call in (lambda: build_algebra(2, {(1, 2): (True, 0)}),
+                 lambda: kt.form({(1, 2): True}), lambda: kt.monomials(True)):
+        with pytest.raises(InvalidParameter):
+            call()
+
+
 def test_format_form(filiform):
     omega = filiform.form({(1, 3): 1, (2, 4): -1})
     assert format_form(omega) == "x1^x3 - x2^x4"

@@ -55,5 +55,6 @@ def test_all_lists_only_public_names():
     assert not modules, f"__all__ lists submodules: {modules}"
     removed = {"poly_d", "pullback", "PolyMap", "serialize_json", "parse_json",
                "hodge_star", "codifferential", "IrrationalVolume", "NotUnimodular",
-               "euclidean_metric", "fundamental_form", "direct_sum", "skew_matrix"}
+               "euclidean_metric", "fundamental_form", "direct_sum", "skew_matrix",
+               "PolyForm"}
     assert not removed & set(nilforms.__all__)

@@ -75,6 +75,8 @@ def test_polynomials_compare_only_with_polynomials_and_rationals():
     for other in ("abc", "3", None, 3.0, (3,)):
         assert (three == other) is False
         assert (three != other) is True
+    # True == 1, but a bool is no rational
+    assert (Poly.constant(2, 1) == True) is False
 
 
 def test_constants_hash_as_the_rationals_they_equal():
@@ -89,10 +91,26 @@ def test_constants_hash_as_the_rationals_they_equal():
 
 def test_scalar_factors_equal_their_constant_polynomials():
     x = Poly(2, {(1, 0): 2, (0, 1): Fraction(1, 3)}, _normalized=True)
-    for scalar in (0, 1, -3, True, Fraction(3, 2), "-5/4"):
+    for scalar in (0, 1, -3, Fraction(3, 2), "-5/4"):
         constant = Poly.constant(2, scalar)
         for product in (x * scalar, scalar * x):
             expected = Poly.__mul__(x, constant)
             assert [(e, c, type(c)) for e, c in product.terms.items()] \
                 == [(e, c, type(c)) for e, c in expected.terms.items()]
             assert repr(product) == repr(expected)
+    for product in (lambda: x * True, lambda: True * x, lambda: Poly.constant(2, True)):
+        with pytest.raises(InvalidParameter):
+            product()
+
+
+def test_arity_and_exponents_must_be_nonnegative_ints():
+    """``int(e)`` would truncate 1.5 to 1, and True == 1, so neither an
+    exponent nor an arity is coerced."""
+    for expo in ((1.5,), (True,), ("1",), (-1,)):
+        with pytest.raises(InvalidParameter, match="exponent"):
+            Poly(1, {expo: 1})
+    for call in (lambda: Poly(True, {(1,): 1}), lambda: Poly.constant(True, 1),
+                 lambda: Poly("x", {}), lambda: Poly(-1, {}),
+                 lambda: Poly(1.0, {(1,): 1}, _normalized=True)):
+        with pytest.raises(InvalidParameter, match="arity"):
+            call()

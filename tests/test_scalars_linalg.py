@@ -28,6 +28,13 @@ def test_as_scalar_rejects_float():
         as_scalar(0.5)
 
 
+def test_as_scalar_rejects_bool():
+    # True == 1, but a bool is no coefficient
+    for value in (True, False):
+        with pytest.raises(InvalidParameter, match="bool"):
+            as_scalar(value)
+
+
 @pytest.mark.parametrize("value,text", [
     (Fraction(3), "3"),
     (Fraction(-1, 2), "-1/2"),
