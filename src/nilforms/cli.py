@@ -48,23 +48,32 @@ from .structures import (
 )
 
 
+def _read_json(handle):
+    try:
+        return json.load(handle)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer past the int-conversion limit, bad UTF-8
+        raise SchemaViolation("", f"unreadable JSON: {exc}") from None
+
+
 def _load_algebra(source):
     """Returns (algebra, catalog_entry_or_None)."""
     stripped = source.strip()
     if stripped.startswith("("):
         return parse_salamon(stripped), None
     if stripped == "-":
-        return json_to_algebra(json.load(sys.stdin)), None
+        return json_to_algebra(_read_json(sys.stdin)), None
     if stripped.endswith(".json") or os.path.exists(stripped):
         with open(stripped, "r", encoding="utf-8") as handle:
-            return json_to_algebra(json.load(handle)), None
+            return json_to_algebra(_read_json(handle)), None
     entry = get_example(stripped)
     return entry.algebra, entry
 
 
 def _load_matrix(path):
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        doc = _read_json(handle)
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise SchemaViolation("", "matrix file must hold a list of rows")
     return [[_scalar_at(value, f"/{r}/{c}") for c, value in enumerate(row)]
@@ -414,7 +423,10 @@ def main(argv=None):
     except InternalInvariantBreach as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (NilformsError, OSError) as exc:
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except NilformsError as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 3

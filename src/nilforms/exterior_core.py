@@ -448,12 +448,6 @@ class KForm:
     __mul__ = scale
     __rmul__ = scale
 
-    def wedge(self, other):
-        return wedge(self, other)
-
-    def d(self):
-        return ce_d(self)
-
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):

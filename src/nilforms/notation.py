@@ -11,7 +11,9 @@ an elided coefficient is +-1, and a leading sign is allowed, as in
 
 Canonical output: terms sorted by pair, coefficient 1 elided, no spaces.
 Parsing is strict about syntax (deterministic positions in errors) but merges
-repeated pairs instead of rejecting them.
+repeated pairs instead of rejecting them.  Covector sums ("x1-2*x3") are read
+by the same signed-sum reader, with "x<i>" in place of a pair.  Digits are
+ASCII 0-9 only.
 """
 
 from __future__ import annotations
@@ -51,37 +53,42 @@ class _Cursor:
         self.pos += 1
         return ch
 
-    def expect(self, char, *expected):
+    def unexpected(self, *expected):
+        return SalamonSyntaxError(
+            f"unexpected {self.peek()!r}" if self.peek() else "unexpected end",
+            self.pos, expected)
+
+    def expect(self, char, expected=None):
         if self.peek() != char:
-            raise SalamonSyntaxError(
-                f"unexpected {self.peek()!r}" if self.peek() else "unexpected end",
-                self.pos, expected or (repr(char),))
+            raise self.unexpected(expected or repr(char))
         self.pos += 1
+
+    def at_digit(self):
+        """ASCII 0-9 only: str.isdigit also takes '²', which int refuses."""
+        return self.pos < self.end and "0" <= self.text[self.pos] <= "9"
 
     def digits(self, what):
         start = self.pos
-        while self.pos < self.end and self.text[self.pos].isdigit():
+        while self.at_digit():
             self.pos += 1
         if self.pos == start:
-            raise SalamonSyntaxError(
-                f"unexpected {self.peek()!r}" if self.peek() else "unexpected end",
-                start, (what,))
+            raise self.unexpected(what)
         return self.text[start:self.pos]
 
 
 def _split_entries(text):
     """Top-level comma split of the parenthesized interior, respecting
-    bracket pairs.  Returns [(start, end)] spans and the closing position."""
+    bracket pairs, as [(start, end)] spans."""
     cur = _Cursor(text)
     cur.skip_space()
-    cur.expect("(", "'('")
+    cur.expect("(")
     spans = []
     start = cur.pos
     depth = 0
     while True:
         ch = cur.peek()
         if ch == "":
-            raise SalamonSyntaxError("unexpected end", cur.pos, ("')'",))
+            raise cur.unexpected("')'")
         if ch == "[":
             depth += 1
         elif ch == "]":
@@ -95,27 +102,24 @@ def _split_entries(text):
             spans.append((start, cur.pos))
             break
         cur.pos += 1
-    close = cur.pos
     cur.pos += 1
     cur.end = len(text)
     cur.skip_space()
     if cur.pos != len(text):
         raise SalamonSyntaxError("trailing characters", cur.pos, ("end of input",))
-    if len(spans) == 1:
-        lone = text[spans[0][0]:spans[0][1]]
-        if not lone.strip():
-            return [], close
-    return spans, close
+    if len(spans) == 1 and not text[spans[0][0]:spans[0][1]].strip():
+        return []
+    return spans
 
 
 def _parse_pair(cur, n):
     if n >= 10:
         cur.skip_space()
         cur.expect("[", "'[i,j]' pair")
-        i = int(cur.digits("first index"))
-        cur.expect(",", "','")
-        j = int(cur.digits("second index"))
-        cur.expect("]", "']'")
+        i = _integer(cur.pos, cur.digits("first index"))
+        cur.expect(",")
+        j = _integer(cur.pos, cur.digits("second index"))
+        cur.expect("]")
         return _checked_pair(i, j, n, cur.pos)
     start = cur.pos
     d = cur.digits("two-digit pair")
@@ -136,13 +140,25 @@ def _checked_pair(i, j, n, pos):
     return (i, j)
 
 
-def _parse_entry(text, start, end, n):
-    """One differential, as {(i, j): coefficient}; a coefficient stays an
-    int unless the entry writes it as a fraction."""
-    cur = _Cursor(text, start, end)
+def _integer(pos, digits):
+    """The int that ``digits``, read from position ``pos`` on, spell."""
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's int-conversion limit
+        raise SalamonSyntaxError(
+            f"{len(digits)}-digit number is too long", pos, ()) from None
+
+
+def _signed_sum(cur, read_atom, dim, empty):
+    """A lone "0", or [sign] term (+- term)*, as {atom: coefficient} without
+    zero entries.  A term is an optional "p*" or "p/q*" coefficient, then the
+    atom ``read_atom(cur, tagged, dim)`` reads, ``tagged`` telling it whether
+    a coefficient came first.  A coefficient stays an int unless written as a
+    fraction.  ``empty`` is the (message, expected) of an empty sum."""
+    start = cur.pos
     cur.skip_space()
     if cur.peek() == "":
-        raise SalamonSyntaxError("empty entry", start, ("'0' or a sum of pairs",))
+        raise SalamonSyntaxError(empty[0], start, (empty[1],))
     if cur.peek() == "0":
         zero_pos = cur.pos
         cur.pos += 1
@@ -153,55 +169,51 @@ def _parse_entry(text, start, end, n):
         return {}
 
     terms = {}
-    sign = 1
-    if cur.peek() in "+-":
-        sign = -1 if cur.take() == "-" else 1
     while True:
+        coeff = 1
+        if cur.peek() in "+-":
+            coeff = -1 if cur.take() == "-" else 1
+        elif terms:
+            raise cur.unexpected("'+'", "'-'")
         cur.skip_space()
-        coeff = sign
-        if cur.peek().isdigit():
-            num_pos = cur.pos
-            d = cur.digits("coefficient or pair")
+        num_pos = cur.pos
+        if cur.at_digit():
+            num = cur.digits("coefficient")
             if cur.peek() == "/":
                 cur.take()
-                den = cur.digits("denominator")
-                if int(den) == 0:
+                den = _integer(cur.pos, cur.digits("denominator"))
+                if den == 0:
                     raise SalamonSyntaxError("zero denominator", num_pos, ())
-                coeff *= Fraction(int(d), int(den))
-                cur.expect("*", "'*'")
-                pair = _parse_pair(cur, n)
+                coeff *= Fraction(_integer(num_pos, num), den)
+                cur.expect("*")
             elif cur.peek() == "*":
                 cur.take()
-                coeff *= int(d)
-                pair = _parse_pair(cur, n)
+                coeff *= _integer(num_pos, num)
             else:
-                if n >= 10:
-                    raise SalamonSyntaxError(
-                        "bare digits are ambiguous from dimension 10 up",
-                        num_pos, ("'[i,j]' pair", "'*'"))
-                if len(d) != 2:
-                    raise SalamonSyntaxError(
-                        f"pair must be exactly two digits, got {d!r}", num_pos,
-                        ("two-digit pair",))
-                pair = _checked_pair(int(d[0]), int(d[1]), n, num_pos)
-            if coeff == 0:
-                raise SalamonSyntaxError("zero coefficient", num_pos, ())
-        elif cur.peek() == "[":
-            pair = _parse_pair(cur, n)
-        else:
-            raise SalamonSyntaxError(
-                f"unexpected {cur.peek()!r}" if cur.peek() else "unexpected end",
-                cur.pos, ("coefficient", "pair"))
-        terms[pair] = terms.get(pair, 0) + coeff
+                cur.pos = num_pos  # no coefficient: the digits are the atom's
+        atom = read_atom(cur, cur.pos != num_pos, dim)
+        if coeff == 0:
+            raise SalamonSyntaxError("zero coefficient", num_pos, ())
+        terms[atom] = terms.get(atom, 0) + coeff
         cur.skip_space()
         if cur.pos == cur.end:
-            break
-        op = cur.take()
-        if op not in "+-":
-            raise SalamonSyntaxError(
-                f"unexpected {op!r}", cur.pos - 1, ("'+'", "'-'"))
-        sign = -1 if op == "-" else 1
-    return {pair: c for pair, c in terms.items() if c != 0}
+            return {atom: c for atom, c in terms.items() if c != 0}
+
+
+def _pair_term(cur, tagged, n):
+    if tagged or cur.peek() == "[" or (n < 10 and cur.at_digit()):
+        return _parse_pair(cur, n)
+    if cur.at_digit():
+        raise SalamonSyntaxError(
+            "bare digits are ambiguous from dimension 10 up", cur.pos,
+            ("'[i,j]' pair", "'*'"))
+    raise cur.unexpected("coefficient", "pair")
+
+
+def _parse_entry(text, start, end, n):
+    """One differential, as {(i, j): coefficient}."""
+    return _signed_sum(_Cursor(text, start, end), _pair_term, n,
+                       ("empty entry", "'0' or a sum of pairs"))
 
 
 def parse_salamon(text):
@@ -212,7 +224,7 @@ def parse_salamon(text):
     """
     if not isinstance(text, str):
         raise InvalidParameter("tuple notation must be a string")
-    spans, _ = _split_entries(text)
+    spans = _split_entries(text)
     n = len(spans)
     constants = {}
     for k, (start, end) in enumerate(spans, start=1):
@@ -251,62 +263,27 @@ def format_salamon(algebra):
     return "(" + ",".join(entries) + ")"
 
 
+def _covector_term(cur, tagged, dim):
+    if not tagged and cur.at_digit():
+        cur.digits("coefficient")
+        cur.expect("*")  # digits that no "/" or "*" follows: always raises
+    cur.skip_space()
+    if cur.peek() != "x":
+        raise cur.unexpected("'x<i>'")
+    cur.take()
+    index = _integer(cur.pos, cur.digits("covector index"))
+    if not 1 <= index <= dim:
+        raise IndexOutOfRange(f"x{index} is out of range for dimension {dim}")
+    return (index,)
+
+
 def parse_covector_sum(algebra, text):
     """1-form shorthand for the command line: "x1-2*x3", "1/2*x2", "0"."""
     if not isinstance(text, str):
         raise InvalidParameter("covector sum must be a string")
-    cur = _Cursor(text)
-    cur.skip_space()
-    if cur.peek() == "":
-        raise SalamonSyntaxError("empty covector sum", cur.pos,
-                                 ("'0' or a sum of x<i> terms",))
-    if cur.peek() == "0":
-        cur.take()
-        cur.skip_space()
-        if cur.pos != cur.end:
-            raise SalamonSyntaxError("'0' cannot carry terms", cur.pos, ())
-        return algebra.zero_form(1)
-
-    terms = {}
-    sign = 1
-    if cur.peek() in "+-":
-        sign = -1 if cur.take() == "-" else 1
-    while True:
-        cur.skip_space()
-        coeff = Fraction(sign)
-        if cur.peek().isdigit():
-            num_pos = cur.pos
-            num = cur.digits("coefficient")
-            if cur.peek() == "/":
-                cur.take()
-                den = cur.digits("denominator")
-                if int(den) == 0:
-                    raise SalamonSyntaxError("zero denominator", num_pos, ())
-                coeff *= Fraction(int(num), int(den))
-            else:
-                coeff *= int(num)
-            cur.expect("*", "'*'")
-            cur.skip_space()
-        if cur.peek() != "x":
-            raise SalamonSyntaxError(
-                f"unexpected {cur.peek()!r}" if cur.peek() else "unexpected end",
-                cur.pos, ("'x<i>'",))
-        cur.take()
-        index = int(cur.digits("covector index"))
-        if not (1 <= index <= algebra.dim):
-            raise IndexOutOfRange(
-                f"x{index} is out of range for dimension {algebra.dim}")
-        terms[(index,)] = terms.get((index,), Fraction(0)) + coeff
-        cur.skip_space()
-        if cur.pos == cur.end:
-            break
-        op = cur.take()
-        if op not in "+-":
-            raise SalamonSyntaxError(
-                f"unexpected {op!r}", cur.pos - 1, ("'+'", "'-'"))
-        sign = -1 if op == "-" else 1
-    return KForm(algebra, 1, {m: c for m, c in terms.items() if c != 0},
-                 _normalized=True)
+    terms = _signed_sum(_Cursor(text), _covector_term, algebra.dim,
+                        ("empty covector sum", "'0' or a sum of x<i> terms"))
+    return KForm(algebra, 1, terms)
 
 
 # -- JSON interchange --------------------------------------------------------
@@ -325,7 +302,7 @@ def _scalar_at(value, pointer):
     if isinstance(value, str):
         try:
             return parse_scalar(value)
-        except (InvalidParameter, ValueError):
+        except InvalidParameter:
             raise SchemaViolation(pointer, f"not a rational literal: {value!r}")
     raise SchemaViolation(pointer, "expected an integer or 'p/q' string")
 
@@ -357,9 +334,9 @@ def json_to_algebra(obj):
     constants = {}
     for key, entry in d.items():
         pointer = f"/d/{key}"
-        _expect(isinstance(key, str) and key.isdigit(), pointer,
-                "key must be a decimal index string")
-        k = int(key)
+        _expect(isinstance(key, str) and key.isascii() and key.isdigit(),
+                pointer, "key must be a decimal index string")
+        k = _scalar_at(key, pointer).numerator
         _expect(1 <= k <= dim, pointer, f"index out of range for dim {dim}")
         _expect(isinstance(entry, list), pointer, "must be a list of terms")
         for t, term in enumerate(entry):

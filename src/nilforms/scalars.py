@@ -9,6 +9,7 @@ point of an exact kernel.  ``as_scalar`` is the single coercion chokepoint.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InvalidParameter
@@ -18,12 +19,15 @@ Scalar = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
 
 def as_scalar(value) -> Fraction:
     """Coerce ``value`` to an exact rational.
 
-    Accepts int, Fraction, and strings like ``"3"`` or ``"-2/5"``.  Floats and
-    bools are refused (use a string or Fraction instead).
+    Accepts int, Fraction, and strings ``"[+-]p"`` or ``"[+-]p/q"`` in ASCII
+    digits, spaces around them allowed, like ``"3"`` or ``"-2/5"``.  Floats,
+    bools and any other text (``"0.5"``, ``"1e3"``, ``"1_000"``) are refused.
     """
     if isinstance(value, Fraction):
         return value
@@ -33,10 +37,12 @@ def as_scalar(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidParameter(f"not a rational literal: {value!r}") from exc
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except (TypeError, ValueError, ZeroDivisionError):
+            # no match, past the int-conversion limit, or q = 0
+            raise InvalidParameter(f"not a rational literal: {value!r}") from None
     raise InvalidParameter(f"cannot interpret {value!r} as a rational scalar")
 
 

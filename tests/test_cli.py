@@ -169,8 +169,40 @@ def test_exit_code_3_on_a_negative_height(capsys, command):
     assert "height" in capsys.readouterr().err
 
 
-def test_exit_code_3_on_missing_file(capsys):
+def test_exit_code_3_on_missing_file(capsys, tmp_path):
     assert main(["analyze", "no_such_file.json"]) == 3
+    assert "No such file or directory: 'no_such_file.json'" \
+        in capsys.readouterr().err
+    assert main(["analyze", str(tmp_path)]) == 3
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+_LONG_RUN = "1" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "(0,0,1²,13)"),
+    ("analyze", "(0,0,１２,13)"),
+    pytest.param(("analyze", f"(0,0,0,{_LONG_RUN}*12)"), id="long-coefficient"),
+    ("cohomology", "(0,0,12,13)", "--theta", "x²"),
+])
+def test_exit_code_2_on_digits_past_ascii_or_int_size(capsys, argv):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("document", [
+    '{"dim": 4, "d": {"²": []}}',
+    '{"dim": 4, "d": {"4": [["1e100000000", [1, 2]]]}}',
+    '{"dim": 4, "d": {"4": [["0.5", [1, 2]]]}}',
+    pytest.param('{"dim": 4, "d": {"4": [[%s, [1, 2]]]}}' % _LONG_RUN,
+                 id="long-integer"),
+])
+def test_exit_code_2_on_json_numbers_out_of_grammar(capsys, tmp_path, document):
+    path = tmp_path / "hostile.json"
+    path.write_text(document, encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: /")
 
 
 def test_exit_code_2_on_schema_violation(capsys, tmp_path):

@@ -71,9 +71,26 @@ def test_round_trip_on_catalog_algebras(torus, kt, filiform, six_dim):
         assert parse_salamon(format_salamon(algebra)) == algebra
 
 
-@given(st.text(
-    alphabet="0123456789,()+-*/[]x ",
-    max_size=24,
+# '²' passes str.isdigit but not int, '１' passes both, and a 4301-digit run
+# passes the int-conversion limit
+_LONG_RUN = "1" * 4301
+_NUMBERS = st.sampled_from(["0", "1", "2", "12", "²", "１", _LONG_RUN])
+_COEFFICIENTS = st.one_of(_NUMBERS.map("{}*".format),
+                          st.builds("{}/{}*".format, _NUMBERS, _NUMBERS))
+
+
+def _sums(atoms, noise):
+    """Text near the signed-sum grammar: coefficients, numbers, atoms, signs
+    and noise, in any order."""
+    piece = st.one_of(_COEFFICIENTS, _NUMBERS, st.sampled_from(atoms),
+                      st.sampled_from(list("+- " + noise)))
+    return st.lists(piece, max_size=8).map("".join)
+
+
+@given(st.one_of(
+    st.text(alphabet="0123456789,()+-*/[]x ²１", max_size=24),
+    st.lists(_sums(["12", "13", "[1,2]", "[1,10]"], "*/[],x"),
+             min_size=1, max_size=4).map(lambda entries: f"({','.join(entries)})"),
 ))
 def test_grammar_totality(text):
     # every input either parses or raises a typed, positioned error
@@ -81,6 +98,28 @@ def test_grammar_totality(text):
         parse_salamon(text)
     except (SalamonSyntaxError, IndexOutOfRange, JacobiViolation):
         pass
+
+
+@given(st.one_of(st.text(alphabet="0123456789x+-*/ ²１", max_size=24),
+                 _sums(["x1", "x4", "x0", "x"], "*/")))
+def test_covector_grammar_totality(filiform, text):
+    try:
+        parse_covector_sum(filiform, text)
+    except (SalamonSyntaxError, IndexOutOfRange):
+        pass
+
+
+@pytest.mark.parametrize("text,position", [
+    ("(0,0,1²,13)", 5),
+    ("(0,0,１２,13)", 5),  # fullwidth digits
+    pytest.param(f"(0,0,0,{_LONG_RUN}*12)", 7, id="long-coefficient"),
+    pytest.param(f"(0,0,0,1/{_LONG_RUN}*12)", 9, id="long-denominator"),
+    pytest.param("(" + "0," * 9 + f"[1,{_LONG_RUN}])", 22, id="long-index"),
+])
+def test_digits_are_ascii_and_int_sized(text, position):
+    with pytest.raises(SalamonSyntaxError) as info:
+        parse_salamon(text)
+    assert info.value.position == position
 
 
 def test_algebra_json_round_trip(filiform, six_dim):
@@ -118,7 +157,49 @@ def test_json_rejects_floats_in_coefficients():
         json_to_algebra({"dim": 4, "d": {"4": [[0.5, [1, 2]]]}})
 
 
+@pytest.mark.parametrize("d,pointer", [
+    ({"²": []}, "/d/²"),
+    ({"١": []}, "/d/١"),
+    pytest.param({_LONG_RUN: []}, f"/d/{_LONG_RUN}", id="long-key"),
+    ({"4": [["1e100000000", [1, 2]]]}, "/d/4/0/0"),
+    pytest.param({"4": [[_LONG_RUN, [1, 2]]]}, "/d/4/0/0", id="long-coefficient"),
+])
+def test_json_numbers_are_ascii_rational_literals(d, pointer):
+    with pytest.raises(SchemaViolation) as info:
+        json_to_algebra({"dim": 4, "d": d})
+    assert info.value.pointer == pointer
+
+
 def test_parse_covector_sum(filiform):
     form = parse_covector_sum(filiform, "x1-2*x3")
     assert form == filiform.form({(1,): 1, (3,): -2})
     assert parse_covector_sum(filiform, "0").is_zero
+    assert parse_covector_sum(filiform, " -x1 + 1/2* x4-x1") \
+        == filiform.form({(1,): -2, (4,): Fraction(1, 2)})
+    assert parse_covector_sum(filiform, "x2-x2").is_zero
+
+
+@pytest.mark.parametrize("text,message,position", [
+    ("x1+3/0*x2", "zero denominator", 3),
+    ("2x1", "unexpected 'x'", 1),  # no '*'
+    ("2*1", "unexpected '1'", 2),  # no 'x'
+    ("x1+0*x2", "zero coefficient", 3),
+    ("x1 x2", "unexpected 'x'", 3),
+    (" 0+x1", "'0' entries cannot carry terms", 1),
+    ("  ", "empty covector sum", 0),
+    ("x²", "unexpected '²'", 1),
+    ("x１", "unexpected '１'", 1),
+    pytest.param(f"{_LONG_RUN}*x1", "4301-digit number is too long", 0,
+                 id="long-coefficient"),
+])
+def test_covector_sum_errors_carry_positions(filiform, text, message, position):
+    with pytest.raises(SalamonSyntaxError) as info:
+        parse_covector_sum(filiform, text)
+    assert str(info.value).startswith(message)
+    assert info.value.position == position
+
+
+@pytest.mark.parametrize("text", ["x0", "x1+x5"])
+def test_covector_index_out_of_range(filiform, text):
+    with pytest.raises(IndexOutOfRange, match=text[-2:]):
+        parse_covector_sum(filiform, text)

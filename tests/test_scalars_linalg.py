@@ -21,11 +21,22 @@ def test_as_scalar_accepts_exact_types():
     assert as_scalar(3) == Fraction(3)
     assert as_scalar(Fraction(2, 7)) == Fraction(2, 7)
     assert as_scalar("5/9") == Fraction(5, 9)
+    assert as_scalar(" -4/6 ") == Fraction(-2, 3)
+    assert as_scalar("+7") == Fraction(7)
 
 
 def test_as_scalar_rejects_float():
     with pytest.raises(InvalidParameter):
         as_scalar(0.5)
+
+
+@pytest.mark.parametrize("text", [
+    "0.5", "1e3", "1e100000000", "1_000", "١٢", "²", "1/0", "3/-4", "1 / 2",
+    "--1", "", pytest.param("1" * 4301, id="long-run"),
+])
+def test_as_scalar_reads_only_signed_ascii_fractions(text):
+    with pytest.raises(InvalidParameter, match="not a rational literal"):
+        as_scalar(text)
 
 
 def test_as_scalar_rejects_bool():
