@@ -74,7 +74,7 @@ from .notation import (
     parse_salamon,
 )
 from .polynomials import Poly, nonzero_point
-from .scalars import Scalar, as_scalar, format_scalar, parse_scalar
+from .scalars import as_scalar, format_scalar
 from .structures import (
     AlmostComplexStructure,
     Classification4D,

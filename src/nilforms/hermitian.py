@@ -205,12 +205,6 @@ class HermitianClassification(_Record):
     vaisman: bool
     label: str
 
-    @property
-    def flags(self):
-        active = tuple(name for name in ("kahler", "vaisman", "lck")
-                       if getattr(self, name))
-        return active or ("none",)
-
 
 def classify_hermitian(algebra, metric, acs):
     if algebra.dim % 2 or algebra.dim < 4:

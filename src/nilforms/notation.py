@@ -27,7 +27,7 @@ from .errors import (
     SchemaViolation,
 )
 from .exterior_core import KForm, LieAlgebra
-from .scalars import format_scalar, parse_scalar
+from .scalars import as_scalar, format_scalar
 
 
 # -- tuple notation ----------------------------------------------------------
@@ -301,7 +301,7 @@ def _scalar_at(value, pointer):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return parse_scalar(value)
+            return as_scalar(value)
         except InvalidParameter:
             raise SchemaViolation(pointer, f"not a rational literal: {value!r}")
     raise SchemaViolation(pointer, "expected an integer or 'p/q' string")

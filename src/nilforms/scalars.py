@@ -14,8 +14,6 @@ from fractions import Fraction
 
 from .errors import InvalidParameter
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -58,10 +56,6 @@ def format_scalar(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_scalar(text: str) -> Fraction:
-    return as_scalar(text)
 
 
 def height(value: Fraction) -> int:

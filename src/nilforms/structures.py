@@ -565,21 +565,6 @@ class AlmostComplexStructure:
             if square != {c: -1}:
                 raise NotAlmostComplex("J^2 != -Id")
 
-    def column(self, j):
-        """J(X_j) as a coefficient tuple (1-based j)."""
-        return tuple(self.matrix[r][j - 1] for r in range(self.dim))
-
-    def __eq__(self, other):
-        if not isinstance(other, AlmostComplexStructure):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"AlmostComplexStructure(dim={self.dim})"
-
 
 class NijenhuisTensor(_Record):
     """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on basis pairs."""

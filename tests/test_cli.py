@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from nilforms import InternalInvariantBreach
 from nilforms.cli import main
 
 
@@ -265,6 +266,41 @@ def test_a_pair_on_a_non_unimodular_algebra_is_classified(tmp_path, capsys):
 ROTATION_J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 
 
+def test_an_integrable_pair_with_an_open_lee_form_is_labelled(tmp_path, capsys):
+    metric, acs = tmp_path / "I4.json", tmp_path / "J.json"
+    metric.write_text(json.dumps([[1, 0, 0, 0], [0, 1, 0, 0],
+                                  [0, 0, 1, 0], [0, 0, 0, 1]]))
+    acs.write_text(json.dumps(ROTATION_J))
+    code, out, err = run(capsys, "analyze", "(0,0,-2*12-23,-24)",
+                         "--metric", str(metric), "--acs", str(acs))
+    assert (code, err) == (0, "")
+    assert "hermitian pair: integrable_non_lck (Lee form -2*x2 - 2*x4)" in out.splitlines()
+
+
+def test_an_internal_breach_exits_4(monkeypatch, capsys):
+    def breach(*args, **kwargs):
+        raise InternalInvariantBreach("negative Betti number")
+
+    monkeypatch.setattr("nilforms.cli.betti_profile", breach)
+    code, out, err = run(capsys, "analyze", "(0,0,12,13)")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: ")
+
+
+def test_a_file_that_is_not_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text("{")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Expecting property name")
+
+
+def test_analyze_quiet_names_a_missing_symplectic_form(capsys):
+    code, out, _ = run(capsys, "analyze", "(0,12,13,14)", "--quiet")
+    assert code == 0
+    assert "  no symplectic  " in out
+
+
 @pytest.mark.parametrize("gram,acs,code,message", [
     ([[1, 2, 0, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], ROTATION_J, 3,
      "leading principal minor 2 is -3; metric is not positive definite"),
@@ -279,7 +315,9 @@ ROTATION_J = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
     ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
      [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, True, 0]], 2,
      "/3/2: expected a rational, got a boolean"),
-], ids=["indefinite", "not-symmetric", "true-in-gram", "float-in-gram", "true-in-acs"])
+    ({"a": 1}, ROTATION_J, 2, "/: matrix file must hold a list of rows"),
+], ids=["indefinite", "not-symmetric", "true-in-gram", "float-in-gram", "true-in-acs",
+        "not-a-list"])
 def test_a_bad_gram_file_is_a_typed_error(tmp_path, capsys, gram, acs, code, message):
     metric_path, acs_path = tmp_path / "g.json", tmp_path / "J.json"
     metric_path.write_text(json.dumps(gram))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 from nilforms import (
     AmbientMismatch,
+    CohomologyClass,
     CohomologySpace,
     CupObstruction,
     InternalInvariantBreach,
@@ -19,6 +20,8 @@ from nilforms import (
     JacobiViolation,
     LieAlgebra,
     NotClosed,
+    OddDimension,
+    OmegaNotClosed,
     SearchConfig,
     betti_profile,
     ce_d,
@@ -371,6 +374,55 @@ def test_massey_needs_vanishing_cups(kt):
     # [x1] cup [x3] = [e13] != 0 on this algebra
     with pytest.raises(CupObstruction):
         triple_massey(kt, kt.covector(1), kt.covector(3), kt.covector(3))
+
+
+def _twisted_class(g):
+    return cohomology_space(g, 1, g.covector(1)).class_of(g.zero_form(1))
+
+
+def _h1_class(g, k):
+    return cohomology_space(g, 1).class_of(g.covector(k))
+
+
+# each guard with the start of its message, so no earlier check of the same
+# class can stand in for it
+GUARDS = {
+    "cup_non_class": (InvalidParameter, "cup expects",
+                      lambda kt, torus, fil: cup(kt.covector(1), _h1_class(kt, 1))),
+    "cup_twisted": (InvalidParameter, "cup is defined on untwisted",
+                    lambda kt, torus, fil: cup(_h1_class(kt, 1), _twisted_class(kt))),
+    "cup_two_algebras": (AmbientMismatch, "classes live over different",
+                         lambda kt, torus, fil: cup(_h1_class(kt, 1), _h1_class(torus, 1))),
+    "lefschetz_odd": (OddDimension, "Lefschetz maps need", lambda kt, torus, fil: lefschetz_map(
+        parse_salamon("(0,0,12)"), parse_salamon("(0,0,12)").zero_form(2), 1)),
+    "lefschetz_not_closed": (OmegaNotClosed, "omega must be closed",
+                             lambda kt, torus, fil: lefschetz_map(fil, fil.form({(2, 4): 1}), 1)),
+    "massey_non_class": (InvalidParameter, "a must be a CohomologyClass",
+                         lambda kt, torus, fil: triple_massey(
+                             kt, "x1", kt.covector(1), kt.covector(2))),
+    "massey_other_algebra": (AmbientMismatch, "b lives over a different",
+                             lambda kt, torus, fil: triple_massey(
+                                 kt, kt.covector(1), torus.covector(1), kt.covector(2))),
+    "massey_twisted": (InvalidParameter, "Massey products are untwisted",
+                       lambda kt, torus, fil: triple_massey(
+                           kt, kt.covector(1), kt.covector(1), _twisted_class(kt))),
+    "massey_degree_two": (InvalidParameter, "a must be a degree-1",
+                          lambda kt, torus, fil: triple_massey(
+                              kt, cohomology_space(kt, 2).classes()[0], kt.covector(1),
+                              kt.covector(2))),
+    # [x2] cup [x1] = -[e12] = 0 (e12 = d x4), but [x1] cup [x3] = [e13] != 0
+    "massey_b_cup_c": (CupObstruction, "b cup c is nonzero",
+                       lambda kt, torus, fil: triple_massey(
+                           kt, kt.covector(2), kt.covector(1), kt.covector(3))),
+    "class_coordinates": (InvalidParameter, "coordinate length",
+                          lambda kt, torus, fil: CohomologyClass(cohomology_space(kt, 1), [1])),
+}
+
+
+@pytest.mark.parametrize("error,message,call", GUARDS.values(), ids=GUARDS)
+def test_cohomology_guards_raise_their_class(kt, torus, filiform, error, message, call):
+    with pytest.raises(error, match=f"^{message}"):
+        call(kt, torus, filiform)
 
 
 def test_massey_vanishes_on_the_torus(torus):

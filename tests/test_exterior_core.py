@@ -139,6 +139,14 @@ def test_zero_forms_hash_equal_across_degrees(torus):
     assert len({torus.covector(1), torus.covector(1).scale(2), torus.zero_form(1)}) == 3
 
 
+def test_a_zero_form_of_another_degree_adds_as_the_other_operand(kt):
+    x12 = kt.form({(1, 2): 1})
+    for total in (kt.zero_form(1) + x12, x12 + kt.zero_form(3)):
+        assert total.degree == 2 and total == x12
+    with pytest.raises(InvalidParameter, match="degrees 1 and 2"):
+        kt.covector(1) + x12
+
+
 def test_bool_basis_indices_are_refused(kt):
     """True == 1, but a bool is not a basis index (it would print as
     ``xTrue``), so every index check refuses it with its own class."""

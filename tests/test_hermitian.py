@@ -17,7 +17,9 @@ from nilforms import (
     NotHermitian,
     ce_d,
     classify_hermitian,
+    format_form,
     lee_form,
+    parse_salamon,
     wedge,
 )
 from nilforms.hermitian import _hermitian_pair
@@ -186,7 +188,7 @@ def test_classifier_on_the_torus(torus):
     assert result.kahler and not result.vaisman
     assert result.lee.is_zero
     # the conformal identity holds trivially with theta = 0, so lck rides along
-    assert result.flags == ("kahler", "lck")
+    assert result.lck
 
 
 def test_classifier_on_kt(kt):
@@ -195,13 +197,22 @@ def test_classifier_on_kt(kt):
     assert result.vaisman and result.lck and not result.kahler
     assert result.genuine_lee and result.lee_parallel
     assert result.lee == kt.covector(3).scale(-1)
-    assert result.flags == ("vaisman", "lck")
 
 
 def test_classifier_on_the_filiform(filiform):
     result = classify_hermitian(filiform, euclidean_metric(4), ROTATION_J)
     assert result.label == "not_integrable"
     assert not result.integrable and not result.lck
+
+
+def test_classifier_labels_an_integrable_pair_with_an_open_lee_form():
+    # J is integrable here and d(w) = theta ^ w holds, but theta is not closed
+    algebra = parse_salamon("(0,0,-2*12-23,-24)")
+    result = classify_hermitian(algebra, euclidean_metric(4), ROTATION_J)
+    assert result.label == "integrable_non_lck"
+    assert result.integrable and result.identity_holds and not result.lee_closed
+    assert not (result.kahler or result.lck or result.vaisman)
+    assert format_form(result.lee) == "-2*x2 - 2*x4"
 
 
 def test_classifier_is_conformally_stable(kt):

@@ -56,5 +56,5 @@ def test_all_lists_only_public_names():
     removed = {"poly_d", "pullback", "PolyMap", "serialize_json", "parse_json",
                "hodge_star", "codifferential", "IrrationalVolume", "NotUnimodular",
                "euclidean_metric", "fundamental_form", "direct_sum", "skew_matrix",
-               "PolyForm"}
+               "PolyForm", "parse_scalar", "Scalar"}
     assert not removed & set(nilforms.__all__)

@@ -29,6 +29,7 @@ from nilforms import (
     LieAlgebra,
     NotHermitian,
     SearchConfig,
+    as_scalar,
     betti_profile,
     build_algebra,
     ce_d,
@@ -48,7 +49,6 @@ from nilforms import (
     parse_salamon,
     names,
     nijenhuis,
-    parse_scalar,
     pfaffian_volume,
     twisted_d,
     wedge,
@@ -632,7 +632,7 @@ def test_no_twisted_candidate_survives_a_zero_global_pfaffian(algebra, data):
 
 @fuzz(small_rationals)
 def test_scalar_round_trip(value):
-    assert parse_scalar(format_scalar(value)) == value
+    assert as_scalar(format_scalar(value)) == value
 
 
 @fuzz(filtered_4d_algebras())

@@ -143,6 +143,13 @@ def test_check_lcs_identity_failure(filiform):
     assert not verdict.holds
 
 
+def test_an_lcs_verdict_is_true_exactly_when_it_holds(filiform):
+    theta = filiform.covector(2)
+    assert check_lcs(filiform, filiform.form({(1, 3): 1, (2, 4): -1}), theta)
+    # x1^x2 is degenerate: no volume, so no lcs structure
+    assert not check_lcs(filiform, filiform.form({(1, 2): 1}), theta)
+
+
 def test_check_lcs_rejects_odd_and_small():
     with pytest.raises(WrongDimension):
         algebra = parse_salamon("(0,0)")
@@ -276,7 +283,7 @@ ROTATION_J = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
 
 def test_acs_validation():
     acs = AlmostComplexStructure(ROTATION_J)
-    assert acs.column(1) == (0, 1, 0, 0)
+    assert tuple(row[0] for row in acs.matrix) == (0, 1, 0, 0)
     with pytest.raises(NotAlmostComplex):
         AlmostComplexStructure(((1, 0), (0, 1)))
 
