@@ -30,7 +30,9 @@ reduced echelon basis of Z.
 Differentials: ``_d_images`` sweeps the degrees once.  It gives d_theta on
 Lambda^k by its columns, the images of the lex-ordered monomials with their
 targets keyed by bitmask, and builds them from those of Lambda^(k-1) by
-d_theta(x_i ^ x_R) = dx_i ^ x_R - x_i ^ d_theta(x_R), i the lowest index.
+``exterior_core._d_step``, d_theta(x_i ^ x_R) = dx_i ^ x_R - x_i ^
+d_theta(x_R) with i the lowest index; ``twisted_d`` runs the same step down
+each monomial of one form.
 ``betti_profile`` ranks each degree as the sweep yields it, with
 ``linalg._rank``, which only reads the images the sweep builds the next
 degree from; a space takes degrees k - 1 and k off one sweep; and
@@ -62,7 +64,8 @@ from .errors import (
 from .exterior_core import (
     KForm,
     _add_term,
-    _bit,
+    _d_form,
+    _d_step,
     _is_unimodular,
     _masks,
     _require_form,
@@ -100,8 +103,14 @@ def twisted_d(algebra, theta, form):
 
 def _twisted_d(theta, form):
     """d_theta(form) for a theta already validated (None: plain d)."""
-    result = ce_d(form)
-    return result if theta is None else result - wedge(theta, form)
+    return _d_form(form, _unit_image(theta))
+
+
+def _unit_image(theta):
+    """d_theta(1) = -theta keyed by bitmask, ints wherever integral: the
+    start of every d_theta recurrence (``exterior_core._d_step``).  None and
+    a zero form of any degree twist nothing."""
+    return {} if theta is None else {1 << i: -_exact(c) for (i,), c in theta.coeffs.items()}
 
 
 def _d_images(algebra, theta=None):
@@ -111,19 +120,12 @@ def _d_images(algebra, theta=None):
     is cached, and a yielded list is never touched again: the next degree
     only reads it.
 
-    A monomial x_S is the bitmask sum(1 << i for i in S).  With i the
-    lowest index of S and R the rest,
-
-        d_theta(x_i ^ x_R) = dx_i ^ x_R - x_i ^ d_theta(x_R),
-        d_theta(1) = -theta,
-
-    so degree k is built from degree k - 1.  In lex order the sources with
-    lowest index i come in a block, and their rests R, the (k-1)-subsets of
-    {i+1..n}, are the last C(n - i, k - 1) sources of degree k - 1, in
-    order.  A term c x_a ^ x_b of dx_i (``algebra._leibniz_dx``, ints
-    wherever integral) lands on R + a + b with the sign
-    (-1)^(|R & below a| + |R & below b|), and x_i ^ x_T moves x_i past the
-    indices of T below i.
+    A monomial x_S is the bitmask sum(1 << i for i in S).  Degree k is built
+    from degree k - 1 by ``exterior_core._d_step``, with i the lowest index
+    of S and R the rest, starting from d_theta(1) = -theta.  In lex order
+    the sources with lowest index i come in a block, and their rests R, the
+    (k-1)-subsets of {i+1..n}, are the last C(n - i, k - 1) sources of
+    degree k - 1, in order.
 
     Nothing is validated here: theta is None or a closed 1-form (a zero
     form of any degree twists nothing).  The public callers pass it through
@@ -134,32 +136,18 @@ def _d_images(algebra, theta=None):
     n = algebra.dim
     table = algebra._leibniz_dx
     masks = [0]
-    images = [{} if theta is None else
-              {1 << i: -_exact(c) for (i,), c in theta.coeffs.items()}]
+    images = [_unit_image(theta)]
     yield images
     for k in range(1, n + 1):
         last = len(masks)
         new_masks, new_images = [], []
         for i in range(1, n + 1):
-            bit, below = _bit(i)
+            bit = 1 << i
             dx = table[bit]
             for r in range(last - comb(n - i, k - 1), last):
                 rest = masks[r]
-                image = {}
-                for pair, below_a, below_b, c in dx:
-                    if not rest & pair:
-                        odd = ((rest & below_a).bit_count() + (rest & below_b).bit_count()) & 1
-                        image[rest | pair] = -c if odd else c
-                for target, c in images[r].items():
-                    if not target & bit:
-                        key = target | bit
-                        value = image.get(key, 0) + (c if (target & below).bit_count() & 1 else -c)
-                        if value:
-                            image[key] = value
-                        else:
-                            del image[key]
                 new_masks.append(bit | rest)
-                new_images.append(image)
+                new_images.append(_d_step(dx, bit - 1, rest, images[r]))
         masks, images = new_masks, new_images
         yield images
 

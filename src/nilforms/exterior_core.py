@@ -9,7 +9,11 @@ extended to higher degrees as a graded derivation.  So if the only nonzero
 bracket is [X_1, X_2] = -X_4, then dx_4 = x_1 ^ x_2.  With this convention
 d^2 = 0 is *equivalent* to the Jacobi identity, which is how constructors
 validate their input: an algebra object cannot exist with inconsistent
-structure constants.
+structure constants.  Every differential of an algebra's forms, plain or
+twisted (d_theta = d - theta ^), of one form or of a whole degree, is built
+by one step, ``_d_step``: d_theta(x_i ^ x_R) = dx_i ^ x_R - x_i ^ d_theta(x_R),
+from d_theta(1) = -theta.  It is the one place where the sign of d is
+derived.
 
 Representation notes.  A ``KForm`` is a sparse dict from strictly increasing
 index tuples to rational coefficients; sign normalization happens at
@@ -56,21 +60,6 @@ def _sort_with_sign(indices):
     return tuple(idx), sign
 
 
-def _merge_monomials(left, right):
-    """Wedge two increasing monomials: (merged tuple, sign) or None."""
-    overlap = set(left) & set(right)
-    if overlap:
-        return None
-    sign = 1
-    # count inversions between the blocks; both are already sorted
-    for a in left:
-        for b in right:
-            if a > b:
-                sign = -sign
-    merged = tuple(sorted(left + right))
-    return merged, sign
-
-
 def _add_term(acc, mono, coeff):
     new = acc.get(mono, 0) + coeff
     if new == 0:
@@ -87,7 +76,7 @@ def _wedge_raw(a_terms, b_terms):
     out = {}
     for mono_a, ca in a_terms.items():
         for mono_b, cb in b_terms.items():
-            merged = _merge_monomials(mono_a, mono_b)
+            merged = _sort_with_sign(mono_a + mono_b)
             if merged is None:
                 continue
             mono, sign = merged
@@ -106,11 +95,6 @@ def _indices(mask):
     return tuple(out)
 
 
-def _bit(i):
-    """The bit of index i and the mask of the indices below it."""
-    return 1 << i, (1 << i) - 1
-
-
 def _masks(dim, k):
     """The degree-k monomials in dim variables as bitmasks sum(1 << i), in
     lex order (the order of ``LieAlgebra.monomials(k)``)."""
@@ -121,55 +105,66 @@ def _masks(dim, k):
 def _leibniz_table(dx_table):
     """The covector differentials ``{i: {(a, b): c}}`` keyed by the bit
     1 << i, each term as ``(1 << a | 1 << b, (1 << a) - 1, (1 << b) - 1, c)``:
-    its bits and the masks of the indices below a and below b (``_bit``)."""
+    its bits and the masks of the indices below a and below b."""
     return {1 << i: [((1 << a) | (1 << b), (1 << a) - 1, (1 << b) - 1, c)
                      for (a, b), c in terms.items()]
             for i, terms in dx_table.items()}
 
 
-def _leibniz(out, mask, coeff, table):
-    """Add coeff * d x_S to ``out`` (keyed by bitmask), S given by its mask.
+def _d_step(dx, below, rest, rest_image):
+    """d_theta(x_i ^ x_R) keyed by bitmask, from dx_i and d_theta(x_R):
 
-    d x_S = sum_t (-1)^t dx_{S_t} ^ x_R with R = S minus S_t.  A term
-    c x_a ^ x_b (a < b) of dx_{S_t} lands on the monomial R + a + b, moving
-    x_a past the indices of R below a and x_b past those below b, so it adds
-    (-1)^(t + |R & below a| + |R & below b|) c there, and nothing when a or
-    b already lies in R.  Coefficients are only multiplied and added, in a
-    fixed order, so they keep the type the inputs give them.
+        d_theta(x_i ^ x_R) = dx_i ^ x_R - x_i ^ d_theta(x_R),
+
+    the graded Leibniz rule, started by d_theta(1) = -theta (plain d:
+    d(1) = 0).  This is the one place where the sign of d is derived.
+    ``dx`` is dx_i's row of ``_leibniz_table``, ``below`` the mask
+    (1 << i) - 1 of the indices below i, ``rest`` the mask of R (i not in
+    it) and ``rest_image`` d_theta(x_R) keyed by mask.  A term c x_a ^ x_b
+    of dx_i lands on R + a + b with the sign (-1)^(|R & below a| +
+    |R & below b|), and nowhere when a or b lies in R; a term c x_T of
+    d_theta(x_R) lands on T + i with the sign -(-1)^|T & below i|, moving
+    x_i past the indices of T below i, and nowhere when i lies in T.
+    Coefficients are only negated and added, so they keep the types that
+    the table and ``rest_image`` give them.
     """
-    t = 0
-    bits = mask
-    while bits:
-        low = bits & -bits
-        rest = mask ^ low
-        for pair, below_a, below_b, dcoeff in table[low]:
-            if rest & pair:
-                continue
-            value = coeff * dcoeff
-            if (t + (rest & below_a).bit_count() + (rest & below_b).bit_count()) & 1:
-                value = -value
-            key = rest | pair
-            new = out.get(key, 0) + value
-            if new:
-                out[key] = new
+    image = {}
+    for pair, below_a, below_b, c in dx:
+        if not rest & pair:
+            odd = ((rest & below_a).bit_count() + (rest & below_b).bit_count()) & 1
+            image[rest | pair] = -c if odd else c
+    bit = below + 1
+    for target, c in rest_image.items():
+        if not target & bit:
+            key = target | bit
+            value = image.get(key, 0) + (c if (target & below).bit_count() & 1 else -c)
+            if value:
+                image[key] = value
             else:
-                out.pop(key, None)
-        bits ^= low
-        t += 1
+                del image[key]
+    return image
 
 
-def _d_raw(terms, table):
-    """d of a term dict ``{increasing tuple: coefficient}`` under a
-    ``_leibniz_table``, for forms and the Jacobi check.
+def _d_raw(terms, table, unit_image):
+    """d_theta of a term dict ``{increasing tuple: coefficient}`` under a
+    ``_leibniz_table``, for forms and the Jacobi check, with
+    ``unit_image`` d_theta(1) = -theta keyed by bitmask (``{}``: plain d).
 
-    Each monomial x_S goes in as the bitmask sum(1 << i for i in S), and
-    ``_leibniz`` adds c x_a ^ x_b of dx_{S_t} to R + a + b with the sign
-    (-1)^(t + popcount(R & ((1 << a) - 1)) + popcount(R & ((1 << b) - 1))),
-    R = S minus S_t; the result's masks go back to increasing tuples.
+    Each monomial x_S is built from its last index down by ``_d_step``, so
+    the monomials of one call share the images of their common tails; the
+    result's masks go back to increasing tuples.
     """
+    images = {0: unit_image}
     out = {}
     for mono, coeff in terms.items():
-        _leibniz(out, sum(1 << i for i in mono), coeff, table)
+        mask = 0
+        for i in reversed(mono):
+            rest, bit = mask, 1 << i
+            mask |= bit
+            if mask not in images:
+                images[mask] = _d_step(table[bit], bit - 1, rest, images[rest])
+        for key, c in images[mask].items():
+            _add_term(out, key, coeff * c)
     return {_indices(mask): c for mask, c in out.items()}
 
 
@@ -228,7 +223,7 @@ class LieAlgebra:
 
     def _check_jacobi(self):
         for m in range(1, self.dim + 1):
-            dd = _d_raw(self._dx[m], self._leibniz_dx)
+            dd = _d_raw(self._dx[m], self._leibniz_dx, {})
             if dd:
                 witness = min(dd)  # lexicographically first offending 3-monomial
                 raise JacobiViolation(witness)
@@ -516,11 +511,18 @@ def wedge(a, b):
 
 def ce_d(a):
     """Chevalley-Eilenberg differential of ``a``."""
-    algebra = a.algebra
-    degree = a.degree + 1
+    return _d_form(a, {})
+
+
+def _d_form(form, unit_image):
+    """d_theta of a form, d_theta(1) = -theta given by ``unit_image`` as in
+    ``_d_raw``; past the top degree it is the zero form of degree dim."""
+    algebra = form.algebra
+    degree = form.degree + 1
     if degree > algebra.dim:
         return algebra.zero_form(algebra.dim)
-    return KForm(algebra, degree, _d_raw(a.coeffs, algebra._leibniz_dx), _normalized=True)
+    return KForm(algebra, degree, _d_raw(form.coeffs, algebra._leibniz_dx, unit_image),
+                 _normalized=True)
 
 
 # -- invariants --------------------------------------------------------------

@@ -14,6 +14,7 @@ from nilforms import (
     get_example,
 )
 from nilforms.cohomology import _cocycles
+from nilforms.coordinate_model import invariant_coframe
 from nilforms.linalg import span_rank
 
 from oracles import as_fraction, sympy_matrix
@@ -92,6 +93,14 @@ def unchecked_algebra(dim, constants):
     algebra = LieAlgebra.__new__(LieAlgebra)
     algebra._build(dim, {key: Fraction(value) for key, value in constants.items()})
     return algebra
+
+
+def wrong_coframe():
+    """The model's coframe with x3 = dz + y dx: d x3 = -x1 ^ x2, not x1 ^ x2,
+    and a left translation moves it, but it is still dual to the coordinate
+    basis at the origin."""
+    x1, x2, x3, x4 = invariant_coframe()
+    return x1, x2, {(3,): x3[(3,)], (1,): -x3[(1,)]}, x4
 
 
 # -- strategies ---------------------------------------------------------------

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from nilforms import InternalInvariantBreach
+from nilforms import InternalInvariantBreach, coordinate_model, verification
 from nilforms.cli import main
+from nilforms.coordinate_model import RealizationReport
+
+from conftest import wrong_coframe
 
 
 def run(capsys, *argv):
@@ -151,6 +154,57 @@ def test_model_check(capsys):
     code, out, _ = run(capsys, "model-check")
     assert code == 0
     assert "PASS structure_equations" in out
+
+
+def test_model_check_prints_the_failing_checks_and_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(coordinate_model, "invariant_coframe", wrong_coframe)
+    code, out, err = run(capsys, "model-check")
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if not line.startswith("PASS ")] == [
+        "coordinate model for (0,0,12,13)",
+        "FAIL structure_equations",
+        "FAIL left_invariance",
+    ]
+
+
+def test_verify_paper_reports_failures_and_exits_1(monkeypatch, capsys):
+    # a check whose callee raises fails with the exception as its detail;
+    # a model check that fails names itself in the model's detail
+    def boom(*args):
+        raise InternalInvariantBreach("no Massey product today")
+
+    monkeypatch.setattr(verification, "triple_massey", boom)
+    monkeypatch.setattr(verification, "verify_realization", lambda: RealizationReport(
+        salamon="(0,0,12,13)", checks=(("structure_equations", True),
+                                       ("lattice_closed", False))))
+    code, out, err = run(capsys, "verify-paper")
+    assert (code, err) == (1, "")
+    raised = "raised InternalInvariantBreach: no Massey product today"
+    assert [line for line in out.splitlines() if line.startswith("FAIL ")] == [
+        f"FAIL filiform_massey_nonzero: {raised}",
+        "FAIL filiform_coordinate_model: failing: lattice_closed",
+        f"FAIL kodaira_thurston_massey_nonzero: {raised}",
+    ]
+    machine = sum(1 for line in out.splitlines() if line.startswith(("PASS ", "FAIL ")))
+    assert out.splitlines()[-1] == f"{machine - 3}/{machine} machine checks pass"
+    code, out, _ = run(capsys, "verify-paper", "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["all_machine_pass"] is False
+    failed = {c["name"]: c["detail"] for c in doc["checks"] if c["passed"] is False}
+    assert failed == {"filiform_massey_nonzero": raised,
+                      "filiform_coordinate_model": "failing: lattice_closed",
+                      "kodaira_thurston_massey_nonzero": raised}
+
+
+@pytest.mark.parametrize("text,message", [
+    ("(0,0,0,0,0,0,0,0,0,12)",
+     "bare digits are ambiguous from dimension 10 up at position 19"),
+    ("(0,0,12,13)x", "trailing characters at position 11"),
+])
+def test_exit_code_2_on_tuple_grammar_guards(capsys, text, message):
+    code, out, err = run(capsys, "analyze", text)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message} (expected ")
 
 
 def test_exit_code_2_on_syntax_error(capsys):

@@ -12,15 +12,19 @@ from nilforms import DimensionMismatch, Poly
 from nilforms.coordinate_model import (
     NCOORDS,
     RING_VARS,
+    _coframe_dual_at_origin,
     _d,
     _is_integral,
     _pullback,
+    _structure_equations,
     invariant_coframe,
     inverse,
     multiply,
     verify_realization,
 )
 from nilforms.exterior_core import _wedge_raw
+
+from conftest import wrong_coframe
 
 
 def coordinates():
@@ -122,6 +126,19 @@ def test_verify_realization_passes_everything():
     assert checks["left_invariance"]
     assert checks["lattice_closed"]
     assert checks["integer_lattice_negative_control"]
+
+
+def test_structure_equations_refuse_a_wrong_coframe():
+    assert _structure_equations(invariant_coframe())
+    assert not _structure_equations(wrong_coframe())
+
+
+def test_duality_at_the_origin_refuses_a_scaled_coframe():
+    # 2 x1 is dual to 2 X1 at the origin, not to X1; d stays right
+    x1, x2, x3, x4 = invariant_coframe()
+    doubled = ({(1,): x1[(1,)] * 2}, x2, x3, x4)
+    assert _coframe_dual_at_origin(invariant_coframe())
+    assert not _coframe_dual_at_origin(doubled)
 
 
 def test_report_names_are_stable():

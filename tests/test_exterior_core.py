@@ -8,6 +8,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from nilforms import (
     IndexOutOfRange,
@@ -19,12 +20,19 @@ from nilforms import (
     build_algebra,
     ce_d,
     format_form,
+    get_example,
     lower_central_series,
     parse_salamon,
+    twisted_d,
     wedge,
 )
 
-from conftest import unchecked_algebra
+from conftest import (
+    nilpotent_algebras,
+    non_nilpotent_4d_algebras,
+    small_nonzero,
+    unchecked_algebra,
+)
 from oracles import (
     bracket_vectors,
     direct_sum,
@@ -33,6 +41,9 @@ from oracles import (
     koszul_d_eval,
     shuffle_wedge_eval,
 )
+
+# every example reruns the oracles, and so would every shrink step
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def test_structure_constants_of_the_filiform(filiform):
@@ -96,16 +107,30 @@ def test_wedge_is_graded_commutative_on_samples(kt):
     assert wedge(c, b) == wedge(b, c)
 
 
-def test_d_agrees_with_the_koszul_oracle(filiform, kt, six_dim):
-    for algebra in (filiform, kt, six_dim):
-        for degree in range(0, 3):
+# the Koszul formula and the shuffle sum share nothing with _d_step, the one
+# place where the sign of d is derived: flipping either of its two sign
+# terms fails this test.  theta combines the closed basis covectors, read
+# off dx(i) rather than off a differential matrix, with the first of the
+# drawn coefficients
+@settings(max_examples=25, phases=NO_SHRINK)
+@given(st.one_of(nilpotent_algebras(dims=(4, 5)), non_nilpotent_4d_algebras()),
+       st.lists(small_nonzero, min_size=6, max_size=6))
+@example(get_example("filiform_0_0_12_13").algebra, [1, -2, 0, 0, 0, 0])
+@example(get_example("kodaira_thurston").algebra, [Fraction(1, 2), 3, 1, 0, 0, 0])
+@example(get_example("six_dim_example").algebra, [1, 2, -1, Fraction(2, 3), 0, 0])
+def test_d_agrees_with_the_koszul_oracle(algebra, coords):
+    closed = [i for i in range(1, algebra.dim + 1) if algebra.dx(i).is_zero]
+    theta = algebra.form({(i,): c for i, c in zip(closed, coords)})
+    for twist in (None, theta):
+        for degree in range(algebra.dim):
             for mono in algebra.monomials(degree):
                 form = algebra.basis_form(*mono)
-                image = ce_d(form)
-                for target in itertools.combinations(
-                        range(1, algebra.dim + 1), degree + 1):
-                    assert eval_on_basis(image, target) \
-                        == koszul_d_eval(algebra, form, list(target))
+                image = ce_d(form) if twist is None else twisted_d(algebra, twist, form)
+                for target in itertools.combinations(range(1, algebra.dim + 1), degree + 1):
+                    expected = koszul_d_eval(algebra, form, list(target))
+                    if twist is not None:
+                        expected -= shuffle_wedge_eval(twist, form, list(target))
+                    assert image.coefficient(target) == expected
 
 
 def test_d_squared_is_zero_on_basis_forms(six_dim):
@@ -120,6 +145,13 @@ def test_leibniz_on_a_sample(kt):
     left = ce_d(wedge(a, b))
     right = wedge(ce_d(a), b) + wedge(a, ce_d(b)).scale(-1)
     assert left == right
+
+
+def test_subtraction_adds_the_negative(kt):
+    a = kt.form({(1, 2): 3, (2, 4): Fraction(1, 2)})
+    b = kt.form({(1, 2): 3, (3, 4): -1})
+    assert a - b == kt.form({(2, 4): Fraction(1, 2), (3, 4): 1})
+    assert (a - a).is_zero
 
 
 def test_form_normalization_orders_and_signs():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from nilforms import (
     IndexOutOfRange,
+    InvalidParameter,
     JacobiViolation,
     SalamonSyntaxError,
     SchemaViolation,
@@ -197,6 +198,14 @@ def test_covector_sum_errors_carry_positions(filiform, text, message, position):
         parse_covector_sum(filiform, text)
     assert str(info.value).startswith(message)
     assert info.value.position == position
+
+
+@pytest.mark.parametrize("text", [b"x1", 1, None])
+def test_the_parsers_refuse_what_is_not_a_string(filiform, text):
+    with pytest.raises(InvalidParameter, match="tuple notation must be a string"):
+        parse_salamon(text)
+    with pytest.raises(InvalidParameter, match="covector sum must be a string"):
+        parse_covector_sum(filiform, text)
 
 
 @pytest.mark.parametrize("text", ["x0", "x1+x5"])

@@ -546,9 +546,12 @@ def test_betti_profile_equals_the_ranks_of_the_d_matrix(algebra, data):
 
 
 # _d_matrix reads one degree off the sweep of _d_images, which builds each
-# degree from the one below; twisted_d takes each monomial on its own
-# through exterior_core's Leibniz rule.  The Koszul route above stops at
-# dimension 5
+# degree from the one below; twisted_d builds each monomial on its own from
+# its last index down.  Both run exterior_core._d_step, so this compares two
+# traversals of one step, not two sign rules: the independent check of the
+# step is the Koszul oracle (test_d_agrees_with_the_koszul_oracle in
+# test_exterior_core.py, and the Koszul route above, which stops at
+# dimension 5)
 @fuzz(st.one_of(nilpotent_algebras(dims=(6, 7, 8)), st.just(NON_INTEGRAL),
                 non_nilpotent_4d_algebras()), st.data(), n=30)
 def test_d_matrix_equals_twisted_d_on_each_monomial(algebra, data):

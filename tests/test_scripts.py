@@ -29,6 +29,16 @@ def test_lcs_height_sweep_finds_the_filiform_pair():
     assert "FOUND  omega = x1^x3 - x2^x4, theta = x2" in out
 
 
+def test_linecov_maps_the_lines_one_test_file_reaches():
+    out = run_script("linecov.py", "-q", "-p", "no:cacheprovider",
+                     "tests/test_scalars_linalg.py")
+    assert "passed" in out
+    # the file never runs the package as a program
+    assert "src/nilforms/__main__.py: 4 of 4 lines unreached: 1, 3, 5-6" in out
+    assert re.search(r"^src/nilforms/scalars\.py: \d+ of \d+ lines unreached", out, re.M)
+    assert re.search(r"^total: \d+ of \d+ executable lines unreached$", out, re.M)
+
+
 def test_every_script_has_a_smoke_run():
     scripts = {path.name for path in (ROOT / "scripts").glob("*.py")}
     run = set(re.findall(r'run_script\("([^"]+)"', Path(__file__).read_text()))
