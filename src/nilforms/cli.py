@@ -18,6 +18,7 @@ from .catalog import get_example, names
 from .cohomology import (
     betti_profile,
     cohomology_space,
+    cup,
     lefschetz_map,
     triple_massey,
 )
@@ -28,7 +29,7 @@ from .errors import (
     SalamonSyntaxError,
     SchemaViolation,
 )
-from .exterior_core import format_form, lower_central_series, wedge
+from .exterior_core import format_form, lower_central_series
 from .hermitian import classify_hermitian
 from .notation import (
     _scalar_at,
@@ -100,18 +101,17 @@ def _massey_scan(algebra):
     """
     if algebra.dim < 2:
         return None, None
-    reps = cohomology_space(algebra, 1).representative_basis
-    h2 = cohomology_space(algebra, 2)
-    cup_zero = [[h2.class_of(wedge(a, b)).is_zero for b in reps] for a in reps]
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
+    classes = cohomology_space(algebra, 1).classes()
+    cup_zero = [[cup(a, b).is_zero for b in classes] for a in classes]
+    for i, a in enumerate(classes):
+        for j, b in enumerate(classes):
             if not cup_zero[i][j]:
                 continue
-            for k, c in enumerate(reps):
+            for k, c in enumerate(classes):
                 if cup_zero[j][k]:
                     result = triple_massey(algebra, a, b, c)
                     if result.nonzero_mod_indeterminacy:
-                        return (a, b, c), result
+                        return tuple(cls.representative for cls in (a, b, c)), result
     return None, None
 
 

@@ -68,6 +68,7 @@ from .exterior_core import (
     _d_step,
     _is_unimodular,
     _masks,
+    _require_budget,
     _require_form,
     ce_d,
     wedge,
@@ -139,6 +140,7 @@ def _d_images(algebra, theta=None):
     images = [_unit_image(theta)]
     yield images
     for k in range(1, n + 1):
+        _require_budget(comb(n, k), n, "the differential sweep")
         last = len(masks)
         new_masks, new_images = [], []
         for i in range(1, n + 1):
@@ -184,22 +186,23 @@ def _cocycles(algebra, k, theta=None):
 
 
 class CohomologyClass:
-    """An element of a CohomologySpace: coordinates against the canonical
-    representative basis, plus the representative form they name.  Classes
+    """An element of a CohomologySpace, held as its coordinates against the
+    canonical representative basis and read as the form they name.  Classes
     compare, hash and add by their space's value (algebra, degree, twist)."""
 
-    __slots__ = ("space", "coords", "representative")
+    __slots__ = ("space", "coords")
 
-    def __init__(self, space, coords, representative=None):
+    def __init__(self, space, coords):
         self.space = space
         self.coords = tuple(as_scalar(c) for c in coords)
         if len(self.coords) != space.betti:
             raise InvalidParameter("coordinate length does not match betti number")
-        if representative is None:
-            representative = space.algebra.zero_form(space.degree)
-            for c, rep in zip(self.coords, space.representative_basis):
-                representative = representative + rep.scale(c)
-        self.representative = representative
+
+    @property
+    def representative(self):
+        space = self.space
+        return sum(map(KForm.scale, space.representative_basis, self.coords),
+                   space.algebra.zero_form(space.degree))
 
     @property
     def is_zero(self):
@@ -207,15 +210,12 @@ class CohomologyClass:
 
     def scale(self, value):
         value = as_scalar(value)
-        return CohomologyClass(self.space, [c * value for c in self.coords],
-                               self.representative.scale(value))
+        return CohomologyClass(self.space, [c * value for c in self.coords])
 
     def __add__(self, other):
         if not isinstance(other, CohomologyClass) or other.space._key != self.space._key:
             raise AmbientMismatch("classes live in different cohomology spaces")
-        return CohomologyClass(self.space,
-                               [a + b for a, b in zip(self.coords, other.coords)],
-                               self.representative + other.representative)
+        return CohomologyClass(self.space, [a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -254,12 +254,12 @@ class CohomologySpace:
         self.degree = degree
         self.theta = theta
         self._key = _space_key(algebra, degree, theta)
-        self._monomials = algebra.monomials(degree)
-        self._position = {mono: i for i, mono in enumerate(self._monomials)}
 
         # d_theta on Lambda^(k-1) (none in degree 0) and on Lambda^k, off one sweep
         *lower, columns = itertools.islice(_d_images(algebra, theta),
                                            max(degree - 1, 0), degree + 1)
+        self._monomials = algebra.monomials(degree)
+        self._position = {mono: i for i, mono in enumerate(self._monomials)}
         position = {mask: i for i, mask in enumerate(_masks(algebra.dim, degree))}
         images = [{position[mask]: c for mask, c in image.items()}
                   for below in lower for image in below]
@@ -305,8 +305,8 @@ class CohomologySpace:
 
     def classes(self):
         """The canonical basis classes of this space."""
-        return [CohomologyClass(self, [int(i == j) for j in range(self.betti)], rep)
-                for i, rep in enumerate(self.representative_basis)]
+        return [CohomologyClass(self, [int(i == j) for j in range(self.betti)])
+                for i in range(self.betti)]
 
     def __repr__(self):
         twist = "" if self.theta is None else ", twisted"

@@ -31,9 +31,26 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
     JacobiViolation,
+    WrongDimension,
     _Record,
 )
 from .scalars import ZERO, _exact, as_scalar, format_scalar
+
+# The most cells one step may build: the Leibniz table, the lower central
+# series, or one degree of the differential sweep.  A cell is one index slot
+# of a dim-wide bitmask or vector, so ``count`` of them cost count * dim
+# cells.  Every algebra the tests and the benchmark use, and the Betti
+# numbers of any algebra up to dimension 21, stay under it; a 25-byte
+# ``{"dim": 100000}`` document is refused in milliseconds instead of hanging.
+_BUDGET = 10**7
+
+
+def _require_budget(count, dim, what):
+    """Refuse, with WrongDimension naming the estimate and the budget, a step
+    that would build ``count`` dim-wide masks or vectors past ``_BUDGET``."""
+    if count * dim > _BUDGET:
+        raise WrongDimension(f"{what} in dimension {dim} would build about "
+                             f"{count * dim} cells, past the budget of {_BUDGET}")
 
 # -- raw term dictionaries ---------------------------------------------------
 # Internal helpers operate on bare dicts {increasing tuple: coefficient} so the
@@ -212,6 +229,7 @@ class LieAlgebra:
         integral c an int (``_exact``), and ``_leibniz_dx`` is the one table
         d runs on, derived from it once; ``constants`` keeps its Fractions,
         which the hash, equality and every repr read."""
+        _require_budget(dim, dim, "the Leibniz table")
         self.dim = dim
         self.constants = constants
         self._dx = {i: {} for i in range(1, dim + 1)}
@@ -549,6 +567,7 @@ def lower_central_series(algebra):
     until it hits zero (nilpotent) or stabilizes (not).
     """
     n = algebra.dim
+    _require_budget(n * n, n, "the lower central series")
     # ad_right[j]: the (i, k, c) with [X_i, X_j] = c X_k + ..., so that
     # [v, X_j] costs one product per nonzero structure constant
     ad_right = {j: [] for j in range(1, n + 1)}

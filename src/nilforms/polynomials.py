@@ -146,12 +146,9 @@ class Poly:
             e = expo[index]
             if e == 0:
                 continue
-            new_expo = expo[:index] + (e - 1,) + expo[index + 1 :]
-            new = out.get(new_expo, ZERO) + coeff * e
-            if new == 0:
-                out.pop(new_expo, None)
-            else:
-                out[new_expo] = new
+            # lowering one entry keeps distinct exponents distinct, so no
+            # two terms meet; ZERO + makes each value a Fraction
+            out[expo[:index] + (e - 1,) + expo[index + 1 :]] = ZERO + coeff * e
         return Poly(self.nvars, out, _normalized=True)
 
     def substitute(self, assignment):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nilforms import InternalInvariantBreach, coordinate_model, verification
+from nilforms import InternalInvariantBreach, coordinate_model, exterior_core, verification
 from nilforms.cli import main
 from nilforms.coordinate_model import RealizationReport
 
@@ -224,6 +224,12 @@ def test_exit_code_3_on_a_negative_height(capsys, command):
     assert "height" in capsys.readouterr().err
 
 
+def test_exit_code_3_past_the_size_budget(capsys, monkeypatch):
+    monkeypatch.setattr(exterior_core, "_BUDGET", 3)
+    assert main(["analyze", "(0,0,12,13)"]) == 3
+    assert "past the budget of 3" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_missing_file(capsys, tmp_path):
     assert main(["analyze", "no_such_file.json"]) == 3
     assert "No such file or directory: 'no_such_file.json'" \
@@ -274,10 +280,19 @@ def test_exit_code_2_on_a_labels_key(capsys, tmp_path):
     assert "unknown keys: ['labels']" in capsys.readouterr().err
 
 
+def _env_with_src():
+    """This environment with the repository's ``src`` first on PYTHONPATH,
+    so a subprocess imports this checkout however the suite was started."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_is_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "nilforms", "analyze", "(0,0,0,0)", "--quiet"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_env_with_src(), timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.strip()
 
@@ -286,11 +301,8 @@ def test_import_leaves_out_dataclasses_and_inspect():
     # the difference of sys.modules, since site may preload modules of its own
     probe = ("import sys\nbefore = set(sys.modules)\nimport nilforms.cli\n"
              "print(' '.join(sorted(set(sys.modules) - before)))\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", probe],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_env_with_src(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     imported = set(proc.stdout.split())
     assert "nilforms.cli" in imported

@@ -283,6 +283,13 @@ def test_class_arithmetic(kt):
     assert a.scale(Fraction(3)) == h1.class_of(kt.covector(1).scale(3))
 
 
+def test_classes_and_spaces_print_their_coordinates_and_rank(kt):
+    h1 = cohomology_space(kt, 1)
+    assert repr(h1.class_of(kt.covector(1))) == \
+        "<class (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)) in H^1(dim 4) rank 3>"
+    assert repr(cohomology_space(kt, 1, kt.covector(1))) == "H^1(dim 4, twisted) rank 0"
+
+
 def test_exact_forms_reduce_to_zero(kt):
     h2 = cohomology_space(kt, 2)
     assert h2.class_of(ce_d(kt.covector(4))).is_zero

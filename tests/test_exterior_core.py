@@ -17,6 +17,8 @@ from nilforms import (
     KForm,
     LieAlgebra,
     Poly,
+    WrongDimension,
+    betti_profile,
     build_algebra,
     ce_d,
     format_form,
@@ -26,6 +28,8 @@ from nilforms import (
     twisted_d,
     wedge,
 )
+from nilforms import exterior_core
+from nilforms.cohomology import _d_images
 
 from conftest import (
     nilpotent_algebras,
@@ -252,3 +256,35 @@ def test_direct_sum_of_kt_and_line(kt):
     assert total.dim == 5
     assert total.bracket(1, 2) == (0, 0, 0, Fraction(-1), 0)
     assert total.bracket(1, 5) == (0,) * 5
+
+
+# -- the size budget -----------------------------------------------------------
+
+BUDGET_SITES = {
+    "leibniz table": ("the Leibniz table", lambda g: LieAlgebra(g.dim, g.constants)),
+    "lower central series": ("the lower central series", lower_central_series),
+    "differential sweep": ("the differential sweep", betti_profile),
+}
+
+
+@pytest.mark.parametrize("what,call", BUDGET_SITES.values(), ids=BUDGET_SITES)
+def test_each_budget_site_refuses_past_a_tiny_budget(filiform, monkeypatch, what, call):
+    # the algebra is built under the default budget, so only ``call`` meets it
+    monkeypatch.setattr(exterior_core, "_BUDGET", 3)
+    with pytest.raises(WrongDimension, match=f"{what} in dimension 4 .* past the budget of 3"):
+        call(filiform)
+
+
+def test_the_sweep_refuses_before_building_the_degree_past_the_budget(filiform, monkeypatch):
+    # C(4, k) * 4 cells in degree k: 4, 24, 16, 4 for k = 1, 2, 3, 4
+    monkeypatch.setattr(exterior_core, "_BUDGET", 20)
+    sweep = _d_images(filiform)
+    assert [len(images) for images in itertools.islice(sweep, 2)] == [1, 4]
+    with pytest.raises(WrongDimension, match="about 24 cells"):
+        next(sweep)
+
+
+def test_a_dimension_100000_algebra_is_past_the_default_budget():
+    # arithmetic only: nothing of that size is built
+    with pytest.raises(WrongDimension, match="10000000000 cells, past the budget of 10000000"):
+        exterior_core._require_budget(100000, 100000, "the Leibniz table")

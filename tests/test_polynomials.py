@@ -89,6 +89,17 @@ def test_constants_hash_as_the_rationals_they_equal():
     assert hash(x + 3 - x) == hash(3)
 
 
+def test_a_scalar_minus_a_polynomial():
+    assert 1 - Poly.variable(2, 0) == Poly(2, {(0, 0): 1, (1, 0): -1})
+
+
+def test_derivatives_lower_one_exponent_to_fraction_values():
+    poly = Poly(2, {(2, 1): 1, (0, 1): 3, (1, 0): Fraction(1, 2)}, _normalized=True)
+    assert poly.derivative(0).terms == {(1, 1): 2, (0, 0): Fraction(1, 2)}
+    assert poly.derivative(1).terms == {(2, 0): 1, (0, 0): 3}
+    assert {type(c) for c in poly.derivative(1).terms.values()} == {Fraction}
+
+
 def test_scalar_factors_equal_their_constant_polynomials():
     x = Poly(2, {(1, 0): 2, (0, 1): Fraction(1, 3)}, _normalized=True)
     for scalar in (0, 1, -3, Fraction(3, 2), "-5/4"):

@@ -487,6 +487,35 @@ def test_representatives_equal_the_reduce_then_reduce_route(algebra, data):
             assert [dense(rep) for rep in space.representative_basis] == rows
 
 
+# a class holds only its coordinates: however it is made, its representative
+# is sum c_i rep_i over the space's basis, summed here term by term, and
+# reducing that form gives the class back
+@fuzz(nilpotent_algebras(dims=range(4, 8)), st.data(), n=20)
+def test_a_class_is_its_coordinates(algebra, data):
+    for theta in _plain_and_twisted(algebra, data):
+        for k in range(algebra.dim + 1):
+            space = cohomology_space(algebra, k, theta)
+            coords = data.draw(st.lists(small_rationals, min_size=space.betti,
+                                        max_size=space.betti))
+            cocycle = sum(map(KForm.scale, space.representative_basis, coords),
+                          algebra.zero_form(k))
+            if k:
+                mono = data.draw(st.sampled_from(algebra.monomials(k - 1)))
+                cocycle += twisted_d(algebra, theta, algebra.form({mono: 1}))
+            reduced = space.class_of(cocycle)
+            basis = space.classes()
+            made = [reduced, *basis, reduced.scale(data.draw(small_rationals)),
+                    *(reduced + cls for cls in basis), *(reduced - cls for cls in basis)]
+            for cls in made:
+                terms = {}
+                for c, rep in zip(cls.coords, space.representative_basis):
+                    for mono, value in rep.coeffs.items():
+                        terms[mono] = terms.get(mono, 0) + c * value
+                assert cls.representative == KForm(algebra, k, terms)
+                assert space.class_of(cls.representative) == cls
+            assert reduced.coords == tuple(coords)
+
+
 @fuzz(st.one_of(two_step_algebras(), nilpotent_algebras()))
 def test_poincare_duality_on_nilpotent_algebras(algebra):
     betti = _full_betti(algebra)

@@ -320,6 +320,7 @@ def test_nijenhuis_obstruction_on_the_filiform(filiform):
     assert not tensor.is_integrable
     assert tensor.component(1, 3) == (0, 0, 0, 1)
     assert tensor.component(3, 1) == (0, 0, 0, -1)
+    assert tensor.component(2, 2) == (0, 0, 0, 0)
 
 
 def test_nijenhuis_tensors_compare_by_components(torus, kt, filiform):
