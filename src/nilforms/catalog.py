@@ -52,12 +52,16 @@ _EUCLIDEAN_4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 _ROTATION_PAIRS_J = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
 
 
+def _entry(name, salamon, **fields):
+    """A catalog entry whose algebra is parsed from its own Salamon tuple."""
+    return CatalogEntry(name=name, salamon=salamon, algebra=parse_salamon(salamon),
+                        **fields)
+
+
 def _torus4():
-    return CatalogEntry(
-        name="torus4",
-        salamon="(0,0,0,0)",
+    return _entry(
+        "torus4", "(0,0,0,0)",
         description="abelian algebra of the 4-torus",
-        algebra=parse_salamon("(0,0,0,0)"),
         facts=(
             ExpectedFact("betti_profile", (1, 4, 6, 4, 1), "derived"),
             ExpectedFact("symplectic_witness", {(1, 2): 1, (3, 4): 1}, "derived"),
@@ -71,12 +75,10 @@ def _torus4():
 
 
 def _kodaira_thurston():
-    return CatalogEntry(
-        name="kodaira_thurston",
-        salamon="(0,0,0,12)",
+    return _entry(
+        "kodaira_thurston", "(0,0,0,12)",
         description="Heisenberg x line; symplectic and complex, never both "
                     "compatibly (no Kahler metric)",
-        algebra=parse_salamon("(0,0,0,12)"),
         facts=(
             ExpectedFact("betti_profile", (1, 3, 4, 3, 1), "derived"),
             ExpectedFact("first_betti_odd", True, "derived"),
@@ -92,12 +94,10 @@ def _kodaira_thurston():
 
 
 def _filiform():
-    return CatalogEntry(
-        name="filiform_0_0_12_13",
-        salamon="(0,0,12,13)",
+    return _entry(
+        "filiform_0_0_12_13", "(0,0,12,13)",
         description="filiform nilpotent algebra: genuinely locally conformal "
                     "symplectic, no complex structure, not symplectic-Lefschetz",
-        algebra=parse_salamon("(0,0,12,13)"),
         facts=(
             ExpectedFact("betti_profile", (1, 2, 2, 2, 1), "derived"),
             ExpectedFact("symplectic_witness", {(1, 4): 1, (2, 3): 1}, "derived"),
@@ -118,12 +118,10 @@ def _filiform():
 
 
 def _six_dim_example():
-    return CatalogEntry(
-        name="six_dim_example",
-        salamon="(0,0,0,0,12,34)",
+    return _entry(
+        "six_dim_example", "(0,0,0,0,12,34)",
         description="six-dimensional two-step algebra with two independent "
                     "central extensions",
-        algebra=parse_salamon("(0,0,0,0,12,34)"),
         facts=(
             ExpectedFact("b1", 4, "derived"),
             ExpectedFact("symplectic_witness",

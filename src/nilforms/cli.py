@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 
 from .catalog import get_example, names
 from .cohomology import (
@@ -29,7 +30,7 @@ from .errors import (
     SalamonSyntaxError,
     SchemaViolation,
 )
-from .exterior_core import format_form, lower_central_series
+from .exterior_core import _require_budget, format_form, lower_central_series
 from .hermitian import classify_hermitian
 from .notation import (
     _scalar_at,
@@ -292,6 +293,9 @@ def _cmd_cohomology(args):
     theta = None
     if args.theta is not None:
         theta = parse_covector_sum(algebra, args.theta)
+    # the middle degree is the largest: refuse before any space is built
+    n = algebra.dim
+    _require_budget(comb(n, n // 2), n, "the differential sweep")
     spaces = [cohomology_space(algebra, degree, theta=theta)
               for degree in range(algebra.dim + 1)]
     betti = tuple(space.betti for space in spaces)

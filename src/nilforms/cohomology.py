@@ -63,7 +63,6 @@ from .errors import (
 )
 from .exterior_core import (
     KForm,
-    _add_term,
     _d_form,
     _d_step,
     _is_unimodular,
@@ -263,14 +262,9 @@ class CohomologySpace:
         position = {mask: i for i, mask in enumerate(_masks(algebra.dim, degree))}
         images = [{position[mask]: c for mask, c in image.items()}
                   for below in lower for image in below]
-        for image in images:
-            square = {}
-            for r, v in image.items():
-                for s, w in columns[r].items():
-                    _add_term(square, s, v * w)
-            if square:
-                raise InternalInvariantBreach(
-                    "coboundaries do not sit inside cocycles; d^2 = 0 is broken")
+        if any(linalg.apply(columns, image) for image in images):
+            raise InternalInvariantBreach(
+                "coboundaries do not sit inside cocycles; d^2 = 0 is broken")
         self._coboundaries = linalg.echelon(images)
         # Z's reduced echelon basis (module docstring); echelon makes int rows
         last = len(columns) - 1
@@ -474,13 +468,13 @@ def triple_massey(algebra, a, b, c):
         if cls.space.degree != 1:
             raise InvalidParameter(f"{name} must be a degree-1 class")
         lifted.append(cls)
-    a, b, c = lifted
+    ra, rb, rc = (cls.representative for cls in lifted)
 
     h2 = cohomology_space(algebra, min(2, algebra.dim))
-    w_ab = wedge(a.representative, b.representative)
+    w_ab = wedge(ra, rb)
     if not h2.class_of(w_ab).is_zero:
         raise CupObstruction("a cup b is nonzero; <a, b, c> undefined")
-    w_bc = wedge(b.representative, c.representative)
+    w_bc = wedge(rb, rc)
     if not h2.class_of(w_bc).is_zero:
         raise CupObstruction("b cup c is nonzero; <a, b, c> undefined")
 
@@ -489,17 +483,16 @@ def triple_massey(algebra, a, b, c):
     if x is None or y is None:
         raise InternalInvariantBreach("exact form has no primitive")
     # representative x^c + (-1)^(|a|+1) a^y; |a| = 1 makes the sign +1
-    representative = wedge(x, c.representative) + wedge(a.representative, y)
+    representative = wedge(x, rc) + wedge(ra, y)
     if not ce_d(representative).is_zero:
         raise InternalInvariantBreach("Massey representative is not closed")
     rep_class = h2.class_of(representative)
 
-    h1 = cohomology_space(algebra, 1)
-    spanning = []
-    for h in h1.classes():
-        spanning.append(dict(enumerate(cup(a, h).coords)))
-        spanning.append(dict(enumerate(cup(h, c).coords)))
-    basis = linalg.echelon(spanning)
+    # the indeterminacy a H^1 + H^1 c, spanned over H^1's representatives
+    basis = linalg.echelon(
+        dict(enumerate(h2.reduce(wedge(*pair))))
+        for h in cohomology_space(algebra, 1).representative_basis
+        for pair in ((ra, h), (h, rc)))
     indeterminacy = tuple(
         CohomologyClass(h2, [row.get(i, ZERO) for i in range(h2.betti)])
         for row in linalg.unit_rows(basis)

@@ -16,8 +16,9 @@ metric route theta(X) = -(1/(m-1)) * (delta w)(JX), delta the formal
 adjoint of d.
 
 A metric is its Gram matrix G alone, checked symmetric with every leading
-principal minor positive.  A pair is read once: one product G J over J's
-sparse columns gives both the compatibility check and w.  Vaisman asks for
+principal minor positive.  A pair is read once, by one product W = G J over
+J's sparse columns: since J^2 = -Id, g(JX, JY) = g(X, Y) holds exactly when
+W is skew, and w is read off W.  Vaisman asks for
 a parallel Lee form, and a 1-form is parallel exactly when it is closed and
 its metric dual T = g^-1 theta, one sparse solve over G's columns, is a
 Killing field, which the structure constants decide without the
@@ -91,9 +92,11 @@ def _require_positive_definite(rows):
 def _hermitian_pair(algebra, metric, acs):
     """(metric, J, w) for a compatible pair, else NotHermitian.
 
-    W = G J is taken over the nonzero entries of J's columns.  Then J^T W = G
-    is the compatibility check g(JX, JY) = g(X, Y), and since G is symmetric
-    the fundamental form w_ij = g(J X_i, X_j) = (J^T G)_ij is W_ji.
+    W = G J is one sparse product over J's columns.  J^2 = -Id makes the
+    compatibility check J^T G J = G the same as G J = -J^T G = -(G J)^T, as
+    G is symmetric: the pair is compatible exactly when W is skew, diagonal
+    included.  The fundamental form w_ij = g(J X_i, X_j) = (J^T G)_ij is
+    then W_ji.
     """
     if not isinstance(metric, InnerProduct):
         metric = InnerProduct(metric)
@@ -103,17 +106,13 @@ def _hermitian_pair(algebra, metric, acs):
         acs = AlmostComplexStructure(acs)
     if acs.dim != algebra.dim:
         raise DimensionMismatch("J has the wrong size for this algebra")
-    g = metric.matrix
-    columns = acs._columns
-    # w[b][a - 1] = W_ab
-    w = {b: [sum(g_a[r - 1] * v for r, v in column.items()) for g_a in g]
-         for b, column in columns.items()}
-    for a, column in columns.items():
-        for b, w_b in w.items():
-            if sum(v * w_b[r - 1] for r, v in column.items()) != g[a - 1][b - 1]:
-                raise NotHermitian("metric is not J-invariant: g(JX, JY) != g(X, Y)")
-    terms = {(i, j): w_i[j - 1] for i, w_i in w.items()
-             for j in range(i + 1, algebra.dim + 1) if w_i[j - 1]}
+    # G is symmetric, so its c-th column is its c-th row; w[b][a] = W_ab
+    g = {c: {r: v for r, v in enumerate(row, 1) if v}
+         for c, row in enumerate(metric.matrix, 1)}
+    w = {b: linalg.apply(g, column) for b, column in acs._columns.items()}
+    if any(w[a].get(b, 0) != -v for b, w_b in w.items() for a, v in w_b.items()):
+        raise NotHermitian("metric is not J-invariant: g(JX, JY) != g(X, Y)")
+    terms = {(i, j): v for i, w_i in w.items() for j, v in sorted(w_i.items()) if j > i}
     return metric, acs, KForm(algebra, 2, terms, _normalized=True)
 
 

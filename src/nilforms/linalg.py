@@ -54,11 +54,11 @@ that held it.  Whatever neither rule can take goes to the forward pass.
 The interface is sparse rows in, canonical echelon out: ``echelon`` (a
 basis of the span of some rows), ``unit_rows`` (that basis as rational
 rows), ``reduce`` (a vector modulo such a basis), ``span_rank`` (the
-dimension of a span), ``kernel`` and ``preimage`` (of a linear map given by
-its sparse columns, ``columns[c]`` the image of the c-th basis vector).
-Their inputs may hold ints or Fractions, and none takes an option: for
-spans B inside Z, the rows of ``echelon`` of Z whose pivots B lacks are the
-canonical basis of Z modulo B.
+dimension of a span), and, for a linear map given by its sparse columns
+(``columns[c]`` the image of the c-th basis vector), ``apply`` (the image of
+a vector), ``kernel`` and ``preimage``.  Their inputs may hold ints or
+Fractions, and none takes an option: for spans B inside Z, the rows of
+``echelon`` of Z whose pivots B lacks are the canonical basis of Z modulo B.
 """
 
 from __future__ import annotations
@@ -249,6 +249,20 @@ def _rows(columns):
         for r, v in column.items():
             rows.setdefault(r, {})[c] = v
     return list(rows.values())
+
+
+def apply(columns, vector):
+    """The image ``sum(vector[c] * columns[c])`` of a sparse ``vector``,
+    zero entries dropped: the forward direction of ``preimage``.
+
+    ``columns`` is anything indexed by the keys of ``vector`` (a list, or a
+    dict keyed by 1-based indices or by pairs), each column a sparse dict.
+    """
+    image = {}
+    for c, x in vector.items():
+        for r, v in columns[c].items():
+            image[r] = image.get(r, 0) + x * v
+    return {r: v for r, v in image.items() if v}
 
 
 def kernel(columns):

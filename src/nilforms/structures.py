@@ -39,6 +39,7 @@ import itertools
 from fractions import Fraction
 from operator import add, lshift
 
+from . import linalg
 from .cohomology import (
     _cocycles,
     _primitive,
@@ -59,13 +60,12 @@ from .errors import (
 from .exterior_core import (
     KForm,
     LieAlgebra,
-    _add_term,
     _is_nilpotent,
     _require_form,
-    build_algebra,
     ce_d,
     wedge,
 )
+from .notation import parse_salamon
 from .polynomials import Poly, nonzero_point
 from .scalars import ZERO, ONE, _exact, as_scalar, height
 
@@ -556,14 +556,9 @@ class AlmostComplexStructure:
         # the nonzero entries of J(X_c), 1-based: {c: {r: M[r][c]}}
         self._columns = {c: {r: row[c - 1] for r, row in enumerate(rows, 1) if row[c - 1]}
                          for c in range(1, n + 1)}
-        # J(J X_c) = sum over the nonzero J[k][c] of J[k][c] * J(X_k)
-        for c, column in self._columns.items():
-            square = {}
-            for k, v in column.items():
-                for r, w in self._columns[k].items():
-                    _add_term(square, r, v * w)
-            if square != {c: -1}:
-                raise NotAlmostComplex("J^2 != -Id")
+        if any(linalg.apply(self._columns, column) != {c: -1}
+               for c, column in self._columns.items()):
+            raise NotAlmostComplex("J^2 != -Id")
 
 
 class NijenhuisTensor(_Record):
@@ -597,35 +592,25 @@ def nijenhuis(algebra, acs):
     if acs.dim != algebra.dim:
         raise DimensionMismatch("J has the wrong size for this algebra")
     n = algebra.dim
-    # sparse {index: value} vectors: J(X_c) and [X_a, X_b] for a != b
-    columns = acs._columns
-    brackets = {}
+    # one table of sparse columns: [X_a, X_b] under every pair (a, b) and
+    # J(X_c) under c, so each component below is one sparse product
+    table = {(a, b): {} for a in range(1, n + 1) for b in range(1, n + 1)}
     for (a, b, k), coeff in algebra.constants.items():
-        brackets.setdefault((a, b), {})[k] = coeff
-        brackets.setdefault((b, a), {})[k] = -coeff
-
-    def combine(pairs):
-        """The sum of value * vector over (vector, value) pairs."""
-        out = {}
-        for vec, value in pairs:
-            for k, c in vec.items():
-                _add_term(out, k, value * c)
-        return out
-
-    def bracket(v, w):
-        return combine((brackets[a, b], x * y) for a, x in v.items()
-                       for b, y in w.items() if (a, b) in brackets)
-
-    def apply_j(v):
-        return combine((columns[a], x) for a, x in v.items())
-
+        table[a, b][k] = coeff
+        table[b, a][k] = -coeff
+    table.update(acs._columns)
     components = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            jxi, jxj = columns[i], columns[j]
-            mixed = combine(((bracket(jxi, {j: ONE}), ONE), (bracket({i: ONE}, jxj), ONE)))
-            value = combine(((bracket(jxi, jxj), ONE), (apply_j(mixed), -ONE),
-                             (brackets.get((i, j), {}), -ONE)))
+            jxi, jxj = table[i], table[j]
+            # [JX_i, X_j] + [X_i, JX_j] = [JX_i, X_j] - [JX_j, X_i]: as i != j
+            # the pairs of the two sums never meet
+            mixed = linalg.apply(table, {(a, j): x for a, x in jxi.items()}
+                                 | {(b, i): -y for b, y in jxj.items()})
+            # [JX_i, JX_j] - [X_i, X_j] - J(mixed)
+            pairs = {(a, b): x * y for a, x in jxi.items() for b, y in jxj.items()}
+            pairs[i, j] = pairs.get((i, j), ZERO) - ONE
+            value = linalg.apply(table, pairs | {c: -v for c, v in mixed.items()})
             components[(i, j)] = tuple(value.get(r, ZERO) for r in range(1, n + 1))
     return NijenhuisTensor(dim=n, components=components)
 
@@ -633,10 +618,9 @@ def nijenhuis(algebra, acs):
 # -- the three nilpotent algebras in dimension four --------------------------
 
 _STANDARD_4D = {
-    4: ("torus", "(0,0,0,0)", {}),
-    3: ("kodaira_thurston_class", "(0,0,0,12)", {(1, 2): (0, 0, 0, -1)}),
-    2: ("filiform_class", "(0,0,12,13)", {(1, 2): (0, 0, -1, 0),
-                                          (1, 3): (0, 0, 0, -1)}),
+    4: ("torus", "(0,0,0,0)"),
+    3: ("kodaira_thurston_class", "(0,0,0,12)"),
+    2: ("filiform_class", "(0,0,12,13)"),
 }
 
 
@@ -663,8 +647,8 @@ def classify_4d(algebra):
     if not _is_nilpotent(algebra):
         raise NotNilpotent("classification is for nilpotent algebras only")
     b1 = cohomology_space(algebra, 1).betti
-    label, salamon, brackets = _STANDARD_4D[b1]
-    model = build_algebra(4, brackets)
+    label, salamon = _STANDARD_4D[b1]
+    model = parse_salamon(salamon)
     if label == "torus":
         witness = model.form({(1, 2): 1, (3, 4): 1})
     else:

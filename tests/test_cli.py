@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from nilforms import InternalInvariantBreach, coordinate_model, exterior_core, verification
+from nilforms import (
+    InternalInvariantBreach,
+    cohomology,
+    coordinate_model,
+    exterior_core,
+    verification,
+)
 from nilforms.cli import main
 from nilforms.coordinate_model import RealizationReport
 
@@ -228,6 +234,22 @@ def test_exit_code_3_past_the_size_budget(capsys, monkeypatch):
     monkeypatch.setattr(exterior_core, "_BUDGET", 3)
     assert main(["analyze", "(0,0,12,13)"]) == 3
     assert "past the budget of 3" in capsys.readouterr().err
+
+
+def test_cohomology_refuses_past_the_budget_before_building_a_space(capsys, monkeypatch):
+    # C(4, 2) * 4 = 24 cells in the middle degree; degrees 0 and 1 fit under 20
+    monkeypatch.setattr(exterior_core, "_BUDGET", 20)
+    built = []
+    init = cohomology.CohomologySpace.__init__
+
+    def spy(space, algebra, degree, theta=None):
+        built.append(degree)
+        init(space, algebra, degree, theta)
+
+    monkeypatch.setattr(cohomology.CohomologySpace, "__init__", spy)
+    assert main(["cohomology", "(0,0,12,13)"]) == 3
+    assert "about 24 cells, past the budget of 20" in capsys.readouterr().err
+    assert built == []
 
 
 def test_exit_code_3_on_missing_file(capsys, tmp_path):

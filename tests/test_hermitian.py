@@ -6,19 +6,24 @@ The oracle's sign conventions are pinned by adjointness
 freeze the values the bulk fuzz in test_properties.py re-derives.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from nilforms import (
+    AlmostComplexStructure,
     DegenerateMetric,
+    DimensionMismatch,
     InnerProduct,
     InvalidParameter,
+    NotAlmostComplex,
     NotHermitian,
     ce_d,
     classify_hermitian,
     format_form,
     lee_form,
+    nijenhuis,
     parse_salamon,
     wedge,
 )
@@ -130,6 +135,38 @@ def test_compatibility_gate(kt):
                              [0, 0, 1, 0], [0, 0, 0, 1]])
     with pytest.raises(NotHermitian):
         _hermitian_pair(kt, squeezed, ROTATION_J)
+
+
+def test_compatibility_reads_the_diagonal_of_gj(kt):
+    # with G = Id, W = G J = J; each block squares to -Id and is skew off the
+    # diagonal (-5/4 against 5/4), so only W's diagonal 3/4, -3/4 shows that
+    # J^T G J != G (its first entry is 17/8)
+    acs = ((Fraction(3, 4), Fraction(-5, 4), 0, 0), (Fraction(5, 4), Fraction(-3, 4), 0, 0),
+           (0, 0, 0, -1), (0, 0, 1, 0))
+    with pytest.raises(NotHermitian, match="^metric is not J-invariant"):
+        _hermitian_pair(kt, euclidean_metric(4), acs)
+
+
+GUARDS = {
+    "acs_not_square": (DimensionMismatch, "J must be square",
+                       lambda kt: AlmostComplexStructure([[0, -1], [1, 0, 0]])),
+    "acs_square": (NotAlmostComplex, "J^2 != -Id",
+                   lambda kt: AlmostComplexStructure([[0, 1], [1, 0]])),
+    "nijenhuis_size": (DimensionMismatch, "J has the wrong size",
+                       lambda kt: nijenhuis(kt, [[0, -1], [1, 0]])),
+    "gram_not_square": (DimensionMismatch, "Gram matrix must be square",
+                        lambda kt: InnerProduct([[1, 0], [0, 1, 0]])),
+    "pair_metric_size": (DimensionMismatch, "metric dimension does not match",
+                         lambda kt: _hermitian_pair(kt, [[1, 0], [0, 1]], ROTATION_J)),
+    "pair_acs_size": (DimensionMismatch, "J has the wrong size",
+                      lambda kt: _hermitian_pair(kt, euclidean_metric(4), [[0, -1], [1, 0]])),
+}
+
+
+@pytest.mark.parametrize("error,message,call", GUARDS.values(), ids=GUARDS)
+def test_hermitian_guards_raise_their_class(kt, error, message, call):
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        call(kt)
 
 
 def test_lee_form_on_kt(kt):

@@ -7,7 +7,9 @@ random rational matrices of every shape: empty, wide, tall, with zero and
 repeated rows, and with large numerators and denominators.  Matrices are
 drawn dense and handed to the kernel as sparse rows or columns; each test
 keeps the name of the concept it checks (row echelon form, null space,
-solving, row-space membership) under its sparse entry point.
+solving, row-space membership) under its sparse entry point.  ``apply``,
+the forward product, is checked against the dense product and against
+``kernel`` and ``preimage``.
 """
 
 from fractions import Fraction
@@ -15,6 +17,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from nilforms.linalg import (
+    apply,
     echelon,
     kernel,
     preimage,
@@ -145,3 +148,24 @@ def test_in_row_space_equals_a_rank_test(matrix, data):
     basis = echelon(map(sparse, rows))
     expected = sympy_shaped(rows + [vector], ncols).rank() == len(basis)
     assert (not reduce(sparse(vector), basis)) == expected
+
+
+@given(matrices(), st.data())
+def test_apply_equals_the_dense_product(matrix, data):
+    rows, ncols = matrix
+    vector = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+    product = [sum((a * x for a, x in zip(row, vector)), Fraction(0)) for row in rows]
+    # zero entries of the vector, and cancelling sums, leave no entry behind
+    assert apply(columns_of(rows, ncols), dict(enumerate(vector))) == sparse(product)
+
+
+@given(matrices(), st.data())
+def test_apply_inverts_kernel_and_preimage(matrix, data):
+    rows, ncols = matrix
+    columns = columns_of(rows, ncols)
+    assert all(apply(columns, vector) == {} for vector in kernel(columns))
+    target = sparse(data.draw(st.one_of(
+        st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)),
+        st.just([sum(row, Fraction(0)) for row in rows]))))
+    solution = preimage(columns, target)
+    assert solution is None or apply(columns, solution) == target

@@ -351,6 +351,13 @@ def test_classify_4d_witnesses_are_symplectic(torus, kt, filiform):
                                 result.standard_symplectic).is_symplectic
 
 
+def test_classify_4d_models_are_their_salamon_tuples(torus, kt, filiform):
+    for algebra in (torus, kt, filiform):
+        result = classify_4d(algebra)
+        assert result.standard_model == parse_salamon(result.standard_salamon)
+        assert result.standard_model == algebra
+
+
 def test_classify_4d_input_gates(six_dim, solvable_nonunimodular):
     with pytest.raises(WrongDimension):
         classify_4d(six_dim)
