@@ -57,6 +57,8 @@ def _read_json(handle):
         raise
     except ValueError as exc:  # an integer past the int-conversion limit, bad UTF-8
         raise SchemaViolation("", f"unreadable JSON: {exc}") from None
+    except RecursionError:  # arrays or objects nested past the decoder's stack
+        raise SchemaViolation("", "unreadable JSON: nested too deeply") from None
 
 
 def _load_algebra(source):

@@ -199,7 +199,8 @@ class LieAlgebra:
     construction, and cohomology results are memoized on the instance.
     """
 
-    __slots__ = ("dim", "constants", "_dx", "_leibniz_dx", "_hash", "_cohomology_cache")
+    __slots__ = ("dim", "constants", "_dx", "_brackets", "_leibniz_dx", "_hash",
+                 "_cohomology_cache")
 
     def __init__(self, dim, constants):
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
@@ -227,14 +228,22 @@ class LieAlgebra:
 
         ``_dx`` maps i to the terms ``{(a, b): c}`` of dx_i with each
         integral c an int (``_exact``), and ``_leibniz_dx`` is the one table
-        d runs on, derived from it once; ``constants`` keeps its Fractions,
-        which the hash, equality and every repr read."""
+        d runs on, derived from it once.  ``_brackets`` maps (a, b) to
+        [X_a, X_b] as sparse ``{k: c}``, under both orders and only where
+        nonzero, so it holds at most twice as many entries as ``constants``;
+        every map built from ad reads it.  ``constants`` keeps its Fractions,
+        which the hash, equality and every repr read, and so does
+        ``_brackets``."""
         _require_budget(dim, dim, "the Leibniz table")
         self.dim = dim
         self.constants = constants
         self._dx = {i: {} for i in range(1, dim + 1)}
+        self._brackets = brackets = {}
         for (i, j, k), coeff in constants.items():
-            self._dx[k][(i, j)] = _exact(-coeff)
+            negated = -coeff
+            self._dx[k][(i, j)] = _exact(negated)
+            brackets.setdefault((i, j), {})[k] = coeff
+            brackets.setdefault((j, i), {})[k] = negated
         self._leibniz_dx = _leibniz_table(self._dx)
         self._hash = hash((dim, frozenset(constants.items())))
         self._cohomology_cache = {}
@@ -250,11 +259,7 @@ class LieAlgebra:
 
     def c(self, i, j, k):
         """Structure constant: coefficient of X_k in [X_i, X_j], any i, j."""
-        if i == j:
-            return ZERO
-        if i < j:
-            return self.constants.get((i, j, k), ZERO)
-        return -self.constants.get((j, i, k), ZERO)
+        return self._brackets.get((i, j), {}).get(k, ZERO)
 
     def bracket(self, i, j):
         """[X_i, X_j] as a coefficient tuple of length dim."""
@@ -568,25 +573,15 @@ def lower_central_series(algebra):
     """
     n = algebra.dim
     _require_budget(n * n, n, "the lower central series")
-    # ad_right[j]: the (i, k, c) with [X_i, X_j] = c X_k + ..., so that
-    # [v, X_j] costs one product per nonzero structure constant
-    ad_right = {j: [] for j in range(1, n + 1)}
-    for (i, j, k), coeff in algebra.constants.items():
-        ad_right[j].append((i, k, coeff))
-        ad_right[i].append((j, k, -coeff))
+    brackets = algebra._brackets
     # sparse vectors {index: value}; g^0 is spanned by the basis
     current = [{i: 1} for i in range(1, n + 1)]
     dims = [n]
     while dims[-1]:
-        generated = []
-        for v in current:
-            for j in range(1, n + 1):
-                w = {}
-                for i, k, coeff in ad_right[j]:
-                    if i in v:
-                        w[k] = w.get(k, 0) + v[i] * coeff
-                generated.append(w)
-        basis = linalg.echelon(generated)
+        # [v, X_j] = sum_i v_i [X_i, X_j]
+        basis = linalg.echelon(
+            linalg.apply({i: brackets.get((i, j), {}) for i in v}, v)
+            for v in current for j in range(1, n + 1))
         dims.append(len(basis))
         if len(basis) == dims[-2]:
             break  # stabilized without reaching zero
@@ -605,15 +600,12 @@ def lower_central_series(algebra):
 
 
 def _is_unimodular(algebra):
-    """Whether every ad X_i is traceless, read off the structure constants:
-    tr ad X_i = sum_j c_ij^j, so [X_i, X_j] = c X_k with i < j adds c to
-    tr ad X_i when k = j and -c to tr ad X_j when k = i."""
+    """Whether every ad X_a is traceless: tr ad X_a = sum_b [X_a, X_b]_b,
+    one pass over the bracket table."""
     trace = {}
-    for (i, j, k), coeff in algebra.constants.items():
-        if k == j:
-            trace[i] = trace.get(i, ZERO) + coeff
-        elif k == i:
-            trace[j] = trace.get(j, ZERO) - coeff
+    for (a, b), bracket in algebra._brackets.items():
+        if b in bracket:
+            trace[a] = trace.get(a, 0) + bracket[b]
     return not any(trace.values())
 
 

@@ -16,13 +16,14 @@ metric route theta(X) = -(1/(m-1)) * (delta w)(JX), delta the formal
 adjoint of d.
 
 A metric is its Gram matrix G alone, checked symmetric with every leading
-principal minor positive.  A pair is read once, by one product W = G J over
-J's sparse columns: since J^2 = -Id, g(JX, JY) = g(X, Y) holds exactly when
-W is skew, and w is read off W.  Vaisman asks for
-a parallel Lee form, and a 1-form is parallel exactly when it is closed and
-its metric dual T = g^-1 theta, one sparse solve over G's columns, is a
-Killing field, which the structure constants decide without the
-Levi-Civita table.
+principal minor positive, each minor read off one reduction on the ``linalg``
+kernel.  A pair is read once, by one product W = G J over J's sparse
+columns: since J^2 = -Id, g(JX, JY) = g(X, Y) holds exactly when W is skew,
+and w is read off W.  Vaisman asks for a parallel Lee form, and a 1-form is
+parallel exactly when it is closed and its metric dual T = g^-1 theta, one
+sparse solve over G's columns, is a Killing field: G ad_T is skew, the same
+test as for W, with ad_T read off the algebra's bracket table.  Neither test
+needs the Levi-Civita table.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     WrongDimension,
     _Record,
 )
-from .exterior_core import KForm, _add_term, _wedge_raw, ce_d
+from .exterior_core import KForm, _wedge_raw, ce_d
 from .scalars import ZERO, ONE, as_scalar
 from .structures import AlmostComplexStructure, check_lcs, nijenhuis
 
@@ -66,24 +67,20 @@ def _require_positive_definite(rows):
     """Raise DegenerateMetric at the first leading principal minor of a
     symmetric matrix that is not positive.
 
-    One forward elimination without row exchanges: while the minors before
-    it are nonzero, the k-th pivot is Delta_k / Delta_{k-1}, so Delta_k is
-    the product of the first k pivots.
+    While Delta_1, ..., Delta_k are nonzero, the rows before row k (0-based)
+    have the first k columns as their pivots, so row k reduced modulo their
+    ``linalg.echelon`` basis vanishes there and its entry in column k is the
+    Schur complement Delta_{k+1} / Delta_k: the running product of those
+    entries is the leading minor.
     """
-    work = [list(row) for row in rows]
+    sparse = [dict(enumerate(row)) for row in rows]
     minor = ONE
-    for k, pivot_row in enumerate(work):
-        pivot = pivot_row[k]
-        minor *= pivot
+    for k, row in enumerate(sparse):
+        minor *= linalg.reduce(row, linalg.echelon(sparse[:k])).get(k, ZERO)
         if minor <= 0:
             raise DegenerateMetric(
                 f"leading principal minor {k + 1} is {minor}; metric is not "
                 "positive definite")
-        for row in work[k + 1:]:
-            factor = row[k] / pivot
-            if factor:
-                for c in range(k + 1, len(row)):
-                    row[c] -= factor * pivot_row[c]
 
 
 # -- Hermitian pairs ---------------------------------------------------------
@@ -106,14 +103,27 @@ def _hermitian_pair(algebra, metric, acs):
         acs = AlmostComplexStructure(acs)
     if acs.dim != algebra.dim:
         raise DimensionMismatch("J has the wrong size for this algebra")
-    # G is symmetric, so its c-th column is its c-th row; w[b][a] = W_ab
-    g = {c: {r: v for r, v in enumerate(row, 1) if v}
-         for c, row in enumerate(metric.matrix, 1)}
+    # w[b][a] = W_ab
+    g = _gram_columns(metric)
     w = {b: linalg.apply(g, column) for b, column in acs._columns.items()}
-    if any(w[a].get(b, 0) != -v for b, w_b in w.items() for a, v in w_b.items()):
+    if not _is_skew(w):
         raise NotHermitian("metric is not J-invariant: g(JX, JY) != g(X, Y)")
     terms = {(i, j): v for i, w_i in w.items() for j, v in sorted(w_i.items()) if j > i}
     return metric, acs, KForm(algebra, 2, terms, _normalized=True)
+
+
+def _gram_columns(metric):
+    """The sparse columns ``{c: {r: G_rc}}`` of the Gram matrix, 1-based;
+    G is symmetric, so its c-th column is its c-th row."""
+    return {c: {r: v for r, v in enumerate(row, 1) if v}
+            for c, row in enumerate(metric.matrix, 1)}
+
+
+def _is_skew(columns):
+    """Whether the square matrix with these sparse columns, every column
+    present, is skew: M_ab = -M_ba for all a, b, diagonal included."""
+    return all(columns[a].get(b, 0) == -v
+               for b, column in columns.items() for a, v in column.items())
 
 
 def lee_form(algebra, metric, acs):
@@ -149,27 +159,22 @@ def _is_parallel(algebra, metric, theta):
         2 theta(nabla_i X_j) = theta([X_i, X_j]) - g([X_i, T], X_j) - g([X_j, T], X_i),
 
     an antisymmetric part plus a symmetric one.  So theta is parallel iff it
-    is closed and its dual T is a Killing field, ad_T skew for g (diagonal
-    included); both are read in one pass over the structure constants.
+    is closed and its dual T is a Killing field, ad_T skew for g: G ad_T is
+    skew, diagonal included.  Column j of ad_T is
+    [T, X_j] = sum_i T_i [X_i, X_j], one product over the bracket table, and
+    G times it is a second.
     """
-    n = algebra.dim
-    covector = [theta.coeffs.get((k,), ZERO) for k in range(1, n + 1)]
-    # g is symmetric, so its c-th column is its c-th row
-    solution = linalg.preimage(
-        [{r: v for r, v in enumerate(row) if v} for row in metric.matrix],
-        {k - 1: v for (k,), v in theta.coeffs.items()})
-    dual = [solution.get(k, ZERO) for k in range(n)]
-    brackets = {}  # theta([X_i, X_j])
-    lowered = {}   # (l, j): g(X_l, [T, X_j])
-    for (i, j, k), c in algebra.constants.items():
-        _add_term(brackets, (i, j), c * covector[k - 1])
-        # [T, X_j] gains T_i c X_k and [T, X_i] gains -T_j c X_k
-        for column, factor in ((j, dual[i - 1] * c), (i, -dual[j - 1] * c)):
-            if factor:
-                for l, g_kl in enumerate(metric.matrix[k - 1], 1):
-                    _add_term(lowered, (l, column), factor * g_kl)
-    return not brackets and all(v + lowered.get((j, l), 0) == 0
-                                for (l, j), v in lowered.items())
+    if not ce_d(theta).is_zero:
+        return False
+    g = _gram_columns(metric)
+    solution = linalg.preimage(list(g.values()),
+                               {k: v for (k,), v in theta.coeffs.items()})
+    dual = {c + 1: v for c, v in solution.items()}  # list positions are 0-based
+    brackets = algebra._brackets
+    lowered = {j: linalg.apply(g, linalg.apply(
+                   {i: brackets.get((i, j), {}) for i in dual}, dual))
+               for j in g}
+    return _is_skew(lowered)
 
 
 # -- classification ----------------------------------------------------------

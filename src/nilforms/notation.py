@@ -112,7 +112,9 @@ def _split_entries(text):
     return spans
 
 
-def _parse_pair(cur, n):
+def _parse_pair(cur, n, digits=None):
+    """The pair at the cursor; below dimension 10, ``digits`` is the run of
+    digits just read, if the caller has read it already."""
     if n >= 10:
         cur.skip_space()
         cur.expect("[", "'[i,j]' pair")
@@ -121,13 +123,14 @@ def _parse_pair(cur, n):
         j = _integer(cur.pos, cur.digits("second index"))
         cur.expect("]")
         return _checked_pair(i, j, n, cur.pos)
-    start = cur.pos
-    d = cur.digits("two-digit pair")
-    if len(d) != 2:
+    if digits is None:
+        digits = cur.digits("two-digit pair")
+    start = cur.pos - len(digits)
+    if len(digits) != 2:
         raise SalamonSyntaxError(
-            f"pair must be exactly two digits, got {d!r}", start,
+            f"pair must be exactly two digits, got {digits!r}", start,
             ("two-digit pair",))
-    return _checked_pair(int(d[0]), int(d[1]), n, start)
+    return _checked_pair(int(digits[0]), int(digits[1]), n, start)
 
 
 def _checked_pair(i, j, n, pos):
@@ -152,9 +155,11 @@ def _integer(pos, digits):
 def _signed_sum(cur, read_atom, dim, empty):
     """A lone "0", or [sign] term (+- term)*, as {atom: coefficient} without
     zero entries.  A term is an optional "p*" or "p/q*" coefficient, then the
-    atom ``read_atom(cur, tagged, dim)`` reads, ``tagged`` telling it whether
-    a coefficient came first.  A coefficient stays an int unless written as a
-    fraction.  ``empty`` is the (message, expected) of an empty sum."""
+    atom ``read_atom(cur, tagged, digits, dim)`` reads, ``tagged`` telling it
+    whether a coefficient came first and ``digits`` holding a run of digits
+    that no "/" or "*" followed, already read, or None.  A coefficient stays
+    an int unless written as a fraction.  ``empty`` is the (message,
+    expected) of an empty sum."""
     start = cur.pos
     cur.skip_space()
     if cur.peek() == "":
@@ -177,21 +182,23 @@ def _signed_sum(cur, read_atom, dim, empty):
             raise cur.unexpected("'+'", "'-'")
         cur.skip_space()
         num_pos = cur.pos
+        digits = None
         if cur.at_digit():
-            num = cur.digits("coefficient")
+            digits = cur.digits("coefficient")
             if cur.peek() == "/":
                 cur.take()
                 den = _integer(cur.pos, cur.digits("denominator"))
                 if den == 0:
                     raise SalamonSyntaxError("zero denominator", num_pos, ())
-                coeff *= Fraction(_integer(num_pos, num), den)
+                coeff *= Fraction(_integer(num_pos, digits), den)
                 cur.expect("*")
+                digits = None
             elif cur.peek() == "*":
                 cur.take()
-                coeff *= _integer(num_pos, num)
-            else:
-                cur.pos = num_pos  # no coefficient: the digits are the atom's
-        atom = read_atom(cur, cur.pos != num_pos, dim)
+                coeff *= _integer(num_pos, digits)
+                digits = None
+        # no coefficient: any digits read are the atom's
+        atom = read_atom(cur, digits is None and cur.pos != num_pos, digits, dim)
         if coeff == 0:
             raise SalamonSyntaxError("zero coefficient", num_pos, ())
         terms[atom] = terms.get(atom, 0) + coeff
@@ -200,13 +207,13 @@ def _signed_sum(cur, read_atom, dim, empty):
             return {atom: c for atom, c in terms.items() if c != 0}
 
 
-def _pair_term(cur, tagged, n):
-    if tagged or cur.peek() == "[" or (n < 10 and cur.at_digit()):
-        return _parse_pair(cur, n)
-    if cur.at_digit():
+def _pair_term(cur, tagged, digits, n):
+    if digits is not None and n >= 10:
         raise SalamonSyntaxError(
-            "bare digits are ambiguous from dimension 10 up", cur.pos,
+            "bare digits are ambiguous from dimension 10 up", cur.pos - len(digits),
             ("'[i,j]' pair", "'*'"))
+    if tagged or digits is not None or cur.peek() == "[":
+        return _parse_pair(cur, n, digits)
     raise cur.unexpected("coefficient", "pair")
 
 
@@ -263,10 +270,9 @@ def format_salamon(algebra):
     return "(" + ",".join(entries) + ")"
 
 
-def _covector_term(cur, tagged, dim):
-    if not tagged and cur.at_digit():
-        cur.digits("coefficient")
-        cur.expect("*")  # digits that no "/" or "*" follows: always raises
+def _covector_term(cur, tagged, digits, dim):
+    if digits is not None:
+        raise cur.unexpected("'*'")
     cur.skip_space()
     if cur.peek() != "x":
         raise cur.unexpected("'x<i>'")

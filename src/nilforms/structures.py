@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from operator import add, lshift
 
@@ -58,14 +59,11 @@ from .errors import (
     _Record,
 )
 from .exterior_core import (
-    KForm,
-    LieAlgebra,
     _is_nilpotent,
     _require_form,
     ce_d,
     wedge,
 )
-from .notation import parse_salamon
 from .polynomials import Poly, nonzero_point
 from .scalars import ZERO, ONE, _exact, as_scalar, height
 
@@ -592,12 +590,10 @@ def nijenhuis(algebra, acs):
     if acs.dim != algebra.dim:
         raise DimensionMismatch("J has the wrong size for this algebra")
     n = algebra.dim
-    # one table of sparse columns: [X_a, X_b] under every pair (a, b) and
-    # J(X_c) under c, so each component below is one sparse product
-    table = {(a, b): {} for a in range(1, n + 1) for b in range(1, n + 1)}
-    for (a, b, k), coeff in algebra.constants.items():
-        table[a, b][k] = coeff
-        table[b, a][k] = -coeff
+    # one table of sparse columns: [X_a, X_b] under the pair (a, b), empty
+    # for a pair the algebra's bracket table leaves out, and J(X_c) under c,
+    # so each component below is one sparse product
+    table = defaultdict(dict, algebra._brackets)
     table.update(acs._columns)
     components = {}
     for i in range(1, n + 1):
@@ -627,18 +623,16 @@ _STANDARD_4D = {
 class Classification4D(_Record):
     """Isomorphism class of a 4-dimensional nilpotent algebra.
 
-    b_1 is a complete invariant here (abelian, Heisenberg x line, filiform).
-    ``standard_symplectic`` is the classical symplectic witness on the
-    standard model; ``kahler_admissible`` applies the nilmanifold dichotomy
-    (Benson-Gordon / Hasegawa): Kahler forces the torus.
+    b_1 is a complete invariant here (abelian, Heisenberg x line, filiform),
+    and ``standard_salamon`` is the standard model's tuple.
+    ``kahler_admissible`` applies the nilmanifold dichotomy (Benson-Gordon /
+    Hasegawa): Kahler forces the torus.
     """
 
     label: str
     standard_salamon: str
     b1: int
     kahler_admissible: bool
-    standard_model: LieAlgebra
-    standard_symplectic: KForm
 
 
 def classify_4d(algebra):
@@ -648,19 +642,9 @@ def classify_4d(algebra):
         raise NotNilpotent("classification is for nilpotent algebras only")
     b1 = cohomology_space(algebra, 1).betti
     label, salamon = _STANDARD_4D[b1]
-    model = parse_salamon(salamon)
-    if label == "torus":
-        witness = model.form({(1, 2): 1, (3, 4): 1})
-    else:
-        witness = model.form({(1, 4): 1, (2, 3): 1})
-    verdict = check_symplectic(model, witness)
-    if not verdict.is_symplectic:
-        raise InternalInvariantBreach("standard symplectic witness failed")
     return Classification4D(
         label=label,
         standard_salamon=salamon,
         b1=b1,
         kahler_admissible=(b1 == 4),
-        standard_model=model,
-        standard_symplectic=witness,
     )

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, output shape."""
 
+import io
 import json
 import os
 import subprocess
@@ -413,3 +414,35 @@ def test_a_bad_gram_file_is_a_typed_error(tmp_path, capsys, gram, acs, code, mes
     result = run(capsys, "analyze", "(0,0,0,12)",
                  "--metric", str(metric_path), "--acs", str(acs_path))
     assert result == (code, "", f"error: {message}\n")
+
+
+_DEEP = "[" * 200_000
+
+
+@pytest.mark.parametrize("route", ["file", "stdin", "metric"])
+def test_json_nested_past_the_decoder_stack_exits_2(tmp_path, capsys, monkeypatch, route):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    argv = {"file": ["analyze", str(path)],
+            "stdin": ["analyze", "-"],
+            "metric": ["analyze", "torus4", "--metric", str(path), "--acs", str(path)]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(_DEEP))
+    result = run(capsys, *argv[route])
+    assert result == (2, "", "error: /: unreadable JSON: nested too deeply\n")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-paper",), ("model-check",),
+    *(("analyze", name) for name in
+      ("filiform_0_0_12_13", "kodaira_thurston", "six_dim_example", "torus4")),
+], ids=lambda argv: "-".join(argv))
+def test_the_report_text_is_the_recorded_golden(capsys, argv):
+    """The full stdout, byte for byte, as recorded in tests/golden.  Only an
+    intended output change rewrites a golden, with
+    ``PYTHONPATH=src python -m nilforms ARGV > tests/golden/NAME.txt``."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{'_'.join(argv)}.txt").read_text(encoding="utf-8")

@@ -57,6 +57,15 @@ def test_structure_constants_of_the_filiform(filiform):
     assert filiform.bracket(2, 1) == (0, 0, Fraction(1), 0)
 
 
+def test_the_bracket_table_holds_each_nonzero_bracket_under_both_orders(six_dim, so3):
+    for algebra in (six_dim, so3):
+        table = algebra._brackets
+        assert len(table) <= 2 * len(algebra.constants)
+        assert all(bracket and all(bracket.values()) for bracket in table.values())
+        for (i, j, k), c in algebra.constants.items():
+            assert table[i, j][k] == c and table[j, i][k] == -c
+
+
 def test_dx_matches_the_tuple_notation(filiform):
     assert filiform.dx(3) == filiform.basis_form(1, 2)
     assert filiform.dx(4) == filiform.basis_form(1, 3)

@@ -27,7 +27,7 @@ from nilforms import (
     parse_salamon,
     wedge,
 )
-from nilforms.hermitian import _hermitian_pair
+from nilforms.hermitian import _hermitian_pair, _is_parallel
 
 from conftest import euclidean_metric
 from oracles import (
@@ -167,6 +167,15 @@ GUARDS = {
 def test_hermitian_guards_raise_their_class(kt, error, message, call):
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         call(kt)
+
+
+def test_a_form_that_is_not_closed_is_not_parallel_even_with_a_killing_dual():
+    # on the Heisenberg algebra X_3 is central, so ad_T = 0 for the dual
+    # T = X_3 of x3, which is a Killing field; but dx3 = x1^x2 != 0
+    heisenberg = parse_salamon("(0,0,12)")
+    assert not _is_parallel(heisenberg, euclidean_metric(3), heisenberg.covector(3))
+    torus = parse_salamon("(0,0,0)")
+    assert _is_parallel(torus, euclidean_metric(3), torus.covector(3))
 
 
 def test_lee_form_on_kt(kt):
