@@ -21,10 +21,15 @@ candidates at once; when it vanishes identically only theta = 0 is decided
 and the rest are counted.  Whether the algebra is nilpotent is read off its
 structure constants when they are in Salamon's order (every [X_i, X_j],
 i < j, in the span of the X_k with k > j) and left to the lower central
-series otherwise.  Every Pfaffian, symbolic or numeric, comes from one
-memoized first-row expansion (``_symbolic_pfaffian``; a numeric Pfaffian is
-its no-variable case), run on int coefficients wherever they are
-integral.  The shortcut deletes work, not honesty: the
+series otherwise.  Every Pfaffian here is that of a linear family
+sum m_V F_V of 2-forms F_V, each weighted by a product m_V of distinct
+variables, and comes from one memoized first-row expansion
+(``_symbolic_pfaffian``): a numeric Pfaffian is one form weighted by 1, a
+span's gives each form its own variable, and the one over
+theta = sum t_i b_i and eta = sum a_j x_j lists a_j dx_j and
+t_i a_j (-b_i ^ x_j).  The expansion runs on int coefficients wherever they
+are integral, and stops with WrongDimension once the terms it has formed
+pass the size budget.  The shortcut deletes work, not honesty: the
 search still answers for the candidates up to height H only, and a
 nonexistence claim belongs to a separate, proof-carrying decision.
 
@@ -38,7 +43,6 @@ import functools
 import itertools
 from collections import defaultdict
 from fractions import Fraction
-from operator import add, lshift
 
 from . import linalg
 from .cohomology import (
@@ -60,6 +64,7 @@ from .errors import (
 )
 from .exterior_core import (
     _is_nilpotent,
+    _require_budget,
     _require_form,
     ce_d,
     wedge,
@@ -71,37 +76,43 @@ from .scalars import ZERO, ONE, _exact, as_scalar, height
 # -- Pfaffian ----------------------------------------------------------------
 
 
-def _symbolic_pfaffian(dim, nvars, contributions):
-    """Pfaffian, as a Poly in ``nvars`` variables, of the skew matrix whose
-    (i, j) entry (i < j) sums coeff * monomial over the contributions
-    ``((i, j), exponent, coeff)``; each ((i, j), exponent) occurs at most
-    once, and each exponent is a product of distinct variables (entries 0
-    or 1).  The entry table is built in one walk, before the expansion.
+def _symbolic_pfaffian(dim, nvars, family):
+    """Pfaffian, as a Poly in ``nvars`` variables, of the skew matrix
+    sum m_V F_V over the ``family`` of pairs (V, F): V a tuple of distinct
+    variable indices, () for the constant 1, and m_V their product; F a
+    2-form's terms {(i, j): coeff}, i < j.  The tuples V of one family are
+    distinct, so each entry takes each monomial at most once.
 
     The one Pfaffian expansion of the package: by the first row, memoized
     on index subsets, Pf(S) = sum over the partners j of s_1 of
     (-1)^pos a_{s_1 j} Pf(S minus s_1, j), pos being j's place among the
-    rest of S.  It runs on ``{packed exponent: coefficient}`` dicts: an
-    exponent tuple e becomes the int sum(e_v << (w * v)), so a product of
-    monomials is a sum of ints.  A product of dim / 2 entries raises no
-    variable above dim / 2, and w = bit length of dim / 2 holds that, so
-    no field carries into the next.  Integral coefficients enter as ints
-    (``_exact``) and the unit is {0: 1}, so the arithmetic stays on ints
-    wherever the input allows; the result is unpacked to a Poly once, at
-    the end."""
+    rest of S.  It runs on ``{packed monomial: coefficient}`` dicts: the
+    exponent of variable v is the field of w bits at offset w * v, so m_V
+    is the int sum(1 << w * v for v in V) and a product of monomials is a
+    sum of ints.  A product of dim / 2 entries raises no variable above
+    dim / 2, and w = bit length of dim / 2 holds that, so no field carries
+    into the next.  Integral coefficients enter as ints (``_exact``) and the
+    unit is {0: 1}, so the arithmetic stays on ints wherever the input
+    allows; the result is unpacked to a Poly once, at the end.
+
+    The expansion counts the terms it forms, each product of an entry with
+    a minor before it is formed, and ``_require_budget`` refuses a count
+    past the budget; the memo never holds more terms than that.  A bound
+    fixed before the expansion could not see terms cancel: on an abelian
+    algebra of dimension 14 every minor of Pf(d eta - theta ^ eta) of size
+    >= 4 vanishes, yet the entries' term counts multiply past the budget."""
     width = max(1, (dim // 2).bit_length())
-    shifts = range(0, width * nvars, width)
-    packed = {}
     rows = {}
-    for (i, j), expo, coeff in contributions:
-        if coeff:
-            key = packed.get(expo)
-            if key is None:
-                key = packed[expo] = sum(map(lshift, expo, shifts))
-            rows.setdefault(i, {}).setdefault(j, {})[key] = _exact(coeff)
+    for variables, form in family:
+        key = sum(1 << width * v for v in variables)
+        for (i, j), coeff in form.items():
+            if coeff:
+                rows.setdefault(i, {}).setdefault(j, {})[key] = _exact(coeff)
     memo = {(): {0: 1}}
+    formed = 0
 
     def pf(subset):
+        nonlocal formed
         total = memo.get(subset)
         if total is not None:
             return total
@@ -113,6 +124,8 @@ def _symbolic_pfaffian(dim, nvars, contributions):
             entry = row.get(partner)
             if entry:
                 sub = pf(rest[:pos] + rest[pos + 1:])
+                formed += len(entry) * len(sub)
+                _require_budget(formed, dim, "the Pfaffian")
                 for ka, ca in entry.items():
                     if pos & 1:
                         ca = -ca
@@ -129,6 +142,7 @@ def _symbolic_pfaffian(dim, nvars, contributions):
         # now, not whenever the cycle collector next runs
         del pf
     mask = (1 << width) - 1
+    shifts = range(0, width * nvars, width)
     return Poly(nvars, {tuple([key >> s & mask for s in shifts]): c
                         for key, c in expanded.items()}, _normalized=True)
 
@@ -141,8 +155,7 @@ def pfaffian_volume(algebra, omega):
     if algebra.dim % 2:
         raise OddDimension("the Pfaffian needs an even-dimensional algebra")
     _require_form(algebra, omega, "omega", 2)
-    pf = _symbolic_pfaffian(algebra.dim, 0, (
-        (pair, (), c) for pair, c in omega.coeffs.items()))
+    pf = _symbolic_pfaffian(algebra.dim, 0, [((), omega.coeffs)])
     return as_scalar(pf.terms.get((), 0))
 
 
@@ -168,12 +181,6 @@ def check_symplectic(algebra, omega):
     return SymplecticVerdict(closed=ce_d(omega).is_zero, pfaffian=pfaffian)
 
 
-def _unit_exponents(nvars):
-    """The exponent tuple of each single variable, in index order."""
-    zeros = (0,) * nvars
-    return [zeros[:v] + (1,) + zeros[v + 1:] for v in range(nvars)]
-
-
 def _twisted_exact_pfaffian(algebra, covectors):
     """Pf(d eta - theta ^ eta) as one Poly in (t_1..t_m, a_1..a_n), where
     theta = sum t_i covectors[i] and eta = sum a_j x_j.
@@ -186,27 +193,16 @@ def _twisted_exact_pfaffian(algebra, covectors):
     closed theta != 0 at once.
     """
     n, m = algebra.dim, len(covectors)
-    nvars = m + n
-    units = _unit_exponents(nvars)
-    # each covector's terms (k, beta_k), integral betas as ints
-    lee = [[(k, _exact(beta)) for (k,), beta in covector.coeffs.items()]
-           for covector in covectors]
-
-    def contributions():
-        for j in range(1, n + 1):
-            a_j = units[m + j - 1]
-            for pair, coeff in algebra._dx[j].items():
-                yield pair, a_j, coeff
-            for t_i, terms in zip(units, lee):
-                expo = tuple(map(add, t_i, a_j))
-                # -t_i a_j (beta_k x_k ^ x_j) for each term beta_k x_k of b_i
-                for k, beta in terms:
-                    if k < j:
-                        yield (k, j), expo, -beta
-                    elif k > j:
-                        yield (j, k), expo, beta
-
-    return _symbolic_pfaffian(n, nvars, contributions())
+    family = []
+    for j in range(1, n + 1):
+        # d eta = sum a_j dx_j, and -theta ^ eta = sum -t_i a_j (beta x_k ^ x_j)
+        # over the terms beta x_k of each b_i
+        family.append(((m + j - 1,), algebra._dx[j]))
+        family.extend(((i, m + j - 1),
+                       {(min(k, j), max(k, j)): -beta if k < j else beta
+                        for (k,), beta in covector.coeffs.items() if k != j})
+                      for i, covector in enumerate(covectors))
+    return _symbolic_pfaffian(n, m + n, family)
 
 
 def nondegenerate_in_span(algebra, basis_forms):
@@ -224,11 +220,8 @@ def nondegenerate_in_span(algebra, basis_forms):
     for form in basis_forms:
         _require_form(algebra, form, "basis form", 2)
 
-    nvars = len(basis_forms)
-    pfaffian = _symbolic_pfaffian(algebra.dim, nvars, (
-        (pair, unit, coeff)
-        for unit, form in zip(_unit_exponents(nvars), basis_forms)
-        for pair, coeff in form.coeffs.items()))
+    pfaffian = _symbolic_pfaffian(algebra.dim, len(basis_forms), [
+        ((v,), form.coeffs) for v, form in enumerate(basis_forms)])
     if pfaffian.is_zero:
         return None
     point = nonzero_point(pfaffian)

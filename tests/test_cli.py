@@ -237,6 +237,16 @@ def test_exit_code_3_past_the_size_budget(capsys, monkeypatch):
     assert "past the budget of 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["search-symplectic", "search-lcs", "analyze"])
+def test_an_abelian_algebra_of_dimension_18_is_refused_at_its_pfaffian(capsys, command):
+    # 17!! = 34459425 terms over Z^2: refused once the terms formed pass
+    # the default budget, in well under a second
+    assert main([command, "(" + ",".join(["0"] * 18) + ")"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the Pfaffian in dimension 18 would build about")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cohomology_refuses_past_the_budget_before_building_a_space(capsys, monkeypatch):
     # C(4, 2) * 4 = 24 cells in the middle degree; degrees 0 and 1 fit under 20
     monkeypatch.setattr(exterior_core, "_BUDGET", 20)

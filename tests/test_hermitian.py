@@ -16,9 +16,11 @@ from nilforms import (
     DegenerateMetric,
     DimensionMismatch,
     InnerProduct,
+    InternalInvariantBreach,
     InvalidParameter,
     NotAlmostComplex,
     NotHermitian,
+    WrongDimension,
     ce_d,
     classify_hermitian,
     format_form,
@@ -27,6 +29,7 @@ from nilforms import (
     parse_salamon,
     wedge,
 )
+from nilforms import linalg
 from nilforms.hermitian import _hermitian_pair, _is_parallel
 
 from conftest import euclidean_metric
@@ -160,6 +163,12 @@ GUARDS = {
                          lambda kt: _hermitian_pair(kt, [[1, 0], [0, 1]], ROTATION_J)),
     "pair_acs_size": (DimensionMismatch, "J has the wrong size",
                       lambda kt: _hermitian_pair(kt, euclidean_metric(4), [[0, -1], [1, 0]])),
+    # the dimension is refused before the metric or J is read
+    "lee_odd": (WrongDimension, "the Lee form needs even dimension >= 4",
+                lambda kt: lee_form(parse_salamon("(0,0,12)"), euclidean_metric(3), ROTATION_J)),
+    "classify_dim2": (WrongDimension, "Hermitian classification needs even dimension >= 4",
+                      lambda kt: classify_hermitian(parse_salamon("(0,0)"), euclidean_metric(2),
+                                                    [[0, -1], [1, 0]])),
 }
 
 
@@ -187,6 +196,14 @@ def test_lee_form_on_kt(kt):
 
 def test_lee_form_vanishes_on_the_torus(torus):
     assert lee_form(torus, euclidean_metric(4), ROTATION_J).is_zero
+
+
+def test_a_lee_form_with_no_preimage_is_a_breach(kt, monkeypatch):
+    # w^(m-1) ^ . is onto the (2m-1)-forms for a nondegenerate w, so a
+    # missing solution can only be a fault of the solve
+    monkeypatch.setattr(linalg, "preimage", lambda columns, target: None)
+    with pytest.raises(InternalInvariantBreach, match="^no Lee form"):
+        lee_form(kt, euclidean_metric(4), ROTATION_J)
 
 
 # the Levi-Civita connection of the Koszul formula, tabulated by the oracle

@@ -7,14 +7,16 @@ must report the same status, count, cap and witnesses, on generated
 nilpotent algebras whose searches both find a genuine pair and miss one.
 
 The cut rests on cheap pieces, each checked against the route it
-replaced: the Pfaffian expanded on int coefficients and packed exponents
-against the all-Fraction expansion on exponent tuples
-(``oracles.reference_symbolic_pfaffian``), for the global polynomial and for
-the span witnesses alike; the closed covectors read off the kernel of d on
-Lambda^1 against the representatives of H^1, read off the kernel under the
-reversed source order; and the nilpotency test read off Salamon's order
-against the lower central series, on bases shuffled so that it must fall
-back.
+replaced: the Pfaffian of a family of (variables, 2-form) pairs, expanded
+on int coefficients and packed monomials, against the all-Fraction
+expansion on exponent tuples (``oracles.reference_symbolic_pfaffian``,
+reached through ``reference_family_pfaffian``), for the global polynomial
+and for the span witnesses alike; the closed covectors read off the kernel
+of d on Lambda^1 against the representatives of H^1, read off the kernel
+under the reversed source order; and the nilpotency test read off
+Salamon's order against the lower central series, on bases shuffled so
+that it must fall back.  P itself is also evaluated at fixed points
+against the Pfaffians of the forms d eta - theta ^ eta it stands for.
 """
 
 import itertools
@@ -32,6 +34,8 @@ from nilforms import (
     format_form,
     lower_central_series,
     parse_salamon,
+    pfaffian_volume,
+    twisted_d,
 )
 from nilforms import linalg, structures
 from nilforms.cohomology import _d_matrix, _form
@@ -77,6 +81,14 @@ CONFIGS = {
     "h1-cap9": SearchConfig(height=1, max_candidates=9),
     "h1-cap27": SearchConfig(height=1, max_candidates=27),
 }
+
+
+def reference_family_pfaffian(dim, nvars, family):
+    """``_symbolic_pfaffian``'s family as the oracle's contributions: each
+    variable tuple becomes its exponent tuple, one per 2-form term."""
+    return reference_symbolic_pfaffian(dim, nvars, [
+        (pair, tuple(int(v in variables) for v in range(nvars)), coeff)
+        for variables, form in family for pair, coeff in form.items()])
 
 
 def summary(result):
@@ -152,7 +164,7 @@ def test_int_pfaffian_equals_the_fraction_expansion(algebra):
     basis = closed_covector_basis(algebra)
     fast = _twisted_exact_pfaffian(algebra, basis)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(structures, "_symbolic_pfaffian", reference_symbolic_pfaffian)
+        patch.setattr(structures, "_symbolic_pfaffian", reference_family_pfaffian)
         slow = _twisted_exact_pfaffian(algebra, basis)
     assert fast == slow
     assert repr(fast) == repr(slow)
@@ -174,7 +186,7 @@ def test_span_witness_equals_the_fraction_expansion(algebra):
                 for vec in linalg.kernel(_d_matrix(algebra, 2, theta))]
         fast = nondegenerate_in_span(algebra, span)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(structures, "_symbolic_pfaffian", reference_symbolic_pfaffian)
+            patch.setattr(structures, "_symbolic_pfaffian", reference_family_pfaffian)
             slow = nondegenerate_in_span(algebra, span)
         assert fast == slow
         assert repr(fast) == repr(slow)
@@ -187,10 +199,10 @@ def test_the_exponent_width_holds_the_top_power(dim):
     m = dim // 2
     algebra = LieAlgebra(dim, {})
     omega = algebra.form({(2 * i - 1, 2 * i): 1 for i in range(1, m + 1)})
-    contributions = [(pair, (1, 0), c) for pair, c in omega.coeffs.items()]
-    pfaffian = _symbolic_pfaffian(dim, 2, contributions)
+    family = [((0,), omega.coeffs)]
+    pfaffian = _symbolic_pfaffian(dim, 2, family)
     assert pfaffian == Poly(2, {(m, 0): 1})
-    assert repr(pfaffian) == repr(reference_symbolic_pfaffian(dim, 2, contributions))
+    assert repr(pfaffian) == repr(reference_family_pfaffian(dim, 2, family))
     assert nondegenerate_in_span(algebra, [omega]) == omega
 
 
@@ -229,6 +241,37 @@ def test_rational_constants_keep_their_fractions():
     pfaffian = _twisted_exact_pfaffian(RATIONAL_CONSTANTS,
                                        closed_covector_basis(RATIONAL_CONSTANTS))
     assert any(c.denominator != 1 for c in pfaffian.terms.values())
+
+
+# P is linear in t, so a sign slip in -theta ^ eta turns P into -P, which no
+# zero test can see; P's values against the Pfaffians of the forms
+# d_theta(eta) themselves do
+P_NONZERO = ["(0,0,12,13)", "(0,0,0,0,0,12+34)", "(0,0,0,0,12,14+25)"]
+
+
+@pytest.mark.parametrize("salamon", P_NONZERO)
+def test_the_twisted_exact_pfaffian_is_the_pfaffian_of_each_d_theta_eta(salamon):
+    algebra = parse_salamon(salamon)
+    basis = closed_covector_basis(algebra)
+    pfaffian = _twisted_exact_pfaffian(algebra, basis)
+    m = len(basis)
+    for r in range(1, 4):
+        # small nonzero integers, so that no monomial of P vanishes
+        point = [((v * r) % 4 + 1) * (-1) ** (v + r) for v in range(m + algebra.dim)]
+        theta = sum((b.scale(t) for t, b in zip(point, basis)), algebra.zero_form(1))
+        eta = algebra.form({(j,): a for j, a in enumerate(point[m:], 1)})
+        value = pfaffian_volume(algebra, twisted_d(algebra, theta, eta))
+        assert value != 0
+        assert pfaffian.evaluate(point) == value
+
+
+def test_the_filiform_twisted_pfaffian_at_x2_and_x4():
+    # theta = x2, eta = x4: d_theta(eta) = x1^x3 - x2^x4, of Pfaffian 1
+    filiform = parse_salamon("(0,0,12,13)")
+    assert pfaffian_volume(filiform, twisted_d(filiform, filiform.covector(2),
+                                               filiform.covector(4))) == 1
+    pfaffian = _twisted_exact_pfaffian(filiform, closed_covector_basis(filiform))
+    assert pfaffian.evaluate([0, 1, 0, 0, 0, 1]) == 1
 
 
 @settings(max_examples=40)

@@ -9,6 +9,7 @@ from nilforms import (
     AlmostComplexStructure,
     InternalInvariantBreach,
     InvalidParameter,
+    LieAlgebra,
     NotAlmostComplex,
     NotNilpotent,
     OddDimension,
@@ -32,6 +33,7 @@ from nilforms import (
     twisted_exactness_witness,
     wedge,
 )
+from nilforms import exterior_core, structures
 
 from conftest import NON_NILPOTENT_4D
 from oracles import skew_matrix, sympy_pfaffian_squared_is_det
@@ -69,12 +71,6 @@ def test_pfaffian_of_six_dim_witness(six_dim):
     pf = pfaffian_volume(six_dim, omega)
     assert pf == top_coefficient_of_power(omega, 3)
     assert pf != 0
-
-
-def test_pfaffian_rejects_odd_dimension():
-    algebra = parse_salamon("(0,0,12)")
-    with pytest.raises(OddDimension):
-        pfaffian_volume(algebra, algebra.zero_form(2))
 
 
 def test_check_symplectic_verdicts(filiform):
@@ -148,12 +144,6 @@ def test_an_lcs_verdict_is_true_exactly_when_it_holds(filiform):
     assert check_lcs(filiform, filiform.form({(1, 3): 1, (2, 4): -1}), theta)
     # x1^x2 is degenerate: no volume, so no lcs structure
     assert not check_lcs(filiform, filiform.form({(1, 2): 1}), theta)
-
-
-def test_check_lcs_rejects_odd_and_small():
-    with pytest.raises(WrongDimension):
-        algebra = parse_salamon("(0,0)")
-        check_lcs(algebra, algebra.zero_form(2), algebra.zero_form(1))
 
 
 def test_find_lcs_on_the_filiform(filiform):
@@ -276,6 +266,83 @@ def test_twisted_exactness_needs_a_verdict(filiform):
     with pytest.raises(PreconditionFailed):
         twisted_exactness_witness(
             filiform, filiform.form({(1, 2): 1}), filiform.covector(2))
+
+
+# -- guards, invariant nets and the size budget -----------------------------
+
+HEISENBERG = parse_salamon("(0,0,12)")
+PLANE = parse_salamon("(0,0)")
+
+GUARDS = {
+    "pfaffian_odd": (OddDimension, "the Pfaffian needs an even-dimensional",
+                     lambda: pfaffian_volume(HEISENBERG, HEISENBERG.zero_form(2))),
+    "check_symplectic_odd": (OddDimension, "symplectic structures need even",
+                             lambda: check_symplectic(HEISENBERG, HEISENBERG.zero_form(2))),
+    "find_symplectic_odd": (OddDimension, "symplectic structures need even",
+                            lambda: find_symplectic(HEISENBERG)),
+    "check_lcs_odd": (OddDimension, "lcs structures need even",
+                      lambda: check_lcs(HEISENBERG, HEISENBERG.zero_form(2),
+                                        HEISENBERG.zero_form(1))),
+    "check_lcs_dim2": (WrongDimension, "lcs operations need dim >= 4",
+                       lambda: check_lcs(PLANE, PLANE.zero_form(2), PLANE.zero_form(1))),
+    "find_lcs_odd": (OddDimension, "lcs structures need even", lambda: find_lcs(HEISENBERG)),
+    "find_lcs_dim2": (WrongDimension, "lcs search needs dim >= 4", lambda: find_lcs(PLANE)),
+}
+
+
+@pytest.mark.parametrize("error,message,call", GUARDS.values(), ids=GUARDS)
+def test_structures_guards_raise_their_class(error, message, call):
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+
+
+def test_a_degenerate_span_point_is_a_breach(torus, monkeypatch):
+    # each net guards a fact the code before it proves; a monkeypatch breaks
+    # the fact, and the net must report a breach, not a wrong answer.
+    # Pf(t1 x1^x2 + t2 x3^x4) = t1 t2: the point (1, 0) is a zero of it
+    monkeypatch.setattr(structures, "nonzero_point", lambda pfaffian: (1, 0))
+    with pytest.raises(InternalInvariantBreach, match="^symbolic Pfaffian point is degenerate"):
+        nondegenerate_in_span(torus, [torus.form({(1, 2): 1}), torus.form({(3, 4): 1})])
+
+
+def test_a_wrong_twisted_primitive_is_a_breach(filiform, monkeypatch):
+    monkeypatch.setattr(structures, "_primitive",
+                        lambda algebra, omega, theta: algebra.zero_form(1))
+    with pytest.raises(InternalInvariantBreach, match="^twisted primitive failed"):
+        twisted_exactness_witness(filiform, filiform.form({(1, 3): 1, (2, 4): -1}),
+                                  filiform.covector(2))
+
+
+def test_a_search_pair_that_fails_its_verdict_is_a_breach(filiform, monkeypatch):
+    # a degenerate "witness" for the first candidate, theta = 0
+    monkeypatch.setattr(structures, "nondegenerate_in_span",
+                        lambda algebra, forms: algebra.form({(1, 2): 1}))
+    with pytest.raises(InternalInvariantBreach, match="^search produced a pair"):
+        find_lcs(filiform)
+
+
+ABELIAN_8 = LieAlgebra(8, {})
+
+
+@pytest.mark.parametrize("search", [find_symplectic, find_lcs], ids=lambda f: f.__name__)
+def test_a_pfaffian_past_the_budget_is_refused(monkeypatch, search):
+    # the differential sweep builds at most C(8, 4) * 8 = 560 cells; the
+    # Pfaffians over Z^2 (28 variables) and over (theta, eta) build more
+    monkeypatch.setattr(exterior_core, "_BUDGET", 1000)
+    with pytest.raises(WrongDimension,
+                       match="^the Pfaffian in dimension 8 would build about .* "
+                             "past the budget of 1000"):
+        search(ABELIAN_8)
+
+
+def test_the_pfaffian_budget_counts_every_term_formed(monkeypatch):
+    # over Z^2 of the abelian algebra the expansion forms 105 + 105 + 45 + 10
+    # = 265 terms at its minors of sizes 8, 6, 4 and 2: 2120 cells
+    monkeypatch.setattr(exterior_core, "_BUDGET", 2119)
+    with pytest.raises(WrongDimension, match="about 2120 cells"):
+        find_symplectic(ABELIAN_8)
+    monkeypatch.setattr(exterior_core, "_BUDGET", 2120)
+    assert pfaffian_volume(ABELIAN_8, find_symplectic(ABELIAN_8)) != 0
 
 
 ROTATION_J = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
