@@ -140,16 +140,22 @@ def _cmd_analyze(args):
     ]
 
     symplectic = lcs = None
-    if algebra.dim % 2 == 0 and algebra.dim >= 2:
+    if algebra.dim % 2 == 0 and algebra.dim >= 4:
+        lcs = find_lcs(algebra, SearchConfig(height=args.height))
+        # the search decides theta = 0 first, over the closed 2-forms, as
+        # find_symplectic does: a witness there is the symplectic form
+        if lcs.witness is not None and lcs.witness[1].is_zero:
+            symplectic = lcs.witness[0]
+    elif algebra.dim == 2:
         symplectic = find_symplectic(algebra)
+    if algebra.dim % 2 == 0 and algebra.dim >= 2:
         payload["symplectic"] = {
             "found": symplectic is not None,
             "witness": form_to_json(symplectic) if symplectic else None,
         }
         lines.append(
             f"symplectic: {format_form(symplectic) if symplectic else 'NONE (exhaustive over closed 2-forms)'}")
-    if algebra.dim % 2 == 0 and algebra.dim >= 4:
-        lcs = find_lcs(algebra, SearchConfig(height=args.height))
+    if lcs is not None:
         genuine = lcs.genuine_witness
         payload["lcs"] = {
             "height": lcs.height,

@@ -55,7 +55,8 @@ def _require_budget(count, dim, what):
 # -- raw term dictionaries ---------------------------------------------------
 # Internal helpers operate on bare dicts {increasing tuple: coefficient} so the
 # Jacobi check can run before any LieAlgebra object exists.  Forms hold
-# Fractions; an algebra's differential tables hold ints where integral.
+# Fractions, or ints where the code that built them kept an integral value
+# one; an algebra's differential tables hold ints where integral.
 
 
 def _sort_with_sign(indices):

@@ -10,9 +10,12 @@ so elimination never builds a ``Fraction``: clearing column ``p`` of a row
 of Bareiss (Math. Comp. 22, 1968), with the row divided by the gcd of its
 entries afterwards in place of Bareiss's exact division.  A row's pivot is its
 first nonzero column, and back-substitution leaves the reduced row echelon
-form.  Values become ``Fraction`` only at the output boundary, as
-``row[c] / row[pivot]``; where an exact value is needed mid-way (``reduce``)
-the kernel carries the row's common denominator beside it.
+form.  Values leave as ``row[c] / row[pivot]``, a ``Fraction`` from
+``unit_rows``, ``reduce`` and ``preimage``; ``kernel`` keeps such a value an
+int wherever it is integral, the free coordinate 1 included, so the cocycle
+bases the searches build from it stay on ints.  Where an exact value is
+needed mid-way (``reduce``) the kernel carries the row's common denominator
+beside it.
 
 The reduced row echelon form of a row space is unique.  So neither the order
 in which rows are eliminated nor the integer scale of a row can change what
@@ -67,8 +70,6 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .scalars import ONE
-
 # -- the kernel: sparse integer rows -----------------------------------------
 
 
@@ -88,7 +89,8 @@ def _primitive(vec):
 
 def _reduce(vec, basis, den=1):
     """Clear every pivot column of ``basis`` (pivot entries positive) from
-    the integer row ``vec``.
+    the integer row ``vec``, a row the caller owns: it is updated in place
+    and may be the returned row.
 
     Exact: returns ``(vec', den')`` with ``vec' / den'`` equal to
     ``vec / den`` minus a combination of basis rows.  The pivot columns of
@@ -97,7 +99,6 @@ def _reduce(vec, basis, den=1):
     of its pivot, so a cleared column stays clear, and a column pushed twice
     is found clear the second time.
     """
-    vec = dict(vec)
     pending = [c for c in vec if c in basis]
     heapify(pending)
     while pending:
@@ -268,16 +269,21 @@ def apply(columns, vector):
 def kernel(columns):
     """Kernel basis of the map whose c-th column is ``columns[c]``.
 
-    One sparse vector ``{column: Fraction}`` per free column, in increasing
+    One sparse vector ``{column: value}`` per free column, in increasing
     order: the free coordinate is 1, the other free coordinates 0, and the
-    pivot coordinates are back-filled from the echelon form.
+    pivot coordinates are back-filled from the echelon form.  A pivot of the
+    echelon form sits left of every other column of its row, so the free
+    column is the largest index of its vector.  A value is an int wherever
+    it is integral and a ``Fraction`` otherwise.
     """
     basis = echelon(_rows(columns))
-    vectors = {f: {f: ONE} for f in range(len(columns)) if f not in basis}
+    vectors = {f: {f: 1} for f in range(len(columns)) if f not in basis}
     for p, row in basis.items():
+        pivot = row[p]
         for c, v in row.items():
             if c != p:
-                vectors[c][p] = Fraction(-v, row[p])
+                value, rest = divmod(-v, pivot)
+                vectors[c][p] = Fraction(-v, pivot) if rest else value
     return [dict(sorted(vec.items())) for vec in vectors.values()]
 
 

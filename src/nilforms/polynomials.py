@@ -248,7 +248,7 @@ def nonzero_point(poly):
 
 
 def _fix(terms, index, value):
-    """The terms of a polynomial with variable ``index`` set to the integer
+    """The terms of a polynomial with variable ``index`` set to the rational
     ``value``, in one walk: each term's exponent there is zeroed and its
     coefficient multiplied by value ** exponent."""
     out = {}

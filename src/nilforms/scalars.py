@@ -1,7 +1,11 @@
 """Exact rational scalars.
 
-Every coefficient in this package is exact: a ``fractions.Fraction`` in forms,
-metrics and results, an int where a kernel keeps an integral value.  Floats
+Every coefficient in this package is exact: a ``fractions.Fraction`` or, where
+the value is integral and the code that made it kept it so, an int.  Metrics
+and the scalars that results report are Fractions; a form's coefficients may
+be either (``linalg.kernel`` and the searches built on it keep ints), and a
+form with int coefficients is equal, hashes equal and prints the same as its
+Fraction twin.  Floats
 are rejected at the boundary: binary floating point cannot represent most of
 the rationals that show up here, and silent rounding would defeat the whole
 point of an exact kernel.  ``as_scalar`` is the single coercion chokepoint.

@@ -18,10 +18,11 @@ On a nilpotent algebra Dixmier's theorem (H*_theta = 0 for closed
 theta != 0) makes every d_theta-closed 2-form twisted-exact, so a single
 symbolic Pfaffian over theta and the primitive settles all theta != 0
 candidates at once; when it vanishes identically only theta = 0 is decided
-and the rest are counted.  Whether the algebra is nilpotent is read off its
-structure constants when they are in Salamon's order (every [X_i, X_j],
-i < j, in the span of the X_k with k > j) and left to the lower central
-series otherwise.  Every Pfaffian here is that of a linear family
+and the rest are counted, and otherwise a candidate is counted undecided
+when its coordinates make it vanish.  Whether the algebra is nilpotent is
+read off its structure constants when they are in Salamon's order (every
+[X_i, X_j], i < j, in the span of the X_k with k > j) and left to the lower
+central series otherwise.  Every Pfaffian here is that of a linear family
 sum m_V F_V of 2-forms F_V, each weighted by a product m_V of distinct
 variables, and comes from one memoized first-row expansion
 (``_symbolic_pfaffian``): a numeric Pfaffian is one form weighted by 1, a
@@ -63,13 +64,14 @@ from .errors import (
     _Record,
 )
 from .exterior_core import (
+    KForm,
     _is_nilpotent,
     _require_budget,
     _require_form,
     ce_d,
     wedge,
 )
-from .polynomials import Poly, nonzero_point
+from .polynomials import Poly, _fix, nonzero_point
 from .scalars import ZERO, ONE, _exact, as_scalar, height
 
 
@@ -224,14 +226,17 @@ def nondegenerate_in_span(algebra, basis_forms):
         ((v,), form.coeffs) for v, form in enumerate(basis_forms)])
     if pfaffian.is_zero:
         return None
-    point = nonzero_point(pfaffian)
-    witness = algebra.zero_form(2)
-    for value, form in zip(point, basis_forms):
-        if value != 0:
-            witness = witness + form.scale(value)
+    # the point's integral values as ints, so integral forms give an int sum
+    terms = {}
+    for value, form in zip(map(_exact, nonzero_point(pfaffian)), basis_forms):
+        if value:
+            for mono, coeff in form.coeffs.items():
+                terms[mono] = terms.get(mono, 0) + value * coeff
+    terms = {mono: coeff for mono, coeff in terms.items() if coeff}
     # normalize: leading coefficient (first monomial in lex order) positive
-    if witness.terms()[0][1] < 0:
-        witness = -witness
+    if terms[min(terms)] < 0:
+        terms = {mono: -coeff for mono, coeff in terms.items()}
+    witness = KForm(algebra, 2, terms, _normalized=True)
     if pfaffian_volume(algebra, witness) == 0:
         raise InternalInvariantBreach("symbolic Pfaffian point is degenerate")
     return witness
@@ -463,10 +468,14 @@ def find_lcs(algebra, config=SearchConfig()):
     eta (``_twisted_exact_pfaffian``, by Dixmier's vanishing theorem).  When
     P is identically zero no candidate but theta = 0 can give a witness, so
     the stream is cut after theta = 0 and the others are counted in closed
-    form; the result is the one the full enumeration would return.  The
-    status stays a semi-decision all the same: the cut changes what the
-    search costs, not what it reports, and a miss is still
-    NOT_FOUND_UP_TO_HEIGHT(H).
+    form; the result is the one the full enumeration would return.  When P
+    is not zero, a candidate theta != 0 whose coordinates t, substituted
+    into P, leave the zero polynomial in a is counted as examined and
+    skipped without building its d_theta-closed 2-forms: by the same
+    theorem none of them is nondegenerate.  No assumption on P's degree in
+    t enters.  The status stays a semi-decision all the same: the cut and
+    the skip change what the search costs, not what it reports, and a miss
+    is still NOT_FOUND_UP_TO_HEIGHT(H).
     """
     if algebra.dim % 2:
         raise OddDimension("lcs structures need even dimension")
@@ -476,9 +485,10 @@ def find_lcs(algebra, config=SearchConfig()):
 
     basis = closed_covector_basis(algebra)
     candidates = _theta_stream(algebra, config, basis)
-    total = None
-    if (_is_nilpotent(algebra)
-            and _twisted_exact_pfaffian(algebra, basis).is_zero):
+    total = pfaffian = None
+    if _is_nilpotent(algebra):
+        pfaffian = _twisted_exact_pfaffian(algebra, basis).terms
+    if pfaffian == {}:
         # Every d_theta-closed 2-form with closed theta != 0 is some
         # d eta - theta ^ eta, and P == 0 makes each of them degenerate (on an
         # abelian algebra, of dim >= 4, always: there omega = -theta ^ eta).
@@ -487,6 +497,9 @@ def find_lcs(algebra, config=SearchConfig()):
         # values, and theta = 0 comes first.
         total = (len(_ordered_values(config.height)) + 1) ** len(basis)
         candidates = itertools.islice(candidates, 1)
+    # theta's coordinate t_i over the basis sits at the free column of b_i,
+    # its largest index: b_i is 1 there and every other b_j is 0
+    free = [max(covector.coeffs) for covector in basis]
 
     examined = 0
     capped = False
@@ -497,6 +510,15 @@ def find_lcs(algebra, config=SearchConfig()):
             capped = True
             break
         examined += 1
+        if pfaffian and not theta.is_zero:
+            # P(t, a) with theta's t substituted is Pf(d eta - theta ^ eta)
+            # over all eta: zero, and no d_theta-closed 2-form is
+            # nondegenerate
+            terms = pfaffian
+            for i, mono in enumerate(free):
+                terms = _fix(terms, i, theta.coeffs.get(mono, 0))
+            if not terms:
+                continue
 
         # theta combines closed covectors, so it is closed by construction
         omega = nondegenerate_in_span(algebra, _cocycles(algebra, 2, theta))

@@ -202,6 +202,36 @@ def as_fraction(value):
     return Fraction(int(value.p), int(value.q))
 
 
+def change_basis(algebra, matrix):
+    """The same algebra on the basis Y_c = sum_r P[r][c] X_r, for the
+    invertible rational matrix P = ``matrix``.
+
+    [Y_a, Y_b] = sum P[r][a] P[s][b] [X_r, X_s] is written back in the Y
+    basis through sympy's P^-1.  The bracket is bilinear, so this holds
+    whichever sign convention the structure constants follow.  The coframe
+    transforms by P^-1: x_r = sum_c P[r][c] y_c, so the closed covectors of
+    the new algebra are the rows of P at the closed x_r.
+    """
+    from nilforms import LieAlgebra
+
+    n = algebra.dim
+    p = [[Fraction(v) for v in row] for row in matrix]
+    inverse = sympy_matrix(p).inv()
+    q = [[as_fraction(inverse[r, c]) for c in range(n)] for r in range(n)]
+    constants = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            image = [Fraction(0)] * n
+            for (i, j, k), coeff in algebra.constants.items():
+                i, j = i - 1, j - 1
+                image[k - 1] += (p[i][a] * p[j][b] - p[j][a] * p[i][b]) * coeff
+            for l in range(n):
+                value = sum(q[l][k] * image[k] for k in range(n))
+                if value:
+                    constants[(a + 1, b + 1, l + 1)] = value
+    return LieAlgebra(n, constants)
+
+
 def reference_find_lcs(algebra, config):
     """``find_lcs`` as it was before its nilpotent shortcut.
 

@@ -11,9 +11,13 @@ import pytest
 
 from nilforms import (
     InternalInvariantBreach,
+    cli,
     cohomology,
     coordinate_model,
     exterior_core,
+    find_symplectic,
+    format_form,
+    parse_salamon,
     verification,
 )
 from nilforms.cli import main
@@ -56,6 +60,31 @@ def test_analyze_below_dimension_two(capsys, text, step):
     assert code == 0
     doc = json.loads(out)
     assert doc["massey"] is None and doc["step"] == step
+
+
+@pytest.mark.parametrize("text,calls", [
+    ("(0,0)", 1),
+    ("(0,0,0,12)", 0),
+    # the search's first witness has theta = 2 x1: an lcs pair, not a
+    # symplectic form
+    ("(0,12,13,14)", 0),
+])
+def test_analyze_decides_symplectic_once(capsys, monkeypatch, text, calls):
+    # from dimension 4 on, the lcs search decides theta = 0 first, over the
+    # closed 2-forms, and analyze reads the symplectic form off it
+    seen = []
+
+    def counted(algebra):
+        seen.append(algebra)
+        return find_symplectic(algebra)
+
+    monkeypatch.setattr(cli, "find_symplectic", counted)
+    code, out, _ = run(capsys, "analyze", text)
+    assert code == 0
+    assert len(seen) == calls
+    witness = find_symplectic(parse_salamon(text))
+    expected = format_form(witness) if witness else "NONE (exhaustive over closed 2-forms)"
+    assert f"symplectic: {expected}" in out.splitlines()
 
 
 def test_analyze_reports_kahler_admissibility(capsys):

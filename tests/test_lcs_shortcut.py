@@ -17,9 +17,14 @@ under the reversed source order; and the nilpotency test read off
 Salamon's order against the lower central series, on bases shuffled so
 that it must fall back.  P itself is also evaluated at fixed points
 against the Pfaffians of the forms d eta - theta ^ eta it stands for.
+When P is not zero, the candidates it rules out are skipped: the twisted
+kernels a search builds are counted, and the agreement with the reference
+is checked again after a change of basis (``oracles.change_basis``) that
+leaves no closed covector a unit covector.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,7 +43,7 @@ from nilforms import (
     twisted_d,
 )
 from nilforms import linalg, structures
-from nilforms.cohomology import _d_matrix, _form
+from nilforms.cohomology import _cocycles, _d_matrix, _form
 from nilforms.exterior_core import _is_nilpotent
 from nilforms.polynomials import Poly, nonzero_point
 from nilforms.structures import (
@@ -58,10 +63,12 @@ from conftest import (
     seeded_central_extension,
 )
 from oracles import (
+    change_basis,
     reference_find_lcs,
     reference_nonzero_point,
     reference_rref,
     reference_symbolic_pfaffian,
+    sympy_matrix,
 )
 
 # (dimension, b1): every algebra of dimension 4 has a genuine lcs pair; most
@@ -328,3 +335,69 @@ def test_find_lcs_on_a_permuted_six_dimensional_filiform(perm):
         == (original.genuine_status, original.examined) \
         == ("NOT_FOUND_UP_TO_HEIGHT(2)", 49)
     assert summary(result) == summary(reference_find_lcs(algebra, config))
+
+
+# -- the candidates P already rules out ---------------------------------------
+# K, the closed theta with P(theta, a) == 0 in a, holds no Lee form, and
+# find_lcs builds no twisted kernel for a candidate in K.
+
+
+@pytest.mark.parametrize("salamon,examined,decided", [
+    # x1 and x2 lie in K, so only theta = 0 and x3 get a twisted kernel
+    ("(0,0,0,12)", 4, ["0", "x3"]),
+    # x1 lies in K
+    ("(0,0,12,13)", 3, ["0", "x2"]),
+])
+def test_find_lcs_builds_no_twisted_kernel_for_a_theta_p_rules_out(
+        salamon, examined, decided):
+    thetas = []
+
+    def counted(algebra, k, theta=None):
+        if k == 2:
+            thetas.append(theta)
+        return _cocycles(algebra, k, theta)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(structures, "_cocycles", counted)
+        result = find_lcs(parse_salamon(salamon), SearchConfig(height=2))
+    assert result.genuine_status == "FOUND"
+    assert result.examined == examined
+    assert [format_form(theta) for theta in thetas] == decided
+
+
+MATRIX_VALUES = (0, 0, 0, 1, -1, Fraction(1, 2), 2)
+
+
+def fixed_matrix(seed, dim):
+    """A fixed invertible dim x dim matrix, entries drawn from
+    ``MATRIX_VALUES`` by a seeded generator until one is invertible."""
+    rng = random.Random(seed)
+    while True:
+        matrix = [[rng.choice(MATRIX_VALUES) for _ in range(dim)] for _ in range(dim)]
+        if sympy_matrix(matrix).det() != 0:
+            return matrix
+
+
+# After the change of basis the closed covectors are no longer unit
+# covectors, so a coordinate of theta read anywhere but at a covector's free
+# column is wrong.  Between them the matrices put candidates in K before the
+# genuine one, and make a coordinate read at a pivot skip a genuine one.
+CHANGED_BASES = {
+    "(0,0,12,13)": (8, 9),
+    "(0,0,0,12)": (6, 8),
+    "(0,0,0,0,12,14+25)": (7, 10),
+    "(0,0,0,12,13,14+35)": (1, 7),
+    "(0,0,0,0,0,12+34)": (2, 3),
+}
+
+
+@pytest.mark.parametrize("height", [1, 2])
+@pytest.mark.parametrize("salamon,seed", [
+    (salamon, seed) for salamon, seeds in CHANGED_BASES.items() for seed in seeds])
+def test_find_lcs_matches_the_per_candidate_search_in_a_changed_basis(salamon, seed, height):
+    original = parse_salamon(salamon)
+    algebra = change_basis(original, fixed_matrix(seed, original.dim))
+    assert any(len(b.coeffs) > 1 for b in closed_covector_basis(algebra))
+    config = SearchConfig(height=height)
+    assert summary(find_lcs(algebra, config)) \
+        == summary(reference_find_lcs(algebra, config))

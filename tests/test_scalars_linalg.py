@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from nilforms import InvalidParameter, as_scalar, format_scalar
+from nilforms import (
+    InvalidParameter,
+    as_scalar,
+    form_to_json,
+    format_form,
+    format_scalar,
+    parse_salamon,
+)
+from nilforms.cohomology import _cocycles
 from nilforms.linalg import (
     echelon,
     kernel,
@@ -91,6 +99,25 @@ def test_solve_finds_a_preimage():
     assert [sum(columns[c].get(r, 0) * v for c, v in sol.items()) for r in range(2)] \
         == [Fraction(3), Fraction(6)]
     assert preimage(columns, {0: Fraction(3), 1: Fraction(7)}) is None
+
+
+def test_kernel_values_are_ints_where_integral():
+    # the one row (2, 1, 4) has pivot column 0: x0 = -x1 / 2 - 2 x2
+    vectors = kernel([{0: 2}, {0: Fraction(1)}, {0: Fraction(4)}])
+    assert vectors == [{0: Fraction(-1, 2), 1: 1}, {0: -2, 2: 1}]
+    assert [[type(v) for v in vec.values()] for vec in vectors] \
+        == [[Fraction, int], [int, int]]
+
+
+def test_a_form_with_int_coefficients_is_its_fraction_twin():
+    algebra = parse_salamon("(0,0,12,13)")
+    for form in _cocycles(algebra, 2):
+        assert all(type(c) is int for c in form.coeffs.values())
+        twin = algebra.form(form.coeffs)
+        assert all(type(c) is Fraction for c in twin.coeffs.values())
+        assert form == twin and hash(form) == hash(twin)
+        assert format_form(form) == format_form(twin)
+        assert form_to_json(form) == form_to_json(twin)
 
 
 def test_in_row_space():
