@@ -4,22 +4,25 @@ Input arguments accept four spellings: tuple notation "(...)" inline, a
 path to a JSON algebra document, "-" for JSON on stdin, or a catalog name.
 Exit codes: 0 success, 1 failed verification battery, 2 syntax/schema
 errors, 3 structurally invalid input (Jacobi failure, bad indices, wrong
-dimension and friends), 4 internal invariant breach (always a bug).
+dimension and friends), 4 internal invariant breach (always a bug).  A call
+whose reader closes its output pipe ends as ``cat`` does, killed by SIGPIPE.
+
+``json`` is imported only where a document is read (``_read_json``) or
+written (``_emit`` under ``--json``): most calls do neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from math import comb
 
 from .catalog import get_example, names
 from .cohomology import (
+    _cup_table,
     betti_profile,
     cohomology_space,
-    cup,
     lefschetz_map,
     triple_massey,
 )
@@ -50,11 +53,17 @@ from .structures import (
 )
 
 
+class _MalformedJSON(ValueError):
+    """A document the decoder refused; its message is the decoder's."""
+
+
 def _read_json(handle):
+    import json
+
     try:
         return json.load(handle)
-    except json.JSONDecodeError:
-        raise
+    except json.JSONDecodeError as exc:
+        raise _MalformedJSON(str(exc)) from None
     except ValueError as exc:  # an integer past the int-conversion limit, bad UTF-8
         raise SchemaViolation("", f"unreadable JSON: {exc}") from None
     except RecursionError:  # arrays or objects nested past the decoder's stack
@@ -86,6 +95,8 @@ def _load_matrix(path):
 
 def _emit(args, payload, text_lines):
     if getattr(args, "json", False):
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -98,20 +109,21 @@ def _emit(args, payload, text_lines):
 def _massey_scan(algebra):
     """First nonzero triple product of degree-1 classes, if any.
 
-    <a, b, c> is defined only where a.b and b.c vanish in H^2, so the cup
-    table is built once and only those triples are computed.  Below
-    dimension 2, H^2 = 0 and no triple product can be nonzero.
+    <a, b, c> is defined only where a.b and b.c vanish in H^2, so only
+    those triples are computed, read off the algebra's cup table, which
+    holds the nonzero products of basis classes.  Below dimension 2,
+    H^2 = 0 and no triple product can be nonzero.
     """
     if algebra.dim < 2:
         return None, None
     classes = cohomology_space(algebra, 1).classes()
-    cup_zero = [[cup(a, b).is_zero for b in classes] for a in classes]
+    nonzero = _cup_table(algebra)
     for i, a in enumerate(classes):
         for j, b in enumerate(classes):
-            if not cup_zero[i][j]:
+            if (i, j) in nonzero:
                 continue
             for k, c in enumerate(classes):
-                if cup_zero[j][k]:
+                if (j, k) not in nonzero:
                     result = triple_massey(algebra, a, b, c)
                     if result.nonzero_mod_indeterminacy:
                         return tuple(cls.representative for cls in (a, b, c)), result
@@ -425,11 +437,30 @@ _HANDLERS = {
 }
 
 
+def _end_on_closed_pipe():
+    """End the call as ``cat`` ends when its reader goes away: killed by
+    SIGPIPE, nothing on stderr.  Without SIGPIPE, the unsent output goes
+    to the null device, so the flush at exit cannot fail again, and the
+    status is 141, what a POSIX shell reports for that signal."""
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGPIPE)
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 141
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except (SalamonSyntaxError, SchemaViolation, json.JSONDecodeError) as exc:
+        code = _HANDLERS[args.command](args)
+        # a closed pipe shows on the last write, which may still be buffered
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        return _end_on_closed_pipe()
+    except (SalamonSyntaxError, SchemaViolation, _MalformedJSON) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantBreach as exc:

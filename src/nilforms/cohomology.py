@@ -286,6 +286,12 @@ class CohomologySpace:
         _require_form(self.algebra, form, "form", self.degree)
         if not _twisted_d(self.theta, form).is_zero:
             raise NotClosed("form is not a cocycle for this differential")
+        return self._coords(form)
+
+    def _coords(self, form):
+        """``reduce`` of a form its caller knows is a cocycle of this
+        space's degree (a wedge of closed forms, say): nothing is checked
+        but that the reduced vector lies in the quotient basis."""
         vec = linalg.reduce({self._position[mono]: c for mono, c in form.coeffs.items()},
                             self._coboundaries)
         coords = tuple(vec.get(p, ZERO) for p in self._quotient)
@@ -365,6 +371,40 @@ def cup(a, b):
     return target.class_of(wedge(a.representative, b.representative))
 
 
+def _cup_table(algebra):
+    """The cup products of the basis classes of H^1, memoized with the
+    algebra's spaces: ``{(i, j): {k: c}}``, the sparse H^2 coordinates C_ij
+    of r_i ^ r_j over H^1's representatives r, nonzero products only, under
+    both orders.  Each is reduced once, for i < j, as C_ji = -C_ij and
+    C_ii = 0 for 1-forms; a wedge of closed forms is closed, so no cocycle
+    check is run.  Below dimension 2, H^1 has at most one class and the
+    table is empty.
+    """
+    cache = algebra._cohomology_cache
+    if "cup" not in cache:
+        reps = cohomology_space(algebra, 1).representative_basis
+        h2 = cohomology_space(algebra, min(2, algebra.dim))
+        table = {}
+        for i, j in itertools.combinations(range(len(reps)), 2):
+            coords = {k: c for k, c in enumerate(h2._coords(wedge(reps[i], reps[j]))) if c}
+            if coords:
+                table[i, j] = coords
+                table[j, i] = {k: -c for k, c in coords.items()}
+        cache["cup"] = table
+    return cache["cup"]
+
+
+def _cup_coords(table, a, b):
+    """The sparse H^2 coordinates sum a_i b_j C_ij of the cup of two
+    degree-1 classes given by sparse coordinates ``a``, ``b``."""
+    product = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            for k, c in table.get((i, j), {}).items():
+                product[k] = product.get(k, 0) + x * y * c
+    return {k: c for k, c in product.items() if c}
+
+
 class LefschetzResult(_Record):
     """The map [a] -> [a ^ omega^(n-p)] : H^p -> H^(2n-p) in coordinates."""
 
@@ -410,7 +450,7 @@ def lefschetz_map(algebra, omega, p):
         tuple(columns[c][r] for c in range(domain.betti))
         for r in range(codomain.betti)
     )
-    rank = linalg.span_rank([dict(enumerate(column)) for column in columns])
+    rank = linalg._rank([{r: c for r, c in enumerate(column) if c} for column in columns])
     return LefschetzResult(
         p=p,
         power=n - p,
@@ -451,9 +491,11 @@ def triple_massey(algebra, a, b, c):
     """<a, b, c> for degree-1 untwisted classes with a.b = b.c = 0.
 
     Closed 1-forms are accepted and lifted to their classes.  Raises
-    CupObstruction when a cup precondition fails.  Below dimension 2 the
-    products land, as for ``cup``, in the clipped space H^dim, and every
-    triple product is the zero class there.
+    CupObstruction when a cup precondition fails.  Both cups and the
+    indeterminacy a H^1 + H^1 c are read bilinearly off the algebra's
+    ``_cup_table``; only the primitives and the representative are wedged.
+    Below dimension 2 the products land, as for ``cup``, in the clipped
+    space H^dim, and every triple product is the zero class there.
     """
     lifted = []
     for name, cls in (("a", a), ("b", b), ("c", c)):
@@ -468,31 +510,31 @@ def triple_massey(algebra, a, b, c):
         if cls.space.degree != 1:
             raise InvalidParameter(f"{name} must be a degree-1 class")
         lifted.append(cls)
-    ra, rb, rc = (cls.representative for cls in lifted)
-
-    h2 = cohomology_space(algebra, min(2, algebra.dim))
-    w_ab = wedge(ra, rb)
-    if not h2.class_of(w_ab).is_zero:
+    # the cups a.b and b.c, and the indeterminacy, read off the cup table
+    table = _cup_table(algebra)
+    sa, sb, sc = ({i: x for i, x in enumerate(cls.coords) if x} for cls in lifted)
+    if _cup_coords(table, sa, sb):
         raise CupObstruction("a cup b is nonzero; <a, b, c> undefined")
-    w_bc = wedge(rb, rc)
-    if not h2.class_of(w_bc).is_zero:
+    if _cup_coords(table, sb, sc):
         raise CupObstruction("b cup c is nonzero; <a, b, c> undefined")
 
-    x = _primitive(algebra, w_ab)
-    y = _primitive(algebra, w_bc)
+    ra, rb, rc = (cls.representative for cls in lifted)
+    x = _primitive(algebra, wedge(ra, rb))
+    y = _primitive(algebra, wedge(rb, rc))
     if x is None or y is None:
         raise InternalInvariantBreach("exact form has no primitive")
     # representative x^c + (-1)^(|a|+1) a^y; |a| = 1 makes the sign +1
     representative = wedge(x, rc) + wedge(ra, y)
     if not ce_d(representative).is_zero:
         raise InternalInvariantBreach("Massey representative is not closed")
-    rep_class = h2.class_of(representative)
+    h2 = cohomology_space(algebra, min(2, algebra.dim))
+    rep_class = CohomologyClass(h2, h2._coords(representative))
 
-    # the indeterminacy a H^1 + H^1 c, spanned over H^1's representatives
+    # the indeterminacy a H^1 + H^1 c, spanned by the cups with H^1's basis
     basis = linalg.echelon(
-        dict(enumerate(h2.reduce(wedge(*pair))))
-        for h in cohomology_space(algebra, 1).representative_basis
-        for pair in ((ra, h), (h, rc)))
+        _cup_coords(table, *pair)
+        for k in range(lifted[0].space.betti)
+        for pair in ((sa, {k: 1}), ({k: 1}, sc)))
     indeterminacy = tuple(
         CohomologyClass(h2, [row.get(i, ZERO) for i in range(h2.betti)])
         for row in linalg.unit_rows(basis)

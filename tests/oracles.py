@@ -523,3 +523,101 @@ def skew_matrix(omega):
         rows[i - 1][j - 1] = coeff
         rows[j - 1][i - 1] = -coeff
     return rows
+
+
+def reference_triple_massey(algebra, a, b, c):
+    """``triple_massey`` as it was before the cup table.
+
+    Every cup is a reduction of a wedge of representatives in H^2: the two
+    precondition checks are ``class_of`` on a ^ b and b ^ c, and the
+    indeterminacy a H^1 + H^1 c is spanned by the reductions of a ^ h and
+    h ^ c over H^1's representatives h.  Kept as the reference the table's
+    bilinear reading is compared against.
+    """
+    from nilforms import linalg
+    from nilforms.cohomology import (
+        CohomologyClass,
+        MasseyResult,
+        _primitive,
+        cohomology_space,
+    )
+    from nilforms.errors import (
+        AmbientMismatch,
+        CupObstruction,
+        InternalInvariantBreach,
+        InvalidParameter,
+    )
+    from nilforms.exterior_core import KForm, ce_d, wedge
+    from nilforms.scalars import ZERO
+
+    lifted = []
+    for name, cls in (("a", a), ("b", b), ("c", c)):
+        if isinstance(cls, KForm):
+            cls = cohomology_space(cls.algebra, 1).class_of(cls)
+        if not isinstance(cls, CohomologyClass):
+            raise InvalidParameter(f"{name} must be a CohomologyClass or closed 1-form")
+        if cls.space.algebra != algebra:
+            raise AmbientMismatch(f"{name} lives over a different algebra")
+        if cls.space.theta is not None:
+            raise InvalidParameter("Massey products are untwisted only")
+        if cls.space.degree != 1:
+            raise InvalidParameter(f"{name} must be a degree-1 class")
+        lifted.append(cls)
+    ra, rb, rc = (cls.representative for cls in lifted)
+
+    h2 = cohomology_space(algebra, min(2, algebra.dim))
+    w_ab = wedge(ra, rb)
+    if not h2.class_of(w_ab).is_zero:
+        raise CupObstruction("a cup b is nonzero; <a, b, c> undefined")
+    w_bc = wedge(rb, rc)
+    if not h2.class_of(w_bc).is_zero:
+        raise CupObstruction("b cup c is nonzero; <a, b, c> undefined")
+
+    x = _primitive(algebra, w_ab)
+    y = _primitive(algebra, w_bc)
+    if x is None or y is None:
+        raise InternalInvariantBreach("exact form has no primitive")
+    representative = wedge(x, rc) + wedge(ra, y)
+    if not ce_d(representative).is_zero:
+        raise InternalInvariantBreach("Massey representative is not closed")
+    rep_class = h2.class_of(representative)
+
+    basis = linalg.echelon(
+        dict(enumerate(h2.reduce(wedge(*pair))))
+        for h in cohomology_space(algebra, 1).representative_basis
+        for pair in ((ra, h), (h, rc)))
+    indeterminacy = tuple(
+        CohomologyClass(h2, [row.get(i, ZERO) for i in range(h2.betti)])
+        for row in linalg.unit_rows(basis)
+    )
+    nonzero = bool(linalg.reduce(dict(enumerate(rep_class.coords)), basis))
+    return MasseyResult(
+        representative=representative,
+        rep_class=rep_class,
+        indeterminacy_basis=indeterminacy,
+        nonzero_mod_indeterminacy=nonzero,
+        primitive_ab=x,
+        primitive_bc=y,
+    )
+
+
+def reference_massey_scan(algebra):
+    """``cli._massey_scan`` as it was before the cup table: a table of
+    public ``cup`` calls, and ``reference_triple_massey`` on each triple it
+    allows."""
+    from nilforms.cohomology import cohomology_space, cup
+
+    if algebra.dim < 2:
+        return None, None
+    classes = cohomology_space(algebra, 1).classes()
+    cup_zero = [[cup(a, b).is_zero for b in classes] for a in classes]
+    for i, a in enumerate(classes):
+        for j, b in enumerate(classes):
+            if not cup_zero[i][j]:
+                continue
+            for k, c in enumerate(classes):
+                if cup_zero[j][k]:
+                    result = reference_triple_massey(algebra, a, b, c)
+                    if result.nonzero_mod_indeterminacy:
+                        return tuple(cls.representative for cls in (a, b, c)), result
+    return None, None

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -371,6 +372,83 @@ def test_import_leaves_out_dataclasses_and_inspect():
     assert not imported & {"dataclasses", "inspect"}
 
 
+def test_a_call_that_reads_and_writes_no_json_leaves_json_unimported():
+    probe = ("import sys\nbefore = set(sys.modules)\nfrom nilforms import cli\n"
+             "code = cli.main(['analyze', '(0,0,12,13)'])\n"
+             "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=_env_with_src(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = set(proc.stderr.split())
+    assert "nilforms.cli" in imported
+    assert "json" not in imported
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_closed_output_pipe_ends_the_call_as_sigpipe_ends_cat():
+    # 257,584 bytes of output, far past any pipe buffer, so the write that
+    # follows the close is refused
+    argv = [sys.executable, "-m", "nilforms", "cohomology", "--json",
+            "(0,0,0,0,0,0,0,0,0,0)"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_env_with_src())
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert err == b""
+
+
+ALGEBRA_DOC = json.dumps({"dim": 4, "d": {"4": [["1", [1, 2]]]}})
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_an_algebra_read_from_json_reports_as_its_tuple(tmp_path, capsys, monkeypatch, flags):
+    path = tmp_path / "algebra.json"
+    path.write_text(ALGEBRA_DOC)
+    expected = run(capsys, "analyze", "(0,0,0,12)", *flags)
+    assert expected[0] == 0 and expected[2] == ""
+    assert run(capsys, "analyze", str(path), *flags) == expected
+    monkeypatch.setattr("sys.stdin", io.StringIO(ALGEBRA_DOC))
+    assert run(capsys, "analyze", "-", *flags) == expected
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+def test_a_pair_read_from_json_files_reports_as_the_catalog_default(tmp_path, capsys, flags):
+    # kodaira_thurston's catalog pair is the identity metric with ROTATION_J
+    metric, acs = tmp_path / "I4.json", tmp_path / "J.json"
+    metric.write_text(json.dumps([[1, 0, 0, 0], [0, 1, 0, 0],
+                                  [0, 0, 1, 0], [0, 0, 0, 1]]))
+    acs.write_text(json.dumps(ROTATION_J))
+    golden = GOLDEN / f"{'_'.join(('analyze', 'kodaira_thurston', *flags))}.txt"
+    assert run(capsys, "analyze", "(0,0,0,12)", "--metric", str(metric),
+               "--acs", str(acs), *flags) == (0, golden.read_text(encoding="utf-8"), "")
+
+
+@pytest.mark.parametrize("route,document,message", [
+    ("file", "{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("stdin", "[1,", "Expecting value: line 1 column 4 (char 3)"),
+    ("metric", "[[1,0],[0,1", "Expecting ',' delimiter: line 1 column 12 (char 11)"),
+])
+def test_a_document_that_does_not_decode_exits_2_with_the_decoder_message(
+        tmp_path, capsys, monkeypatch, route, document, message):
+    path, acs = tmp_path / "broken.json", tmp_path / "J.json"
+    path.write_text(document)
+    acs.write_text(json.dumps(ROTATION_J))
+    monkeypatch.setattr("sys.stdin", io.StringIO(document))
+    argv = {"file": ["analyze", str(path)],
+            "stdin": ["analyze", "-"],
+            "metric": ["analyze", "(0,0,0,12)", "--metric", str(path), "--acs", str(acs)]}
+    assert run(capsys, *argv[route]) == (2, "", f"error: {message}\n")
+
+
 def test_metric_without_acs_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps([[1, 0, 0, 0], [0, 1, 0, 0],
@@ -474,9 +552,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify-paper",), ("model-check",),
-    *(("analyze", name) for name in
-      ("filiform_0_0_12_13", "kodaira_thurston", "six_dim_example", "torus4")),
+    ("verify-paper",), ("verify-paper", "--json"), ("model-check",),
+    *(("analyze", name, *flags)
+      for name in ("filiform_0_0_12_13", "kodaira_thurston", "six_dim_example", "torus4")
+      for flags in ((), ("--json",))),
 ], ids=lambda argv: "-".join(argv))
 def test_the_report_text_is_the_recorded_golden(capsys, argv):
     """The full stdout, byte for byte, as recorded in tests/golden.  Only an

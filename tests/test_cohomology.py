@@ -5,6 +5,9 @@ differential matrix from the Koszul formula and takes ranks with sympy, so
 none of the library's matrix plumbing is trusted twice.
 """
 
+import itertools
+import random
+
 import pytest
 from fractions import Fraction
 
@@ -37,11 +40,12 @@ from nilforms import (
     wedge,
 )
 
-from nilforms import cohomology, linalg
-from nilforms.cohomology import _d_matrix
+from nilforms import cohomology, get_example, linalg
+from nilforms.cli import _massey_scan
+from nilforms.cohomology import _cup_table, _d_matrix
 
 from conftest import unchecked_algebra
-from oracles import betti_by_koszul
+from oracles import betti_by_koszul, reference_massey_scan, reference_triple_massey
 from test_linalg_kernel import columns_of, matrices
 
 
@@ -559,3 +563,80 @@ def test_the_reversed_kernel_is_the_reduced_echelon_basis_of_the_kernel(matrix):
 
 def test_cohomology_spaces_are_memoized(filiform):
     assert cohomology_space(filiform, 2) is cohomology_space(filiform, 2)
+
+
+# the four catalog algebras, the 8-dimensional abelian one and bench/gen.py's
+# draw(s, "w", n, g) for (s, n, g) = (0, 5, 2), (1, 6, 3), (2, 7, 4),
+# (3, 8, 4) and (1, 8, 3)
+MASSEY_ALGEBRAS = {
+    "filiform_0_0_12_13": "filiform_0_0_12_13",
+    "kodaira_thurston": "kodaira_thurston",
+    "six_dim_example": "six_dim_example",
+    "torus4": "torus4",
+    "abelian_8": "(0,0,0,0,0,0,0,0)",
+    "draw_0_5_2": "(0,0,-12,-12-13,12+2*14)",
+    "draw_1_6_3": "(0,0,0,-13+23,-14+2*23+24,-14+23+24)",
+    "draw_2_7_4": "(0,0,0,0,-13+34,14+15+45,16+23+46)",
+    "draw_3_8_4": "(0,0,0,0,12+14,2*15-25-45,-12+2*25+2*45,-13-2*25+2*27+2*47)",
+    "draw_1_8_3": "(0,0,0,-13+23,-14+2*23+24,-14+23+24,4*14-2*15-23+2*25,"
+                  "5*14-2*15-24+2*26)",
+}
+
+
+def _massey_algebra(name):
+    text = MASSEY_ALGEBRAS[name]
+    return parse_salamon(text) if text.startswith("(") else get_example(text).algebra
+
+
+def _outcome(call, *args):
+    """A call's result repr, or its error's type and message."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", ["torus4", "kodaira_thurston", "draw_1_6_3"])
+def test_the_cup_table_is_the_public_cup_under_both_orders(name):
+    algebra = _massey_algebra(name)
+    classes = cohomology_space(algebra, 1).classes()
+    table = _cup_table(algebra)
+    for (i, a), (j, b) in itertools.product(enumerate(classes), repeat=2):
+        expected = {k: c for k, c in enumerate(cup(a, b).coords) if c}
+        assert table.get((i, j), {}) == expected, (i, j)
+    assert _cup_table(algebra) is table
+
+
+def _random_class(rng, h1):
+    return CohomologyClass(h1, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                for _ in range(h1.betti)])
+
+
+def _random_triples(algebra, count, rng):
+    """Triples of rational classes; each of b and c is, by a coin, a
+    rational multiple of the one before it, so a.b = 0 or b.c = 0 by
+    antisymmetry and not every triple stops at a cup check."""
+    h1 = cohomology_space(algebra, 1)
+    for _ in range(count):
+        triple = [_random_class(rng, h1)]
+        for _ in range(2):
+            triple.append(triple[-1].scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                          if rng.random() < 0.5 else _random_class(rng, h1))
+        yield triple
+
+
+@pytest.mark.parametrize("name", MASSEY_ALGEBRAS)
+def test_triple_massey_agrees_with_the_reference(name):
+    algebra = _massey_algebra(name)
+    classes = cohomology_space(algebra, 1).classes()
+    triples = [*itertools.product(classes, repeat=3),
+               *_random_triples(algebra, 15, random.Random(name))]
+    for triple in triples:
+        assert _outcome(triple_massey, algebra, *triple) \
+            == _outcome(reference_triple_massey, algebra, *triple), triple
+
+
+@pytest.mark.parametrize("name", MASSEY_ALGEBRAS)
+def test_the_massey_scan_agrees_with_the_reference(name):
+    algebra = _massey_algebra(name)
+    assert repr(_massey_scan(algebra)) == repr(reference_massey_scan(algebra))
