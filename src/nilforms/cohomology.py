@@ -148,7 +148,10 @@ def _d_images(algebra, theta=None):
             for r in range(last - comb(n - i, k - 1), last):
                 rest = masks[r]
                 new_masks.append(bit | rest)
-                new_images.append(_d_step(dx, bit - 1, rest, images[r]))
+                rest_image = images[r]
+                # with dx_i and d_theta(x_R) both empty, so is the image
+                new_images.append(_d_step(dx, bit - 1, rest, rest_image)
+                                  if dx or rest_image else {})
         masks, images = new_masks, new_images
         yield images
 
@@ -444,7 +447,8 @@ def lefschetz_map(algebra, omega, p):
 
     domain = cohomology_space(algebra, p)
     codomain = cohomology_space(algebra, 2 * n - p)
-    columns = [codomain.reduce(wedge(rep, power_form))
+    # a cocycle wedged with a power of the closed omega is closed
+    columns = [codomain._coords(wedge(rep, power_form))
                for rep in domain.representative_basis]
     matrix = tuple(
         tuple(columns[c][r] for c in range(domain.betti))

@@ -246,7 +246,7 @@ class LieAlgebra:
             brackets.setdefault((i, j), {})[k] = coeff
             brackets.setdefault((j, i), {})[k] = negated
         self._leibniz_dx = _leibniz_table(self._dx)
-        self._hash = hash((dim, frozenset(constants.items())))
+        self._hash = None
         self._cohomology_cache = {}
 
     def _check_jacobi(self):
@@ -328,6 +328,9 @@ class LieAlgebra:
         return self.dim == other.dim and self.constants == other.constants
 
     def __hash__(self):
+        # computed on first use: most queries never hash their algebra
+        if self._hash is None:
+            self._hash = hash((self.dim, frozenset(self.constants.items())))
         return self._hash
 
     def __repr__(self):

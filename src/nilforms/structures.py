@@ -45,7 +45,7 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 
-from . import linalg
+from . import exterior_core, linalg
 from .cohomology import (
     _cocycles,
     _primitive,
@@ -97,40 +97,67 @@ def _symbolic_pfaffian(dim, nvars, family):
     unit is {0: 1}, so the arithmetic stays on ints wherever the input
     allows; the result is unpacked to a Poly once, at the end.
 
+    A minor whose first row has no entry is zero at once, and a zero minor
+    is skipped before it is counted or multiplied; the sign (-1)^pos is
+    settled once per partner, outside the product loop.
+
     The expansion counts the terms it forms, each product of an entry with
-    a minor before it is formed, and ``_require_budget`` refuses a count
-    past the budget; the memo never holds more terms than that.  A bound
+    a minor before it is formed, against ``exterior_core._BUDGET`` // dim,
+    read at the call, and ``_require_budget`` refuses a count past it; the
+    memo never holds more terms than that.  A skipped zero minor forms no
+    term, so it leaves the count as it was.  A bound
     fixed before the expansion could not see terms cancel: on an abelian
     algebra of dimension 14 every minor of Pf(d eta - theta ^ eta) of size
     >= 4 vanishes, yet the entries' term counts multiply past the budget."""
     width = max(1, (dim // 2).bit_length())
     rows = {}
     for variables, form in family:
-        key = sum(1 << width * v for v in variables)
+        key = 0
+        for v in variables:
+            key += 1 << width * v
         for (i, j), coeff in form.items():
             if coeff:
-                rows.setdefault(i, {}).setdefault(j, {})[key] = _exact(coeff)
+                row = rows.get(i)
+                if row is None:
+                    row = rows[i] = {}
+                entry = row.get(j)
+                if entry is None:
+                    entry = row[j] = {}
+                entry[key] = _exact(coeff)
     memo = {(): {0: 1}}
     formed = 0
+    # formed * dim > _BUDGET exactly when formed > _BUDGET // dim; read at
+    # the call, so a budget changed at run time holds
+    limit = exterior_core._BUDGET // max(dim, 1)
 
     def pf(subset):
         nonlocal formed
         total = memo.get(subset)
         if total is not None:
             return total
-        row = rows.get(subset[0], {})
+        row = rows.get(subset[0])
+        if row is None:
+            return {}
         rest = subset[1:]
         total = {}
         get = total.get
         for pos, partner in enumerate(rest):
             entry = row.get(partner)
-            if entry:
-                sub = pf(rest[:pos] + rest[pos + 1:])
-                formed += len(entry) * len(sub)
+            if entry is None:
+                continue
+            sub = pf(rest[:pos] + rest[pos + 1:])
+            if not sub:
+                continue
+            formed += len(entry) * len(sub)
+            if formed > limit:
                 _require_budget(formed, dim, "the Pfaffian")
+            if pos & 1:
                 for ka, ca in entry.items():
-                    if pos & 1:
-                        ca = -ca
+                    for kb, cb in sub.items():
+                        k = ka + kb
+                        total[k] = get(k, 0) - ca * cb
+            else:
+                for ka, ca in entry.items():
                     for kb, cb in sub.items():
                         k = ka + kb
                         total[k] = get(k, 0) + ca * cb
@@ -195,15 +222,22 @@ def _twisted_exact_pfaffian(algebra, covectors):
     closed theta != 0 at once.
     """
     n, m = algebra.dim, len(covectors)
+    terms = [[(k, beta) for (k,), beta in covector.coeffs.items()]
+             for covector in covectors]
     family = []
     for j in range(1, n + 1):
         # d eta = sum a_j dx_j, and -theta ^ eta = sum -t_i a_j (beta x_k ^ x_j)
         # over the terms beta x_k of each b_i
-        family.append(((m + j - 1,), algebra._dx[j]))
-        family.extend(((i, m + j - 1),
-                       {(min(k, j), max(k, j)): -beta if k < j else beta
-                        for (k,), beta in covector.coeffs.items() if k != j})
-                      for i, covector in enumerate(covectors))
+        a = m + j - 1
+        family.append(((a,), algebra._dx[j]))
+        for i, covector in enumerate(terms):
+            entry = {}
+            for k, beta in covector:
+                if k < j:
+                    entry[k, j] = -beta
+                elif k > j:
+                    entry[j, k] = beta
+            family.append(((i, a), entry))
     return _symbolic_pfaffian(n, m + n, family)
 
 
@@ -216,6 +250,14 @@ def nondegenerate_in_span(algebra, basis_forms):
     The returned witness comes from a deterministic smallest-point search
     and is sign-normalized (leading coefficient positive), so reruns agree.
     """
+    found = _nondegenerate_in_span(algebra, basis_forms)
+    return None if found is None else found[0]
+
+
+def _nondegenerate_in_span(algebra, basis_forms):
+    """``nondegenerate_in_span`` as the pair (witness, its Pfaffian volume),
+    or None: the volume is the nonzero value that checked the witness, so a
+    search hands it to ``_lcs_verdict`` instead of expanding it again."""
     basis_forms = list(basis_forms)
     if not basis_forms:
         return None
@@ -237,9 +279,10 @@ def nondegenerate_in_span(algebra, basis_forms):
     if terms[min(terms)] < 0:
         terms = {mono: -coeff for mono, coeff in terms.items()}
     witness = KForm(algebra, 2, terms, _normalized=True)
-    if pfaffian_volume(algebra, witness) == 0:
+    volume = pfaffian_volume(algebra, witness)
+    if volume == 0:
         raise InternalInvariantBreach("symbolic Pfaffian point is degenerate")
-    return witness
+    return witness, volume
 
 
 def find_symplectic(algebra):
@@ -283,7 +326,12 @@ def check_lcs(algebra, omega, theta):
     if algebra.dim < 4:
         raise WrongDimension(
             "lcs operations need dim >= 4 (in dimension 2 the Lee form is not unique)")
-    volume = pfaffian_volume(algebra, omega)
+    return _lcs_verdict(algebra, omega, theta, pfaffian_volume(algebra, omega))
+
+
+def _lcs_verdict(algebra, omega, theta, volume):
+    """``check_lcs`` past its dimension checks, with omega already checked
+    as a 2-form over the algebra and ``volume`` its Pfaffian."""
     _require_form(algebra, theta, "theta", 1)
     lee_closed = ce_d(theta).is_zero
     identity = ce_d(omega) == wedge(theta, omega)
@@ -462,6 +510,8 @@ def find_lcs(algebra, config=SearchConfig()):
     nondegenerate combination or proves none exists for this theta.  The
     search stops at the first genuine witness, recording along the way the
     first witness of any kind (theta = 0 means a plain symplectic one).
+    Each witness costs one numeric Pfaffian: the volume that checked it in
+    ``nondegenerate_in_span`` is the one its ``check_lcs`` verdict reports.
 
     On a nilpotent algebra one polynomial settles every theta != 0 candidate
     first: P(t, a) = Pf(d eta - theta ^ eta) over all closed theta and all
@@ -521,10 +571,11 @@ def find_lcs(algebra, config=SearchConfig()):
                 continue
 
         # theta combines closed covectors, so it is closed by construction
-        omega = nondegenerate_in_span(algebra, _cocycles(algebra, 2, theta))
-        if omega is None:
+        found = _nondegenerate_in_span(algebra, _cocycles(algebra, 2, theta))
+        if found is None:
             continue
-        this_verdict = check_lcs(algebra, omega, theta)
+        omega, volume = found
+        this_verdict = _lcs_verdict(algebra, omega, theta, volume)
         if not this_verdict.holds:
             raise InternalInvariantBreach(
                 "search produced a pair that fails its own verdict")

@@ -184,6 +184,17 @@ def test_zero_forms_hash_equal_across_degrees(torus):
     assert len({torus.covector(1), torus.covector(1).scale(2), torus.zero_form(1)}) == 3
 
 
+def test_an_algebra_hashes_by_its_value():
+    # dx_3 = x1^x2 and dx_4 = x1^x3: [X_1, X_2] = -X_3, [X_1, X_3] = -X_4
+    from_tuple = parse_salamon("(0,0,12,13)")
+    from_constants = LieAlgebra(4, {(1, 2, 3): -1, (1, 3, 4): Fraction(-1)})
+    value = hash((4, frozenset({(1, 2, 3): Fraction(-1), (1, 3, 4): Fraction(-1)}.items())))
+    assert from_tuple == from_constants
+    assert hash(from_tuple) == hash(from_constants) == value
+    # a second call, which reads the kept value, agrees
+    assert hash(from_tuple) == value
+
+
 def test_a_zero_form_of_another_degree_adds_as_the_other_operand(kt):
     x12 = kt.form({(1, 2): 1})
     for total in (kt.zero_form(1) + x12, x12 + kt.zero_form(3)):

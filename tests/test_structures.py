@@ -73,6 +73,12 @@ def test_pfaffian_of_six_dim_witness(six_dim):
     assert pf != 0
 
 
+def test_the_pfaffian_in_dimension_zero_is_one():
+    # the empty matrix: its Pfaffian, like its determinant, is 1
+    point = LieAlgebra(0, {})
+    assert pfaffian_volume(point, point.zero_form(0)) == 1
+
+
 def test_check_symplectic_verdicts(filiform):
     good = check_symplectic(filiform, filiform.form({(1, 4): 1, (2, 3): 1}))
     assert good.closed and good.pfaffian == 1 and good.is_symplectic
@@ -314,11 +320,31 @@ def test_a_wrong_twisted_primitive_is_a_breach(filiform, monkeypatch):
 
 
 def test_a_search_pair_that_fails_its_verdict_is_a_breach(filiform, monkeypatch):
-    # a degenerate "witness" for the first candidate, theta = 0
-    monkeypatch.setattr(structures, "nondegenerate_in_span",
-                        lambda algebra, forms: algebra.form({(1, 2): 1}))
+    # a degenerate "witness" for the first candidate, theta = 0, handed over
+    # with its true volume 0
+    monkeypatch.setattr(structures, "_nondegenerate_in_span",
+                        lambda algebra, forms: (algebra.form({(1, 2): 1}), Fraction(0)))
     with pytest.raises(InternalInvariantBreach, match="^search produced a pair"):
         find_lcs(filiform)
+
+
+@pytest.mark.parametrize("salamon,expected", [
+    ("(0,0,12,13)", 2),  # a witness at theta = 0, then a genuine one
+    ("(0,0,0,0,12,34)", 1),  # the witness at theta = 0 alone
+])
+def test_a_search_expands_one_numeric_pfaffian_per_witness(monkeypatch, salamon, expected):
+    calls = []
+
+    def counted(algebra, omega):
+        calls.append(omega)
+        return pfaffian_volume(algebra, omega)
+
+    monkeypatch.setattr(structures, "pfaffian_volume", counted)
+    result = find_lcs(parse_salamon(salamon), SearchConfig(height=2))
+    assert len(calls) == expected
+    # the verdict's volume is the one that checked the witness
+    omega = result.witness[0]
+    assert result.verdict.witness_volume == pfaffian_volume(omega.algebra, omega) != 0
 
 
 ABELIAN_8 = LieAlgebra(8, {})
