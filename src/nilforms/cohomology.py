@@ -63,6 +63,7 @@ from .errors import (
 )
 from .exterior_core import (
     KForm,
+    _add_term,
     _d_form,
     _d_step,
     _is_unimodular,
@@ -202,9 +203,13 @@ class CohomologyClass:
 
     @property
     def representative(self):
-        space = self.space
-        return sum(map(KForm.scale, space.representative_basis, self.coords),
-                   space.algebra.zero_form(space.degree))
+        """sum c_i r_i over the basis representatives r_i with c_i != 0."""
+        terms = {}
+        for rep, c in zip(self.space.representative_basis, self.coords):
+            if c:
+                for mono, v in rep.coeffs.items():
+                    _add_term(terms, mono, v * c)
+        return KForm(self.space.algebra, self.space.degree, terms, _normalized=True)
 
     @property
     def is_zero(self):
@@ -289,19 +294,20 @@ class CohomologySpace:
         _require_form(self.algebra, form, "form", self.degree)
         if not _twisted_d(self.theta, form).is_zero:
             raise NotClosed("form is not a cocycle for this differential")
-        return self._coords(form)
+        coords = self._coords(form)
+        return tuple(coords.get(i, ZERO) for i in range(self.betti))
 
     def _coords(self, form):
-        """``reduce`` of a form its caller knows is a cocycle of this
-        space's degree (a wedge of closed forms, say): nothing is checked
-        but that the reduced vector lies in the quotient basis."""
+        """[form]'s coordinates ``{basis position: value}``, zeros left out,
+        for a form its caller knows is a cocycle of this space's degree (a
+        wedge of closed forms, say): the reduced vector at the quotient
+        pivots, checked to lie in the quotient's span and nothing else."""
         vec = linalg.reduce({self._position[mono]: c for mono, c in form.coeffs.items()},
                             self._coboundaries)
-        coords = tuple(vec.get(p, ZERO) for p in self._quotient)
         # the reduced vector must be exactly the coordinate combination
         if linalg.reduce(vec, self._quotient):
             raise InternalInvariantBreach("cocycle escaped the quotient basis")
-        return coords
+        return {i: vec[p] for i, p in enumerate(self._quotient) if p in vec}
 
     def class_of(self, form):
         return CohomologyClass(self, self.reduce(form))
@@ -389,7 +395,7 @@ def _cup_table(algebra):
         h2 = cohomology_space(algebra, min(2, algebra.dim))
         table = {}
         for i, j in itertools.combinations(range(len(reps)), 2):
-            coords = {k: c for k, c in enumerate(h2._coords(wedge(reps[i], reps[j]))) if c}
+            coords = h2._coords(wedge(reps[i], reps[j]))
             if coords:
                 table[i, j] = coords
                 table[j, i] = {k: -c for k, c in coords.items()}
@@ -450,16 +456,15 @@ def lefschetz_map(algebra, omega, p):
     # a cocycle wedged with a power of the closed omega is closed
     columns = [codomain._coords(wedge(rep, power_form))
                for rep in domain.representative_basis]
-    matrix = tuple(
-        tuple(columns[c][r] for c in range(domain.betti))
-        for r in range(codomain.betti)
-    )
-    rank = linalg._rank([{r: c for r, c in enumerate(column) if c} for column in columns])
+    matrix = [[ZERO] * domain.betti for _ in range(codomain.betti)]
+    for c, column in enumerate(columns):
+        for r, value in column.items():
+            matrix[r][c] = value
     return LefschetzResult(
         p=p,
         power=n - p,
-        matrix=matrix,
-        rank=rank,
+        matrix=tuple(map(tuple, matrix)),
+        rank=linalg._rank(columns),
         domain_betti=domain.betti,
         codomain_betti=codomain.betti,
     )
@@ -532,7 +537,8 @@ def triple_massey(algebra, a, b, c):
     if not ce_d(representative).is_zero:
         raise InternalInvariantBreach("Massey representative is not closed")
     h2 = cohomology_space(algebra, min(2, algebra.dim))
-    rep_class = CohomologyClass(h2, h2._coords(representative))
+    coords = h2._coords(representative)
+    rep_class = CohomologyClass(h2, [coords.get(i, ZERO) for i in range(h2.betti)])
 
     # the indeterminacy a H^1 + H^1 c, spanned by the cups with H^1's basis
     basis = linalg.echelon(
@@ -543,7 +549,7 @@ def triple_massey(algebra, a, b, c):
         CohomologyClass(h2, [row.get(i, ZERO) for i in range(h2.betti)])
         for row in linalg.unit_rows(basis)
     )
-    nonzero = bool(linalg.reduce(dict(enumerate(rep_class.coords)), basis))
+    nonzero = bool(linalg.reduce(coords, basis))
     return MasseyResult(
         representative=representative,
         rep_class=rep_class,

@@ -18,8 +18,8 @@ On a nilpotent algebra Dixmier's theorem (H*_theta = 0 for closed
 theta != 0) makes every d_theta-closed 2-form twisted-exact, so a single
 symbolic Pfaffian over theta and the primitive settles all theta != 0
 candidates at once; when it vanishes identically only theta = 0 is decided
-and the rest are counted, and otherwise a candidate is counted undecided
-when its coordinates make it vanish.  Whether the algebra is nilpotent is
+and the rest counted in closed form; otherwise a candidate whose streamed
+coordinates make it vanish is undecided.  Whether the algebra is nilpotent is
 read off its structure constants when they are in Salamon's order (every
 [X_i, X_j], i < j, in the span of the X_k with k > j) and left to the lower
 central series otherwise.  Every Pfaffian here is that of a linear family
@@ -444,6 +444,24 @@ def _ordered_values(max_height):
         height(v), 0 if v.denominator == 1 else 1, 0 if v > 0 else 1, abs(v))))
 
 
+@functools.lru_cache(maxsize=32)
+def _value_count(max_height):
+    """``len(_ordered_values(max_height))``, counted without building a value.
+
+    A nonzero p/q in lowest terms has height <= H when 1 <= |p|, q <= H.  The
+    coprime pairs with 1 <= p <= q <= H number Phi(H) = sum_{q <= H} phi(q),
+    those with p >= q as many, and p = q = 1 is both, so there are
+    2 Phi(H) - 1 positive values and V(H) = 2 (2 Phi(H) - 1) for H >= 1.
+    phi comes off a sieve of H + 1 entries, refused past the size budget."""
+    _require_budget(max_height + 1, 1, "the totient sieve that counts the candidate values")
+    phi = list(range(max_height + 1))
+    for p in range(2, max_height + 1):
+        if phi[p] == p:  # untouched so far: p is prime
+            for k in range(p, max_height + 1, p):
+                phi[k] -= phi[k] // p
+    return 2 * (2 * sum(phi) - 1) if max_height else 0
+
+
 def closed_covector_basis(algebra):
     """Basis of the closed 1-forms: the ``linalg.kernel`` of d on Lambda^1,
     read without building H^1 (in degree 1 the coboundaries are 0, so the
@@ -463,7 +481,7 @@ def theta_candidates(algebra, config):
     the first ``next``.
     """
     _require_config(config)
-    return _theta_stream(algebra, config, closed_covector_basis(algebra))
+    return (theta for _, theta in _theta_stream(algebra, config, closed_covector_basis(algebra)))
 
 
 def _require_config(config):
@@ -473,9 +491,10 @@ def _require_config(config):
 
 
 def _theta_stream(algebra, config, basis):
-    """``theta_candidates`` over a closed-covector basis already computed."""
+    """``theta_candidates`` over a closed-covector basis already computed,
+    each theta after its (position, value) coordinates over that basis."""
     m = len(basis)
-    yield algebra.zero_form(1)
+    yield (), algebra.zero_form(1)
     if m == 0 or config.height == 0:
         return
 
@@ -485,8 +504,8 @@ def _theta_stream(algebra, config, basis):
             form = form + basis[pos].scale(value)
         return form
 
-    hoisted = {((pos, ONE),) for pos in range(m)}
-    yield from basis
+    hoisted = {((pos, 1),): covector for pos, covector in enumerate(basis)}
+    yield from hoisted.items()
 
     for level in range(1, config.height + 1):
         values = _ordered_values(level)
@@ -498,7 +517,7 @@ def _theta_stream(algebra, config, basis):
                     assignment = tuple(zip(support, choice))
                     if assignment in hoisted:
                         continue
-                    yield assemble(assignment)
+                    yield assignment, assemble(assignment)
 
 
 def find_lcs(algebra, config=SearchConfig()):
@@ -518,9 +537,10 @@ def find_lcs(algebra, config=SearchConfig()):
     eta (``_twisted_exact_pfaffian``, by Dixmier's vanishing theorem).  When
     P is identically zero no candidate but theta = 0 can give a witness, so
     the stream is cut after theta = 0 and the others are counted in closed
-    form; the result is the one the full enumeration would return.  When P
-    is not zero, a candidate theta != 0 whose coordinates t, substituted
-    into P, leave the zero polynomial in a is counted as examined and
+    form (``_value_count``); the result is the one the full enumeration
+    would return.  When P is not zero, a candidate theta != 0 whose
+    coordinates t, yielded with it by the stream, leave the zero polynomial
+    in a once substituted into P (the other t_i at 0) is counted as examined and
     skipped without building its d_theta-closed 2-forms: by the same
     theorem none of them is nondegenerate.  No assumption on P's degree in
     t enters.  The status stays a semi-decision all the same: the cut and
@@ -545,28 +565,25 @@ def find_lcs(algebra, config=SearchConfig()):
         # The candidates are exactly the coordinate vectors over the m closed
         # covectors with entry heights <= H, (V + 1)^m of them for V nonzero
         # values, and theta = 0 comes first.
-        total = (len(_ordered_values(config.height)) + 1) ** len(basis)
+        total = (_value_count(config.height) + 1) ** len(basis)
         candidates = itertools.islice(candidates, 1)
-    # theta's coordinate t_i over the basis sits at the free column of b_i,
-    # its largest index: b_i is 1 there and every other b_j is 0
-    free = [max(covector.coeffs) for covector in basis]
 
     examined = 0
     capped = False
     witness = verdict = None
     genuine_witness = genuine_verdict = None
-    for theta in candidates:
+    for assignment, theta in candidates:
         if config.max_candidates is not None and examined >= config.max_candidates:
             capped = True
             break
         examined += 1
-        if pfaffian and not theta.is_zero:
+        if pfaffian and assignment:
             # P(t, a) with theta's t substituted is Pf(d eta - theta ^ eta)
             # over all eta: zero, and no d_theta-closed 2-form is
             # nondegenerate
-            terms = pfaffian
-            for i, mono in enumerate(free):
-                terms = _fix(terms, i, theta.coeffs.get(mono, 0))
+            terms, t = pfaffian, dict(assignment)
+            for i in range(len(basis)):
+                terms = _fix(terms, i, t.get(i, 0))
             if not terms:
                 continue
 

@@ -267,6 +267,16 @@ def test_exit_code_3_past_the_size_budget(capsys, monkeypatch):
     assert "past the budget of 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["search-lcs", "analyze"])
+def test_an_astronomical_height_is_refused_at_the_candidate_count(capsys, command):
+    # P == 0 on (0,0,0,0,12,34), so the candidates are counted in closed
+    # form, by a totient sieve that a height of 10^30 puts past the budget
+    assert main([command, "(0,0,0,0,12,34)", "--height", str(10**30)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the totient sieve that counts the candidate values")
+    assert "past the budget of 10000000" in err
+
+
 @pytest.mark.parametrize("command", ["search-symplectic", "search-lcs", "analyze"])
 def test_an_abelian_algebra_of_dimension_18_is_refused_at_its_pfaffian(capsys, command):
     # 17!! = 34459425 terms over Z^2: refused once the terms formed pass

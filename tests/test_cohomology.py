@@ -5,6 +5,7 @@ differential matrix from the Koszul formula and takes ranks with sympy, so
 none of the library's matrix plumbing is trusted twice.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -27,6 +28,7 @@ from nilforms import (
     OmegaNotClosed,
     SearchConfig,
     betti_profile,
+    build_algebra,
     ce_d,
     cohomology_space,
     cup,
@@ -42,9 +44,10 @@ from nilforms import (
 
 from nilforms import cohomology, get_example, linalg
 from nilforms.cli import _massey_scan
-from nilforms.cohomology import _cup_table, _d_matrix
+from nilforms.cohomology import _cocycles, _cup_table, _d_matrix
+from nilforms.structures import closed_covector_basis
 
-from conftest import unchecked_algebra
+from conftest import NON_NILPOTENT_4D, unchecked_algebra
 from oracles import betti_by_koszul, reference_massey_scan, reference_triple_massey
 from test_linalg_kernel import columns_of, matrices
 
@@ -640,3 +643,60 @@ def test_triple_massey_agrees_with_the_reference(name):
 def test_the_massey_scan_agrees_with_the_reference(name):
     algebra = _massey_algebra(name)
     assert repr(_massey_scan(algebra)) == repr(reference_massey_scan(algebra))
+
+
+# every p, with find_symplectic's omega (or, where there is none, the sum of
+# the closed 2-form basis) and with 3 omega
+LEFSCHETZ_ALGEBRAS = ("(0,0,0,0)", "(0,0,0,12)", "(0,0,0,0,12,34)", "(0,0,0,12,13,23)",
+                      "(0,0,12,13,14,15)", "(0,0,0,0,0,0,0,12+34+56)",
+                      "(0,0,0,0,0,0,0,0)", "(0,0,0,0,0,0,0,0,0,0)")
+
+
+def _coordinate_outputs():
+    """The reprs of everything built from cohomology coordinates: Lefschetz
+    maps, the cup table and triple Massey products, and ``reduce`` of seeded
+    random cocycles, plain and twisted."""
+    for text in LEFSCHETZ_ALGEBRAS:
+        algebra = parse_salamon(text)
+        omega = find_symplectic(algebra) or sum(_cocycles(algebra, 2), algebra.zero_form(2))
+        for form in (omega, omega.scale(3)):
+            for p in range(algebra.dim // 2 + 1):
+                yield repr(lefschetz_map(algebra, form, p))
+    for name in MASSEY_ALGEBRAS:
+        algebra = _massey_algebra(name)
+        yield repr(sorted(_cup_table(algebra).items()))
+        classes = cohomology_space(algebra, 1).classes()
+        for triple in [*itertools.product(classes, repeat=3),
+                       *_random_triples(algebra, 10, random.Random(name))]:
+            yield repr(_outcome(triple_massey, algebra, *triple))
+    spaces = [(_massey_algebra(name), None) for name in MASSEY_ALGEBRAS]
+    for brackets, *_ in NON_NILPOTENT_4D.values():
+        algebra = build_algebra(4, brackets)
+        spaces += [(algebra, theta) for theta in closed_covector_basis(algebra)]
+    rng = random.Random(0)
+    for algebra, theta in spaces:
+        for k in range(algebra.dim + 1):
+            space = cohomology_space(algebra, k, theta)
+            lower = algebra.monomials(max(k - 1, 0))
+            for _ in range(5):
+                # a random combination of the representatives plus a random
+                # coboundary
+                form = algebra.zero_form(k)
+                for rep in space.representative_basis:
+                    form = form + rep.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                if k:
+                    primitive = algebra.form({mono: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                              for mono in rng.sample(lower, min(3, len(lower)))})
+                    form = form + twisted_d(algebra, theta, primitive)
+                yield repr(space.reduce(form))
+
+
+def test_the_coordinate_outputs_match_their_recorded_digest():
+    """Recorded before ``_coords`` returned sparse coordinates: a coordinate
+    dropped or two swapped on the way to any of these outputs moves it."""
+    digest = hashlib.sha256()
+    count = 0
+    for line in _coordinate_outputs():
+        digest.update(line.encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()[:16]) == (1568, "e37b070a5df7eece")

@@ -379,9 +379,11 @@ def fixed_matrix(seed, dim):
 
 
 # After the change of basis the closed covectors are no longer unit
-# covectors, so a coordinate of theta read anywhere but at a covector's free
-# column is wrong.  Between them the matrices put candidates in K before the
-# genuine one, and make a coordinate read at a pivot skip a genuine one.
+# covectors, so theta's coefficients are not its coordinates over them: the
+# P-skip must substitute the coordinates the candidate stream carries, and
+# any coordinate misread, dropped or swapped on the way is wrong.  Between
+# them the matrices put candidates in K before the genuine one, and make a
+# misread coordinate skip a genuine one.
 CHANGED_BASES = {
     "(0,0,12,13)": (8, 9),
     "(0,0,0,12)": (6, 8),

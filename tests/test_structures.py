@@ -188,6 +188,27 @@ def test_find_lcs_abelian_count_matches_enumeration_at_each_height(torus, h):
     assert find_lcs(torus, config).examined == streamed
 
 
+def test_the_value_count_is_the_length_of_the_value_list():
+    for h in range(40):
+        assert structures._value_count(h) == len(structures._ordered_values(h)), h
+
+
+def test_find_lcs_counts_a_large_height_without_listing_its_values(torus, monkeypatch):
+    # V(H) = 2 (2 Phi(H) - 1) nonzero values of height <= H, with
+    # Phi(10^5) = sum of phi(q) for q <= 10^5 = 3039650754 (OEIS A002088);
+    # the count lists no value past height 3
+    listed = structures._ordered_values
+
+    def only_small(h):
+        assert h <= 3, f"listed the values of height {h}"
+        return listed(h)
+
+    monkeypatch.setattr(structures, "_ordered_values", only_small)
+    result = find_lcs(torus, SearchConfig(height=100000))
+    assert result.genuine_status == "NOT_FOUND_UP_TO_HEIGHT(100000)"
+    assert (result.examined, result.capped) == ((2 * (2 * 3039650754 - 1) + 1) ** 4, False)
+
+
 @pytest.mark.parametrize("config", [None, {"height": 1}, 1], ids=repr)
 def test_theta_candidates_checks_its_config_when_called(config):
     # the error comes from the call itself, before any candidate is asked for
