@@ -574,3 +574,18 @@ def test_the_report_text_is_the_recorded_golden(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{'_'.join(argv)}.txt").read_text(encoding="utf-8")
+
+
+def test_every_output_is_the_recorded_corpus_digest(capsys):
+    """``scripts/corpus.py --check`` in process: every command line of its
+    corpus gives the exit code, stdout and stderr whose digest
+    tests/golden/corpus.json records.  An intended output change rewrites
+    the file with ``scripts/corpus.py --write``, and names each changed argv."""
+    import importlib.util
+
+    path = Path(__file__).parent.parent / "scripts" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    status = corpus.main(["--check"])
+    assert status == 0, capsys.readouterr().out

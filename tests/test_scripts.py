@@ -39,6 +39,12 @@ def test_linecov_maps_the_lines_one_test_file_reaches():
     assert re.search(r"^total: \d+ of \d+ executable lines unreached$", out, re.M)
 
 
+def test_corpus_check_finds_every_output_as_recorded():
+    out = run_script("corpus.py", "--check")
+    assert re.search(r"^(\d+) of \1 outputs as recorded, 0 recorded ones no longer run$",
+                     out, re.M)
+
+
 def test_every_script_has_a_smoke_run():
     scripts = {path.name for path in (ROOT / "scripts").glob("*.py")}
     run = set(re.findall(r'run_script\("([^"]+)"', Path(__file__).read_text()))
