@@ -132,10 +132,7 @@ def run(argv, tmp):
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main([arg.replace("{tmp}", tmp) for arg in argv])
-        except SystemExit as exc:  # argparse refusing a command line
-            code = exc.code
+        code = main([arg.replace("{tmp}", tmp) for arg in argv])
     return code, out.getvalue(), err.getvalue()
 
 

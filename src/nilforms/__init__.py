@@ -59,10 +59,13 @@ from .exterior_core import (
     wedge,
 )
 from .hermitian import (
+    AlmostComplexStructure,
     HermitianClassification,
     InnerProduct,
+    NijenhuisTensor,
     classify_hermitian,
     lee_form,
+    nijenhuis,
 )
 from .notation import (
     algebra_to_json,
@@ -76,11 +79,9 @@ from .notation import (
 from .polynomials import Poly, nonzero_point
 from .scalars import as_scalar, format_scalar
 from .structures import (
-    AlmostComplexStructure,
     Classification4D,
     LcsSearchResult,
     LcsVerdict,
-    NijenhuisTensor,
     SearchConfig,
     SymplecticVerdict,
     check_lcs,
@@ -88,7 +89,6 @@ from .structures import (
     classify_4d,
     find_lcs,
     find_symplectic,
-    nijenhuis,
     nondegenerate_in_span,
     pfaffian_volume,
     theta_candidates,

@@ -281,6 +281,7 @@ class CohomologySpace:
         self._quotient = linalg.echelon(z for z in cocycles
                                         if min(z) not in self._coboundaries)
         self.betti = len(self._quotient)
+        self._slot = {p: i for i, p in enumerate(self._quotient)}  # pivot: position
         self.representative_basis = [_form(algebra, degree, self._monomials, v)
                                      for v in linalg.unit_rows(self._quotient)]
 
@@ -301,13 +302,14 @@ class CohomologySpace:
         """[form]'s coordinates ``{basis position: value}``, zeros left out,
         for a form its caller knows is a cocycle of this space's degree (a
         wedge of closed forms, say): the reduced vector at the quotient
-        pivots, checked to lie in the quotient's span and nothing else."""
+        pivots, read through ``_slot``, checked to lie in the quotient's
+        span and nothing else."""
         vec = linalg.reduce({self._position[mono]: c for mono, c in form.coeffs.items()},
                             self._coboundaries)
         # the reduced vector must be exactly the coordinate combination
         if linalg.reduce(vec, self._quotient):
             raise InternalInvariantBreach("cocycle escaped the quotient basis")
-        return {i: vec[p] for i, p in enumerate(self._quotient) if p in vec}
+        return {self._slot[p]: v for p, v in vec.items() if p in self._slot}
 
     def class_of(self, form):
         return CohomologyClass(self, self.reduce(form))

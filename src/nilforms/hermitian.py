@@ -1,4 +1,4 @@
-"""Invariant metrics, Lee forms, and Hermitian classification.
+"""Almost complex structures, metrics, Lee forms, and Hermitian classification.
 
 Everything is exact.  For a compatible pair (g, J) on dimension 2m >= 4 with
 fundamental form w(X, Y) = g(JX, Y), the Lee form is the unique 1-form theta
@@ -15,9 +15,12 @@ with w^(m-2) shows theta' = theta.  The test suite checks theta against the
 metric route theta(X) = -(1/(m-1)) * (delta w)(JX), delta the formal
 adjoint of d.
 
-A metric is its Gram matrix G alone, checked symmetric with every leading
-principal minor positive, each minor read off one reduction on the ``linalg``
-kernel.  A pair is read once, by one product W = G J over J's sparse
+One reader takes the Gram matrix G of a metric and the matrix of J to exact
+rows and sparse columns, once, and checks that each is square and of the
+algebra's size: G symmetric with every leading principal minor positive, each
+minor read off one reduction on the ``linalg`` kernel, and J^2 = -Id.  The
+Nijenhuis tensor is one sparse product per basis pair over J's columns and the
+bracket table.  A pair is read by one product W = G J over J's sparse
 columns: since J^2 = -Id, g(JX, JY) = g(X, Y) holds exactly when W is skew,
 and w is read off W.  Vaisman asks for a parallel Lee form, and a 1-form is
 parallel exactly when it is closed and its metric dual T = g^-1 theta, one
@@ -28,59 +31,154 @@ needs the Levi-Civita table.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from . import linalg
 from .errors import (
     DegenerateMetric,
     DimensionMismatch,
     InternalInvariantBreach,
     InvalidParameter,
+    NotAlmostComplex,
     NotHermitian,
     WrongDimension,
     _Record,
 )
 from .exterior_core import KForm, _wedge_raw, ce_d
 from .scalars import ZERO, ONE, as_scalar
-from .structures import AlmostComplexStructure, check_lcs, nijenhuis
+from .structures import check_lcs
 
 
-class InnerProduct:
+# -- the matrices: g and J ---------------------------------------------------
+
+
+class _SquareMatrix:
+    """The one reader of g and J: a square matrix of exact scalars, its rows
+    in ``matrix`` and its nonzero entries by column, ``{c: {r: M[r][c]}}``
+    1-based, in ``_columns``.  A subclass names itself in ``_name`` and
+    words a size other than the algebra's in ``_mismatch``."""
+
+    __slots__ = ("dim", "matrix", "_columns")
+
+    def __init__(self, matrix):
+        self.matrix = rows = tuple(tuple(as_scalar(v) for v in row) for row in matrix)
+        self.dim = len(rows)
+        if any(len(row) != self.dim for row in rows):
+            raise DimensionMismatch(f"{self._name} must be square")
+        self._columns = {c: {r: row[c - 1] for r, row in enumerate(rows, 1) if row[c - 1]}
+                         for c in range(1, self.dim + 1)}
+
+    @classmethod
+    def _for(cls, algebra, matrix):
+        """``matrix`` read as this class unless it is one, of the algebra's size."""
+        if not isinstance(matrix, cls):
+            matrix = cls(matrix)
+        if matrix.dim != algebra.dim:
+            raise DimensionMismatch(cls._mismatch)
+        return matrix
+
+
+class InnerProduct(_SquareMatrix):
     """Positive definite symmetric bilinear form on the algebra's vector
     space, given by its Gram matrix in the preferred basis."""
 
-    __slots__ = ("dim", "matrix")
+    __slots__ = ()
+    _name = "Gram matrix"
+    _mismatch = "metric dimension does not match the algebra"
 
     def __init__(self, matrix):
-        rows = [tuple(as_scalar(v) for v in row) for row in matrix]
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise DimensionMismatch("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise InvalidParameter("Gram matrix must be symmetric")
-        _require_positive_definite(rows)
-        self.dim = n
-        self.matrix = tuple(rows)
+        super().__init__(matrix)
+        if not _is_symmetric(self._columns):
+            raise InvalidParameter("Gram matrix must be symmetric")
+        # Sylvester's criterion.  While Delta_1, ..., Delta_{k-1} are nonzero,
+        # the columns before column k have the first k - 1 rows as their
+        # pivots, so column k reduced modulo their ``linalg.echelon`` basis
+        # vanishes there and its entry in row k is the Schur complement
+        # Delta_k / Delta_{k-1}: the running product of those entries is the
+        # leading minor
+        columns = list(self._columns.values())
+        minor = ONE
+        for k, column in enumerate(columns, 1):
+            minor *= linalg.reduce(column, linalg.echelon(columns[:k - 1])).get(k, ZERO)
+            if minor <= 0:
+                raise DegenerateMetric(
+                    f"leading principal minor {k} is {minor}; metric is not "
+                    "positive definite")
 
 
-def _require_positive_definite(rows):
-    """Raise DegenerateMetric at the first leading principal minor of a
-    symmetric matrix that is not positive.
+class AlmostComplexStructure(_SquareMatrix):
+    """An exact rational matrix J with J^2 = -Id, acting on basis columns:
+    J(X_c) = sum_r M[r][c] X_r."""
 
-    While Delta_1, ..., Delta_k are nonzero, the rows before row k (0-based)
-    have the first k columns as their pivots, so row k reduced modulo their
-    ``linalg.echelon`` basis vanishes there and its entry in column k is the
-    Schur complement Delta_{k+1} / Delta_k: the running product of those
-    entries is the leading minor.
-    """
-    sparse = [dict(enumerate(row)) for row in rows]
-    minor = ONE
-    for k, row in enumerate(sparse):
-        minor *= linalg.reduce(row, linalg.echelon(sparse[:k])).get(k, ZERO)
-        if minor <= 0:
-            raise DegenerateMetric(
-                f"leading principal minor {k + 1} is {minor}; metric is not "
-                "positive definite")
+    __slots__ = ()
+    _name = "J"
+    _mismatch = "J has the wrong size for this algebra"
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        if any(linalg.apply(self._columns, column) != {c: -1}
+               for c, column in self._columns.items()):
+            raise NotAlmostComplex("J^2 != -Id")
+
+
+def _is_symmetric(columns, sign=1):
+    """Whether the square matrix with these sparse columns, every column
+    present, is ``sign`` times its transpose: M_ab = sign * M_ba for all
+    a, b, diagonal included, so sign -1 asks for a skew matrix."""
+    return all(columns[a].get(b, 0) == sign * v
+               for b, column in columns.items() for a, v in column.items())
+
+
+# -- the Nijenhuis tensor ----------------------------------------------------
+
+
+class NijenhuisTensor(_Record):
+    """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on basis pairs."""
+
+    dim: int
+    components: dict
+
+    def __hash__(self):
+        # components is a dict; equal tensors have equal dimensions
+        return hash(self.dim)
+
+    @property
+    def is_integrable(self):
+        return all(all(v == 0 for v in vec) for vec in self.components.values())
+
+    def component(self, i, j):
+        """N(X_i, X_j); antisymmetric in (i, j)."""
+        if i == j:
+            return (ZERO,) * self.dim
+        if i < j:
+            return self.components[(i, j)]
+        return tuple(-v for v in self.components[(j, i)])
+
+
+def nijenhuis(algebra, acs):
+    """Nijenhuis tensor of J against the algebra's bracket; zero iff the
+    almost complex structure is integrable."""
+    acs = AlmostComplexStructure._for(algebra, acs)
+    n = algebra.dim
+    # one table of sparse columns: [X_a, X_b] under the pair (a, b), empty
+    # for a pair the algebra's bracket table leaves out, and J(X_c) under c,
+    # so each component below is one sparse product
+    table = defaultdict(dict, algebra._brackets)
+    table.update(acs._columns)
+    components = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            jxi, jxj = table[i], table[j]
+            # [JX_i, X_j] + [X_i, JX_j] = [JX_i, X_j] - [JX_j, X_i]: as i != j
+            # the pairs of the two sums never meet
+            mixed = linalg.apply(table, {(a, j): x for a, x in jxi.items()}
+                                 | {(b, i): -y for b, y in jxj.items()})
+            # [JX_i, JX_j] - [X_i, X_j] - J(mixed)
+            pairs = {(a, b): x * y for a, x in jxi.items() for b, y in jxj.items()}
+            pairs[i, j] = pairs.get((i, j), ZERO) - ONE
+            value = linalg.apply(table, pairs | {c: -v for c, v in mixed.items()})
+            components[(i, j)] = tuple(value.get(r, ZERO) for r in range(1, n + 1))
+    return NijenhuisTensor(dim=n, components=components)
 
 
 # -- Hermitian pairs ---------------------------------------------------------
@@ -95,35 +193,14 @@ def _hermitian_pair(algebra, metric, acs):
     included.  The fundamental form w_ij = g(J X_i, X_j) = (J^T G)_ij is
     then W_ji.
     """
-    if not isinstance(metric, InnerProduct):
-        metric = InnerProduct(metric)
-    if metric.dim != algebra.dim:
-        raise DimensionMismatch("metric dimension does not match the algebra")
-    if not isinstance(acs, AlmostComplexStructure):
-        acs = AlmostComplexStructure(acs)
-    if acs.dim != algebra.dim:
-        raise DimensionMismatch("J has the wrong size for this algebra")
+    metric = InnerProduct._for(algebra, metric)
+    acs = AlmostComplexStructure._for(algebra, acs)
     # w[b][a] = W_ab
-    g = _gram_columns(metric)
-    w = {b: linalg.apply(g, column) for b, column in acs._columns.items()}
-    if not _is_skew(w):
+    w = {b: linalg.apply(metric._columns, column) for b, column in acs._columns.items()}
+    if not _is_symmetric(w, -1):
         raise NotHermitian("metric is not J-invariant: g(JX, JY) != g(X, Y)")
     terms = {(i, j): v for i, w_i in w.items() for j, v in sorted(w_i.items()) if j > i}
     return metric, acs, KForm(algebra, 2, terms, _normalized=True)
-
-
-def _gram_columns(metric):
-    """The sparse columns ``{c: {r: G_rc}}`` of the Gram matrix, 1-based;
-    G is symmetric, so its c-th column is its c-th row."""
-    return {c: {r: v for r, v in enumerate(row, 1) if v}
-            for c, row in enumerate(metric.matrix, 1)}
-
-
-def _is_skew(columns):
-    """Whether the square matrix with these sparse columns, every column
-    present, is skew: M_ab = -M_ba for all a, b, diagonal included."""
-    return all(columns[a].get(b, 0) == -v
-               for b, column in columns.items() for a, v in column.items())
 
 
 def lee_form(algebra, metric, acs):
@@ -166,7 +243,7 @@ def _is_parallel(algebra, metric, theta):
     """
     if not ce_d(theta).is_zero:
         return False
-    g = _gram_columns(metric)
+    g = metric._columns
     solution = linalg.preimage(list(g.values()),
                                {k: v for (k,), v in theta.coeffs.items()})
     dual = {c + 1: v for c, v in solution.items()}  # list positions are 0-based
@@ -174,7 +251,7 @@ def _is_parallel(algebra, metric, theta):
     lowered = {j: linalg.apply(g, linalg.apply(
                    {i: brackets.get((i, j), {}) for i in dual}, dual))
                for j in g}
-    return _is_skew(lowered)
+    return _is_symmetric(lowered, -1)
 
 
 # -- classification ----------------------------------------------------------

@@ -6,7 +6,8 @@ coefficient of x_1^...^x_{2n} in omega^n / n!, so "witness volume" below is
 literal.  An lcs pair is a nondegenerate omega with d(omega) = theta ^ omega
 for a closed 1-form theta (the Lee form, unique once dim >= 4); the pair is
 *genuine* when [theta] != 0, i.e. the structure is not a global conformal
-rescaling of a symplectic one.
+rescaling of a symplectic one.  Almost complex structures and metrics live in
+``hermitian``, which reads only ``check_lcs`` from here.
 
 Searches here are semi-decisions by design.  ``find_lcs`` enumerates twisting
 candidates in a documented deterministic order up to a height bound and
@@ -42,10 +43,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import defaultdict
 from fractions import Fraction
 
-from . import exterior_core, linalg
+from . import exterior_core
 from .cohomology import (
     _cocycles,
     _primitive,
@@ -53,10 +53,8 @@ from .cohomology import (
     twisted_d,
 )
 from .errors import (
-    DimensionMismatch,
     InternalInvariantBreach,
     InvalidParameter,
-    NotAlmostComplex,
     NotNilpotent,
     OddDimension,
     PreconditionFailed,
@@ -72,7 +70,7 @@ from .exterior_core import (
     wedge,
 )
 from .polynomials import Poly, _fix, nonzero_point
-from .scalars import ZERO, ONE, _exact, as_scalar, height
+from .scalars import _exact, as_scalar, height
 
 
 # -- Pfaffian ----------------------------------------------------------------
@@ -616,82 +614,6 @@ def find_lcs(algebra, config=SearchConfig()):
         genuine_witness=genuine_witness,
         genuine_verdict=genuine_verdict,
     )
-
-
-# -- almost complex structures ----------------------------------------------
-
-
-class AlmostComplexStructure:
-    """An exact rational matrix J with J^2 = -Id, acting on basis columns:
-    J(X_c) = sum_r M[r][c] X_r."""
-
-    __slots__ = ("dim", "matrix", "_columns")
-
-    def __init__(self, matrix):
-        rows = [tuple(as_scalar(v) for v in row) for row in matrix]
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise DimensionMismatch("J must be square")
-        self.dim = n
-        self.matrix = tuple(rows)
-        # the nonzero entries of J(X_c), 1-based: {c: {r: M[r][c]}}
-        self._columns = {c: {r: row[c - 1] for r, row in enumerate(rows, 1) if row[c - 1]}
-                         for c in range(1, n + 1)}
-        if any(linalg.apply(self._columns, column) != {c: -1}
-               for c, column in self._columns.items()):
-            raise NotAlmostComplex("J^2 != -Id")
-
-
-class NijenhuisTensor(_Record):
-    """N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] - [X, Y] on basis pairs."""
-
-    dim: int
-    components: dict
-
-    def __hash__(self):
-        # components is a dict; equal tensors have equal dimensions
-        return hash(self.dim)
-
-    @property
-    def is_integrable(self):
-        return all(all(v == 0 for v in vec) for vec in self.components.values())
-
-    def component(self, i, j):
-        """N(X_i, X_j); antisymmetric in (i, j)."""
-        if i == j:
-            return (ZERO,) * self.dim
-        if i < j:
-            return self.components[(i, j)]
-        return tuple(-v for v in self.components[(j, i)])
-
-
-def nijenhuis(algebra, acs):
-    """Nijenhuis tensor of J against the algebra's bracket; zero iff the
-    almost complex structure is integrable."""
-    if not isinstance(acs, AlmostComplexStructure):
-        acs = AlmostComplexStructure(acs)
-    if acs.dim != algebra.dim:
-        raise DimensionMismatch("J has the wrong size for this algebra")
-    n = algebra.dim
-    # one table of sparse columns: [X_a, X_b] under the pair (a, b), empty
-    # for a pair the algebra's bracket table leaves out, and J(X_c) under c,
-    # so each component below is one sparse product
-    table = defaultdict(dict, algebra._brackets)
-    table.update(acs._columns)
-    components = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            jxi, jxj = table[i], table[j]
-            # [JX_i, X_j] + [X_i, JX_j] = [JX_i, X_j] - [JX_j, X_i]: as i != j
-            # the pairs of the two sums never meet
-            mixed = linalg.apply(table, {(a, j): x for a, x in jxi.items()}
-                                 | {(b, i): -y for b, y in jxj.items()})
-            # [JX_i, JX_j] - [X_i, X_j] - J(mixed)
-            pairs = {(a, b): x * y for a, x in jxi.items() for b, y in jxj.items()}
-            pairs[i, j] = pairs.get((i, j), ZERO) - ONE
-            value = linalg.apply(table, pairs | {c: -v for c, v in mixed.items()})
-            components[(i, j)] = tuple(value.get(r, ZERO) for r in range(1, n + 1))
-    return NijenhuisTensor(dim=n, components=components)
 
 
 # -- the three nilpotent algebras in dimension four --------------------------

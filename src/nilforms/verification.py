@@ -20,7 +20,7 @@ from .cohomology import betti_profile, cohomology_space, lefschetz_map, triple_m
 from .coordinate_model import verify_realization
 from .errors import _Record
 from .exterior_core import format_form
-from .hermitian import classify_hermitian
+from .hermitian import classify_hermitian, nijenhuis
 from .notation import format_salamon, parse_salamon
 from .structures import (
     SearchConfig,
@@ -29,7 +29,6 @@ from .structures import (
     classify_4d,
     find_lcs,
     find_symplectic,
-    nijenhuis,
     twisted_exactness_witness,
 )
 

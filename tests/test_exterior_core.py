@@ -5,12 +5,14 @@ the Koszul formula and the shuffle sum from ``oracles``.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from nilforms import (
+    AmbientMismatch,
     IndexOutOfRange,
     InvalidParameter,
     JacobiViolation,
@@ -308,3 +310,68 @@ def test_a_dimension_100000_algebra_is_past_the_default_budget():
     # arithmetic only: nothing of that size is built
     with pytest.raises(WrongDimension, match="10000000000 cells, past the budget of 10000000"):
         exterior_core._require_budget(100000, 100000, "the Leibniz table")
+
+
+# each guard on outside input to the algebra and form constructors, with the
+# message it gives
+GUARDS = {
+    "constants_key_not_a_triple": (
+        InvalidParameter, "constants key (1, 2) is not an (i, j, k) triple",
+        lambda kt: LieAlgebra(3, {(1, 2): 1})),
+    "constants_key_not_iterable": (
+        InvalidParameter, "constants key 12 is not an (i, j, k) triple",
+        lambda kt: LieAlgebra(3, {12: 1})),
+    "constants_key_descending": (
+        IndexOutOfRange, "bracket key needs i < j, got (2, 1)",
+        lambda kt: LieAlgebra(3, {(2, 1, 3): 1})),
+    "form_of_no_terms": (
+        InvalidParameter, "cannot infer degree from an empty term map; use zero_form(degree)",
+        lambda kt: kt.form({})),
+    "form_of_mixed_degrees": (
+        InvalidParameter, "mixed term degrees [1, 2]",
+        lambda kt: kt.form({(1,): 1, (1, 2): 1})),
+    "bracket_vector_length": (
+        InvalidParameter, "expected a vector of length 3, got 2",
+        lambda kt: build_algebra(3, {(1, 2): (0, 1)})),
+    "bracket_key_not_a_pair": (
+        InvalidParameter, "bracket key (1, 2, 3) is not an (i, j) pair",
+        lambda kt: build_algebra(3, {(1, 2, 3): (0, 0, 1)})),
+    "bracket_key_outside": (
+        IndexOutOfRange, "bracket key (1, 4) outside 1..3",
+        lambda kt: build_algebra(3, {(1, 4): (0, 0, 1)})),
+    "bracket_key_descending": (
+        IndexOutOfRange, "bracket key needs i < j, got (2, 1)",
+        lambda kt: build_algebra(3, {(2, 1): (0, 0, 1)})),
+    "kform_over_no_algebra": (
+        InvalidParameter, "first argument must be a LieAlgebra",
+        lambda kt: KForm("(0,0,0,12)", 1, {})),
+    "kform_degree_past_dim": (
+        InvalidParameter,
+        "degree 5 exceeds dim 4; such forms are identically zero and never materialized",
+        lambda kt: KForm(kt, 5, {})),
+    "kform_term_length": (
+        InvalidParameter, "term (1,) has length 1, expected degree 2",
+        lambda kt: KForm(kt, 2, {(1,): 1})),
+    "add_a_non_form": (
+        InvalidParameter, "expected a KForm, got int",
+        lambda kt: kt.covector(1) + 1),
+    "add_across_algebras": (
+        AmbientMismatch, "forms live over different algebras",
+        lambda kt: kt.covector(1) + parse_salamon("(0,0,0,0)").covector(1)),
+}
+
+
+@pytest.mark.parametrize("error,message,call", GUARDS.values(), ids=GUARDS)
+def test_exterior_core_guards_raise_their_class(kt, error, message, call):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(kt)
+
+
+def test_comparisons_with_other_types_and_other_algebras(kt):
+    torus = parse_salamon("(0,0,0,0)")
+    # an index repeated in a monomial gives the zero coefficient
+    assert kt.form({(1, 2): 3}).coefficient((2, 2)) == 0
+    assert kt.__eq__("(0,0,0,12)") is NotImplemented
+    assert kt.covector(1).__eq__(1) is NotImplemented
+    # forms over different algebras differ, even with equal coefficients
+    assert kt.covector(1) != torus.covector(1)

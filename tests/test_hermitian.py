@@ -1,5 +1,6 @@
-"""Metrics, Lee forms and the classifier; and the Hodge laws of the
-oracle's metric route to the Lee form.
+"""Almost complex structures, the Nijenhuis tensor, metrics, Lee forms and
+the classifier; and the Hodge laws of the oracle's metric route to the Lee
+form.
 
 The oracle's sign conventions are pinned by adjointness
 <d a, b> = <a, delta b> rather than by any table; the spot checks here
@@ -72,6 +73,58 @@ def test_degenerate_metric_reports_the_first_bad_minor(gram, message):
     with pytest.raises(DegenerateMetric) as excinfo:
         InnerProduct(gram)
     assert str(excinfo.value) == f"{message}; metric is not positive definite"
+
+
+def test_acs_validation():
+    acs = AlmostComplexStructure(ROTATION_J)
+    assert tuple(row[0] for row in acs.matrix) == (0, 1, 0, 0)
+    with pytest.raises(NotAlmostComplex):
+        AlmostComplexStructure(((1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("matrix", [
+    ((1, 0), (0, 1)),
+    ((0, 0), (0, 0)),
+    ((0, -1), (1, 1)),
+    ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0)),
+    ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 1)),
+    ((0, -2, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)),
+    ((0,),),
+], ids=["identity", "zero", "trace", "zero-column", "one-entry", "scaled", "dim1"])
+def test_acs_rejects_every_non_square_root_of_minus_one(matrix):
+    with pytest.raises(NotAlmostComplex) as excinfo:
+        AlmostComplexStructure(matrix)
+    assert str(excinfo.value) == "J^2 != -Id"
+
+
+def test_acs_accepts_a_square_root_of_minus_one():
+    j = ((1, -2, 0, 0), (1, -1, 0, 0), (0, 0, 0, Fraction(-1, 2)), (0, 0, 2, 0))
+    assert AlmostComplexStructure(j).matrix == tuple(
+        tuple(Fraction(v) for v in row) for row in j)
+    assert AlmostComplexStructure(()).dim == 0
+
+
+def test_nijenhuis_vanishes_where_it_should(torus, kt):
+    assert nijenhuis(torus, ROTATION_J).is_integrable
+    assert nijenhuis(kt, ROTATION_J).is_integrable
+
+
+def test_nijenhuis_obstruction_on_the_filiform(filiform):
+    tensor = nijenhuis(filiform, ROTATION_J)
+    assert not tensor.is_integrable
+    assert tensor.component(1, 3) == (0, 0, 0, 1)
+    assert tensor.component(3, 1) == (0, 0, 0, -1)
+    assert tensor.component(2, 2) == (0, 0, 0, 0)
+
+
+def test_nijenhuis_tensors_compare_by_components(torus, kt, filiform):
+    flat = nijenhuis(torus, ROTATION_J)
+    obstructed = nijenhuis(filiform, ROTATION_J)
+    assert flat.dim == obstructed.dim == 4
+    assert flat != obstructed
+    assert flat == nijenhuis(kt, ROTATION_J)
+    assert hash(flat) == hash(nijenhuis(kt, ROTATION_J))
+    assert obstructed == nijenhuis(filiform, ROTATION_J)
 
 
 def test_form_pairing_is_the_gram_minor(kt):

@@ -1,4 +1,4 @@
-"""Symplectic and lcs detection, almost complex structures, 4d classifier."""
+"""Symplectic and lcs detection, 4d classifier."""
 
 import math
 from fractions import Fraction
@@ -6,11 +6,9 @@ from fractions import Fraction
 import pytest
 
 from nilforms import (
-    AlmostComplexStructure,
     InternalInvariantBreach,
     InvalidParameter,
     LieAlgebra,
-    NotAlmostComplex,
     NotNilpotent,
     OddDimension,
     PreconditionFailed,
@@ -24,7 +22,6 @@ from nilforms import (
     find_symplectic,
     format_form,
     lower_central_series,
-    nijenhuis,
     nondegenerate_in_span,
     parse_salamon,
     pfaffian_volume,
@@ -390,61 +387,6 @@ def test_the_pfaffian_budget_counts_every_term_formed(monkeypatch):
         find_symplectic(ABELIAN_8)
     monkeypatch.setattr(exterior_core, "_BUDGET", 2120)
     assert pfaffian_volume(ABELIAN_8, find_symplectic(ABELIAN_8)) != 0
-
-
-ROTATION_J = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
-
-
-def test_acs_validation():
-    acs = AlmostComplexStructure(ROTATION_J)
-    assert tuple(row[0] for row in acs.matrix) == (0, 1, 0, 0)
-    with pytest.raises(NotAlmostComplex):
-        AlmostComplexStructure(((1, 0), (0, 1)))
-
-
-@pytest.mark.parametrize("matrix", [
-    ((1, 0), (0, 1)),
-    ((0, 0), (0, 0)),
-    ((0, -1), (1, 1)),
-    ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0)),
-    ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 1)),
-    ((0, -2, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)),
-    ((0,),),
-], ids=["identity", "zero", "trace", "zero-column", "one-entry", "scaled", "dim1"])
-def test_acs_rejects_every_non_square_root_of_minus_one(matrix):
-    with pytest.raises(NotAlmostComplex) as excinfo:
-        AlmostComplexStructure(matrix)
-    assert str(excinfo.value) == "J^2 != -Id"
-
-
-def test_acs_accepts_a_square_root_of_minus_one():
-    j = ((1, -2, 0, 0), (1, -1, 0, 0), (0, 0, 0, Fraction(-1, 2)), (0, 0, 2, 0))
-    assert AlmostComplexStructure(j).matrix == tuple(
-        tuple(Fraction(v) for v in row) for row in j)
-    assert AlmostComplexStructure(()).dim == 0
-
-
-def test_nijenhuis_vanishes_where_it_should(torus, kt):
-    assert nijenhuis(torus, ROTATION_J).is_integrable
-    assert nijenhuis(kt, ROTATION_J).is_integrable
-
-
-def test_nijenhuis_obstruction_on_the_filiform(filiform):
-    tensor = nijenhuis(filiform, ROTATION_J)
-    assert not tensor.is_integrable
-    assert tensor.component(1, 3) == (0, 0, 0, 1)
-    assert tensor.component(3, 1) == (0, 0, 0, -1)
-    assert tensor.component(2, 2) == (0, 0, 0, 0)
-
-
-def test_nijenhuis_tensors_compare_by_components(torus, kt, filiform):
-    flat = nijenhuis(torus, ROTATION_J)
-    obstructed = nijenhuis(filiform, ROTATION_J)
-    assert flat.dim == obstructed.dim == 4
-    assert flat != obstructed
-    assert flat == nijenhuis(kt, ROTATION_J)
-    assert hash(flat) == hash(nijenhuis(kt, ROTATION_J))
-    assert obstructed == nijenhuis(filiform, ROTATION_J)
 
 
 def test_classify_4d_all_three_classes(torus, kt, filiform):
