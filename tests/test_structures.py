@@ -278,6 +278,24 @@ def test_theta_candidates_order(filiform):
     assert third == filiform.covector(2)
 
 
+def test_theta_candidates_at_height_one_in_full():
+    # closed covectors x1, x2 and -x3 + x4: theta = 0, the three hoisted unit
+    # covectors, then by support size, support position and the values 1, -1
+    algebra = parse_salamon("(0,0,12,12)")
+    stream = theta_candidates(algebra, SearchConfig(height=1))
+    assert [format_form(theta) for theta in stream] == [
+        "0", "x1", "x2", "-x3 + x4",
+        "-x1", "-x2", "x3 - x4",
+        "x1 + x2", "x1 - x2", "-x1 + x2", "-x1 - x2",
+        "x1 - x3 + x4", "x1 + x3 - x4", "-x1 - x3 + x4", "-x1 + x3 - x4",
+        "x2 - x3 + x4", "x2 + x3 - x4", "-x2 - x3 + x4", "-x2 + x3 - x4",
+        "x1 + x2 - x3 + x4", "x1 + x2 + x3 - x4",
+        "x1 - x2 - x3 + x4", "x1 - x2 + x3 - x4",
+        "-x1 + x2 - x3 + x4", "-x1 + x2 + x3 - x4",
+        "-x1 - x2 - x3 + x4", "-x1 - x2 + x3 - x4",
+    ]
+
+
 def test_twisted_exactness_witness(filiform):
     omega = filiform.form({(1, 3): 1, (2, 4): -1})
     theta = filiform.covector(2)
