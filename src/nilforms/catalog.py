@@ -6,7 +6,6 @@ Every ExpectedFact carries a provenance tag:
 * "literature": a classical statement (attributed in the README) whose
   machine-checkable shadow, if any, is a separate derived fact.  Printed,
   never asserted.
-* "not-machine-checkable": recorded for completeness only.
 
 Facts store plain data (index tuples, coefficient dicts); construct forms
 against ``entry.algebra`` when needed.
@@ -18,7 +17,7 @@ from .errors import InvalidParameter, UnknownName, _Record
 from .exterior_core import LieAlgebra, build_algebra
 from .notation import parse_salamon
 
-PROVENANCES = ("derived", "literature", "not-machine-checkable")
+PROVENANCES = ("derived", "literature")
 
 
 class ExpectedFact(_Record):

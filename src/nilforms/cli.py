@@ -51,6 +51,7 @@ from .structures import (
     find_lcs,
     find_symplectic,
 )
+from .verification import all_machine_pass, verify_all
 
 
 class _MalformedJSON(ValueError):
@@ -340,8 +341,6 @@ def _cmd_cohomology(args):
 
 
 def _cmd_verify(args):
-    from .verification import all_machine_pass, verify_all
-
     results = verify_all()
     payload = [{
         "name": r.name,
@@ -473,7 +472,3 @@ def main(argv=None):
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

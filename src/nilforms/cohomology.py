@@ -63,7 +63,6 @@ from .errors import (
 )
 from .exterior_core import (
     KForm,
-    _add_term,
     _d_form,
     _d_step,
     _is_unimodular,
@@ -204,11 +203,8 @@ class CohomologyClass:
     @property
     def representative(self):
         """sum c_i r_i over the basis representatives r_i with c_i != 0."""
-        terms = {}
-        for rep, c in zip(self.space.representative_basis, self.coords):
-            if c:
-                for mono, v in rep.coeffs.items():
-                    _add_term(terms, mono, v * c)
+        terms = linalg.apply([rep.coeffs for rep in self.space.representative_basis],
+                             {i: c for i, c in enumerate(self.coords) if c})
         return KForm(self.space.algebra, self.space.degree, terms, _normalized=True)
 
     @property
@@ -408,12 +404,8 @@ def _cup_table(algebra):
 def _cup_coords(table, a, b):
     """The sparse H^2 coordinates sum a_i b_j C_ij of the cup of two
     degree-1 classes given by sparse coordinates ``a``, ``b``."""
-    product = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            for k, c in table.get((i, j), {}).items():
-                product[k] = product.get(k, 0) + x * y * c
-    return {k: c for k, c in product.items() if c}
+    return linalg.apply(table, {(i, j): x * y for i, x in a.items()
+                                for j, y in b.items() if (i, j) in table})
 
 
 class LefschetzResult(_Record):

@@ -19,7 +19,8 @@ integer lattice Z^4 is not closed under the law.
 A form on R^4 is a plain term dict {increasing tuple over 1..4: nonzero
 Poly}, 1 = dx, ..., 4 = dt, with coefficients in the RING_VARS variables.
 Zero terms are left out, so two forms are equal exactly when their dicts
-are; products and derivatives run on ``exterior_core``'s shared wedge.
+are; products and derivatives run on ``exterior_core``'s shared wedge, and
+their sums on ``linalg.apply``.
 
 ``verify_realization`` runs the whole battery and reports named booleans;
 nothing in it is stubbed or sampled.
@@ -27,10 +28,12 @@ nothing in it is stubbed or sampled.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
+from . import linalg
 from .errors import DimensionMismatch, _Record
-from .exterior_core import _add_term, _wedge_raw
+from .exterior_core import _wedge_raw
 from .notation import parse_salamon
 from .polynomials import Poly
 
@@ -64,11 +67,8 @@ def _gradient(poly):
 def _d(form):
     """Exterior derivative in the coordinate variables only:
     d(p dx_I) = dp ^ dx_I."""
-    out = {}
-    for mono, poly in form.items():
-        for key, value in _wedge_raw(_gradient(poly), {mono: 1}).items():
-            _add_term(out, key, value)
-    return out
+    return linalg.apply({mono: _wedge_raw(_gradient(poly), {mono: 1})
+                         for mono, poly in form.items()}, dict.fromkeys(form, 1))
 
 
 def _pullback(form, components):
@@ -79,14 +79,10 @@ def _pullback(form, components):
         raise DimensionMismatch("a coordinate map needs 4 components")
     assignment = dict(enumerate(components))
     differentials = [_gradient(comp) for comp in components]
-    out = {}
-    for mono, poly in form.items():
-        term = {(): poly.substitute(assignment)}
-        for index in mono:
-            term = _wedge_raw(term, differentials[index - 1])
-        for key, value in term.items():
-            _add_term(out, key, value)
-    return out
+    return linalg.apply(
+        {mono: functools.reduce(_wedge_raw, [differentials[i - 1] for i in mono], {(): 1})
+         for mono in form},
+        {mono: poly.substitute(assignment) for mono, poly in form.items()})
 
 
 # -- the group law -----------------------------------------------------------
@@ -141,14 +137,11 @@ class RealizationReport(_Record):
 
 def _structure_equations(coframe):
     algebra = parse_salamon(SALAMON)
-    for k in range(1, NCOORDS + 1):
-        expected = {}
-        for (i, j), coeff in algebra.dx(k).terms():
-            for mono, poly in _wedge_raw(coframe[i - 1], coframe[j - 1]).items():
-                _add_term(expected, mono, poly * coeff)
-        if _d(coframe[k - 1]) != expected:
-            return False
-    return True
+    differentials = [algebra.dx(k).coeffs for k in range(1, NCOORDS + 1)]
+    products = {(i, j): _wedge_raw(coframe[i - 1], coframe[j - 1])
+                for dx in differentials for i, j in dx}
+    return all(_d(form) == linalg.apply(products, dx)
+               for form, dx in zip(coframe, differentials))
 
 
 def _left_invariance(coframe):

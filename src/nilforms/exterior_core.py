@@ -503,26 +503,30 @@ def _require_form(algebra, form, name, degree=None):
         raise InvalidParameter(f"{name} must be a {degree}-form, got degree {form.degree}")
 
 
+def _format_sum(terms, space):
+    """The one writer of a signed sum of ``(body, nonzero coefficient)``
+    terms, ``"0"`` when there are none: a coefficient of 1 is elided, -1
+    leaves its sign, an empty body leaves the bare coefficient, and each
+    later term is joined by its sign with ``space`` on either side."""
+    text = ""
+    for body, coeff in terms:
+        if not body:
+            term = format_scalar(coeff)
+        elif coeff == 1 or coeff == -1:
+            term = body if coeff > 0 else f"-{body}"
+        else:
+            term = f"{format_scalar(coeff)}*{body}"
+        if text:
+            sign, term = ("-", term[1:]) if term.startswith("-") else ("+", term)
+            text += f"{space}{sign}{space}"
+        text += term
+    return text or "0"
+
+
 def format_form(form):
     """Human-readable rendering like ``x1^x3 - 2*x2^x4``."""
-    if form.is_zero:
-        return "0"
-    chunks = []
-    for mono, coeff in form.terms():
-        body = "^".join(f"x{i}" for i in mono) if mono else "1"
-        if coeff == 1 and mono:
-            text = body
-        elif coeff == -1 and mono:
-            text = f"-{body}"
-        else:
-            text = f"{format_scalar(coeff)}*{body}" if mono else format_scalar(coeff)
-        if chunks and not text.startswith("-"):
-            chunks.append(f"+ {text}")
-        elif chunks:
-            chunks.append(f"- {text[1:]}")
-        else:
-            chunks.append(text)
-    return " ".join(chunks)
+    return _format_sum((("^".join(f"x{i}" for i in mono), coeff)
+                        for mono, coeff in form.terms()), " ")
 
 
 def wedge(a, b):

@@ -17,8 +17,8 @@ adjoint of d.
 
 One reader takes the Gram matrix G of a metric and the matrix of J to exact
 rows and sparse columns, once, and checks that each is square and of the
-algebra's size: G symmetric with every leading principal minor positive, each
-minor read off one reduction on the ``linalg`` kernel, and J^2 = -Id.  The
+algebra's size: G symmetric with every leading principal minor positive, the
+minors read off one forward pass on the ``linalg`` kernel, and J^2 = -Id.  The
 Nijenhuis tensor is one sparse product per basis pair over J's columns and the
 bracket table.  A pair is read by one product W = G J over J's sparse
 columns: since J^2 = -Id, g(JX, JY) = g(X, Y) holds exactly when W is skew,
@@ -90,20 +90,22 @@ class InnerProduct(_SquareMatrix):
         super().__init__(matrix)
         if not _is_symmetric(self._columns):
             raise InvalidParameter("Gram matrix must be symmetric")
-        # Sylvester's criterion.  While Delta_1, ..., Delta_{k-1} are nonzero,
-        # the columns before column k have the first k - 1 rows as their
-        # pivots, so column k reduced modulo their ``linalg.echelon`` basis
-        # vanishes there and its entry in row k is the Schur complement
-        # Delta_k / Delta_{k-1}: the running product of those entries is the
-        # leading minor
-        columns = list(self._columns.values())
+        # Sylvester's criterion in one forward pass.  While Delta_1, ...,
+        # Delta_{k-1} are nonzero, the basis of the columns before column k
+        # has the first k - 1 rows as its pivots, so column k reduced modulo
+        # it vanishes there, with the Schur complement Delta_k / Delta_{k-1}
+        # in row k: the running product of those entries is the leading
+        # minor, and the reduced column, with pivot k, extends the basis
+        basis = {}
         minor = ONE
-        for k, column in enumerate(columns, 1):
-            minor *= linalg.reduce(column, linalg.echelon(columns[:k - 1])).get(k, ZERO)
+        for k, column in self._columns.items():
+            reduced = linalg.reduce(column, basis)
+            minor *= reduced.get(k, ZERO)
             if minor <= 0:
                 raise DegenerateMetric(
                     f"leading principal minor {k} is {minor}; metric is not "
                     "positive definite")
+            basis.update(linalg.echelon([reduced]))
 
 
 class AlmostComplexStructure(_SquareMatrix):

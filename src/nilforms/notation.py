@@ -26,7 +26,7 @@ from .errors import (
     SalamonSyntaxError,
     SchemaViolation,
 )
-from .exterior_core import KForm, LieAlgebra
+from .exterior_core import KForm, LieAlgebra, _format_sum
 from .scalars import as_scalar, format_scalar
 
 
@@ -248,25 +248,9 @@ def _format_pair(i, j, n):
 def format_salamon(algebra):
     """Canonical tuple notation; round-trips through parse_salamon."""
     n = algebra.dim
-    entries = []
-    for k in range(1, n + 1):
-        dxk = algebra.dx(k)
-        if dxk.is_zero:
-            entries.append("0")
-            continue
-        parts = []
-        for (i, j), coeff in dxk.terms():
-            pair = _format_pair(i, j, n)
-            if coeff == 1:
-                term = pair
-            elif coeff == -1:
-                term = "-" + pair
-            else:
-                term = format_scalar(coeff) + "*" + pair
-            if parts and not term.startswith("-"):
-                parts.append("+")
-            parts.append(term)
-        entries.append("".join(parts))
+    entries = (_format_sum(((_format_pair(i, j, n), coeff)
+                            for (i, j), coeff in algebra.dx(k).terms()), "")
+               for k in range(1, n + 1))
     return "(" + ",".join(entries) + ")"
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidParameter
+from .errors import InternalInvariantBreach, InvalidParameter
 from .scalars import ZERO, as_scalar
 
 
@@ -227,8 +227,10 @@ def nonzero_point(poly):
     Standard derandomized search: a nonzero polynomial of total degree d,
     seen as a polynomial in one variable at a time, stays nonzero for some
     value in {0, ..., d}.  Variables are fixed in index order, smallest
-    value first, so the witness is canonical and small.  Raises on the zero
-    polynomial.
+    value first, so the witness is canonical and small.  Raises
+    InvalidParameter on the zero polynomial; by the lemma every other
+    polynomial has a point, so a search that finds none is an
+    InternalInvariantBreach.
     """
     if poly.is_zero:
         raise InvalidParameter("the zero polynomial has no nonzero point")
@@ -242,7 +244,7 @@ def nonzero_point(poly):
                 terms = attempt
                 break
         else:
-            raise InvalidParameter("no nonzero point found; polynomial was zero?")
+            raise InternalInvariantBreach("no nonzero point found for a nonzero polynomial")
         point.append(Fraction(candidate))
     return tuple(point)
 

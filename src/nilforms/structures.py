@@ -45,7 +45,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from . import exterior_core
+from . import exterior_core, linalg
 from .cohomology import (
     _cocycles,
     _primitive,
@@ -267,12 +267,9 @@ def _nondegenerate_in_span(algebra, basis_forms):
     if pfaffian.is_zero:
         return None
     # the point's integral values as ints, so integral forms give an int sum
-    terms = {}
-    for value, form in zip(map(_exact, nonzero_point(pfaffian)), basis_forms):
-        if value:
-            for mono, coeff in form.coeffs.items():
-                terms[mono] = terms.get(mono, 0) + value * coeff
-    terms = {mono: coeff for mono, coeff in terms.items() if coeff}
+    point = map(_exact, nonzero_point(pfaffian))
+    terms = linalg.apply([form.coeffs for form in basis_forms],
+                         {v: value for v, value in enumerate(point) if value})
     # normalize: leading coefficient (first monomial in lex order) positive
     if terms[min(terms)] < 0:
         terms = {mono: -coeff for mono, coeff in terms.items()}
@@ -495,13 +492,7 @@ def _theta_stream(algebra, config, basis):
     yield (), algebra.zero_form(1)
     if m == 0 or config.height == 0:
         return
-
-    def assemble(assignment):
-        form = algebra.zero_form(1)
-        for pos, value in assignment:
-            form = form + basis[pos].scale(value)
-        return form
-
+    columns = [covector.coeffs for covector in basis]
     hoisted = {((pos, 1),): covector for pos, covector in enumerate(basis)}
     yield from hoisted.items()
 
@@ -515,7 +506,8 @@ def _theta_stream(algebra, config, basis):
                     assignment = tuple(zip(support, choice))
                     if assignment in hoisted:
                         continue
-                    yield assignment, assemble(assignment)
+                    yield assignment, KForm(
+                        algebra, 1, linalg.apply(columns, dict(assignment)), _normalized=True)
 
 
 def find_lcs(algebra, config=SearchConfig()):

@@ -141,7 +141,7 @@ def test_criterion_9_semi_decision_honesty(torus):
     filiform_entry = get_example("filiform_0_0_12_13")
     for key in ("complex_structure_exists", "kahler_metric_exists"):
         fact = filiform_entry.fact(key)
-        assert fact.provenance in ("literature", "not-machine-checkable")
+        assert fact.provenance == "literature"
         assert fact.value is False
     _ok("criterion 9: bounded search reported honestly; nonexistence facts "
         "carry literature provenance")

@@ -81,6 +81,12 @@ def test_unknown_name_lists_the_choices():
     assert "torus4" in str(info.value)
 
 
+def test_an_unknown_fact_names_the_entry_and_the_key():
+    with pytest.raises(UnknownName) as info:
+        get_example("torus4").fact("symplectic")
+    assert info.value.args == ("torus4 has no fact 'symplectic'",)
+
+
 def test_entries_parse_their_own_salamon_strings():
     for name in names():
         entry = get_example(name)

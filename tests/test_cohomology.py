@@ -288,6 +288,7 @@ def test_class_arithmetic(kt):
     assert (a - a).is_zero
     assert a + b == h1.class_of(kt.covector(1) + kt.covector(2))
     assert a.scale(Fraction(3)) == h1.class_of(kt.covector(1).scale(3))
+    assert (a == a.coords) is False and a != kt.covector(1)
 
 
 def test_classes_and_spaces_print_their_coordinates_and_rank(kt):
@@ -438,6 +439,31 @@ GUARDS = {
 def test_cohomology_guards_raise_their_class(kt, torus, filiform, error, message, call):
     with pytest.raises(error, match=f"^{message}"):
         call(kt, torus, filiform)
+
+
+def test_a_cocycle_outside_the_quotient_basis_is_a_breach(monkeypatch):
+    h1 = cohomology_space(parse_salamon("(0,0,0,12)"), 1)
+    monkeypatch.setattr(h1, "_quotient", {})
+    with pytest.raises(InternalInvariantBreach, match="^cocycle escaped the quotient basis$"):
+        h1.reduce(h1.algebra.covector(1))
+
+
+def test_an_exact_cup_without_a_primitive_is_a_breach(monkeypatch):
+    kt = parse_salamon("(0,0,0,12)")
+    monkeypatch.setattr(cohomology, "_primitive", lambda algebra, target, theta=None: None)
+    with pytest.raises(InternalInvariantBreach, match="^exact form has no primitive$"):
+        triple_massey(kt, kt.covector(3), kt.covector(3), kt.covector(3))
+
+
+def test_a_massey_representative_that_is_not_closed_is_a_breach(monkeypatch):
+    # <x3, x3, x3> has primitives 0 and 0; a primitive x4 for a ^ b alone
+    # makes the representative x4 ^ x3, and d(x4 ^ x3) = x1 ^ x2 ^ x3
+    kt = parse_salamon("(0,0,0,12)")
+    primitives = iter([kt.covector(4), kt.zero_form(1)])
+    monkeypatch.setattr(cohomology, "_primitive",
+                        lambda algebra, target, theta=None: next(primitives))
+    with pytest.raises(InternalInvariantBreach, match="^Massey representative is not closed$"):
+        triple_massey(kt, kt.covector(3), kt.covector(3), kt.covector(3))
 
 
 def test_massey_vanishes_on_the_torus(torus):

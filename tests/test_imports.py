@@ -47,6 +47,22 @@ def test_the_guard_sees_an_unused_import():
     assert [name for name, _ in _imported(tree) if name not in read] == ["Fraction"]
 
 
+def test_only_exterior_core_sums_terms_by_hand():
+    """A sparse linear combination outside the form type's own arithmetic
+    goes through ``linalg.apply``: no other module binds ``_add_term`` or
+    reads it as an attribute."""
+    users = []
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "exterior_core.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(name == "_add_term" for name, _ in _imported(tree)) or any(
+                isinstance(node, ast.Attribute) and node.attr == "_add_term"
+                for node in ast.walk(tree)):
+            users.append(path.name)
+    assert not users, f"modules that sum terms with _add_term: {sorted(users)}"
+
+
 def test_all_lists_only_public_names():
     import nilforms
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilforms import InvalidParameter, Poly
+from nilforms import InternalInvariantBreach, InvalidParameter, Poly
+from nilforms import polynomials
 from nilforms.polynomials import nonzero_point
 
 from oracles import reference_nonzero_point
@@ -87,6 +88,9 @@ def test_constants_hash_as_the_rationals_they_equal():
     assert hash(Poly(2, {})) == hash(0)
     x = Poly.variable(2, 0)
     assert hash(x + 3 - x) == hash(3)
+    # a polynomial that is no constant hashes by its arity and terms
+    assert hash(x * 2) == hash(Poly(2, {(1, 0): 2}))
+    assert len({x * 2, Poly(2, {(1, 0): 2}), x}) == 2
 
 
 def test_a_scalar_minus_a_polynomial():
@@ -125,3 +129,36 @@ def test_arity_and_exponents_must_be_nonnegative_ints():
                  lambda: Poly(1.0, {(1,): 1}, _normalized=True)):
         with pytest.raises(InvalidParameter, match="arity"):
             call()
+
+
+def test_terms_that_cancel_leave_the_zero_polynomial():
+    # (1,) and range(1, 2) name one exponent, so their values meet and cancel
+    poly = Poly(1, {(1,): 1, range(1, 2): -1})
+    assert poly.terms == {} and poly == 0
+
+
+X = Poly.variable(2, 0)
+
+GUARDS = {
+    "add_arity": (lambda: X + Poly.variable(3, 0), "polynomial arity mismatch"),
+    "negative_power": (lambda: X ** -1, "only nonnegative integer powers"),
+    "fractional_power": (lambda: X ** Fraction(1, 2), "only nonnegative integer powers"),
+    "substitute_arity": (lambda: X.substitute({0: Poly.variable(3, 1)}),
+                         "substitution arity mismatch"),
+    "evaluate_arity": (lambda: X.evaluate([1]), "wrong number of values"),
+}
+
+
+@pytest.mark.parametrize("call,message", GUARDS.values(), ids=GUARDS)
+def test_guards_raise_invalid_parameter(call, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        call()
+
+
+def test_a_search_that_misses_a_point_of_a_nonzero_polynomial_is_a_breach(monkeypatch):
+    # the lemma guarantees a point; a broken _fix that zeroes every attempt
+    # can only mean a bug, never bad input
+    monkeypatch.setattr(polynomials, "_fix", lambda terms, index, value: {})
+    with pytest.raises(InternalInvariantBreach,
+                       match="^no nonzero point found for a nonzero polynomial$"):
+        nonzero_point(X + 1)

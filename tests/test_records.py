@@ -68,3 +68,21 @@ def test_post_init_checks_run():
     assert ExpectedFact("b1", 2, "derived").provenance == "derived"
     with pytest.raises(InvalidParameter):
         ExpectedFact("b1", 2, "bogus")
+
+
+GUARDS = {
+    "too_many_positional": (lambda: SearchConfig(1, 2, 3),
+                            "SearchConfig takes 2 fields, got 3 positional values"),
+    "missing_field": (lambda: CheckResult("name", True),
+                      "CheckResult is missing field 'detail'"),
+    "unknown_field": (lambda: SearchConfig(depth=1),
+                      r"SearchConfig got unexpected or repeated fields \['depth'\]"),
+    "repeated_field": (lambda: SearchConfig(1, height=2),
+                       r"SearchConfig got unexpected or repeated fields \['height'\]"),
+}
+
+
+@pytest.mark.parametrize("call,message", GUARDS.values(), ids=GUARDS)
+def test_construction_guards_raise_type_error(call, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()

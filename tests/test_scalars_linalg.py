@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,13 @@ def test_as_scalar_rejects_float():
 def test_as_scalar_reads_only_signed_ascii_fractions(text):
     with pytest.raises(InvalidParameter, match="not a rational literal"):
         as_scalar(text)
+
+
+@pytest.mark.parametrize("value", [None, [1], 1j])
+def test_as_scalar_rejects_other_types(value):
+    with pytest.raises(InvalidParameter,
+                       match=f"^cannot interpret {re.escape(repr(value))} as a rational scalar$"):
+        as_scalar(value)
 
 
 def test_as_scalar_rejects_bool():
