@@ -4,8 +4,9 @@ Every ExpectedFact carries a provenance tag:
 
 * "derived": recomputed from scratch, every one, by the tests.
 * "literature": a classical statement (attributed in the README) whose
-  machine-checkable shadow, if any, is a separate derived fact.  Printed,
-  never asserted.
+  machine-checkable shadow, if any, is a separate derived fact.  Recorded
+  for reference and never asserted; no module reads one, and
+  ``verify-paper`` writes its NOTE lines in its own words.
 
 Facts store plain data (index tuples, coefficient dicts); construct forms
 against ``entry.algebra`` when needed.

@@ -1,10 +1,11 @@
 """The verify-paper battery against the catalog it reads: a check that reads
 a catalog fact compares its result with that fact's value, so a wrong value
-fails exactly the checks that read it."""
+fails exactly the checks that read it, and so does a missing one."""
 
 import pytest
 
 from nilforms import CatalogEntry, ExpectedFact, get_example, verification
+from nilforms.cli import main
 
 FILIFORM = "filiform_0_0_12_13"
 KT = "kodaira_thurston"
@@ -59,10 +60,6 @@ def _with_facts(monkeypatch, example, facts):
                         lambda name: changed if name == example else get_example(name))
 
 
-def _failing(results):
-    return {r.name for r in results if r.passed is False}
-
-
 def test_the_table_perturbs_exactly_the_facts_the_battery_reads(monkeypatch):
     read = set()
     fact = CatalogEntry.fact
@@ -83,4 +80,21 @@ def test_a_wrong_catalog_value_fails_exactly_the_checks_that_read_it(
     facts = tuple(ExpectedFact(f.fact, value, f.provenance) if f.fact == fact else f
                   for f in get_example(example).facts)
     _with_facts(monkeypatch, example, facts)
-    assert _failing(verification.verify_all()) == readers
+    assert {r.name for r in verification.verify_all() if r.passed is False} == readers
+
+
+@pytest.mark.parametrize("example,fact", sorted(PERTURBED))
+def test_a_missing_catalog_fact_fails_only_the_checks_that_read_it(
+        monkeypatch, capsys, example, fact):
+    _, readers = PERTURBED[example, fact]
+    _with_facts(monkeypatch, example,
+                tuple(f for f in get_example(example).facts if f.fact != fact))
+    assert main(["verify-paper"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    failed = dict(line[5:].split(": ", 1) for line in out if line.startswith("FAIL "))
+    assert set(failed) == readers
+    message = f"{example} has no fact {fact!r}"
+    assert all(d.startswith("raised UnknownName: ") and message in d
+               for d in failed.values())
+    machine = sum(1 for line in out if line.startswith(("PASS ", "FAIL ")))
+    assert out[-1] == f"{machine - len(readers)}/{machine} machine checks pass"
