@@ -35,11 +35,13 @@ d_theta(x_R) with i the lowest index; ``twisted_d`` runs the same step down
 each monomial of one form.
 ``betti_profile`` ranks each degree as the sweep yields it, with
 ``linalg._rank``, which only reads the images the sweep builds the next
-degree from; a space takes degrees k - 1 and k off one sweep; and
-``_d_matrix`` reads one degree off it for the searches.  A kernel or a
-preimage reads only the source order (the reduced echelon form
-of a row space is unique under its column order, and the sources are the
-columns there), so it takes the images as they come.  The coboundaries B
+degree from; a space takes degrees k - 1 and k off one sweep; ``_d_matrix``
+reads one degree off it; and ``_cocycles`` reads the kernels of every
+degree a search asks for off one sweep, as term dicts ``{monomial: coeff}``
+with no ``KForm`` around them.  A kernel or a preimage reads only the
+source order (the reduced echelon form of a row space is unique under its
+column order, and the sources are the columns there), so it takes the
+images as they come.  The coboundaries B
 are the one place where targets become echelon columns, so a space re-keys
 only B's images, by the lex position of their targets in Lambda^k.
 """
@@ -178,13 +180,20 @@ def _form(algebra, degree, monomials, vector):
     return KForm(algebra, degree, terms, _normalized=True)
 
 
-def _cocycles(algebra, k, theta=None):
-    """Z^k_theta as k-forms: the ``linalg.kernel`` basis of ``_d_matrix``
-    (not echelon), the one source of cocycles for the searches.  Validates
-    nothing, as ``_d_matrix``."""
-    monomials = algebra.monomials(k)
-    return [_form(algebra, k, monomials, vector)
-            for vector in linalg.kernel(_d_matrix(algebra, k, theta))]
+def _cocycles(algebra, degrees, theta=None):
+    """Z^k_theta for each k in ``degrees``, all off one ``_d_images`` sweep
+    that stops at the highest: per degree, the ``linalg.kernel`` basis of
+    d_theta on Lambda^k (not echelon) as term dicts ``{monomial: coeff}``
+    in lex monomial order, with no ``KForm`` around them.  The one source of
+    cocycles for the searches; validates nothing, as ``_d_matrix``."""
+    bases = {}
+    sweep = itertools.islice(_d_images(algebra, theta), max(degrees) + 1)
+    for k, columns in enumerate(sweep):
+        if k in degrees:
+            monomials = algebra.monomials(k)
+            bases[k] = [{monomials[i]: c for i, c in vector.items()}
+                        for vector in linalg.kernel(columns)]
+    return [bases[k] for k in degrees]
 
 
 class CohomologyClass:

@@ -20,20 +20,28 @@ theta != 0) makes every d_theta-closed 2-form twisted-exact, so a single
 symbolic Pfaffian over theta and the primitive settles all theta != 0
 candidates at once; when it vanishes identically only theta = 0 is decided
 and the rest counted in closed form; otherwise a candidate whose streamed
-coordinates make it vanish is undecided.  Whether the algebra is nilpotent is
-read off its structure constants when they are in Salamon's order (every
-[X_i, X_j], i < j, in the span of the X_k with k > j) and left to the lower
-central series otherwise.  Every Pfaffian here is that of a linear family
-sum m_V F_V of 2-forms F_V, each weighted by a product m_V of distinct
-variables, and comes from one memoized first-row expansion
-(``_symbolic_pfaffian``): a numeric Pfaffian is one form weighted by 1, a
-span's gives each form its own variable, and the one over
-theta = sum t_i b_i and eta = sum a_j x_j lists a_j dx_j and
+coordinates make it vanish is skipped, and any other reads its
+d_theta-closed 2-forms off d_theta(Lambda^1), the span the same theorem
+gives, in the very basis the kernel of d_theta on Lambda^2 would give.
+Whether the algebra is nilpotent is read off its structure constants when
+they are in Salamon's order (every [X_i, X_j], i < j, in the span of the
+X_k with k > j) and left to the lower central series otherwise.  Every
+Pfaffian here is that of a linear family sum m_V F_V of 2-forms F_V, each
+weighted by a product m_V of distinct variables, and comes from one
+memoized first-row expansion (``_symbolic_pfaffian``): a numeric Pfaffian
+is one form weighted by 1, a span's gives each form its own variable, and
+the one over theta = sum t_i b_i and eta = sum a_j x_j lists a_j dx_j and
 t_i a_j (-b_i ^ x_j).  The expansion runs on int coefficients wherever they
 are integral, and stops with WrongDimension once the terms it has formed
 pass the size budget.  The shortcut deletes work, not honesty: the
 search still answers for the candidates up to height H only, and a
 nonexistence claim belongs to a separate, proof-carrying decision.
+
+Inside the searches a form is its term dict ``{monomial: coeff}``, read off
+``cohomology._cocycles`` (which, as ``_d_matrix``, validates nothing); a
+``KForm`` is built only for what leaves a search (the witness, the thetas
+and ``closed_covector_basis``), and the public ``nondegenerate_in_span``
+checks its basis forms before it hands their terms on.
 
 Dimension 2 is excluded from the lcs operations: there the Lee form is not
 unique and the conformal dichotomy collapses.
@@ -48,6 +56,7 @@ from fractions import Fraction
 from . import exterior_core, linalg
 from .cohomology import (
     _cocycles,
+    _d_matrix,
     _primitive,
     cohomology_space,
     twisted_d,
@@ -210,7 +219,8 @@ def check_symplectic(algebra, omega):
 
 def _twisted_exact_pfaffian(algebra, covectors):
     """Pf(d eta - theta ^ eta) as one Poly in (t_1..t_m, a_1..a_n), where
-    theta = sum t_i covectors[i] and eta = sum a_j x_j.
+    theta = sum t_i covectors[i] and eta = sum a_j x_j, each covector given
+    by its terms ``{(k,): beta}``.
 
     Dixmier (Acta Sci. Math. Szeged 16, 1955): on a nilpotent algebra every
     twisted cohomology group H*_theta vanishes for closed theta != 0, so each
@@ -220,8 +230,7 @@ def _twisted_exact_pfaffian(algebra, covectors):
     closed theta != 0 at once.
     """
     n, m = algebra.dim, len(covectors)
-    terms = [[(k, beta) for (k,), beta in covector.coeffs.items()]
-             for covector in covectors]
+    terms = [[(k, beta) for (k,), beta in covector.items()] for covector in covectors]
     family = []
     for j in range(1, n + 1):
         # d eta = sum a_j dx_j, and -theta ^ eta = sum -t_i a_j (beta x_k ^ x_j)
@@ -248,28 +257,29 @@ def nondegenerate_in_span(algebra, basis_forms):
     The returned witness comes from a deterministic smallest-point search
     and is sign-normalized (leading coefficient positive), so reruns agree.
     """
-    found = _nondegenerate_in_span(algebra, basis_forms)
+    span = []
+    for form in basis_forms:
+        _require_form(algebra, form, "basis form", 2)
+        span.append(form.coeffs)
+    found = _nondegenerate_in_span(algebra, span)
     return None if found is None else found[0]
 
 
-def _nondegenerate_in_span(algebra, basis_forms):
-    """``nondegenerate_in_span`` as the pair (witness, its Pfaffian volume),
-    or None: the volume is the nonzero value that checked the witness, so a
-    search hands it to ``_lcs_verdict`` instead of expanding it again."""
-    basis_forms = list(basis_forms)
-    if not basis_forms:
+def _nondegenerate_in_span(algebra, span):
+    """``nondegenerate_in_span`` over 2-forms given by their terms
+    ``{(i, j): coeff}``, as the pair (witness, its Pfaffian volume), or
+    None: the volume is the nonzero value that checked the witness, so a
+    search hands it to ``_lcs_verdict`` instead of expanding it again.  The
+    witness is the one ``KForm`` built here."""
+    if not span:
         return None
-    for form in basis_forms:
-        _require_form(algebra, form, "basis form", 2)
-
-    pfaffian = _symbolic_pfaffian(algebra.dim, len(basis_forms), [
-        ((v,), form.coeffs) for v, form in enumerate(basis_forms)])
+    pfaffian = _symbolic_pfaffian(algebra.dim, len(span), [
+        ((v,), terms) for v, terms in enumerate(span)])
     if pfaffian.is_zero:
         return None
     # the point's integral values as ints, so integral forms give an int sum
     point = map(_exact, nonzero_point(pfaffian))
-    terms = linalg.apply([form.coeffs for form in basis_forms],
-                         {v: value for v, value in enumerate(point) if value})
+    terms = linalg.apply(span, {v: value for v, value in enumerate(point) if value})
     # normalize: leading coefficient (first monomial in lex order) positive
     if terms[min(terms)] < 0:
         terms = {mono: -coeff for mono, coeff in terms.items()}
@@ -290,7 +300,9 @@ def find_symplectic(algebra):
     """
     if algebra.dim % 2:
         raise OddDimension("symplectic structures need even dimension")
-    return nondegenerate_in_span(algebra, _cocycles(algebra, 2))
+    closed, = _cocycles(algebra, (2,))
+    found = _nondegenerate_in_span(algebra, closed)
+    return None if found is None else found[0]
 
 
 # -- locally conformal symplectic --------------------------------------------
@@ -461,7 +473,8 @@ def closed_covector_basis(algebra):
     """Basis of the closed 1-forms: the ``linalg.kernel`` of d on Lambda^1,
     read without building H^1 (in degree 1 the coboundaries are 0, so the
     space would add nothing to check)."""
-    return _cocycles(algebra, 1)
+    basis, = _cocycles(algebra, (1,))
+    return [KForm(algebra, 1, terms, _normalized=True) for terms in basis]
 
 
 def theta_candidates(algebra, config):
@@ -476,7 +489,8 @@ def theta_candidates(algebra, config):
     the first ``next``.
     """
     _require_config(config)
-    return (theta for _, theta in _theta_stream(algebra, config, closed_covector_basis(algebra)))
+    basis, = _cocycles(algebra, (1,))
+    return (theta for _, theta in _theta_stream(algebra, config, basis))
 
 
 def _require_config(config):
@@ -487,13 +501,14 @@ def _require_config(config):
 
 def _theta_stream(algebra, config, basis):
     """``theta_candidates`` over a closed-covector basis already computed,
-    each theta after its (position, value) coordinates over that basis."""
+    given by its terms, each theta after its (position, value) coordinates
+    over that basis."""
     m = len(basis)
     yield (), algebra.zero_form(1)
     if m == 0 or config.height == 0:
         return
-    columns = [covector.coeffs for covector in basis]
-    hoisted = {((pos, 1),): covector for pos, covector in enumerate(basis)}
+    hoisted = {((pos, 1),): KForm(algebra, 1, covector, _normalized=True)
+               for pos, covector in enumerate(basis)}
     yield from hoisted.items()
 
     for level in range(1, config.height + 1):
@@ -506,8 +521,46 @@ def _theta_stream(algebra, config, basis):
                     assignment = tuple(zip(support, choice))
                     if assignment in hoisted:
                         continue
-                    yield assignment, KForm(
-                        algebra, 1, linalg.apply(columns, dict(assignment)), _normalized=True)
+                    terms = linalg.apply(basis, dict(assignment))
+                    yield assignment, KForm(algebra, 1, terms, _normalized=True)
+
+
+@functools.lru_cache(maxsize=32)
+def _reversed_pairs(dim):
+    """The degree-2 monomials in reversed lex order, and the position there
+    of each one's bitmask: a pure function of the dimension."""
+    monomials = tuple(itertools.combinations(range(1, dim + 1), 2))[::-1]
+    return monomials, {(1 << i) | (1 << j): r for r, (i, j) in enumerate(monomials)}
+
+
+def _twisted_exact_span(algebra, theta):
+    """The d_theta-closed 2-forms for a closed theta != 0 on a nilpotent
+    algebra, as the same term dicts, in the same order and with the same
+    int and Fraction values as ``_cocycles(algebra, (2,), theta)``, read
+    off the n images d_theta x_j instead of the map Lambda^2 -> Lambda^3.
+
+    By Dixmier's theorem H^2_theta = 0, so Z^2_theta = d_theta(Lambda^1).
+    The kernel basis ``_cocycles`` gives has one vector per free source f:
+    1 at f, 0 at the other free sources and nonzero only below f, so in
+    reversed source order it is the reduced echelon basis of Z^2_theta.
+    That basis is unique, so it is also the echelon of the images keyed by
+    reversed source position, each row divided by its pivot entry (an int
+    wherever integral, as ``linalg.kernel`` keeps it).  Increasing f is
+    decreasing reversed position, so the rows are read last pivot first,
+    and each row last column first.
+    """
+    monomials, position = _reversed_pairs(algebra.dim)
+    rows = linalg.echelon([{position[mask]: c for mask, c in image.items()}
+                           for image in _d_matrix(algebra, 1, theta)])
+    span = []
+    for p, row in reversed(rows.items()):
+        pivot = row[p]
+        terms = {}
+        for r, v in reversed(row.items()):
+            value, rest = divmod(v, pivot)
+            terms[monomials[r]] = Fraction(v, pivot) if rest else value
+        span.append(terms)
+    return span
 
 
 def find_lcs(algebra, config=SearchConfig()):
@@ -532,10 +585,19 @@ def find_lcs(algebra, config=SearchConfig()):
     coordinates t, yielded with it by the stream, leave the zero polynomial
     in a once substituted into P (the other t_i at 0) is counted as examined and
     skipped without building its d_theta-closed 2-forms: by the same
-    theorem none of them is nondegenerate.  No assumption on P's degree in
-    t enters.  The status stays a semi-decision all the same: the cut and
-    the skip change what the search costs, not what it reports, and a miss
-    is still NOT_FOUND_UP_TO_HEIGHT(H).
+    theorem none of them is nondegenerate.  Any other theta != 0 reads its
+    d_theta-closed 2-forms off d_theta(Lambda^1) (``_twisted_exact_span``),
+    in the very basis of the kernel a non-nilpotent algebra still
+    eliminates for.  No
+    assumption on P's degree in t enters.  The status stays a
+    semi-decision all the same: the cut and the skip change what the
+    search costs, not what it reports, and a miss is still
+    NOT_FOUND_UP_TO_HEIGHT(H).
+
+    The closed covectors and the closed 2-forms of theta = 0 come off one
+    untwisted sweep (``_cocycles(algebra, (1, 2))``), as term dicts; a
+    ``KForm`` is built only for what leaves the search, the thetas and the
+    witness.
     """
     if algebra.dim % 2:
         raise OddDimension("lcs structures need even dimension")
@@ -543,7 +605,7 @@ def find_lcs(algebra, config=SearchConfig()):
         raise WrongDimension("lcs search needs dim >= 4")
     _require_config(config)
 
-    basis = closed_covector_basis(algebra)
+    basis, closed = _cocycles(algebra, (1, 2))
     candidates = _theta_stream(algebra, config, basis)
     total = pfaffian = None
     if _is_nilpotent(algebra):
@@ -578,7 +640,13 @@ def find_lcs(algebra, config=SearchConfig()):
                 continue
 
         # theta combines closed covectors, so it is closed by construction
-        found = _nondegenerate_in_span(algebra, _cocycles(algebra, 2, theta))
+        if not assignment:
+            span = closed
+        elif pfaffian is not None:  # nilpotent: Z^2_theta = d_theta(Lambda^1)
+            span = _twisted_exact_span(algebra, theta)
+        else:
+            span, = _cocycles(algebra, (2,), theta)
+        found = _nondegenerate_in_span(algebra, span)
         if found is None:
             continue
         omega, volume = found

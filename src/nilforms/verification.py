@@ -27,7 +27,7 @@ from __future__ import annotations
 from .catalog import get_example, heisenberg_line
 from .cohomology import betti_profile, cohomology_space, lefschetz_map, triple_massey
 from .coordinate_model import verify_realization
-from .errors import _Record
+from .errors import NilformsError, _Record
 from .exterior_core import format_form
 from .hermitian import classify_hermitian, nijenhuis
 from .notation import format_salamon, parse_salamon
@@ -302,7 +302,12 @@ def verify_all():
             try:
                 passed, detail = run()
             except Exception as exc:  # noqa: BLE001  honest failure over crash
-                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+                # a package error by its message: str() of a KeyError
+                # subclass such as UnknownName is the repr of it
+                message = exc
+                if isinstance(exc, NilformsError) and exc.args:
+                    message = exc.args[0]
+                passed, detail = False, f"raised {type(exc).__name__}: {message}"
             row = CheckResult(name, bool(passed), detail, "derived")
         results.append(row)
     return tuple(results)

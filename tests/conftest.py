@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, settings, strategies as st
 
 from nilforms import (
     InnerProduct,
+    KForm,
     LieAlgebra,
     build_algebra,
     cohomology_space,
@@ -27,6 +28,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("suite")
+
+
+def cocycle_forms(algebra, k, theta=None):
+    """``_cocycles`` of the one degree k, each term dict as its k-form."""
+    basis, = _cocycles(algebra, (k,), theta)
+    return [KForm(algebra, k, terms, _normalized=True) for terms in basis]
 
 
 @pytest.fixture(scope="session")
@@ -155,7 +162,7 @@ def central_extension(rng, dim, generators):
     constants = {}
     for k in range(generators + 1, dim + 1):
         space = cohomology_space(LieAlgebra(k - 1, constants), 2)
-        closed = _cocycles(space.algebra, 2)
+        closed = cocycle_forms(space.algebra, 2)
         while True:
             dx = sum((f.scale(rng.choice(EXTENSION_COEFFS))
                       for f in rng.sample(closed, min(2, len(closed)))),

@@ -44,10 +44,10 @@ from nilforms import (
 
 from nilforms import cohomology, get_example, linalg
 from nilforms.cli import _massey_scan
-from nilforms.cohomology import _cocycles, _cup_table, _d_matrix
+from nilforms.cohomology import _cup_table, _d_matrix
 from nilforms.structures import closed_covector_basis
 
-from conftest import NON_NILPOTENT_4D, unchecked_algebra
+from conftest import NON_NILPOTENT_4D, cocycle_forms, unchecked_algebra
 from oracles import betti_by_koszul, reference_massey_scan, reference_triple_massey
 from test_linalg_kernel import columns_of, matrices
 
@@ -684,7 +684,7 @@ def _coordinate_outputs():
     random cocycles, plain and twisted."""
     for text in LEFSCHETZ_ALGEBRAS:
         algebra = parse_salamon(text)
-        omega = find_symplectic(algebra) or sum(_cocycles(algebra, 2), algebra.zero_form(2))
+        omega = find_symplectic(algebra) or sum(cocycle_forms(algebra, 2), algebra.zero_form(2))
         for form in (omega, omega.scale(3)):
             for p in range(algebra.dim // 2 + 1):
                 yield repr(lefschetz_map(algebra, form, p))

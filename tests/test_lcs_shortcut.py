@@ -20,7 +20,10 @@ against the Pfaffians of the forms d eta - theta ^ eta it stands for.
 When P is not zero, the candidates it rules out are skipped: the twisted
 kernels a search builds are counted, and the agreement with the reference
 is checked again after a change of basis (``oracles.change_basis``) that
-leaves no closed covector a unit covector.
+leaves no closed covector a unit covector.  Every other candidate reads its
+d_theta-closed 2-forms off d_theta(Lambda^1), checked against the kernel
+basis of d_theta on Lambda^2 it stands for, key order and value types
+included.
 """
 
 import itertools
@@ -40,15 +43,17 @@ from nilforms import (
     lower_central_series,
     parse_salamon,
     pfaffian_volume,
+    theta_candidates,
     twisted_d,
 )
-from nilforms import linalg, structures
-from nilforms.cohomology import _cocycles, _d_matrix, _form
+from nilforms import cohomology, linalg, structures
+from nilforms.cohomology import _cocycles, _d_images, _d_matrix, _form
 from nilforms.exterior_core import _is_nilpotent
 from nilforms.polynomials import Poly, nonzero_point
 from nilforms.structures import (
     _symbolic_pfaffian,
     _twisted_exact_pfaffian,
+    _twisted_exact_span,
     closed_covector_basis,
     nondegenerate_in_span,
 )
@@ -98,6 +103,12 @@ def reference_family_pfaffian(dim, nvars, family):
         for variables, form in family for pair, coeff in form.items()])
 
 
+def covector_terms(algebra):
+    """The closed covectors as the term dicts ``_twisted_exact_pfaffian``
+    takes."""
+    return [b.coeffs for b in closed_covector_basis(algebra)]
+
+
 def summary(result):
     def pair(found):
         return found and tuple(format_form(f) for f in found)
@@ -145,7 +156,7 @@ SOLVABLE_WITH_ZERO_P = {
 def test_the_shortcut_needs_a_nilpotent_algebra(brackets):
     algebra = build_algebra(4, brackets)
     assert not lower_central_series(algebra).nilpotent
-    assert _twisted_exact_pfaffian(algebra, closed_covector_basis(algebra)).is_zero
+    assert _twisted_exact_pfaffian(algebra, covector_terms(algebra)).is_zero
     config = SearchConfig(height=2)
     result = find_lcs(algebra, config)
     assert result.genuine_status == "FOUND"
@@ -168,7 +179,7 @@ RATIONAL_CONSTANTS = LieAlgebra(4, {(1, 2, 3): Fraction(1, 2), (1, 3, 4): Fracti
 @given(st.one_of(catalog_algebras(), nilpotent_algebras(dims=(4, 6)),
                  non_nilpotent_4d_algebras(), st.just(RATIONAL_CONSTANTS)))
 def test_int_pfaffian_equals_the_fraction_expansion(algebra):
-    basis = closed_covector_basis(algebra)
+    basis = covector_terms(algebra)
     fast = _twisted_exact_pfaffian(algebra, basis)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(structures, "_symbolic_pfaffian", reference_family_pfaffian)
@@ -176,7 +187,7 @@ def test_int_pfaffian_equals_the_fraction_expansion(algebra):
     assert fast == slow
     assert repr(fast) == repr(slow)
     if all(c.denominator == 1 for c in algebra.constants.values()) \
-            and all(c.denominator == 1 for b in basis for c in b.coeffs.values()):
+            and all(c.denominator == 1 for b in basis for c in b.values()):
         assert all(type(c) is int for c in fast.terms.values())
     if fast:
         assert repr(nonzero_point(fast)) == repr(reference_nonzero_point(slow))
@@ -232,21 +243,30 @@ def test_closed_covectors_equal_the_cocycles_of_h1(algebra):
 
 @pytest.mark.parametrize("salamon", ["(0,0,12,13)", "(0,0,0,0,12,34)", "(0,0,0,0)"])
 def test_find_lcs_reads_the_closed_covectors_once(salamon):
-    calls = []
+    # Z^1 and the closed 2-forms of theta = 0 come off one untwisted sweep:
+    # one request for Z^1, one plain d swept from degree 0
+    calls, sweeps = [], []
 
-    def counted(algebra):
-        calls.append(algebra)
-        return closed_covector_basis(algebra)
+    def counted(algebra, degrees, theta=None):
+        if 1 in degrees:
+            calls.append(theta)
+        return _cocycles(algebra, degrees, theta)
+
+    def swept(algebra, theta=None):
+        if theta is None:
+            sweeps.append(algebra)
+        return _d_images(algebra, theta)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(structures, "closed_covector_basis", counted)
+        patch.setattr(structures, "_cocycles", counted)
+        patch.setattr(cohomology, "_d_images", swept)
         find_lcs(parse_salamon(salamon), SearchConfig(height=2))
-    assert len(calls) == 1
+    assert calls == [None]
+    assert len(sweeps) == 1
 
 
 def test_rational_constants_keep_their_fractions():
-    pfaffian = _twisted_exact_pfaffian(RATIONAL_CONSTANTS,
-                                       closed_covector_basis(RATIONAL_CONSTANTS))
+    pfaffian = _twisted_exact_pfaffian(RATIONAL_CONSTANTS, covector_terms(RATIONAL_CONSTANTS))
     assert any(c.denominator != 1 for c in pfaffian.terms.values())
 
 
@@ -260,7 +280,7 @@ P_NONZERO = ["(0,0,12,13)", "(0,0,0,0,0,12+34)", "(0,0,0,0,12,14+25)"]
 def test_the_twisted_exact_pfaffian_is_the_pfaffian_of_each_d_theta_eta(salamon):
     algebra = parse_salamon(salamon)
     basis = closed_covector_basis(algebra)
-    pfaffian = _twisted_exact_pfaffian(algebra, basis)
+    pfaffian = _twisted_exact_pfaffian(algebra, [b.coeffs for b in basis])
     m = len(basis)
     for r in range(1, 4):
         # small nonzero integers, so that no monomial of P vanishes
@@ -277,7 +297,7 @@ def test_the_filiform_twisted_pfaffian_at_x2_and_x4():
     filiform = parse_salamon("(0,0,12,13)")
     assert pfaffian_volume(filiform, twisted_d(filiform, filiform.covector(2),
                                                filiform.covector(4))) == 1
-    pfaffian = _twisted_exact_pfaffian(filiform, closed_covector_basis(filiform))
+    pfaffian = _twisted_exact_pfaffian(filiform, covector_terms(filiform))
     assert pfaffian.evaluate([0, 1, 0, 0, 0, 1]) == 1
 
 
@@ -350,19 +370,26 @@ def test_find_lcs_on_a_permuted_six_dimensional_filiform(perm):
 ])
 def test_find_lcs_builds_no_twisted_kernel_for_a_theta_p_rules_out(
         salamon, examined, decided):
+    # theta = 0 reads Z^2 off the untwisted sweep, and every theta != 0 of
+    # these nilpotent algebras reads it off d_theta(Lambda^1)
     thetas = []
 
-    def counted(algebra, k, theta=None):
-        if k == 2:
-            thetas.append(theta)
-        return _cocycles(algebra, k, theta)
+    def counted(algebra, degrees, theta=None):
+        if 2 in degrees:
+            thetas.append("0" if theta is None else format_form(theta))
+        return _cocycles(algebra, degrees, theta)
+
+    def exact(algebra, theta):
+        thetas.append(format_form(theta))
+        return _twisted_exact_span(algebra, theta)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(structures, "_cocycles", counted)
+        patch.setattr(structures, "_twisted_exact_span", exact)
         result = find_lcs(parse_salamon(salamon), SearchConfig(height=2))
     assert result.genuine_status == "FOUND"
     assert result.examined == examined
-    assert [format_form(theta) for theta in thetas] == decided
+    assert thetas == decided
 
 
 MATRIX_VALUES = (0, 0, 0, 1, -1, Fraction(1, 2), 2)
@@ -403,3 +430,52 @@ def test_find_lcs_matches_the_per_candidate_search_in_a_changed_basis(salamon, s
     config = SearchConfig(height=height)
     assert summary(find_lcs(algebra, config)) \
         == summary(reference_find_lcs(algebra, config))
+
+
+# -- Z^2_theta read off d_theta(Lambda^1) -------------------------------------
+
+
+def kernel_span(algebra, theta):
+    """The kernel basis of d_theta on Lambda^2, keyed by monomials."""
+    monomials = algebra.monomials(2)
+    return [{monomials[i]: c for i, c in vector.items()}
+            for vector in linalg.kernel(_d_matrix(algebra, 2, theta))]
+
+
+def typed(span):
+    """Each term dict as its (monomial, type, value) triples, in order."""
+    return [[(mono, type(c), c) for mono, c in terms.items()] for terms in span]
+
+
+def exact_span_algebras():
+    for dim, b1 in SHAPES:
+        for seed in SEEDS:
+            yield f"dim{dim}-b1_{b1}-seed{seed}", seeded_central_extension(seed, dim, b1)
+    for salamon, seeds in CHANGED_BASES.items():
+        original = parse_salamon(salamon)
+        for seed in seeds:
+            yield f"{salamon}-basis{seed}", change_basis(original, fixed_matrix(seed, original.dim))
+    yield "rational", RATIONAL_CONSTANTS
+
+
+EXACT_SPAN_ALGEBRAS = dict(exact_span_algebras())
+
+
+@pytest.mark.parametrize("algebra", EXACT_SPAN_ALGEBRAS.values(), ids=EXACT_SPAN_ALGEBRAS)
+def test_the_twisted_exact_span_is_the_kernel_basis(algebra):
+    # by Dixmier Z^2_theta = d_theta(Lambda^1), and the reduced echelon
+    # basis of a subspace is unique: the same forms, keys, order and types
+    assert _is_nilpotent(algebra)
+    thetas = [theta for theta in theta_candidates(algebra, SearchConfig(height=1))
+              if not theta.is_zero]
+    assert thetas
+    for theta in thetas:
+        assert typed(_twisted_exact_span(algebra, theta)) == typed(kernel_span(algebra, theta))
+
+
+def test_the_twisted_exact_span_keeps_fractions_and_ints():
+    # the route's values keep both types, so the type check above bites
+    values = [c for algebra in EXACT_SPAN_ALGEBRAS.values()
+              for theta in itertools.islice(theta_candidates(algebra, SearchConfig(height=1)), 1, None)
+              for terms in _twisted_exact_span(algebra, theta) for c in terms.values()]
+    assert {type(c) for c in values} == {int, Fraction}

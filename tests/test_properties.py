@@ -54,7 +54,7 @@ from nilforms import (
     wedge,
 )
 from nilforms import linalg
-from nilforms.cohomology import _cocycles, _d_images, _d_matrix, _form
+from nilforms.cohomology import _d_images, _d_matrix, _form
 from nilforms.exterior_core import _is_nilpotent, lower_central_series
 from nilforms.hermitian import _hermitian_pair, _is_parallel
 from nilforms.structures import (
@@ -66,6 +66,7 @@ from nilforms.structures import (
 from conftest import (
     SOLVABLE_NONUNIMODULAR,
     catalog_algebras,
+    cocycle_forms,
     complex_structures,
     filtered_4d_algebras,
     forms_on,
@@ -461,7 +462,7 @@ def _quotient_by_reference(algebra, k, theta):
               for mono in algebra.monomials(k - 1)] if k else []
     boundary, pivots = reference_rref(images, len(monomials))
     reduced = []
-    for cocycle in _cocycles(algebra, k, theta):
+    for cocycle in cocycle_forms(algebra, k, theta):
         vec = dense(cocycle)
         for row, p in zip(boundary, pivots):
             vec = [a - vec[p] * b for a, b in zip(vec, row)]
@@ -644,14 +645,14 @@ def test_twisted_exact_pfaffian_is_the_pfaffian_of_d_theta_eta(algebra, data):
     eta = _combination(algebra, [algebra.covector(j)
                                  for j in range(1, algebra.dim + 1)], a)
     omega = twisted_d(algebra, theta, eta)
-    pfaffian = _twisted_exact_pfaffian(algebra, basis)
+    pfaffian = _twisted_exact_pfaffian(algebra, [b.coeffs for b in basis])
     assert pfaffian.evaluate(t + a) == pfaffian_volume(algebra, omega)
 
 
 @fuzz(nilpotent_algebras(dims=(4, 6, 8)), st.data(), n=30)
 def test_no_twisted_candidate_survives_a_zero_global_pfaffian(algebra, data):
     basis = closed_covector_basis(algebra)
-    if not _twisted_exact_pfaffian(algebra, basis).is_zero:
+    if not _twisted_exact_pfaffian(algebra, [b.coeffs for b in basis]).is_zero:
         return
     theta = _combination(algebra, basis, _nonzero_coords(data, len(basis)))
     span = [_form(algebra, 2, algebra.monomials(2), vec)

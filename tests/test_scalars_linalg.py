@@ -12,7 +12,6 @@ from nilforms import (
     format_scalar,
     parse_salamon,
 )
-from nilforms.cohomology import _cocycles
 from nilforms.linalg import (
     echelon,
     kernel,
@@ -23,6 +22,7 @@ from nilforms.linalg import (
 )
 from nilforms.scalars import height
 
+from conftest import cocycle_forms
 from oracles import sympy_matrix
 
 
@@ -119,7 +119,7 @@ def test_kernel_values_are_ints_where_integral():
 
 def test_a_form_with_int_coefficients_is_its_fraction_twin():
     algebra = parse_salamon("(0,0,12,13)")
-    for form in _cocycles(algebra, 2):
+    for form in cocycle_forms(algebra, 2):
         assert all(type(c) is int for c in form.coeffs.values())
         twin = algebra.form(form.coeffs)
         assert all(type(c) is Fraction for c in twin.coeffs.values())

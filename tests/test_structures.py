@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nilforms import (
+    AmbientMismatch,
     InternalInvariantBreach,
     InvalidParameter,
     LieAlgebra,
@@ -314,6 +315,7 @@ def test_twisted_exactness_needs_a_verdict(filiform):
 
 HEISENBERG = parse_salamon("(0,0,12)")
 PLANE = parse_salamon("(0,0)")
+TORUS = parse_salamon("(0,0,0,0)")
 
 GUARDS = {
     "pfaffian_odd": (OddDimension, "the Pfaffian needs an even-dimensional",
@@ -329,6 +331,13 @@ GUARDS = {
                        lambda: check_lcs(PLANE, PLANE.zero_form(2), PLANE.zero_form(1))),
     "find_lcs_odd": (OddDimension, "lcs structures need even", lambda: find_lcs(HEISENBERG)),
     "find_lcs_dim2": (WrongDimension, "lcs search needs dim >= 4", lambda: find_lcs(PLANE)),
+    "span_not_a_form": (InvalidParameter, "basis form must be a KForm",
+                        lambda: nondegenerate_in_span(TORUS, [{(1, 2): 1}])),
+    "span_other_algebra": (AmbientMismatch, "basis form lives over a different algebra",
+                           lambda: nondegenerate_in_span(TORUS, [PLANE.form({(1, 2): 1})])),
+    "span_one_form": (InvalidParameter, "basis form must be a 2-form",
+                      lambda: nondegenerate_in_span(TORUS, [TORUS.form({(1, 2): 1}),
+                                                            TORUS.covector(1)])),
 }
 
 
