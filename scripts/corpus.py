@@ -14,7 +14,9 @@ rewrites that file, and only that file, from the current outputs.
 
 The argv list covers the catalog and the 34 six-dimensional nilpotent
 algebras (Salamon's list) under ``analyze``, ``analyze --json``,
-``search-lcs --height 2`` and ``cohomology``; ``search-symplectic``; the
+``search-lcs --height 2`` and ``cohomology``; ``search-symplectic``; four
+algebras of dimension 0-3 under ``analyze``, ``search-symplectic``,
+``search-lcs --height 2`` and ``cohomology``, refusals included; the
 batteries with and without ``--json``; Hermitian pairs read from matrix
 files; a dozen seeded ``bench/gen.py`` draws, pinned as literal tuples; and
 the error paths with their exit codes.  Matrix files are written to a
@@ -52,6 +54,10 @@ CENSUS = (
     "(0,0,12,13,14,15)", "(0,0,12,13,14,23+15)", "(0,0,12,13,14,34-25)",
     "(0,0,12,13,14+23,34-25)", "(0,0,12,13,14+23,24+15)",
 )
+
+# one algebra of each dimension 0-3, where every search but the symplectic
+# one on (0,0) is refused (exit 3)
+SMALL = ("()", "(0)", "(0,0)", "(0,0,12)")
 
 # bench/gen.py's draw(seed, "w", dim, generators) for (seed, dim, generators)
 # = (0|1|2|3, 6, 2|3|2|3), (0|1, 7, 3|2), (1|2|3|5, 8, 4|3|2|3), (0|1, 10, 4|5)
@@ -96,6 +102,10 @@ ARGVS = (
       for command, *flags in (("analyze",), ("analyze", "--json"),
                               ("search-lcs", "--height", "2"), ("cohomology",))),
     *(("search-symplectic", source) for source in CATALOG + CENSUS),
+    *((command, *flags, source)
+      for source in SMALL
+      for command, *flags in (("analyze",), ("search-symplectic",),
+                              ("search-lcs", "--height", "2"), ("cohomology",))),
     ("search-symplectic", "--json", "(0,0,12,13)"),
     ("search-lcs", "--json", "--max-candidates", "2", "(0,0,12,13)"),
     ("analyze", "--quiet", "(0,0,12,13)"),

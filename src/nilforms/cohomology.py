@@ -14,7 +14,8 @@ Arguments are checked once, at the public boundary: every form through
 ``exterior_core._require_form``, and theta (closed included) once per public
 call, by ``_require_twist`` in ``twisted_d``, ``CohomologySpace``,
 ``cohomology_space`` and ``betti_profile``.  The private builders
-``_d_matrix`` and ``_cocycles`` validate nothing and trust their callers.
+``_d_matrix`` and ``_cocycles`` validate nothing and trust their callers,
+and answer any degree (past the top Lambda^k = 0: no columns, no cocycles).
 
 Determinism: every space carries a canonical representative basis, the rows
 of the reduced echelon basis of the cocycles Z (lexicographic monomial order)
@@ -165,7 +166,7 @@ def _d_matrix(algebra, k, theta=None):
     is a statement about the sources, and the echelon form that yields it
     is unique under the source order whatever the targets are called.
     """
-    return next(itertools.islice(_d_images(algebra, theta), k, None))
+    return next(itertools.islice(_d_images(algebra, theta), k, None), [])
 
 
 def _space_key(algebra, degree, theta):
@@ -193,7 +194,7 @@ def _cocycles(algebra, degrees, theta=None):
             monomials = algebra.monomials(k)
             bases[k] = [{monomials[i]: c for i, c in vector.items()}
                         for vector in linalg.kernel(columns)]
-    return [bases[k] for k in degrees]
+    return [bases.get(k, []) for k in degrees]
 
 
 class CohomologyClass:

@@ -12,10 +12,10 @@ entries afterwards in place of Bareiss's exact division.  A row's pivot is its
 first nonzero column, and back-substitution leaves the reduced row echelon
 form.  Values leave as ``row[c] / row[pivot]``, a ``Fraction`` from
 ``unit_rows``, ``reduce`` and ``preimage``; ``kernel`` keeps such a value an
-int wherever it is integral, the free coordinate 1 included, so the cocycle
-bases the searches build from it stay on ints.  Where an exact value is
-needed mid-way (``reduce``) the kernel carries the row's common denominator
-beside it.
+int wherever it is integral (``_ratio``), the free coordinate 1 included, so
+the cocycle bases the searches build from it stay on ints.  Where an exact
+value is needed mid-way (``reduce``) the kernel carries the row's common
+denominator beside it.
 
 The reduced row echelon form of a row space is unique.  So neither the order
 in which rows are eliminated nor the integer scale of a row can change what
@@ -228,6 +228,13 @@ def _rank(vectors):
         for i in sorted(rows, key=live.__getitem__)))
 
 
+def _ratio(v, pivot):
+    """``v / pivot`` for ints: an int when ``pivot`` divides ``v``, a
+    ``Fraction`` otherwise, the one rule that keeps a value an int."""
+    value, rest = divmod(v, pivot)
+    return Fraction(v, pivot) if rest else value
+
+
 def unit_rows(basis):
     """The canonical rows of an ``echelon`` basis, pivot entries 1, as
     sparse ``{column: Fraction}``."""
@@ -282,8 +289,7 @@ def kernel(columns):
         pivot = row[p]
         for c, v in row.items():
             if c != p:
-                value, rest = divmod(-v, pivot)
-                vectors[c][p] = Fraction(-v, pivot) if rest else value
+                vectors[c][p] = _ratio(-v, pivot)
     return [dict(sorted(vec.items())) for vec in vectors.values()]
 
 

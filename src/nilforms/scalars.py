@@ -49,8 +49,8 @@ def as_scalar(value) -> Fraction:
 
 
 def _exact(value):
-    """An integral rational as an int, any other kept as its Fraction: the
-    one place that decides where a kernel may run on ints."""
+    """An integral rational as an int, any other kept as its Fraction; a
+    quotient of two ints follows the same rule in ``linalg._ratio``."""
     return value.numerator if value.denominator == 1 else value
 
 

@@ -22,7 +22,8 @@ candidates at once; when it vanishes identically only theta = 0 is decided
 and the rest counted in closed form; otherwise a candidate whose streamed
 coordinates make it vanish is skipped, and any other reads its
 d_theta-closed 2-forms off d_theta(Lambda^1), the span the same theorem
-gives, in the very basis the kernel of d_theta on Lambda^2 would give.
+gives, in the very basis and with the very values (``linalg._ratio``) the
+kernel of d_theta on Lambda^2 would give.
 Whether the algebra is nilpotent is read off its structure constants when
 they are in Salamon's order (every [X_i, X_j], i < j, in the span of the
 X_k with k > j) and left to the lower central series otherwise.  Every
@@ -38,18 +39,19 @@ search still answers for the candidates up to height H only, and a
 nonexistence claim belongs to a separate, proof-carrying decision.
 
 Inside the searches a form is its term dict ``{monomial: coeff}``, read off
-``cohomology._cocycles`` (which, as ``_d_matrix``, validates nothing); a
-``KForm`` is built only for what leaves a search (the witness, the thetas
-and ``closed_covector_basis``), and the public ``nondegenerate_in_span``
-checks its basis forms before it hands their terms on.
+``cohomology._cocycles`` (which, as ``_d_matrix``, validates nothing and
+answers any degree); a ``KForm`` is built only for what leaves a search
+(the witness, the thetas and ``closed_covector_basis``), and the public
+``nondegenerate_in_span`` checks its basis forms before it hands their
+terms on.
 
 Dimension 2 is excluded from the lcs operations: there the Lee form is not
-unique and the conformal dichotomy collapses.
+unique and the conformal dichotomy collapses.  ``find_symplectic`` refuses
+dimension 0, where no 2-form exists to be a witness.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 
@@ -73,6 +75,7 @@ from .errors import (
 from .exterior_core import (
     KForm,
     _is_nilpotent,
+    _masks,
     _require_budget,
     _require_form,
     ce_d,
@@ -300,6 +303,8 @@ def find_symplectic(algebra):
     """
     if algebra.dim % 2:
         raise OddDimension("symplectic structures need even dimension")
+    if algebra.dim < 2:
+        raise WrongDimension("symplectic structures need dimension >= 2")
     closed, = _cocycles(algebra, (2,))
     found = _nondegenerate_in_span(algebra, closed)
     return None if found is None else found[0]
@@ -434,7 +439,6 @@ class LcsSearchResult(_Record):
         return f"NOT_FOUND_UP_TO_HEIGHT({self.height})"
 
 
-@functools.lru_cache(maxsize=32)
 def _ordered_values(max_height):
     """Nonzero rationals of height <= max_height in the documented order:
     by height, integers before proper fractions, positive before negative,
@@ -451,7 +455,6 @@ def _ordered_values(max_height):
         height(v), 0 if v.denominator == 1 else 1, 0 if v > 0 else 1, abs(v))))
 
 
-@functools.lru_cache(maxsize=32)
 def _value_count(max_height):
     """``len(_ordered_values(max_height))``, counted without building a value.
 
@@ -525,14 +528,6 @@ def _theta_stream(algebra, config, basis):
                     yield assignment, KForm(algebra, 1, terms, _normalized=True)
 
 
-@functools.lru_cache(maxsize=32)
-def _reversed_pairs(dim):
-    """The degree-2 monomials in reversed lex order, and the position there
-    of each one's bitmask: a pure function of the dimension."""
-    monomials = tuple(itertools.combinations(range(1, dim + 1), 2))[::-1]
-    return monomials, {(1 << i) | (1 << j): r for r, (i, j) in enumerate(monomials)}
-
-
 def _twisted_exact_span(algebra, theta):
     """The d_theta-closed 2-forms for a closed theta != 0 on a nilpotent
     algebra, as the same term dicts, in the same order and with the same
@@ -544,23 +539,18 @@ def _twisted_exact_span(algebra, theta):
     1 at f, 0 at the other free sources and nonzero only below f, so in
     reversed source order it is the reduced echelon basis of Z^2_theta.
     That basis is unique, so it is also the echelon of the images keyed by
-    reversed source position, each row divided by its pivot entry (an int
-    wherever integral, as ``linalg.kernel`` keeps it).  Increasing f is
-    decreasing reversed position, so the rows are read last pivot first,
-    and each row last column first.
+    their targets' positions in the reversed lex order of Lambda^2 (read off
+    ``algebra.monomials(2)`` and ``exterior_core._masks``), each row
+    divided by its pivot entry under the kernel's value rule
+    (``linalg._ratio``).  Increasing f is decreasing reversed position, so
+    the rows are read last pivot first, and each row last column first.
     """
-    monomials, position = _reversed_pairs(algebra.dim)
+    monomials = algebra.monomials(2)[::-1]
+    position = {mask: r for r, mask in enumerate(_masks(algebra.dim, 2)[::-1])}
     rows = linalg.echelon([{position[mask]: c for mask, c in image.items()}
                            for image in _d_matrix(algebra, 1, theta)])
-    span = []
-    for p, row in reversed(rows.items()):
-        pivot = row[p]
-        terms = {}
-        for r, v in reversed(row.items()):
-            value, rest = divmod(v, pivot)
-            terms[monomials[r]] = Fraction(v, pivot) if rest else value
-        span.append(terms)
-    return span
+    return [{monomials[r]: linalg._ratio(v, row[p]) for r, v in reversed(row.items())}
+            for p, row in reversed(rows.items())]
 
 
 def find_lcs(algebra, config=SearchConfig()):

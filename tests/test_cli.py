@@ -249,6 +249,12 @@ def test_exit_code_2_on_syntax_error(capsys):
     assert main(["analyze", "(0,0,21)"]) == 2
 
 
+def test_search_symplectic_refuses_dimension_0(capsys):
+    # a 2-form cannot exist there; one error line, no traceback
+    assert run(capsys, "search-symplectic", "()") \
+        == (3, "", "error: symplectic structures need dimension >= 2\n")
+
+
 def test_exit_code_3_on_invalid_algebra(capsys):
     assert main(["analyze", "(0,0,12,34)"]) == 3
     err = capsys.readouterr().err

@@ -514,6 +514,16 @@ def test_integral_constants_run_on_ints():
     assert type(ce_d(algebra.covector(4)).coeffs[(1, 3)]) is Fraction
 
 
+@pytest.mark.parametrize("salamon", ["()", "(0)", "(0,0,12,13)"])
+def test_the_private_readers_answer_a_degree_past_the_top(salamon):
+    # Lambda^(n+1) = 0: no cocycles and no columns, not a KeyError or a
+    # StopIteration
+    algebra = parse_salamon(salamon)
+    top = algebra.dim + 1
+    assert cohomology._cocycles(algebra, (top,)) == [[]]
+    assert _d_matrix(algebra, top) == []
+
+
 @pytest.mark.parametrize("degree", [-1, 5, 7, True, False, 1.5, "2", None])
 def test_degrees_outside_0_to_dim_are_refused(filiform, degree):
     with pytest.raises(InvalidParameter):

@@ -214,6 +214,15 @@ def test_theta_candidates_checks_its_config_when_called(config):
         theta_candidates(parse_salamon("(0,0,0,12)"), config)
 
 
+def test_the_point_algebra_has_no_closed_covector_and_no_candidate():
+    # Lambda^1 = 0 in dimension 0: no closed covector, and not even the
+    # zero 1-form can be made to stand for theta = 0
+    point = parse_salamon("()")
+    assert structures.closed_covector_basis(point) == []
+    with pytest.raises(InvalidParameter, match="^degree 1 exceeds dim 0"):
+        next(theta_candidates(point, SearchConfig()))
+
+
 @pytest.mark.parametrize("salamon", ["(0,0,0,12)", "(0,0,12,13)",
                                      "(0,0,0,0,12,34)", "(0,0,12,13,14,15)"])
 def test_height_zero_examines_theta_zero_alone(salamon):
@@ -314,6 +323,7 @@ def test_twisted_exactness_needs_a_verdict(filiform):
 # -- guards, invariant nets and the size budget -----------------------------
 
 HEISENBERG = parse_salamon("(0,0,12)")
+POINT = parse_salamon("()")
 PLANE = parse_salamon("(0,0)")
 TORUS = parse_salamon("(0,0,0,0)")
 
@@ -324,6 +334,8 @@ GUARDS = {
                              lambda: check_symplectic(HEISENBERG, HEISENBERG.zero_form(2))),
     "find_symplectic_odd": (OddDimension, "symplectic structures need even",
                             lambda: find_symplectic(HEISENBERG)),
+    "find_symplectic_dim0": (WrongDimension, "symplectic structures need dimension >= 2",
+                             lambda: find_symplectic(POINT)),
     "check_lcs_odd": (OddDimension, "lcs structures need even",
                       lambda: check_lcs(HEISENBERG, HEISENBERG.zero_form(2),
                                         HEISENBERG.zero_form(1))),
