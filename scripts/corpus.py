@@ -16,8 +16,8 @@ The argv list covers the catalog and the 34 six-dimensional nilpotent
 algebras (Salamon's list) under ``analyze``, ``analyze --json``,
 ``search-lcs --height 2`` and ``cohomology``; ``search-symplectic``; four
 algebras of dimension 0-3 under ``analyze``, ``search-symplectic``,
-``search-lcs --height 2`` and ``cohomology``, refusals included; the
-batteries with and without ``--json``; Hermitian pairs read from matrix
+``search-lcs --height 2`` and ``cohomology``, refusals included, and the
+point under ``cohomology --theta 0``; the batteries with and without ``--json``; Hermitian pairs read from matrix
 files; a dozen seeded ``bench/gen.py`` draws, pinned as literal tuples; and
 the error paths with their exit codes.  Matrix files are written to a
 temporary directory; an argv names them as ``{tmp}/NAME`` and is hashed in
@@ -111,6 +111,7 @@ ARGVS = (
     ("analyze", "--quiet", "(0,0,12,13)"),
     ("cohomology", "--theta", "x2", "(0,0,12,13)"),
     ("cohomology", "--json", "--theta", "x2", "(0,0,12,13)"),
+    ("cohomology", "--theta", "0", "()"),
     ("verify-paper",), ("verify-paper", "--json"),
     ("model-check",), ("model-check", "--json"),
     _pair("euclidean.json", "j12_34.json"),

@@ -1,19 +1,21 @@
 """Almost complex structures, metrics, Lee forms, and Hermitian classification.
 
 Everything is exact.  For a compatible pair (g, J) on dimension 2m >= 4 with
-fundamental form w(X, Y) = g(JX, Y), the Lee form is the unique 1-form theta
-with
+fundamental form w(X, Y) = g(JX, Y), the Lee form is the unique 1-form theta with
 
     d(w) ^ w^(m-2) = theta ^ w^(m-1),
 
-Gauduchon's torsion 1-form (Math. Ann. 267, 1984) divided by m - 1.  Wedging
-with w^(m-1) maps the 1-forms isomorphically onto the (2m-1)-forms when w is
-nondegenerate, so theta exists, is unique, and is one sparse solve over the
-columns x_i ^ w^(m-1): it reads w alone, and no volume, Hodge star or
-adjoint of d enters.  Whenever d(w) = theta' ^ w holds at all, wedging it
-with w^(m-2) shows theta' = theta.  The test suite checks theta against the
-metric route theta(X) = -(1/(m-1)) * (delta w)(JX), delta the formal
-adjoint of d.
+Gauduchon's torsion 1-form (Math. Ann. 267, 1984) divided by m - 1.  In the
+Lefschetz decomposition d(w) = psi + theta ^ w, psi primitive, the equation
+is psi ^ w^(m-2) = 0; the dual Lefschetz operator, the contraction with the
+inverse of Omega_ij = w(X_i, X_j), kills psi and sends theta ^ w to
+-(m-1) * theta.  So one contraction, and no power of w, gives
+
+    theta_k = -(1/(m-1)) * sum_{i<j} (Omega^-1)_ij * d(w)(X_i, X_j, X_k).
+
+Whenever d(w) = theta' ^ w holds, wedging it with w^(m-2) shows theta' =
+theta.  The test suite checks theta against the equation and the metric
+route theta(X) = -(1/(m-1)) * (delta w)(JX), delta the formal adjoint of d.
 
 One reader takes the Gram matrix G of a metric and the matrix of J to exact
 rows and sparse columns, once, and checks that each is square and of the
@@ -44,9 +46,8 @@ from .errors import (
     WrongDimension,
     _Record,
 )
-from .exterior_core import KForm, _wedge_raw, ce_d
+from .exterior_core import KForm, ce_d, wedge
 from .scalars import ZERO, ONE, as_scalar
-from .structures import check_lcs
 
 
 # -- the matrices: g and J ---------------------------------------------------
@@ -209,24 +210,28 @@ def lee_form(algebra, metric, acs):
     """The Lee form of a compatible pair on dimension 2m >= 4."""
     if algebra.dim % 2 or algebra.dim < 4:
         raise WrongDimension("the Lee form needs even dimension >= 4")
-    return _lee_form(algebra, _hermitian_pair(algebra, metric, acs)[2])
+    omega = _hermitian_pair(algebra, metric, acs)[2]
+    return _lee_form(algebra, omega, ce_d(omega))
 
 
-def _lee_form(algebra, omega):
-    """The unique theta with d(w) ^ w^(m-2) = theta ^ w^(m-1), as the
-    preimage of the left side over the columns x_i ^ w^(m-1)."""
-    w = omega.coeffs
-    power = {(): ONE}
-    for _ in range(algebra.dim // 2 - 2):
-        power = _wedge_raw(power, w)
-    top = _wedge_raw(power, w)
-    columns = [_wedge_raw({(i,): ONE}, top) for i in range(1, algebra.dim + 1)]
-    solution = linalg.preimage(columns, _wedge_raw(ce_d(omega).coeffs, power))
-    if solution is None:
-        raise InternalInvariantBreach(
-            "no Lee form: wedging with w^(m-1) is not onto the (2m-1)-forms")
-    return KForm(algebra, 1, {(c + 1,): solution[c] for c in sorted(solution)},
-                 _normalized=True)
+def _lee_form(algebra, omega, d_omega):
+    """The contraction above: [Omega | Id] reduces to [Id | Omega^-1] exactly
+    when w is nondegenerate, and with pi = -(1/(m-1)) Omega^-1 a term
+    v x_a^x_b^x_c of d(w) adds v pi_ab to theta_c, v pi_ca to theta_b and
+    v pi_bc to theta_a."""
+    n = algebra.dim
+    rows = [{n + i: ONE} for i in range(n)]  # [Omega | Id], 0-based columns
+    for (i, j), v in omega.coeffs.items():
+        rows[i - 1][j - 1], rows[j - 1][i - 1] = v, -v
+    inverse = linalg.echelon(rows)
+    if max(inverse) >= n:
+        raise InternalInvariantBreach("no Lee form: w is degenerate")
+    scale = -ONE / (n // 2 - 1)
+    pi = defaultdict(int, {(p + 1, c - n + 1): scale * v / row[p]
+                           for p, row in inverse.items() for c, v in row.items() if c >= n})
+    theta = linalg.apply({(a, b, c): {c: pi[a, b], b: pi[c, a], a: pi[b, c]}
+                          for a, b, c in d_omega.coeffs}, d_omega.coeffs)
+    return KForm(algebra, 1, {(k,): theta[k] for k in sorted(theta)}, _normalized=True)
 
 
 def _is_parallel(algebra, metric, theta):
@@ -295,34 +300,28 @@ def classify_hermitian(algebra, metric, acs):
     metric, acs, omega = _hermitian_pair(algebra, metric, acs)
 
     integrable = nijenhuis(algebra, acs).is_integrable
-    theta = _lee_form(algebra, omega)
-    verdict = check_lcs(algebra, omega, theta)
+    d_omega = ce_d(omega)
+    theta = _lee_form(algebra, omega, d_omega)
+    lee_closed = ce_d(theta).is_zero
+    identity_holds = d_omega == wedge(theta, omega)
+    genuine = lee_closed and not theta.is_zero
     parallel = _is_parallel(algebra, metric, theta)
 
     # d(w) = 0 gives theta ^ w^(m-1) = 0, so theta = 0; conversely theta = 0
     # and d(w) = theta ^ w give d(w) = 0
-    kahler = integrable and theta.is_zero and verdict.identity_holds
-    lck = integrable and verdict.identity_holds and verdict.lee_closed
-    vaisman = lck and verdict.genuine and parallel
+    kahler = integrable and theta.is_zero and identity_holds
+    lck = integrable and identity_holds and lee_closed
+    vaisman = lck and genuine and parallel
 
-    if not integrable:
-        label = "not_integrable"
-    elif kahler:
-        label = "kahler"
-    elif vaisman:
-        label = "vaisman"
-    elif lck:
-        label = "lck"
-    else:
-        label = "integrable_non_lck"
-
+    label = ("not_integrable" if not integrable else "kahler" if kahler
+             else "vaisman" if vaisman else "lck" if lck else "integrable_non_lck")
     return HermitianClassification(
         integrable=integrable,
         fundamental=omega,
         lee=theta,
-        lee_closed=verdict.lee_closed,
-        identity_holds=verdict.identity_holds,
-        genuine_lee=verdict.genuine,
+        lee_closed=lee_closed,
+        identity_holds=identity_holds,
+        genuine_lee=genuine,
         lee_parallel=parallel,
         kahler=kahler,
         lck=lck,

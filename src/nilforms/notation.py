@@ -273,7 +273,7 @@ def parse_covector_sum(algebra, text):
         raise InvalidParameter("covector sum must be a string")
     terms = _signed_sum(_Cursor(text), _covector_term, algebra.dim,
                         ("empty covector sum", "'0' or a sum of x<i> terms"))
-    return KForm(algebra, 1, terms)
+    return KForm(algebra, min(1, algebra.dim), terms)
 
 
 # -- JSON interchange --------------------------------------------------------

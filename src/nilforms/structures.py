@@ -7,7 +7,7 @@ literal.  An lcs pair is a nondegenerate omega with d(omega) = theta ^ omega
 for a closed 1-form theta (the Lee form, unique once dim >= 4); the pair is
 *genuine* when [theta] != 0, i.e. the structure is not a global conformal
 rescaling of a symplectic one.  Almost complex structures and metrics live in
-``hermitian``, which reads only ``check_lcs`` from here.
+``hermitian``, which reads nothing from here.
 
 Searches here are semi-decisions by design.  ``find_lcs`` enumerates twisting
 candidates in a documented deterministic order up to a height bound and
@@ -487,9 +487,9 @@ def theta_candidates(algebra, config):
     for h = 1..height, all coordinate vectors over the closed-covector basis
     whose maximum coordinate height is exactly h, by support size, then
     support position, then the documented value order, except that the
-    unit basis covectors are hoisted to the front of level 1.  Height 0
-    yields the zero form alone.  ``config`` is checked at the call, not at
-    the first ``next``.
+    unit basis covectors are hoisted to the front of level 1.  Height 0, or
+    dimension 0, where the zero form is recorded at the top degree, yields it
+    alone.  ``config`` is checked at the call, not at the first ``next``.
     """
     _require_config(config)
     basis, = _cocycles(algebra, (1,))
@@ -507,7 +507,7 @@ def _theta_stream(algebra, config, basis):
     given by its terms, each theta after its (position, value) coordinates
     over that basis."""
     m = len(basis)
-    yield (), algebra.zero_form(1)
+    yield (), algebra.zero_form(min(1, algebra.dim))
     if m == 0 or config.height == 0:
         return
     hoisted = {((pos, 1),): KForm(algebra, 1, covector, _normalized=True)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import HealthCheck, assume, settings, strategies as st
 
 from nilforms import (
@@ -247,6 +248,26 @@ def posdef_metrics(draw, dim):
     gram = [[sum(Fraction(entries[r][i]) * entries[r][j] for r in range(dim))
              for j in range(dim)] for i in range(dim)]
     return InnerProduct(gram)
+
+
+def cayley_complex_structure(dim, seed):
+    """J = Q J0 Q^T for the Cayley transform Q = (Id - S)(Id + S)^-1 of a
+    seeded skew matrix S with entries in {-1, 0, 1}, as a matrix acting on
+    columns.  Q is orthogonal, so J is, and the identity metric is compatible
+    with J; the fundamental form is dense."""
+    rng = random.Random(f"cayley:{dim}:{seed}")
+    skew = sympy.zeros(dim)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            skew[i, j] = rng.choice((-1, 0, 1))
+            skew[j, i] = -skew[i, j]
+    eye = sympy.eye(dim)
+    q = (eye - skew) * (eye + skew).inv()
+    j0 = sympy.zeros(dim)
+    for k in range(0, dim, 2):
+        j0[k + 1, k], j0[k, k + 1] = 1, -1
+    acs = q * j0 * q.T
+    return tuple(tuple(as_fraction(acs[r, c]) for c in range(dim)) for r in range(dim))
 
 
 @st.composite

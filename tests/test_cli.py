@@ -255,6 +255,13 @@ def test_search_symplectic_refuses_dimension_0(capsys):
         == (3, "", "error: symplectic structures need dimension >= 2\n")
 
 
+def test_cohomology_twisted_by_zero_in_dimension_0_is_the_untwisted_answer(capsys):
+    # theta = 0 twists nothing, even where no 1-form exists to carry it
+    plain = run(capsys, "cohomology", "()")
+    assert plain == (0, "betti: (1,)\nH^0 (dim 1): [1]\n", "")
+    assert run(capsys, "cohomology", "--theta", "0", "()") == plain
+
+
 def test_exit_code_3_on_invalid_algebra(capsys):
     assert main(["analyze", "(0,0,12,34)"]) == 3
     err = capsys.readouterr().err

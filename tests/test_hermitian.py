@@ -7,8 +7,11 @@ The oracle's sign conventions are pinned by adjointness
 freeze the values the bulk fuzz in test_properties.py re-derives.
 """
 
+import functools
 import re
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,21 +22,25 @@ from nilforms import (
     InnerProduct,
     InternalInvariantBreach,
     InvalidParameter,
+    NilformsError,
     NotAlmostComplex,
     NotHermitian,
     WrongDimension,
     ce_d,
     classify_hermitian,
     format_form,
+    get_example,
+    heisenberg_line,
     lee_form,
+    names,
     nijenhuis,
     parse_salamon,
     wedge,
 )
-from nilforms import linalg
-from nilforms.hermitian import _hermitian_pair, _is_parallel
+from nilforms import structures
+from nilforms.hermitian import _hermitian_pair, _is_parallel, _lee_form
 
-from conftest import euclidean_metric
+from conftest import cayley_complex_structure, euclidean_metric, seeded_central_extension
 from oracles import (
     as_fraction,
     reference_codifferential,
@@ -251,12 +258,72 @@ def test_lee_form_vanishes_on_the_torus(torus):
     assert lee_form(torus, euclidean_metric(4), ROTATION_J).is_zero
 
 
-def test_a_lee_form_with_no_preimage_is_a_breach(kt, monkeypatch):
-    # w^(m-1) ^ . is onto the (2m-1)-forms for a nondegenerate w, so a
-    # missing solution can only be a fault of the solve
-    monkeypatch.setattr(linalg, "preimage", lambda columns, target: None)
+def test_a_lee_form_of_a_degenerate_w_is_a_breach(kt):
+    # the fundamental form of a compatible pair is nondegenerate, so a w
+    # whose matrix has no inverse can only reach the contraction by a fault
+    omega = kt.basis_form(1, 2)
     with pytest.raises(InternalInvariantBreach, match="^no Lee form"):
-        lee_form(kt, euclidean_metric(4), ROTATION_J)
+        _lee_form(kt, omega, ce_d(omega))
+
+
+# dense compatible pairs: the identity metric and a J conjugated by a
+# Cayley rotation, on a Heisenberg algebra times a line and on a seeded
+# higher-step nilpotent algebra of each even dimension
+@pytest.mark.parametrize("dim", [4, 6, 8, 10])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("heisenberg", [True, False], ids=["heisenberg_line", "extension"])
+def test_the_lee_form_solves_its_equation_on_dense_pairs(dim, seed, heisenberg):
+    algebra = heisenberg_line(dim // 2) if heisenberg else seeded_central_extension(seed, dim, 2)
+    result = classify_hermitian(algebra, euclidean_metric(dim), cayley_complex_structure(dim, seed))
+    omega, theta = result.fundamental, result.lee
+    assert len(omega.coeffs) == dim * (dim - 1) // 2 and not theta.is_zero
+    power = functools.reduce(wedge, [omega] * (dim // 2 - 2), algebra.one())
+    assert wedge(theta, wedge(omega, power)) == wedge(ce_d(omega), power)
+
+
+def test_a_dense_pair_in_dimension_18_has_a_primitive_trace_free_part():
+    """With the identity metric the monomials are orthonormal for the
+    metric g induces on forms, and the adjoint of w ^ . is the dual
+    Lefschetz operator, so d(w) - theta ^ w is primitive exactly when it is
+    orthogonal to every w ^ x_k.  That forms no power of w, and it pins
+    theta, since w ^ . is injective on the 1-forms."""
+    algebra = heisenberg_line(9)
+    result = classify_hermitian(algebra, euclidean_metric(18), cayley_complex_structure(18, 0))
+    assert (result.label, result.identity_holds) == ("not_integrable", False)
+    omega, theta = result.fundamental, result.lee
+    assert len(omega.coeffs) == 153 and not theta.is_zero
+    rest = ce_d(omega) - wedge(theta, omega)
+    for k in range(1, 19):
+        image = wedge(omega, algebra.covector(k))
+        assert sum(v * image.coefficient(mono) for mono, v in rest.terms()) == 0
+
+
+def _outcome(algebra, metric, acs):
+    try:
+        return classify_hermitian(algebra, metric, acs).label
+    except NilformsError as exc:
+        return type(exc).__name__
+
+
+def test_the_classifier_expands_no_pfaffian(monkeypatch):
+    """The catalog's pairs and the output corpus's matrix-file pairs keep
+    their labels, and their refusals, with the lcs search's Pfaffian gone."""
+    pairs = [(entry.algebra, entry.metric, entry.acs)
+             for entry in map(get_example, names()) if entry.metric]
+    corpus = runpy.run_path(str(Path(__file__).parent.parent / "scripts" / "corpus.py"))
+    for argv in corpus["ARGVS"]:
+        if "--acs" in argv:
+            metric, acs = (corpus["MATRICES"][argv[argv.index(flag) + 1].split("/")[-1]]
+                           for flag in ("--metric", "--acs"))
+            pairs.append((get_example(argv[1]).algebra, metric, acs))
+    expected = [_outcome(*pair) for pair in pairs]
+    assert {"kahler", "vaisman", "NotHermitian"} <= set(expected)
+
+    def refuse(*args):
+        raise AssertionError("a Pfaffian was expanded")
+
+    monkeypatch.setattr(structures, "_symbolic_pfaffian", refuse)
+    assert [_outcome(*pair) for pair in pairs] == expected
 
 
 # the Levi-Civita connection of the Koszul formula, tabulated by the oracle

@@ -63,6 +63,21 @@ def test_only_exterior_core_sums_terms_by_hand():
     assert not users, f"modules that sum terms with _add_term: {sorted(users)}"
 
 
+def test_hermitian_binds_no_name_from_structures():
+    """The classifier reads its lcs booleans off d(w) and theta itself, so
+    ``hermitian`` imports nothing from the lcs search's module and holds
+    no object defined there."""
+    import nilforms.hermitian
+
+    tree = ast.parse((PACKAGE / "hermitian.py").read_text(), filename="hermitian.py")
+    sources = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    sources += [name for name, _ in _imported(tree)]
+    assert not [source for source in sources if "structures" in source]
+    assert not [name for name, value in vars(nilforms.hermitian).items()
+                if getattr(value, "__module__", None) == "nilforms.structures"
+                or getattr(value, "__name__", None) == "nilforms.structures"]
+
+
 def test_all_lists_only_public_names():
     import nilforms
 

@@ -214,13 +214,14 @@ def test_theta_candidates_checks_its_config_when_called(config):
         theta_candidates(parse_salamon("(0,0,0,12)"), config)
 
 
-def test_the_point_algebra_has_no_closed_covector_and_no_candidate():
-    # Lambda^1 = 0 in dimension 0: no closed covector, and not even the
-    # zero 1-form can be made to stand for theta = 0
+def test_the_point_algebra_has_no_closed_covector_and_theta_zero_alone():
+    # Lambda^1 = 0 in dimension 0: no closed covector, and theta = 0 is the
+    # zero form recorded at the top degree, as wedge and ce_d record a zero
+    # form past the top
     point = parse_salamon("()")
     assert structures.closed_covector_basis(point) == []
-    with pytest.raises(InvalidParameter, match="^degree 1 exceeds dim 0"):
-        next(theta_candidates(point, SearchConfig()))
+    candidates = list(theta_candidates(point, SearchConfig()))
+    assert candidates == [point.zero_form(0)] and candidates[0].degree == 0
 
 
 @pytest.mark.parametrize("salamon", ["(0,0,0,12)", "(0,0,12,13)",
