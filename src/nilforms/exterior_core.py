@@ -24,6 +24,7 @@ are 1-based throughout, matching the classical x_1, ..., x_n notation.
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -53,8 +54,8 @@ def _require_budget(count, dim, what):
                              f"{count * dim} cells, past the budget of {_BUDGET}")
 
 # -- raw term dictionaries ---------------------------------------------------
-# Internal helpers operate on bare dicts {increasing tuple: coefficient} so the
-# Jacobi check can run before any LieAlgebra object exists.  Forms hold
+# Internal helpers operate on bare dicts {increasing tuple: coefficient} or
+# {bitmask: coefficient}, without a form object around them.  Forms hold
 # Fractions, or ints where the code that built them kept an integral value
 # one; an algebra's differential tables hold ints where integral.
 
@@ -165,8 +166,8 @@ def _d_step(dx, below, rest, rest_image):
 
 def _d_raw(terms, table, unit_image):
     """d_theta of a term dict ``{increasing tuple: coefficient}`` under a
-    ``_leibniz_table``, for forms and the Jacobi check, with
-    ``unit_image`` d_theta(1) = -theta keyed by bitmask (``{}``: plain d).
+    ``_leibniz_table``, for forms, with ``unit_image`` d_theta(1) = -theta
+    keyed by bitmask (``{}``: plain d).
 
     Each monomial x_S is built from its last index down by ``_d_step``, so
     the monomials of one call share the images of their common tails; the
@@ -250,11 +251,36 @@ class LieAlgebra:
         self._cohomology_cache = {}
 
     def _check_jacobi(self):
-        for m in range(1, self.dim + 1):
-            dd = _d_raw(self._dx[m], self._leibniz_dx, {})
-            if dd:
-                witness = min(dd)  # lexicographically first offending 3-monomial
-                raise JacobiViolation(witness)
+        """Raise JacobiViolation unless d(dx_m) = 0 for every m, naming the
+        lexicographically first offending 3-monomial of the first such m.
+
+        The constants are first scaled by their common denominator L, so
+        the check runs on ints; d o d is quadratic in the constants, so each
+        d(dx_m) is L^2 times the true one and vanishes where it does.  Each
+        d(x_a ^ x_b) that some dx_m uses is built once by ``_d_step``, and
+        d(dx_m) is the sum of c_ab d(x_a ^ x_b) over the terms of dx_m.
+        """
+        dx, table = self._dx, self._leibniz_dx
+        scale = lcm(*(c.denominator for c in self.constants.values()))
+        if scale != 1:
+            dx = {i: {pair: c.numerator * (scale // c.denominator) for pair, c in terms.items()}
+                  for i, terms in dx.items()}
+            table = _leibniz_table(dx)
+        images = {}
+        for terms in dx.values():
+            if not terms:
+                continue
+            dd = {}
+            for (a, b), c in terms.items():
+                image = images.get((a, b))
+                if image is None:
+                    bit = 1 << b
+                    images[a, b] = image = _d_step(
+                        table[1 << a], (1 << a) - 1, bit, _d_step(table[bit], bit - 1, 0, {}))
+                for key, v in image.items():
+                    dd[key] = dd.get(key, 0) + c * v
+            if any(dd.values()):
+                raise JacobiViolation(min(_indices(key) for key, v in dd.items() if v))
 
     # -- structure access ---------------------------------------------------
 

@@ -250,11 +250,22 @@ def posdef_metrics(draw, dim):
     return InnerProduct(gram)
 
 
-def cayley_complex_structure(dim, seed):
-    """J = Q J0 Q^T for the Cayley transform Q = (Id - S)(Id + S)^-1 of a
-    seeded skew matrix S with entries in {-1, 0, 1}, as a matrix acting on
-    columns.  Q is orthogonal, so J is, and the identity metric is compatible
-    with J; the fundamental form is dense."""
+MATRIX_VALUES = (0, 0, 0, 1, -1, Fraction(1, 2), 2)
+
+
+def fixed_matrix(seed, dim):
+    """A fixed invertible dim x dim matrix, entries drawn from
+    ``MATRIX_VALUES`` by a seeded generator until one is invertible."""
+    rng = random.Random(seed)
+    while True:
+        matrix = [[rng.choice(MATRIX_VALUES) for _ in range(dim)] for _ in range(dim)]
+        if sympy_matrix(matrix).det() != 0:
+            return matrix
+
+
+def cayley_rotation(dim, seed):
+    """The Cayley transform Q = (Id - S)(Id + S)^-1 of a seeded skew matrix
+    S with entries in {-1, 0, 1}: an orthogonal rational matrix, as rows."""
     rng = random.Random(f"cayley:{dim}:{seed}")
     skew = sympy.zeros(dim)
     for i in range(dim):
@@ -263,10 +274,22 @@ def cayley_complex_structure(dim, seed):
             skew[j, i] = -skew[i, j]
     eye = sympy.eye(dim)
     q = (eye - skew) * (eye + skew).inv()
-    j0 = sympy.zeros(dim)
-    for k in range(0, dim, 2):
-        j0[k + 1, k], j0[k, k + 1] = 1, -1
-    acs = q * j0 * q.T
+    return tuple(tuple(as_fraction(q[r, c]) for c in range(dim)) for r in range(dim))
+
+
+def standard_complex_structure(dim):
+    """J0 X_{2p-1} = X_{2p}, J0 X_{2p} = -X_{2p-1}, as a matrix acting on
+    columns."""
+    return tuple(tuple(1 if r == c + 1 and c % 2 == 0 else -1 if c == r + 1 and r % 2 == 0
+                       else 0 for c in range(dim)) for r in range(dim))
+
+
+def cayley_complex_structure(dim, seed):
+    """J = Q J0 Q^T for Q = ``cayley_rotation(dim, seed)``, as a matrix
+    acting on columns.  Q is orthogonal, so J is, and the identity metric is
+    compatible with J; the fundamental form is dense."""
+    q = sympy_matrix(cayley_rotation(dim, seed))
+    acs = q * sympy_matrix(standard_complex_structure(dim)) * q.T
     return tuple(tuple(as_fraction(acs[r, c]) for c in range(dim)) for r in range(dim))
 
 

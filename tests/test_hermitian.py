@@ -40,15 +40,23 @@ from nilforms import (
 from nilforms import structures
 from nilforms.hermitian import _hermitian_pair, _is_parallel, _lee_form
 
-from conftest import cayley_complex_structure, euclidean_metric, seeded_central_extension
+from conftest import (
+    cayley_complex_structure,
+    cayley_rotation,
+    euclidean_metric,
+    seeded_central_extension,
+    standard_complex_structure,
+)
 from oracles import (
     as_fraction,
+    change_basis,
     reference_codifferential,
     reference_form_pairing,
     reference_koszul_table,
     reference_lee_form,
     reference_pairing,
     reference_star_raw,
+    skew_matrix,
     sympy_matrix,
 )
 
@@ -296,6 +304,27 @@ def test_a_dense_pair_in_dimension_18_has_a_primitive_trace_free_part():
     for k in range(1, 19):
         image = wedge(omega, algebra.covector(k))
         assert sum(v * image.coefficient(mono) for mono, v in rest.terms()) == 0
+
+
+def test_a_dense_changed_basis_classifies_as_its_conjugated_pair():
+    """On the basis Y_c = sum_r Q_rc X_r of the rotation Q behind
+    ``cayley_complex_structure(18, 0)``, that J reads J0 and the identity
+    metric stays the identity, so both pairs are one structure: the same
+    verdicts, and w and theta pulled back by Q (x_r = sum_c Q_rc y_c)."""
+    q = cayley_rotation(18, 0)
+    algebra = heisenberg_line(9)
+    moved = change_basis(algebra, q)
+    old = classify_hermitian(algebra, euclidean_metric(18), cayley_complex_structure(18, 0))
+    new = classify_hermitian(moved, euclidean_metric(18), standard_complex_structure(18))
+    verdicts = ("integrable", "lee_closed", "identity_holds", "genuine_lee", "lee_parallel",
+                "kahler", "lck", "vaisman", "label")
+    assert [getattr(new, f) for f in verdicts] == [getattr(old, f) for f in verdicts]
+    rotation = sympy_matrix(q)
+    theta = sympy_matrix([[old.lee.coefficient((r,)) for r in range(1, 19)]]) * rotation
+    assert new.lee == moved.form({(c + 1,): as_fraction(theta[0, c]) for c in range(18)})
+    omega = rotation.T * sympy_matrix(skew_matrix(old.fundamental)) * rotation
+    assert new.fundamental == moved.form({(c + 1, d + 1): as_fraction(omega[c, d])
+                                          for c in range(18) for d in range(c + 1, 18)})
 
 
 def _outcome(algebra, metric, acs):

@@ -27,7 +27,6 @@ included.
 """
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -61,6 +60,7 @@ from nilforms.structures import (
 from conftest import (
     NON_NILPOTENT_4D,
     catalog_algebras,
+    fixed_matrix,
     nilpotent_algebras,
     non_nilpotent_4d_algebras,
     permuted,
@@ -73,7 +73,6 @@ from oracles import (
     reference_nonzero_point,
     reference_rref,
     reference_symbolic_pfaffian,
-    sympy_matrix,
 )
 
 # (dimension, b1): every algebra of dimension 4 has a genuine lcs pair; most
@@ -390,19 +389,6 @@ def test_find_lcs_builds_no_twisted_kernel_for_a_theta_p_rules_out(
     assert result.genuine_status == "FOUND"
     assert result.examined == examined
     assert thetas == decided
-
-
-MATRIX_VALUES = (0, 0, 0, 1, -1, Fraction(1, 2), 2)
-
-
-def fixed_matrix(seed, dim):
-    """A fixed invertible dim x dim matrix, entries drawn from
-    ``MATRIX_VALUES`` by a seeded generator until one is invertible."""
-    rng = random.Random(seed)
-    while True:
-        matrix = [[rng.choice(MATRIX_VALUES) for _ in range(dim)] for _ in range(dim)]
-        if sympy_matrix(matrix).det() != 0:
-            return matrix
 
 
 # After the change of basis the closed covectors are no longer unit

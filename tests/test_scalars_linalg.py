@@ -134,6 +134,15 @@ def test_in_row_space():
     assert reduce({2: Fraction(1)}, basis) == {2: Fraction(1)}
 
 
+def test_a_vector_left_single_by_a_deletion_deletes_its_coordinate():
+    # x1 is a singleton from the start, so its coordinate goes first and
+    # leaves x1 + x2 with x2 alone; counting that vector must delete x2 from
+    # x2 + x3 + x4 and 2 x2 + x3 + x4 too, which leaves them equal: rank 3
+    vectors = [{1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1, 4: 1}, {2: 2, 3: 1, 4: 1}]
+    assert span_rank(vectors) == sympy_matrix(
+        [[vec.get(c, 0) for c in range(1, 5)] for vec in vectors]).rank() == 3
+
+
 ROW_ENTRIES = st.sampled_from(
     [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4), 10**12 + 1]).map(Fraction)
 
