@@ -17,11 +17,14 @@ algebras (Salamon's list) under ``analyze``, ``analyze --json``,
 ``search-lcs --height 2`` and ``cohomology``; ``search-symplectic``; four
 algebras of dimension 0-3 under ``analyze``, ``search-symplectic``,
 ``search-lcs --height 2`` and ``cohomology``, refusals included, and the
-point under ``cohomology --theta 0``; the batteries with and without ``--json``; Hermitian pairs read from matrix
-files; a dozen seeded ``bench/gen.py`` draws, pinned as literal tuples; and
-the error paths with their exit codes.  Matrix files are written to a
-temporary directory; an argv names them as ``{tmp}/NAME`` and is hashed in
-that spelling.
+point under ``cohomology --theta 0``; the three solvable 4-dimensional
+algebras that are not nilpotent under ``analyze``, ``search-lcs --height 2``
+and ``cohomology``; ``search-lcs --height 1`` and ``--height 3`` on
+``(0,0,12,13)`` and ``(0,0,0,0,12,34)``; the batteries with and without
+``--json``; Hermitian pairs read from matrix files; a dozen seeded
+``bench/gen.py`` draws, pinned as literal tuples; and the error paths with
+their exit codes.  Matrix files are written to a temporary directory; an
+argv names them as ``{tmp}/NAME`` and is hashed in that spelling.
 """
 
 import argparse
@@ -58,6 +61,13 @@ CENSUS = (
 # one algebra of each dimension 0-3, where every search but the symplectic
 # one on (0,0) is refused (exit 3)
 SMALL = ("()", "(0)", "(0,0)", "(0,0,12)")
+
+# the three solvable 4-dimensional algebras that are not nilpotent (the
+# tests' NON_NILPOTENT_4D): the lcs search takes each candidate's
+# d_theta-closed 2-forms off the kernel of d_theta on Lambda^2, and on the
+# first two, which are not unimodular, the Betti profile takes every rank
+# and the Lefschetz maps run on a cohomology without Poincare duality
+NON_NILPOTENT = ("(0,-12,0,0)", "(0,-12,0,-34)", "(0,-12,13,0)")
 
 # bench/gen.py's draw(seed, "w", dim, generators) for (seed, dim, generators)
 # = (0|1|2|3, 6, 2|3|2|3), (0|1, 7, 3|2), (1|2|3|5, 8, 4|3|2|3), (0|1, 10, 4|5)
@@ -106,6 +116,14 @@ ARGVS = (
       for source in SMALL
       for command, *flags in (("analyze",), ("search-symplectic",),
                               ("search-lcs", "--height", "2"), ("cohomology",))),
+    *((command, *flags, source)
+      for source in NON_NILPOTENT
+      for command, *flags in (("analyze",), ("search-lcs", "--height", "2"),
+                              ("cohomology",))),
+    # the candidate counts at heights 1 and 3, where the lcs search stops at
+    # its first genuine pair and where it counts its misses in closed form
+    *(("search-lcs", "--height", height, source)
+      for source in ("(0,0,12,13)", "(0,0,0,0,12,34)") for height in ("1", "3")),
     ("search-symplectic", "--json", "(0,0,12,13)"),
     ("search-lcs", "--json", "--max-candidates", "2", "(0,0,12,13)"),
     ("analyze", "--quiet", "(0,0,12,13)"),

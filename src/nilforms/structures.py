@@ -584,6 +584,14 @@ def find_lcs(algebra, config=SearchConfig()):
     search costs, not what it reports, and a miss is still
     NOT_FOUND_UP_TO_HEIGHT(H).
 
+    What the search returns on nilpotent input follows, though the code
+    does not use it: P has degree 1 in t, since (theta ^ eta)^2 = 0 and
+    (d eta)^(n/2) is exact in top degree, hence zero on a unimodular
+    algebra.  So the theta that P rules out make up a linear subspace K of
+    the closed covectors, and the search finds a genuine pair at height 1
+    exactly when P is not zero, its theta the first closed covector of the
+    basis outside K; a larger height changes only the count of a miss.
+
     The closed covectors and the closed 2-forms of theta = 0 come off one
     untwisted sweep (``_cocycles(algebra, (1, 2))``), as term dicts; a
     ``KForm`` is built only for what leaves the search, the thetas and the

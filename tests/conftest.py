@@ -1,7 +1,9 @@
 """Fixtures and hypothesis strategies shared across the suite."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -29,6 +31,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("suite")
+
+
+def corpus_script():
+    """``scripts/corpus.py`` as a module: its command lines, its census of
+    the 34 six-dimensional nilpotent algebras, and its ``main``."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus
 
 
 def cocycle_forms(algebra, k, theta=None):

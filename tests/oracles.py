@@ -149,6 +149,50 @@ def betti_by_koszul(algebra, theta=None):
     return tuple(out)
 
 
+def gysin_betti(algebra):
+    """Betti numbers along the central tower, for an algebra in Salamon's
+    order (every [X_i, X_j] with i < j in the span of the X_k with k > j);
+    any other order raises ValueError.
+
+    X_n is then central, and g is the central extension of h = g/<X_n>, the
+    algebra on the constants with k < n, by the 2-cocycle sigma = dx_n read
+    on h.  The Gysin sequence of the extension (Hochschild-Serre, Ann. of
+    Math. 57, 1953) gives
+
+        b_k(g) = b_k(h) - r_{k-2} + b_{k-1}(h) - r_{k-1},
+
+    with r_j the rank of the cup product with [sigma] from H^j(h) to
+    H^{j+2}(h), 0 when dx_n = 0.  Only h's cohomology spaces are built, and
+    r_j is read through public API: each representative of H^j(h) wedged
+    with sigma and reduced in H^{j+2}(h), and the span rank of those
+    coordinates.  Nothing is computed on g itself, so a fault of the
+    differential moves the two sides by different amounts.
+    """
+    from nilforms import LieAlgebra, cohomology_space, wedge
+    from nilforms.linalg import span_rank
+
+    if any(not i < j < k for i, j, k in algebra.constants):
+        raise ValueError("gysin_betti needs the structure constants in Salamon's order")
+    n = algebra.dim
+    if n == 0:
+        return (1,)
+    h = LieAlgebra(n - 1, {key: c for key, c in algebra.constants.items() if key[2] < n})
+    dx_n = algebra.dx(n).coeffs
+    sigma = h.form(dx_n) if dx_n else None
+    spaces = [cohomology_space(h, j) for j in range(n)]
+
+    def rank(j):
+        if sigma is None or not 0 <= j <= n - 3:
+            return 0
+        target = spaces[j + 2]
+        return span_rank([dict(enumerate(target.reduce(wedge(rep, sigma))))
+                          for rep in spaces[j].representative_basis])
+
+    betti = [0, *(space.betti for space in spaces), 0]  # b_{-1}(h) = b_n(h) = 0
+    return tuple(betti[k + 1] - rank(k - 2) + betti[k] - rank(k - 1)
+                 for k in range(n + 1))
+
+
 def sympy_pfaffian_squared_is_det(matrix_rows, pf):
     mat = sympy_matrix(matrix_rows)
     return sympy.Rational(pf) ** 2 == mat.det()

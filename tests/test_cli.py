@@ -24,7 +24,7 @@ from nilforms import (
 from nilforms.cli import main
 from nilforms.coordinate_model import RealizationReport
 
-from conftest import wrong_coframe
+from conftest import corpus_script, wrong_coframe
 
 
 def run(capsys, *argv):
@@ -594,11 +594,5 @@ def test_every_output_is_the_recorded_corpus_digest(capsys):
     corpus gives the exit code, stdout and stderr whose digest
     tests/golden/corpus.json records.  An intended output change rewrites
     the file with ``scripts/corpus.py --write``, and names each changed argv."""
-    import importlib.util
-
-    path = Path(__file__).parent.parent / "scripts" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("corpus", path)
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    status = corpus.main(["--check"])
+    status = corpus_script().main(["--check"])
     assert status == 0, capsys.readouterr().out

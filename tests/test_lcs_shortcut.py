@@ -24,8 +24,13 @@ leaves no closed covector a unit covector.  Every other candidate reads its
 d_theta-closed 2-forms off d_theta(Lambda^1), checked against the kernel
 basis of d_theta on Lambda^2 it stands for, key order and value types
 included.
+
+The last test states what the search returns on nilpotent input, which
+find_lcs does not use: P is linear in t, so height 1 decides the search,
+with the proof in its docstring.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -35,6 +40,7 @@ from hypothesis import given, settings, strategies as st
 from nilforms import (
     LieAlgebra,
     SearchConfig,
+    betti_profile,
     build_algebra,
     cohomology_space,
     find_lcs,
@@ -60,6 +66,7 @@ from nilforms.structures import (
 from conftest import (
     NON_NILPOTENT_4D,
     catalog_algebras,
+    corpus_script,
     fixed_matrix,
     nilpotent_algebras,
     non_nilpotent_4d_algebras,
@@ -465,3 +472,71 @@ def test_the_twisted_exact_span_keeps_fractions_and_ints():
               for theta in itertools.islice(theta_candidates(algebra, SearchConfig(height=1)), 1, None)
               for terms in _twisted_exact_span(algebra, theta) for c in terms.values()]
     assert {type(c) for c in values} == {int, Fraction}
+
+
+# -- the search is decided at height 1 on nilpotent input ---------------------
+
+
+def generated(dim, b1, seed, changed):
+    """``seeded_central_extension(seed, dim, b1)``, or its image under
+    ``fixed_matrix(seed, dim)`` when ``changed``."""
+    algebra = seeded_central_extension(seed, dim, b1)
+    return change_basis(algebra, fixed_matrix(seed, dim)) if changed else algebra
+
+
+DECIDED = {
+    **{salamon: functools.partial(parse_salamon, salamon)
+       for salamon in corpus_script().CENSUS},
+    **{f"dim{dim}-b1_{b1}-seed{seed}{'-basis' if changed else ''}":
+       functools.partial(generated, dim, b1, seed, changed)
+       for dim, b1 in SHAPES for seed in SEEDS for changed in (False, True)},
+}
+
+
+@pytest.mark.parametrize("build", DECIDED.values(), ids=DECIDED)
+def test_the_search_is_decided_at_height_one_on_nilpotent_input(build):
+    """On a nilpotent algebra, P decides the search, and height 1 suffices.
+
+    Let g be nilpotent of dimension n = 2k >= 4, b_0..b_{m-1} its closed
+    covectors (m = b1, as B^1 = 0), theta = sum t_i b_i, eta = sum a_j x_j
+    and P(t, a) = Pf(d eta - theta ^ eta), so that
+    (d eta - theta ^ eta)^k = k! P vol.
+
+    P is linear in t: theta ^ theta = 0 gives (theta ^ eta)^2 = 0, so
+    (d eta - theta ^ eta)^k = (d eta)^k - k (d eta)^(k-1) ^ theta ^ eta.
+    (d eta)^k = d(eta ^ (d eta)^(k-1)) is exact in top degree, and d
+    vanishes on Lambda^(n-1) of a unimodular algebra, nilpotent ones
+    included; so (d eta)^k = 0 and P = sum t_i P_i(a).
+
+    P decides every theta != 0: by Dixmier's vanishing theorem (Acta Sci.
+    Math. Szeged 16, 1955) H^2_theta = 0, so the d_theta-closed 2-forms are
+    the d eta - theta ^ eta, and one of them is nondegenerate iff
+    P(t, .) is not the zero polynomial (which then has a nonzero rational
+    point).  Such a theta has [theta] != 0, since B^1 = 0.  So the closed
+    theta that are not Lee forms make up the linear subspace
+    K = {t : sum t_i P_i = 0}.
+
+    What the search returns: theta = 0 comes first, then at the head of
+    height 1 the unit coordinate vectors, the closed covectors b_0, b_1, ...
+    themselves.  If P == 0, no theta != 0 at any height is a Lee form.  If
+    not, let i be least with P_i != 0: b_0..b_{i-1} lie in K and b_i does
+    not, so the search stops at b_i, its (i + 2)-th candidate, at every
+    height >= 1, and with the same d_theta-closed 2-forms the same omega.
+    find_lcs uses none of this: it assumes nothing about P's degree.
+    """
+    algebra = build()
+    covectors = covector_terms(algebra)
+    m = len(covectors)
+    assert m == betti_profile(algebra)[1]
+    pfaffian = _twisted_exact_pfaffian(algebra, covectors)
+    assert all(sum(expo[:m]) == 1 for expo in pfaffian.terms)
+
+    first = find_lcs(algebra, SearchConfig(height=1))
+    assert first.genuine_found == bool(pfaffian)
+    second = find_lcs(algebra, SearchConfig(height=2))
+    assert second.genuine_witness == first.genuine_witness
+    if pfaffian:
+        i = min(v for expo in pfaffian.terms for v in range(m) if expo[v])
+        _, theta = first.genuine_witness
+        assert theta.coeffs == covectors[i]
+        assert first.examined == second.examined == i + 2

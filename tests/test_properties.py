@@ -53,7 +53,7 @@ from nilforms import (
     twisted_d,
     wedge,
 )
-from nilforms import linalg
+from nilforms import cohomology, linalg
 from nilforms.cohomology import _d_images, _d_matrix, _form
 from nilforms.exterior_core import _is_nilpotent, lower_central_series
 from nilforms.hermitian import _hermitian_pair, _is_parallel
@@ -73,6 +73,7 @@ from conftest import (
     forms_on,
     nilpotent_algebras,
     non_nilpotent_4d_algebras,
+    permuted,
     permuted_nilpotent_algebras,
     posdef_metrics,
     small_rationals,
@@ -86,6 +87,7 @@ from oracles import (
     change_basis,
     d_matrix_by_koszul,
     direct_sum,
+    gysin_betti,
     jacobiator,
     reference_codifferential,
     reference_koszul_table,
@@ -642,6 +644,28 @@ def test_rank_leaves_the_images_of_the_sweep_as_they_were(algebra):
 def test_betti_profile_equals_the_koszul_oracle(algebra, data):
     for theta in _plain_and_twisted(algebra, data):
         assert betti_profile(algebra, theta) == betti_by_koszul(algebra, theta)
+
+
+# the Gysin route builds cohomology spaces of h = g/<X_n> only, so a sweep
+# fault does not cancel out; sympy's Koszul oracle stops at dimension 6
+@fuzz(nilpotent_algebras(dims=range(7, 11)), n=12, phases=NO_SHRINK)
+def test_betti_profile_equals_the_gysin_route(algebra):
+    swept = []
+
+    def counted(sweep_algebra, theta=None):
+        swept.append(sweep_algebra.dim)
+        return _d_images(sweep_algebra, theta)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cohomology, "_d_images", counted)
+        gysin = gysin_betti(algebra)
+    assert algebra.dim not in swept
+    assert betti_profile(algebra) == gysin
+
+
+def test_the_gysin_route_refuses_another_order():
+    with pytest.raises(ValueError, match="Salamon's order"):
+        gysin_betti(permuted(parse_salamon("(0,0,12,13)"), (4, 3, 2, 1)))
 
 
 # -- Dixmier vanishing ---------------------------------------------------------

@@ -23,12 +23,6 @@ def run_script(name, *args):
     return proc.stdout
 
 
-def test_lcs_height_sweep_finds_the_filiform_pair():
-    out = run_script("lcs_height_sweep.py", "(0,0,12,13)", "--max-height", "1")
-    assert "3 candidates" in out
-    assert "FOUND  omega = x1^x3 - x2^x4, theta = x2" in out
-
-
 def test_linecov_maps_the_lines_one_test_file_reaches():
     out = run_script("linecov.py", "-q", "-p", "no:cacheprovider",
                      "tests/test_scalars_linalg.py")
@@ -49,3 +43,9 @@ def test_every_script_has_a_smoke_run():
     scripts = {path.name for path in (ROOT / "scripts").glob("*.py")}
     run = set(re.findall(r'run_script\("([^"]+)"', Path(__file__).read_text()))
     assert scripts <= run, f"scripts without a smoke run: {sorted(scripts - run)}"
+
+
+def test_the_readme_names_exactly_the_scripts():
+    scripts = {path.name for path in (ROOT / "scripts").glob("*.py")}
+    named = set(re.findall(r"scripts/(\w+\.py)", (ROOT / "README.md").read_text()))
+    assert named == scripts
