@@ -20,7 +20,8 @@ algebras of dimension 0-3 under ``analyze``, ``search-symplectic``,
 point under ``cohomology --theta 0``; the three solvable 4-dimensional
 algebras that are not nilpotent under ``analyze``, ``search-lcs --height 2``
 and ``cohomology``; ``search-lcs --height 1`` and ``--height 3`` on
-``(0,0,12,13)`` and ``(0,0,0,0,12,34)``; the batteries with and without
+``(0,0,12,13)`` and ``(0,0,0,0,12,34)``, ``search-lcs --height 0`` on the
+first and ``search-lcs --max-candidates 5`` on the second; the batteries with and without
 ``--json``; Hermitian pairs read from matrix files; a dozen seeded
 ``bench/gen.py`` draws, pinned as literal tuples; and the error paths with
 their exit codes.  Matrix files are written to a temporary directory; an
@@ -124,6 +125,10 @@ ARGVS = (
     # its first genuine pair and where it counts its misses in closed form
     *(("search-lcs", "--height", height, source)
       for source in ("(0,0,12,13)", "(0,0,0,0,12,34)") for height in ("1", "3")),
+    # height 0, where P is not zero yet theta = 0 is the only candidate, and
+    # a capped miss, counted in closed form under the cap
+    ("search-lcs", "--height", "0", "(0,0,12,13)"),
+    ("search-lcs", "--max-candidates", "5", "(0,0,0,0,12,34)"),
     ("search-symplectic", "--json", "(0,0,12,13)"),
     ("search-lcs", "--json", "--max-candidates", "2", "(0,0,12,13)"),
     ("analyze", "--quiet", "(0,0,12,13)"),

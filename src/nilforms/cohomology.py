@@ -327,7 +327,9 @@ class CohomologySpace:
 
     def __repr__(self):
         twist = "" if self.theta is None else ", twisted"
-        return f"H^{self.degree}(dim {self.algebra.dim}{twist}) rank {self.betti}"
+        # a space whose d^2 check failed has no rank to print
+        rank = f" rank {self.betti}" if hasattr(self, "betti") else ""
+        return f"H^{self.degree}(dim {self.algebra.dim}{twist}){rank}"
 
 
 def cohomology_space(algebra, degree, theta=None):

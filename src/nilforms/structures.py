@@ -17,13 +17,14 @@ height H", never as nonexistence.
 
 On a nilpotent algebra Dixmier's theorem (H*_theta = 0 for closed
 theta != 0) makes every d_theta-closed 2-form twisted-exact, so a single
-symbolic Pfaffian over theta and the primitive settles all theta != 0
-candidates at once; when it vanishes identically only theta = 0 is decided
-and the rest counted in closed form; otherwise a candidate whose streamed
-coordinates make it vanish is skipped, and any other reads its
-d_theta-closed 2-forms off d_theta(Lambda^1), the span the same theorem
-gives, in the very basis and with the very values (``linalg._ratio``) the
-kernel of d_theta on Lambda^2 would give.
+symbolic Pfaffian P over theta and the primitive settles all theta != 0
+candidates at once.  P is linear in theta, so a closed covector of the
+basis is a Lee form exactly when its coordinate occurs in P: the search
+decides theta = 0 and the basis covectors up to the first such one, which
+reads its d_theta-closed 2-forms off d_theta(Lambda^1), the span the same
+theorem gives, in the very basis and with the very values
+(``linalg._ratio``) the kernel of d_theta on Lambda^2 would give; a miss
+is counted in closed form.
 Whether the algebra is nilpotent is read off its structure constants when
 they are in Salamon's order (every [X_i, X_j], i < j, in the span of the
 X_k with k > j) and left to the lower central series otherwise.  Every
@@ -81,7 +82,7 @@ from .exterior_core import (
     ce_d,
     wedge,
 )
-from .polynomials import Poly, _fix, nonzero_point
+from .polynomials import Poly, nonzero_point
 from .scalars import _exact, as_scalar, height
 
 
@@ -565,32 +566,27 @@ def find_lcs(algebra, config=SearchConfig()):
     Each witness costs one numeric Pfaffian: the volume that checked it in
     ``nondegenerate_in_span`` is the one its ``check_lcs`` verdict reports.
 
-    On a nilpotent algebra one polynomial settles every theta != 0 candidate
-    first: P(t, a) = Pf(d eta - theta ^ eta) over all closed theta and all
-    eta (``_twisted_exact_pfaffian``, by Dixmier's vanishing theorem).  When
-    P is identically zero no candidate but theta = 0 can give a witness, so
-    the stream is cut after theta = 0 and the others are counted in closed
-    form (``_value_count``); the result is the one the full enumeration
-    would return.  When P is not zero, a candidate theta != 0 whose
-    coordinates t, yielded with it by the stream, leave the zero polynomial
-    in a once substituted into P (the other t_i at 0) is counted as examined and
-    skipped without building its d_theta-closed 2-forms: by the same
-    theorem none of them is nondegenerate.  Any other theta != 0 reads its
+    On a nilpotent algebra one polynomial decides the search:
+    P(t, a) = Pf(d eta - theta ^ eta) over theta = sum t_i b_i, the closed
+    covectors b_i, and all eta (``_twisted_exact_pfaffian``).  By Dixmier's
+    vanishing theorem every d_theta-closed 2-form with theta != 0 is some
+    d eta - theta ^ eta, and P = sum t_i Q_i(a) has degree 1 in t, since
+    (theta ^ eta)^2 = 0 and (d eta)^(n/2) is exact in top degree, hence
+    zero on a unimodular algebra.  So b_i is a Lee form exactly when t_i
+    occurs in P, i in the live set L, and the theta that P rules out make
+    up a linear subspace.  The b_i head level 1, right after theta = 0, so
+    the search examines theta = 0 and b_0 .. b_i for the least i in L,
+    counting each b_j before b_i as examined and skipped, and b_i reads its
     d_theta-closed 2-forms off d_theta(Lambda^1) (``_twisted_exact_span``),
     in the very basis of the kernel a non-nilpotent algebra still
-    eliminates for.  No
-    assumption on P's degree in t enters.  The status stays a
-    semi-decision all the same: the cut and the skip change what the
+    eliminates for.  With L empty, or at height 0, only theta = 0 is
+    decided, and a miss counts the (V + 1)^m candidates, V nonzero values
+    (``_value_count``) for each of the m coordinates, in closed form under
+    the cap: the result is the one the full enumeration would return.  A
+    b_i in L that gives no pair is an ``InternalInvariantBreach``.  The
+    status stays a semi-decision all the same: the theorem changes what the
     search costs, not what it reports, and a miss is still
     NOT_FOUND_UP_TO_HEIGHT(H).
-
-    What the search returns on nilpotent input follows, though the code
-    does not use it: P has degree 1 in t, since (theta ^ eta)^2 = 0 and
-    (d eta)^(n/2) is exact in top degree, hence zero on a unimodular
-    algebra.  So the theta that P rules out make up a linear subspace K of
-    the closed covectors, and the search finds a genuine pair at height 1
-    exactly when P is not zero, its theta the first closed covector of the
-    basis outside K; a larger height changes only the count of a miss.
 
     The closed covectors and the closed 2-forms of theta = 0 come off one
     untwisted sweep (``_cocycles(algebra, (1, 2))``), as term dicts; a
@@ -604,19 +600,14 @@ def find_lcs(algebra, config=SearchConfig()):
     _require_config(config)
 
     basis, closed = _cocycles(algebra, (1, 2))
+    m = len(basis)
     candidates = _theta_stream(algebra, config, basis)
-    total = pfaffian = None
+    live = None
     if _is_nilpotent(algebra):
-        pfaffian = _twisted_exact_pfaffian(algebra, basis).terms
-    if pfaffian == {}:
-        # Every d_theta-closed 2-form with closed theta != 0 is some
-        # d eta - theta ^ eta, and P == 0 makes each of them degenerate (on an
-        # abelian algebra, of dim >= 4, always: there omega = -theta ^ eta).
-        # The candidates are exactly the coordinate vectors over the m closed
-        # covectors with entry heights <= H, (V + 1)^m of them for V nonzero
-        # values, and theta = 0 comes first.
-        total = (_value_count(config.height) + 1) ** len(basis)
-        candidates = itertools.islice(candidates, 1)
+        # theta = 0, then the hoisted b_0 .. b_i up to the least live i
+        live = {i for expo in _twisted_exact_pfaffian(algebra, basis).terms
+                for i in range(m) if expo[i]}
+        candidates = itertools.islice(candidates, min(live, default=-1) + 2)
 
     examined = 0
     capped = False
@@ -627,23 +618,15 @@ def find_lcs(algebra, config=SearchConfig()):
             capped = True
             break
         examined += 1
-        if pfaffian and assignment:
-            # P(t, a) with theta's t substituted is Pf(d eta - theta ^ eta)
-            # over all eta: zero, and no d_theta-closed 2-form is
-            # nondegenerate
-            terms, t = pfaffian, dict(assignment)
-            for i in range(len(basis)):
-                terms = _fix(terms, i, t.get(i, 0))
-            if not terms:
-                continue
-
         # theta combines closed covectors, so it is closed by construction
         if not assignment:
             span = closed
-        elif pfaffian is not None:  # nilpotent: Z^2_theta = d_theta(Lambda^1)
-            span = _twisted_exact_span(algebra, theta)
-        else:
+        elif live is None:
             span, = _cocycles(algebra, (2,), theta)
+        elif assignment[0][0] in live:  # Z^2_theta = d_theta(Lambda^1)
+            span = _twisted_exact_span(algebra, theta)
+        else:  # Q_i == 0: no d_theta-closed 2-form is nondegenerate
+            continue
         found = _nondegenerate_in_span(algebra, span)
         if found is None:
             continue
@@ -658,7 +641,13 @@ def find_lcs(algebra, config=SearchConfig()):
             genuine_witness, genuine_verdict = (omega, theta), this_verdict
             break
 
-    if total is not None:
+    if live is not None and genuine_witness is None and not capped:
+        if live and config.height:
+            raise InternalInvariantBreach("a closed covector that P keeps gave no lcs pair")
+        # a miss: the candidates are the coordinate vectors over the m
+        # closed covectors with entry heights <= H, (V + 1)^m of them for V
+        # nonzero values, and none but theta = 0 can give a witness
+        total = (_value_count(config.height) + 1) ** m
         cap = config.max_candidates
         examined = total if cap is None else min(total, cap)
         capped = examined < total

@@ -129,8 +129,16 @@ def test_coboundaries_outside_the_cocycles_are_a_breach():
     # x13 have the same pivots, so the pivots alone would give H^2 = 0; the
     # exact check d(dx3) != 0 must raise instead
     shadow = unchecked_algebra(3, dict.fromkeys(((1, 2, 2), (1, 3, 3), (1, 2, 1)), 1))
-    with pytest.raises(InternalInvariantBreach, match="d\\^2 = 0 is broken"):
+    with pytest.raises(InternalInvariantBreach, match="d\\^2 = 0 is broken") as info:
         CohomologySpace(shadow, 2)
+    # the half-built space still prints, without the rank it never reached
+    tb, frames = info.tb, []
+    while tb is not None:
+        frames.append(tb.tb_frame)
+        tb = tb.tb_next
+    space, = [frame.f_locals["self"] for frame in frames
+              if isinstance(frame.f_locals.get("self"), CohomologySpace)]
+    assert repr(space) == "H^2(dim 3)"
 
 
 def test_betti_profile_caches_nothing():

@@ -6,7 +6,7 @@ settle all theta != 0 candidates of a nilpotent algebra at once.  The two
 must report the same status, count, cap and witnesses, on generated
 nilpotent algebras whose searches both find a genuine pair and miss one.
 
-The cut rests on cheap pieces, each checked against the route it
+The shortcut rests on cheap pieces, each checked against the route it
 replaced: the Pfaffian of a family of (variables, 2-form) pairs, expanded
 on int coefficients and packed monomials, against the all-Fraction
 expansion on exponent tuples (``oracles.reference_symbolic_pfaffian``,
@@ -17,17 +17,18 @@ under the reversed source order; and the nilpotency test read off
 Salamon's order against the lower central series, on bases shuffled so
 that it must fall back.  P itself is also evaluated at fixed points
 against the Pfaffians of the forms d eta - theta ^ eta it stands for.
-When P is not zero, the candidates it rules out are skipped: the twisted
-kernels a search builds are counted, and the agreement with the reference
-is checked again after a change of basis (``oracles.change_basis``) that
-leaves no closed covector a unit covector.  Every other candidate reads its
+The closed covectors whose coordinate does not occur in P are skipped,
+and when P is zero every theta != 0 is: the twisted kernels a search
+builds are counted, and the agreement with the reference is checked again
+after a change of basis (``oracles.change_basis``) that leaves no closed
+covector a unit covector.  The one theta != 0 a search decides reads its
 d_theta-closed 2-forms off d_theta(Lambda^1), checked against the kernel
 basis of d_theta on Lambda^2 it stands for, key order and value types
 included.
 
-The last test states what the search returns on nilpotent input, which
-find_lcs does not use: P is linear in t, so height 1 decides the search,
-with the proof in its docstring.
+The last test states the theorem find_lcs rests on: P is linear in t, so
+height 1 decides the search on nilpotent input, with the proof in its
+docstring.
 """
 
 import functools
@@ -176,7 +177,7 @@ def test_generated_algebras_reach_both_outcomes():
     assert statuses == {"FOUND", "NOT_FOUND_UP_TO_HEIGHT(1)"}
 
 
-# -- exact ints in the Pfaffian, and the nilpotency test that gates the cut --
+# -- exact ints in the Pfaffian, and the nilpotency test behind the shortcut --
 
 RATIONAL_CONSTANTS = LieAlgebra(4, {(1, 2, 3): Fraction(1, 2), (1, 3, 4): Fraction(-3, 2)})
 
@@ -368,14 +369,17 @@ def test_find_lcs_on_a_permuted_six_dimensional_filiform(perm):
 # find_lcs builds no twisted kernel for a candidate in K.
 
 
-@pytest.mark.parametrize("salamon,examined,decided", [
+@pytest.mark.parametrize("salamon,status,examined,decided", [
     # x1 and x2 lie in K, so only theta = 0 and x3 get a twisted kernel
-    ("(0,0,0,12)", 4, ["0", "x3"]),
+    ("(0,0,0,12)", "FOUND", 4, ["0", "x3"]),
     # x1 lies in K
-    ("(0,0,12,13)", 3, ["0", "x2"]),
+    ("(0,0,12,13)", "FOUND", 3, ["0", "x2"]),
+    # P == 0: K holds every closed theta, and the 7^2 candidates of height 2
+    # are counted, not decided
+    ("(0,0,12,13,14,15)", "NOT_FOUND_UP_TO_HEIGHT(2)", 49, ["0"]),
 ])
 def test_find_lcs_builds_no_twisted_kernel_for_a_theta_p_rules_out(
-        salamon, examined, decided):
+        salamon, status, examined, decided):
     # theta = 0 reads Z^2 off the untwisted sweep, and every theta != 0 of
     # these nilpotent algebras reads it off d_theta(Lambda^1)
     thetas = []
@@ -393,17 +397,17 @@ def test_find_lcs_builds_no_twisted_kernel_for_a_theta_p_rules_out(
         patch.setattr(structures, "_cocycles", counted)
         patch.setattr(structures, "_twisted_exact_span", exact)
         result = find_lcs(parse_salamon(salamon), SearchConfig(height=2))
-    assert result.genuine_status == "FOUND"
+    assert result.genuine_status == status
     assert result.examined == examined
     assert thetas == decided
 
 
 # After the change of basis the closed covectors are no longer unit
-# covectors, so theta's coefficients are not its coordinates over them: the
-# P-skip must substitute the coordinates the candidate stream carries, and
-# any coordinate misread, dropped or swapped on the way is wrong.  Between
-# them the matrices put candidates in K before the genuine one, and make a
-# misread coordinate skip a genuine one.
+# covectors, so theta's coefficients are not its coordinates over them:
+# find_lcs must match the position the candidate stream carries against the
+# indices whose t_i occur in P, and any position misread, dropped or swapped
+# on the way is wrong.  Between them the matrices put candidates in K before
+# the genuine one, and make a misread position skip a genuine one.
 CHANGED_BASES = {
     "(0,0,12,13)": (8, 9),
     "(0,0,0,12)": (6, 8),
@@ -522,7 +526,9 @@ def test_the_search_is_decided_at_height_one_on_nilpotent_input(build):
     not, let i be least with P_i != 0: b_0..b_{i-1} lie in K and b_i does
     not, so the search stops at b_i, its (i + 2)-th candidate, at every
     height >= 1, and with the same d_theta-closed 2-forms the same omega.
-    find_lcs uses none of this: it assumes nothing about P's degree.
+    find_lcs rests on this: it reads the i with P_i != 0 off P's terms and
+    decides theta = 0 and b_0 .. b_i alone; the assertions below check the
+    theorem on P and on the search's answers.
     """
     algebra = build()
     covectors = covector_terms(algebra)

@@ -386,6 +386,14 @@ def test_a_search_pair_that_fails_its_verdict_is_a_breach(filiform, monkeypatch)
         find_lcs(filiform)
 
 
+def test_a_kept_covector_without_a_pair_is_a_breach(filiform, monkeypatch):
+    # P keeps theta = x2, so by Dixmier its d_theta-closed 2-forms hold a
+    # nondegenerate one; an empty span breaks that
+    monkeypatch.setattr(structures, "_twisted_exact_span", lambda algebra, theta: [])
+    with pytest.raises(InternalInvariantBreach, match="^a closed covector that P keeps"):
+        find_lcs(filiform)
+
+
 @pytest.mark.parametrize("salamon,expected", [
     ("(0,0,12,13)", 2),  # a witness at theta = 0, then a genuine one
     ("(0,0,0,0,12,34)", 1),  # the witness at theta = 0 alone
