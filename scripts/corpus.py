@@ -21,11 +21,13 @@ point under ``cohomology --theta 0``; the three solvable 4-dimensional
 algebras that are not nilpotent under ``analyze``, ``search-lcs --height 2``
 and ``cohomology``; ``search-lcs --height 1`` and ``--height 3`` on
 ``(0,0,12,13)`` and ``(0,0,0,0,12,34)``, ``search-lcs --height 0`` on the
-first and ``search-lcs --max-candidates 5`` on the second; the batteries with and without
-``--json``; Hermitian pairs read from matrix files; a dozen seeded
-``bench/gen.py`` draws, pinned as literal tuples; and the error paths with
-their exit codes.  Matrix files are written to a temporary directory; an
-argv names them as ``{tmp}/NAME`` and is hashed in that spelling.
+first and ``search-lcs --max-candidates 5`` on the second;
+``search-lcs --height 2`` on ``(0,0,0,0,12,14+25)`` in a dense basis; the
+batteries with and without ``--json``; Hermitian pairs read from matrix
+files; a dozen seeded ``bench/gen.py`` draws, pinned as literal tuples; and
+the error paths with their exit codes.  Matrix files are written to a
+temporary directory; an argv names them as ``{tmp}/NAME`` and is hashed in
+that spelling.
 """
 
 import argparse
@@ -89,6 +91,17 @@ DRAWS = (
     "-[2,6]-2*[3,4]-[5,7])",
 )
 
+# (0,0,0,0,12,14+25) on the basis of the tests' fixed_matrix(10, 6)
+# (``oracles.change_basis``), pinned as a literal tuple
+CHANGED_BASIS = (
+    "(10*12+20*13+19/2*14+20*15+7*23+8*24-15*25+26+19/2*34-44*35+2*36-61/2*45"
+    "+46+2*56,4*12+8*13+4*14+8*15+4*23+4*24-4*25+4*34-16*35-12*45,4*12+8*13"
+    "+15/4*14+8*15+5/2*23+3*24-13/2*25+1/2*26+15/4*34-18*35+36-49/4*45+1/2*46"
+    "+56,0,-6*12-12*13-23/4*14-12*15-9/2*23-5*24+17/2*25-1/2*26-23/4*34+26*35"
+    "-36+73/4*45-1/2*46-56,-19*12-38*13-37/2*14-38*15-16*23-17*24+24*25-26"
+    "-37/2*34+80*35-2*36+115/2*45-46-2*56)"
+)
+
 MATRICES = {
     "euclidean.json": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     "skewed.json": [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
@@ -125,10 +138,13 @@ ARGVS = (
     # its first genuine pair and where it counts its misses in closed form
     *(("search-lcs", "--height", height, source)
       for source in ("(0,0,12,13)", "(0,0,0,0,12,34)") for height in ("1", "3")),
-    # height 0, where P is not zero yet theta = 0 is the only candidate, and
+    # height 0, where x2 is a Lee form yet theta = 0 is the only candidate, and
     # a capped miss, counted in closed form under the cap
     ("search-lcs", "--height", "0", "(0,0,12,13)"),
     ("search-lcs", "--max-candidates", "5", "(0,0,0,0,12,34)"),
+    # dense constants, where the lcs search skips three closed covectors
+    # whose Pfaffian Q_i is zero before the fourth gives a pair
+    ("search-lcs", "--height", "2", CHANGED_BASIS),
     ("search-symplectic", "--json", "(0,0,12,13)"),
     ("search-lcs", "--json", "--max-candidates", "2", "(0,0,12,13)"),
     ("analyze", "--quiet", "(0,0,12,13)"),

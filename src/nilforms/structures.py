@@ -16,13 +16,14 @@ parameters), so a negative answer is always reported as "not found up to
 height H", never as nonexistence.
 
 On a nilpotent algebra Dixmier's theorem (H*_theta = 0 for closed
-theta != 0) makes every d_theta-closed 2-form twisted-exact, so a single
-symbolic Pfaffian P over theta and the primitive settles all theta != 0
-candidates at once.  P is linear in theta, so a closed covector of the
-basis is a Lee form exactly when its coordinate occurs in P: the search
-decides theta = 0 and the basis covectors up to the first such one, which
-reads its d_theta-closed 2-forms off d_theta(Lambda^1), the span the same
-theorem gives, in the very basis and with the very values
+theta != 0) makes every d_theta-closed 2-form twisted-exact, so a closed
+covector b_i of the basis is a Lee form exactly when the symbolic Pfaffian
+Q_i of d eta - b_i ^ eta over the primitive eta is not zero.  The
+Pfaffian over all theta at once is sum t_i Q_i, linear in theta, so the
+b_i decide every theta: the search decides theta = 0 and the basis
+covectors in order, skips each one whose Q_i is zero, and reads the
+d_theta-closed 2-forms of the first other one off d_theta(Lambda^1), the
+span the same theorem gives, in the very basis and with the very values
 (``linalg._ratio``) the kernel of d_theta on Lambda^2 would give; a miss
 is counted in closed form.
 Whether the algebra is nilpotent is read off its structure constants when
@@ -32,8 +33,8 @@ Pfaffian here is that of a linear family sum m_V F_V of 2-forms F_V, each
 weighted by a product m_V of distinct variables, and comes from one
 memoized first-row expansion (``_symbolic_pfaffian``): a numeric Pfaffian
 is one form weighted by 1, a span's gives each form its own variable, and
-the one over theta = sum t_i b_i and eta = sum a_j x_j lists a_j dx_j and
-t_i a_j (-b_i ^ x_j).  The expansion runs on int coefficients wherever they
+the one over eta = sum a_j x_j for a closed covector b lists
+a_j (dx_j - b ^ x_j).  The expansion runs on int coefficients wherever they
 are integral, and stops with WrongDimension once the terms it has formed
 pass the size budget.  The shortcut deletes work, not honesty: the
 search still answers for the candidates up to height H only, and a
@@ -221,35 +222,29 @@ def check_symplectic(algebra, omega):
     return SymplecticVerdict(closed=ce_d(omega).is_zero, pfaffian=pfaffian)
 
 
-def _twisted_exact_pfaffian(algebra, covectors):
-    """Pf(d eta - theta ^ eta) as one Poly in (t_1..t_m, a_1..a_n), where
-    theta = sum t_i covectors[i] and eta = sum a_j x_j, each covector given
-    by its terms ``{(k,): beta}``.
+def _lee_pfaffian(algebra, covector):
+    """Q(a) = Pf(d eta - b ^ eta) as a Poly in a_1..a_n, where
+    eta = sum a_j x_j and b is one closed covector given by its terms
+    ``{(k,): beta}``: the family lists a_j (dx_j - b ^ x_j), one form per j,
+    read off ``algebra._dx``.
 
     Dixmier (Acta Sci. Math. Szeged 16, 1955): on a nilpotent algebra every
-    twisted cohomology group H*_theta vanishes for closed theta != 0, so each
-    d_theta-closed 2-form is some d_theta(eta) = d eta - theta ^ eta.  With
-    the closed covectors passed in, this polynomial vanishing identically
-    therefore rules out a nondegenerate d_theta-closed 2-form for every
-    closed theta != 0 at once.
+    twisted cohomology group H*_b vanishes for closed b != 0, so each
+    d_b-closed 2-form is some d eta - b ^ eta, and b is a Lee form exactly
+    when Q is not the zero polynomial.
     """
-    n, m = algebra.dim, len(covectors)
-    terms = [[(k, beta) for (k,), beta in covector.items()] for covector in covectors]
+    n = algebra.dim
+    terms = [(k, beta) for (k,), beta in covector.items()]
     family = []
     for j in range(1, n + 1):
-        # d eta = sum a_j dx_j, and -theta ^ eta = sum -t_i a_j (beta x_k ^ x_j)
-        # over the terms beta x_k of each b_i
-        a = m + j - 1
-        family.append(((a,), algebra._dx[j]))
-        for i, covector in enumerate(terms):
-            entry = {}
-            for k, beta in covector:
-                if k < j:
-                    entry[k, j] = -beta
-                elif k > j:
-                    entry[j, k] = beta
-            family.append(((i, a), entry))
-    return _symbolic_pfaffian(n, m + n, family)
+        # -b ^ x_j = sum -beta x_k ^ x_j over the terms beta x_k of b
+        form = dict(algebra._dx[j])
+        for k, beta in terms:
+            if k != j:
+                pair, value = ((k, j), -beta) if k < j else ((j, k), beta)
+                form[pair] = form.get(pair, 0) + value
+        family.append(((j - 1,), form))
+    return _symbolic_pfaffian(n, n, family)
 
 
 def nondegenerate_in_span(algebra, basis_forms):
@@ -566,24 +561,24 @@ def find_lcs(algebra, config=SearchConfig()):
     Each witness costs one numeric Pfaffian: the volume that checked it in
     ``nondegenerate_in_span`` is the one its ``check_lcs`` verdict reports.
 
-    On a nilpotent algebra one polynomial decides the search:
-    P(t, a) = Pf(d eta - theta ^ eta) over theta = sum t_i b_i, the closed
-    covectors b_i, and all eta (``_twisted_exact_pfaffian``).  By Dixmier's
-    vanishing theorem every d_theta-closed 2-form with theta != 0 is some
-    d eta - theta ^ eta, and P = sum t_i Q_i(a) has degree 1 in t, since
-    (theta ^ eta)^2 = 0 and (d eta)^(n/2) is exact in top degree, hence
-    zero on a unimodular algebra.  So b_i is a Lee form exactly when t_i
-    occurs in P, i in the live set L, and the theta that P rules out make
-    up a linear subspace.  The b_i head level 1, right after theta = 0, so
-    the search examines theta = 0 and b_0 .. b_i for the least i in L,
-    counting each b_j before b_i as examined and skipped, and b_i reads its
-    d_theta-closed 2-forms off d_theta(Lambda^1) (``_twisted_exact_span``),
-    in the very basis of the kernel a non-nilpotent algebra still
-    eliminates for.  With L empty, or at height 0, only theta = 0 is
-    decided, and a miss counts the (V + 1)^m candidates, V nonzero values
+    On a nilpotent algebra each closed covector b_i decides itself: by
+    Dixmier's vanishing theorem every d_theta-closed 2-form with theta != 0
+    is some d eta - theta ^ eta, so b_i is a Lee form exactly when
+    Q_i(a) = Pf(d eta - b_i ^ eta) is not zero (``_lee_pfaffian``).  And
+    P(t, a) = Pf(d eta - theta ^ eta) over theta = sum t_i b_i is
+    sum t_i Q_i(a), of degree 1 in t, since (theta ^ eta)^2 = 0 and
+    (d eta)^(n/2) is exact in top degree, hence zero on a unimodular
+    algebra: the theta that are not Lee forms make up a linear subspace,
+    and if every b_i is in it, so is every theta.  The b_i head level 1,
+    right after theta = 0, so the search examines theta = 0 and
+    b_0 .. b_{m-1} alone, counts a b_i with Q_i == 0 as examined and
+    skips it, and a b_i with Q_i != 0 reads its d_theta-closed 2-forms off
+    d_theta(Lambda^1) (``_twisted_exact_span``), in the very basis of the
+    kernel a non-nilpotent algebra still eliminates for.  Such a b_i that
+    gives no pair is an ``InternalInvariantBreach``.  A miss, every Q_i
+    zero or height 0, counts the (V + 1)^m candidates, V nonzero values
     (``_value_count``) for each of the m coordinates, in closed form under
-    the cap: the result is the one the full enumeration would return.  A
-    b_i in L that gives no pair is an ``InternalInvariantBreach``.  The
+    the cap: the result is the one the full enumeration would return.  The
     status stays a semi-decision all the same: the theorem changes what the
     search costs, not what it reports, and a miss is still
     NOT_FOUND_UP_TO_HEIGHT(H).
@@ -602,12 +597,9 @@ def find_lcs(algebra, config=SearchConfig()):
     basis, closed = _cocycles(algebra, (1, 2))
     m = len(basis)
     candidates = _theta_stream(algebra, config, basis)
-    live = None
-    if _is_nilpotent(algebra):
-        # theta = 0, then the hoisted b_0 .. b_i up to the least live i
-        live = {i for expo in _twisted_exact_pfaffian(algebra, basis).terms
-                for i in range(m) if expo[i]}
-        candidates = itertools.islice(candidates, min(live, default=-1) + 2)
+    nilpotent = _is_nilpotent(algebra)
+    if nilpotent:  # theta = 0, then the hoisted b_0 .. b_{m-1}
+        candidates = itertools.islice(candidates, m + 1)
 
     examined = 0
     capped = False
@@ -621,14 +613,17 @@ def find_lcs(algebra, config=SearchConfig()):
         # theta combines closed covectors, so it is closed by construction
         if not assignment:
             span = closed
-        elif live is None:
+        elif not nilpotent:
             span, = _cocycles(algebra, (2,), theta)
-        elif assignment[0][0] in live:  # Z^2_theta = d_theta(Lambda^1)
+        elif _lee_pfaffian(algebra, theta.coeffs).is_zero:
+            continue  # Q_i == 0: no d_theta-closed 2-form is nondegenerate
+        else:  # Z^2_theta = d_theta(Lambda^1)
             span = _twisted_exact_span(algebra, theta)
-        else:  # Q_i == 0: no d_theta-closed 2-form is nondegenerate
-            continue
         found = _nondegenerate_in_span(algebra, span)
         if found is None:
+            if nilpotent and assignment:
+                raise InternalInvariantBreach(
+                    "a closed covector with Q_i != 0 gave no lcs pair")
             continue
         omega, volume = found
         this_verdict = _lcs_verdict(algebra, omega, theta, volume)
@@ -641,9 +636,7 @@ def find_lcs(algebra, config=SearchConfig()):
             genuine_witness, genuine_verdict = (omega, theta), this_verdict
             break
 
-    if live is not None and genuine_witness is None and not capped:
-        if live and config.height:
-            raise InternalInvariantBreach("a closed covector that P keeps gave no lcs pair")
+    if nilpotent and genuine_witness is None and not capped:
         # a miss: the candidates are the coordinate vectors over the m
         # closed covectors with entry heights <= H, (V + 1)^m of them for V
         # nonzero values, and none but theta = 0 can give a witness

@@ -279,7 +279,7 @@ def change_basis(algebra, matrix):
 def reference_find_lcs(algebra, config):
     """``find_lcs`` as it was before its nilpotent shortcut.
 
-    The per-candidate loop, kept as the reference the one-polynomial
+    The per-candidate loop, kept as the reference the per-covector
     shortcut is compared against: every candidate theta from
     ``theta_candidates`` is decided on its own, the d_theta-closed 2-forms by
     the sparse kernel and nondegeneracy by a symbolic Pfaffian over them.
@@ -471,6 +471,41 @@ def reference_symbolic_pfaffian(dim, nvars, contributions):
         return total
 
     return pf(tuple(range(1, dim + 1)))
+
+
+def _twisted_exact_pfaffian(algebra, covectors):
+    """Pf(d eta - theta ^ eta) as one Poly in (t_1..t_m, a_1..a_n), where
+    theta = sum t_i covectors[i] and eta = sum a_j x_j, each covector given
+    by its terms ``{(k,): beta}``.
+
+    Dixmier (Acta Sci. Math. Szeged 16, 1955): on a nilpotent algebra every
+    twisted cohomology group H*_theta vanishes for closed theta != 0, so each
+    d_theta-closed 2-form is some d eta - theta ^ eta.  With
+    the closed covectors passed in, this polynomial vanishing identically
+    therefore rules out a nondegenerate d_theta-closed 2-form for every
+    closed theta != 0 at once.  ``find_lcs`` once expanded it; the tests
+    keep it as the polynomial each ``structures._lee_pfaffian`` is read
+    against.
+    """
+    from nilforms import structures
+
+    n, m = algebra.dim, len(covectors)
+    terms = [[(k, beta) for (k,), beta in covector.items()] for covector in covectors]
+    family = []
+    for j in range(1, n + 1):
+        # d eta = sum a_j dx_j, and -theta ^ eta = sum -t_i a_j (beta x_k ^ x_j)
+        # over the terms beta x_k of each b_i
+        a = m + j - 1
+        family.append(((a,), algebra._dx[j]))
+        for i, covector in enumerate(terms):
+            entry = {}
+            for k, beta in covector:
+                if k < j:
+                    entry[k, j] = -beta
+                elif k > j:
+                    entry[j, k] = beta
+            family.append(((i, a), entry))
+    return structures._symbolic_pfaffian(n, m + n, family)
 
 
 def _gram_minors(metric):

@@ -1,30 +1,32 @@
 """find_lcs against the per-candidate search it shortcuts on nilpotent algebras.
 
 ``oracles.reference_find_lcs`` decides every twisting candidate on its own,
-as ``find_lcs`` did before one polynomial, Pf(d eta - theta ^ eta), began to
-settle all theta != 0 candidates of a nilpotent algebra at once.  The two
-must report the same status, count, cap and witnesses, on generated
-nilpotent algebras whose searches both find a genuine pair and miss one.
+as ``find_lcs`` did before the Pfaffians Q_i(a) = Pf(d eta - b_i ^ eta) of
+the closed covectors b_i began to settle all theta != 0 candidates of a
+nilpotent algebra.  The two must report the same status, count, cap and
+witnesses, on generated nilpotent algebras whose searches both find a
+genuine pair and miss one.
 
 The shortcut rests on cheap pieces, each checked against the route it
 replaced: the Pfaffian of a family of (variables, 2-form) pairs, expanded
 on int coefficients and packed monomials, against the all-Fraction
 expansion on exponent tuples (``oracles.reference_symbolic_pfaffian``,
 reached through ``reference_family_pfaffian``), for the global polynomial
+P(t, a) = Pf(d eta - theta ^ eta) (``oracles._twisted_exact_pfaffian``)
 and for the span witnesses alike; the closed covectors read off the kernel
 of d on Lambda^1 against the representatives of H^1, read off the kernel
 under the reversed source order; and the nilpotency test read off
 Salamon's order against the lower central series, on bases shuffled so
-that it must fall back.  P itself is also evaluated at fixed points
-against the Pfaffians of the forms d eta - theta ^ eta it stands for.
-The closed covectors whose coordinate does not occur in P are skipped,
-and when P is zero every theta != 0 is: the twisted kernels a search
-builds are counted, and the agreement with the reference is checked again
-after a change of basis (``oracles.change_basis``) that leaves no closed
-covector a unit covector.  The one theta != 0 a search decides reads its
-d_theta-closed 2-forms off d_theta(Lambda^1), checked against the kernel
-basis of d_theta on Lambda^2 it stands for, key order and value types
-included.
+that it must fall back.  P itself is evaluated at fixed points against
+the Pfaffians of the forms d eta - theta ^ eta it stands for, and each
+Q_i ``find_lcs`` expands is P at t = e_i.  The closed covectors with
+Q_i == 0 are skipped, and when P is zero every theta != 0 is: the twisted
+kernels a search builds are counted, and the agreement with the reference
+is checked again after a change of basis (``oracles.change_basis``) that
+leaves no closed covector a unit covector.  The one theta != 0 a search
+decides reads its d_theta-closed 2-forms off d_theta(Lambda^1), checked
+against the kernel basis of d_theta on Lambda^2 it stands for, key order
+and value types included.
 
 The last test states the theorem find_lcs rests on: P is linear in t, so
 height 1 decides the search on nilpotent input, with the proof in its
@@ -57,8 +59,8 @@ from nilforms.cohomology import _cocycles, _d_images, _d_matrix, _form
 from nilforms.exterior_core import _is_nilpotent
 from nilforms.polynomials import Poly, nonzero_point
 from nilforms.structures import (
+    _lee_pfaffian,
     _symbolic_pfaffian,
-    _twisted_exact_pfaffian,
     _twisted_exact_span,
     closed_covector_basis,
     nondegenerate_in_span,
@@ -76,6 +78,7 @@ from conftest import (
     seeded_central_extension,
 )
 from oracles import (
+    _twisted_exact_pfaffian,
     change_basis,
     reference_find_lcs,
     reference_nonzero_point,
@@ -404,10 +407,10 @@ def test_find_lcs_builds_no_twisted_kernel_for_a_theta_p_rules_out(
 
 # After the change of basis the closed covectors are no longer unit
 # covectors, so theta's coefficients are not its coordinates over them:
-# find_lcs must match the position the candidate stream carries against the
-# indices whose t_i occur in P, and any position misread, dropped or swapped
-# on the way is wrong.  Between them the matrices put candidates in K before
-# the genuine one, and make a misread position skip a genuine one.
+# find_lcs must decide each hoisted candidate by the Q_i of the covector it
+# is, and any covector misread, dropped or swapped on the way is wrong.
+# Between them the matrices put candidates in K before the genuine one, and
+# make a misread covector skip a genuine one.
 CHANGED_BASES = {
     "(0,0,12,13)": (8, 9),
     "(0,0,0,12)": (6, 8),
@@ -427,6 +430,35 @@ def test_find_lcs_matches_the_per_candidate_search_in_a_changed_basis(salamon, s
     config = SearchConfig(height=height)
     assert summary(find_lcs(algebra, config)) \
         == summary(reference_find_lcs(algebra, config))
+
+
+# -- each closed covector decides itself --------------------------------------
+
+
+def assert_each_lee_pfaffian_is_p_at_its_unit_vector(algebra):
+    """Q_i(a), as ``find_lcs`` expands it for the closed covector b_i alone,
+    equals the global P(t, a) with t = e_i, term for term."""
+    covectors = covector_terms(algebra)
+    m, n = len(covectors), algebra.dim
+    pfaffian = _twisted_exact_pfaffian(algebra, covectors)
+    for i, covector in enumerate(covectors):
+        at_unit = pfaffian.substitute({v: int(v == i) for v in range(m)})
+        assert _lee_pfaffian(algebra, covector) \
+            == Poly(n, {expo[m:]: c for expo, c in at_unit.terms.items()})
+
+
+@settings(max_examples=40)
+@given(nilpotent_algebras())
+def test_each_lee_pfaffian_is_p_at_its_unit_vector(algebra):
+    assert_each_lee_pfaffian_is_p_at_its_unit_vector(algebra)
+
+
+@pytest.mark.parametrize("salamon,seed", [
+    (salamon, seed) for salamon, seeds in CHANGED_BASES.items() for seed in seeds])
+def test_each_lee_pfaffian_is_p_at_its_unit_vector_in_a_changed_basis(salamon, seed):
+    original = parse_salamon(salamon)
+    assert_each_lee_pfaffian_is_p_at_its_unit_vector(
+        change_basis(original, fixed_matrix(seed, original.dim)))
 
 
 # -- Z^2_theta read off d_theta(Lambda^1) -------------------------------------
@@ -526,9 +558,9 @@ def test_the_search_is_decided_at_height_one_on_nilpotent_input(build):
     not, let i be least with P_i != 0: b_0..b_{i-1} lie in K and b_i does
     not, so the search stops at b_i, its (i + 2)-th candidate, at every
     height >= 1, and with the same d_theta-closed 2-forms the same omega.
-    find_lcs rests on this: it reads the i with P_i != 0 off P's terms and
-    decides theta = 0 and b_0 .. b_i alone; the assertions below check the
-    theorem on P and on the search's answers.
+    find_lcs rests on this: it decides theta = 0 and b_0, b_1, ... alone,
+    each b_i by its own P_i (``structures._lee_pfaffian``); the assertions
+    below check the theorem on P and on the search's answers.
     """
     algebra = build()
     covectors = covector_terms(algebra)

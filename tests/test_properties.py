@@ -58,7 +58,6 @@ from nilforms.cohomology import _d_images, _d_matrix, _form
 from nilforms.exterior_core import _is_nilpotent, lower_central_series
 from nilforms.hermitian import _hermitian_pair, _is_parallel
 from nilforms.structures import (
-    _twisted_exact_pfaffian,
     closed_covector_basis,
     nondegenerate_in_span,
 )
@@ -81,6 +80,7 @@ from conftest import (
     unchecked_algebra,
 )
 from oracles import (
+    _twisted_exact_pfaffian,
     as_fraction,
     basis_vector,
     betti_by_koszul,

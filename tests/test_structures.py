@@ -387,11 +387,27 @@ def test_a_search_pair_that_fails_its_verdict_is_a_breach(filiform, monkeypatch)
 
 
 def test_a_kept_covector_without_a_pair_is_a_breach(filiform, monkeypatch):
-    # P keeps theta = x2, so by Dixmier its d_theta-closed 2-forms hold a
-    # nondegenerate one; an empty span breaks that
+    # Q_i != 0 for theta = x2, so by Dixmier its d_theta-closed 2-forms hold
+    # a nondegenerate one; an empty span breaks that
     monkeypatch.setattr(structures, "_twisted_exact_span", lambda algebra, theta: [])
-    with pytest.raises(InternalInvariantBreach, match="^a closed covector that P keeps"):
+    with pytest.raises(InternalInvariantBreach, match="^a closed covector with Q_i != 0"):
         find_lcs(filiform)
+
+
+@pytest.mark.parametrize("salamon", ["(0,0,12,13)", "(0,0,0,0,12,34)"])
+def test_find_lcs_expands_no_pfaffian_over_theta_and_eta_together(monkeypatch, salamon):
+    # each closed covector b_i is decided by its own Q_i(a): no family entry
+    # is weighted by a product t_i a_j, as those of the global P(t, a) were
+    pfaffian = structures._symbolic_pfaffian
+    widths = []
+
+    def recorded(dim, nvars, family):
+        widths.extend(len(variables) for variables, _ in family)
+        return pfaffian(dim, nvars, family)
+
+    monkeypatch.setattr(structures, "_symbolic_pfaffian", recorded)
+    find_lcs(parse_salamon(salamon), SearchConfig(height=2))
+    assert max(widths) == 1
 
 
 @pytest.mark.parametrize("salamon,expected", [
@@ -419,7 +435,7 @@ ABELIAN_8 = LieAlgebra(8, {})
 @pytest.mark.parametrize("search", [find_symplectic, find_lcs], ids=lambda f: f.__name__)
 def test_a_pfaffian_past_the_budget_is_refused(monkeypatch, search):
     # the differential sweep builds at most C(8, 4) * 8 = 560 cells; the
-    # Pfaffians over Z^2 (28 variables) and over (theta, eta) build more
+    # Pfaffian over Z^2 (28 variables) builds more
     monkeypatch.setattr(exterior_core, "_BUDGET", 1000)
     with pytest.raises(WrongDimension,
                        match="^the Pfaffian in dimension 8 would build about .* "
