@@ -22,7 +22,9 @@ algebras that are not nilpotent under ``analyze``, ``search-lcs --height 2``
 and ``cohomology``; ``search-lcs --height 1`` and ``--height 3`` on
 ``(0,0,12,13)`` and ``(0,0,0,0,12,34)``, ``search-lcs --height 0`` on the
 first and ``search-lcs --max-candidates 5`` on the second;
-``search-lcs --height 2`` on ``(0,0,0,0,12,14+25)`` in a dense basis; the
+``search-lcs --height 2`` on ``(0,0,0,0,12,14+25)`` in a dense basis;
+``search-lcs --height 3`` on the solvable ``(0,-12,0,0,0,0)``, uncapped
+(refused past the size budget) and with ``--max-candidates 50``; the
 batteries with and without ``--json``; Hermitian pairs read from matrix
 files; a dozen seeded ``bench/gen.py`` draws, pinned as literal tuples; and
 the error paths with their exit codes.  Matrix files are written to a
@@ -145,6 +147,9 @@ ARGVS = (
     # dense constants, where the lcs search skips three closed covectors
     # whose Pfaffian Q_i is zero before the fourth gives a pair
     ("search-lcs", "--height", "2", CHANGED_BASIS),
+    # not nilpotent, so every candidate is decided: capped, the search runs
+    # its first 50; uncapped at height 3 it is refused below (exit 3)
+    ("search-lcs", "--height", "3", "--max-candidates", "50", "(0,-12,0,0,0,0)"),
     ("search-symplectic", "--json", "(0,0,12,13)"),
     ("search-lcs", "--json", "--max-candidates", "2", "(0,0,12,13)"),
     ("analyze", "--quiet", "(0,0,12,13)"),
@@ -173,6 +178,7 @@ ARGVS = (
     ("cohomology", "--theta", "x3", "(0,0,12,13)"),
     ("analyze", "no_such_algebra"),
     ("search-lcs", "--height", "-1", "torus4"),
+    ("search-lcs", "--height", "3", "(0,-12,0,0,0,0)"),
 )
 
 

@@ -21,11 +21,9 @@ covector b_i of the basis is a Lee form exactly when the symbolic Pfaffian
 Q_i of d eta - b_i ^ eta over the primitive eta is not zero.  The
 Pfaffian over all theta at once is sum t_i Q_i, linear in theta, so the
 b_i decide every theta: the search decides theta = 0 and the basis
-covectors in order, skips each one whose Q_i is zero, and reads the
-d_theta-closed 2-forms of the first other one off d_theta(Lambda^1), the
-span the same theorem gives, in the very basis and with the very values
-(``linalg._ratio``) the kernel of d_theta on Lambda^2 would give; a miss
-is counted in closed form.
+covectors in order, skips each one whose Q_i is zero, and decides the
+first other one as any theta != 0 is decided, on the kernel of d_theta on
+Lambda^2; a miss is counted in closed form.
 Whether the algebra is nilpotent is read off its structure constants when
 they are in Salamon's order (every [X_i, X_j], i < j, in the span of the
 X_k with k > j) and left to the lower central series otherwise.  Every
@@ -41,11 +39,11 @@ search still answers for the candidates up to height H only, and a
 nonexistence claim belongs to a separate, proof-carrying decision.
 
 Inside the searches a form is its term dict ``{monomial: coeff}``, read off
-``cohomology._cocycles`` (which, as ``_d_matrix``, validates nothing and
-answers any degree); a ``KForm`` is built only for what leaves a search
-(the witness, the thetas and ``closed_covector_basis``), and the public
-``nondegenerate_in_span`` checks its basis forms before it hands their
-terms on.
+``cohomology._cocycles`` or the ``linalg.kernel`` of ``_d_matrix`` (both
+validate nothing and answer any degree); a ``KForm`` is built only for
+what leaves a search (the witness, the thetas and
+``closed_covector_basis``), and the public ``nondegenerate_in_span``
+checks its basis forms before it hands their terms on.
 
 Dimension 2 is excluded from the lcs operations: there the Lee form is not
 unique and the conformal dichotomy collapses.  ``find_symplectic`` refuses
@@ -77,7 +75,6 @@ from .errors import (
 from .exterior_core import (
     KForm,
     _is_nilpotent,
-    _masks,
     _require_budget,
     _require_form,
     ce_d,
@@ -524,31 +521,6 @@ def _theta_stream(algebra, config, basis):
                     yield assignment, KForm(algebra, 1, terms, _normalized=True)
 
 
-def _twisted_exact_span(algebra, theta):
-    """The d_theta-closed 2-forms for a closed theta != 0 on a nilpotent
-    algebra, as the same term dicts, in the same order and with the same
-    int and Fraction values as ``_cocycles(algebra, (2,), theta)``, read
-    off the n images d_theta x_j instead of the map Lambda^2 -> Lambda^3.
-
-    By Dixmier's theorem H^2_theta = 0, so Z^2_theta = d_theta(Lambda^1).
-    The kernel basis ``_cocycles`` gives has one vector per free source f:
-    1 at f, 0 at the other free sources and nonzero only below f, so in
-    reversed source order it is the reduced echelon basis of Z^2_theta.
-    That basis is unique, so it is also the echelon of the images keyed by
-    their targets' positions in the reversed lex order of Lambda^2 (read off
-    ``algebra.monomials(2)`` and ``exterior_core._masks``), each row
-    divided by its pivot entry under the kernel's value rule
-    (``linalg._ratio``).  Increasing f is decreasing reversed position, so
-    the rows are read last pivot first, and each row last column first.
-    """
-    monomials = algebra.monomials(2)[::-1]
-    position = {mask: r for r, mask in enumerate(_masks(algebra.dim, 2)[::-1])}
-    rows = linalg.echelon([{position[mask]: c for mask, c in image.items()}
-                           for image in _d_matrix(algebra, 1, theta)])
-    return [{monomials[r]: linalg._ratio(v, row[p]) for r, v in reversed(row.items())}
-            for p, row in reversed(rows.items())]
-
-
 def find_lcs(algebra, config=SearchConfig()):
     """Bounded search for lcs pairs (omega, theta).
 
@@ -572,10 +544,9 @@ def find_lcs(algebra, config=SearchConfig()):
     and if every b_i is in it, so is every theta.  The b_i head level 1,
     right after theta = 0, so the search examines theta = 0 and
     b_0 .. b_{m-1} alone, counts a b_i with Q_i == 0 as examined and
-    skips it, and a b_i with Q_i != 0 reads its d_theta-closed 2-forms off
-    d_theta(Lambda^1) (``_twisted_exact_span``), in the very basis of the
-    kernel a non-nilpotent algebra still eliminates for.  Such a b_i that
-    gives no pair is an ``InternalInvariantBreach``.  A miss, every Q_i
+    skips it, and a b_i with Q_i != 0 is decided on its d_theta-closed
+    2-forms like every theta != 0 of a non-nilpotent algebra.  Such a b_i
+    that gives no pair is an ``InternalInvariantBreach``.  A miss, every Q_i
     zero or height 0, counts the (V + 1)^m candidates, V nonzero values
     (``_value_count``) for each of the m coordinates, in closed form under
     the cap: the result is the one the full enumeration would return.  The
@@ -583,10 +554,17 @@ def find_lcs(algebra, config=SearchConfig()):
     search costs, not what it reports, and a miss is still
     NOT_FOUND_UP_TO_HEIGHT(H).
 
+    A non-nilpotent algebra has no such rule: its search decides every
+    candidate, each on a twisted sweep of Lambda^2, so an uncapped one
+    whose (V + 1)^m candidates would build more than the size budget of
+    cells (C(n, 2) n per sweep) is refused before the first, with
+    WrongDimension; ``max_candidates`` bounds a search that is still run.
+
     The closed covectors and the closed 2-forms of theta = 0 come off one
-    untwisted sweep (``_cocycles(algebra, (1, 2))``), as term dicts; a
-    ``KForm`` is built only for what leaves the search, the thetas and the
-    witness.
+    untwisted sweep (``_cocycles(algebra, (1, 2))``), and those of each
+    theta != 0 are the ``linalg.kernel`` of ``_d_matrix(algebra, 2,
+    theta)``, both as term dicts; a ``KForm`` is built only for what leaves
+    the search, the thetas and the witness.
     """
     if algebra.dim % 2:
         raise OddDimension("lcs structures need even dimension")
@@ -596,10 +574,15 @@ def find_lcs(algebra, config=SearchConfig()):
 
     basis, closed = _cocycles(algebra, (1, 2))
     m = len(basis)
+    monomials = algebra.monomials(2)
     candidates = _theta_stream(algebra, config, basis)
     nilpotent = _is_nilpotent(algebra)
     if nilpotent:  # theta = 0, then the hoisted b_0 .. b_{m-1}
         candidates = itertools.islice(candidates, m + 1)
+    elif config.max_candidates is None:
+        # every candidate is decided on its own sweep of the C(n, 2) monomials
+        _require_budget((_value_count(config.height) + 1) ** m * len(monomials), algebra.dim,
+                        "the uncapped lcs search on a non-nilpotent algebra")
 
     examined = 0
     capped = False
@@ -613,12 +596,11 @@ def find_lcs(algebra, config=SearchConfig()):
         # theta combines closed covectors, so it is closed by construction
         if not assignment:
             span = closed
-        elif not nilpotent:
-            span, = _cocycles(algebra, (2,), theta)
-        elif _lee_pfaffian(algebra, theta.coeffs).is_zero:
+        elif nilpotent and _lee_pfaffian(algebra, theta.coeffs).is_zero:
             continue  # Q_i == 0: no d_theta-closed 2-form is nondegenerate
-        else:  # Z^2_theta = d_theta(Lambda^1)
-            span = _twisted_exact_span(algebra, theta)
+        else:  # Z^2_theta, the kernel of d_theta on Lambda^2
+            span = [{monomials[i]: c for i, c in vector.items()}
+                    for vector in linalg.kernel(_d_matrix(algebra, 2, theta))]
         found = _nondegenerate_in_span(algebra, span)
         if found is None:
             if nilpotent and assignment:

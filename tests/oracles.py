@@ -508,6 +508,37 @@ def _twisted_exact_pfaffian(algebra, covectors):
     return structures._symbolic_pfaffian(n, m + n, family)
 
 
+def _twisted_exact_span(algebra, theta):
+    """The d_theta-closed 2-forms for a closed theta != 0 on a nilpotent
+    algebra, as the same term dicts, in the same order and with the same
+    int and Fraction values as ``_cocycles(algebra, (2,), theta)``, read
+    off the n images d_theta x_j instead of the map Lambda^2 -> Lambda^3.
+
+    By Dixmier's theorem H^2_theta = 0, so Z^2_theta = d_theta(Lambda^1).
+    The kernel basis ``_cocycles`` gives has one vector per free source f:
+    1 at f, 0 at the other free sources and nonzero only below f, so in
+    reversed source order it is the reduced echelon basis of Z^2_theta.
+    That basis is unique, so it is also the echelon of the images keyed by
+    their targets' positions in the reversed lex order of Lambda^2 (read off
+    ``algebra.monomials(2)`` and ``exterior_core._masks``), each row
+    divided by its pivot entry under the kernel's value rule
+    (``linalg._ratio``).  Increasing f is decreasing reversed position, so
+    the rows are read last pivot first, and each row last column first.
+    ``find_lcs`` once read its spans this way; the tests keep it as a
+    second route to the kernel basis it now reads.
+    """
+    from nilforms import linalg
+    from nilforms.cohomology import _d_matrix
+    from nilforms.exterior_core import _masks
+
+    monomials = algebra.monomials(2)[::-1]
+    position = {mask: r for r, mask in enumerate(_masks(algebra.dim, 2)[::-1])}
+    rows = linalg.echelon([{position[mask]: c for mask, c in image.items()}
+                           for image in _d_matrix(algebra, 1, theta)])
+    return [{monomials[r]: linalg._ratio(v, row[p]) for r, v in reversed(row.items())}
+            for p, row in reversed(rows.items())]
+
+
 def _gram_minors(metric):
     """The induced Gram entry <x_I, x_J> as a function of two increasing
     monomials: the minor of g^-1 on rows I and columns J, from sympy's

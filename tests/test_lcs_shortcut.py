@@ -24,9 +24,11 @@ Q_i == 0 are skipped, and when P is zero every theta != 0 is: the twisted
 kernels a search builds are counted, and the agreement with the reference
 is checked again after a change of basis (``oracles.change_basis``) that
 leaves no closed covector a unit covector.  The one theta != 0 a search
-decides reads its d_theta-closed 2-forms off d_theta(Lambda^1), checked
-against the kernel basis of d_theta on Lambda^2 it stands for, key order
-and value types included.
+decides reads its d_theta-closed 2-forms off the kernel basis of d_theta
+on Lambda^2, and by Dixmier's theorem that basis is also the reduced
+echelon basis of d_theta(Lambda^1) (``oracles._twisted_exact_span``, the
+route ``find_lcs`` once took): the two are checked equal, key order and
+value types included.
 
 The last test states the theorem find_lcs rests on: P is linear in t, so
 height 1 decides the search on nilpotent input, with the proof in its
@@ -61,7 +63,6 @@ from nilforms.polynomials import Poly, nonzero_point
 from nilforms.structures import (
     _lee_pfaffian,
     _symbolic_pfaffian,
-    _twisted_exact_span,
     closed_covector_basis,
     nondegenerate_in_span,
 )
@@ -79,6 +80,7 @@ from conftest import (
 )
 from oracles import (
     _twisted_exact_pfaffian,
+    _twisted_exact_span,
     change_basis,
     reference_find_lcs,
     reference_nonzero_point,
@@ -383,8 +385,8 @@ def test_find_lcs_on_a_permuted_six_dimensional_filiform(perm):
 ])
 def test_find_lcs_builds_no_twisted_kernel_for_a_theta_p_rules_out(
         salamon, status, examined, decided):
-    # theta = 0 reads Z^2 off the untwisted sweep, and every theta != 0 of
-    # these nilpotent algebras reads it off d_theta(Lambda^1)
+    # theta = 0 reads Z^2 off the untwisted sweep, and every theta != 0
+    # reads it off the kernel of d_theta on Lambda^2
     thetas = []
 
     def counted(algebra, degrees, theta=None):
@@ -392,13 +394,14 @@ def test_find_lcs_builds_no_twisted_kernel_for_a_theta_p_rules_out(
             thetas.append("0" if theta is None else format_form(theta))
         return _cocycles(algebra, degrees, theta)
 
-    def exact(algebra, theta):
-        thetas.append(format_form(theta))
-        return _twisted_exact_span(algebra, theta)
+    def twisted(algebra, k, theta=None):
+        if k == 2 and theta is not None:
+            thetas.append(format_form(theta))
+        return _d_matrix(algebra, k, theta)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(structures, "_cocycles", counted)
-        patch.setattr(structures, "_twisted_exact_span", exact)
+        patch.setattr(structures, "_d_matrix", twisted)
         result = find_lcs(parse_salamon(salamon), SearchConfig(height=2))
     assert result.genuine_status == status
     assert result.examined == examined

@@ -35,6 +35,7 @@ from nilforms import (
     ce_d,
     check_lcs,
     check_symplectic,
+    classify_4d,
     classify_hermitian,
     cohomology_space,
     find_lcs,
@@ -595,6 +596,19 @@ def _non_integral_basis_change(seed, dim):
 def test_betti_numbers_do_not_depend_on_the_basis(algebra, seed):
     matrix = _non_integral_basis_change(seed, algebra.dim)
     assert betti_profile(change_basis(algebra, matrix)) == betti_profile(algebra)
+
+
+# nor does it move the lower central series, unimodularity, the existence of
+# a symplectic form or the class in dimension 4.  The changed basis is in
+# general out of Salamon's order, so its nilpotency is read off the series
+@fuzz(nilpotent_algebras(dims=(4, 5, 6)), st.integers(0, 2**16), n=20)
+def test_structure_answers_do_not_depend_on_the_basis(algebra, seed):
+    changed = change_basis(algebra, fixed_matrix(seed, algebra.dim))
+    assert lower_central_series(changed) == lower_central_series(algebra)
+    if algebra.dim % 2 == 0:
+        assert (find_symplectic(changed) is None) == (find_symplectic(algebra) is None)
+    if algebra.dim == 4:
+        assert classify_4d(changed).label == classify_4d(algebra).label
 
 
 # _d_matrix reads one degree off the sweep of _d_images, which builds each

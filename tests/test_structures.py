@@ -389,7 +389,7 @@ def test_a_search_pair_that_fails_its_verdict_is_a_breach(filiform, monkeypatch)
 def test_a_kept_covector_without_a_pair_is_a_breach(filiform, monkeypatch):
     # Q_i != 0 for theta = x2, so by Dixmier its d_theta-closed 2-forms hold
     # a nondegenerate one; an empty span breaks that
-    monkeypatch.setattr(structures, "_twisted_exact_span", lambda algebra, theta: [])
+    monkeypatch.setattr(structures, "_d_matrix", lambda algebra, k, theta=None: [])
     with pytest.raises(InternalInvariantBreach, match="^a closed covector with Q_i != 0"):
         find_lcs(filiform)
 
@@ -441,6 +441,42 @@ def test_a_pfaffian_past_the_budget_is_refused(monkeypatch, search):
                        match="^the Pfaffian in dimension 8 would build about .* "
                              "past the budget of 1000"):
         search(ABELIAN_8)
+
+
+# not nilpotent: (0,-12,0,0,0,0) has 5 closed covectors and no rule that
+# decides its search at height 1, so every candidate is a twisted sweep
+SOLVABLE_6 = parse_salamon("(0,-12,0,0,0,0)")
+
+
+def test_an_uncapped_non_nilpotent_search_past_the_budget_is_refused():
+    # 15^5 candidates of height 3, each a sweep of C(6, 2) = 15 sources of
+    # 6 cells: refused before the first; a cap bounds the search instead
+    with pytest.raises(WrongDimension,
+                       match="^the uncapped lcs search on a non-nilpotent algebra in "
+                             "dimension 6 would build about 68343750 cells"):
+        find_lcs(SOLVABLE_6, SearchConfig(height=3))
+    capped = find_lcs(SOLVABLE_6, SearchConfig(height=3, max_candidates=50))
+    assert (capped.genuine_status, capped.examined) == ("CANDIDATE_LIMIT_REACHED", 50)
+
+
+def test_the_non_nilpotent_search_budget_counts_every_cell(monkeypatch):
+    # (0,-12,0,0): 3^3 candidates of height 1, each C(4, 2) = 6 sources of
+    # 4 cells, 648 in all; the search finds its pair at the third
+    algebra = parse_salamon("(0,-12,0,0)")
+    monkeypatch.setattr(exterior_core, "_BUDGET", 647)
+    with pytest.raises(WrongDimension, match="about 648 cells"):
+        find_lcs(algebra, SearchConfig(height=1))
+    monkeypatch.setattr(exterior_core, "_BUDGET", 648)
+    result = find_lcs(algebra, SearchConfig(height=1))
+    assert (result.genuine_status, result.examined) == ("FOUND", 3)
+
+
+def test_a_nilpotent_search_past_that_budget_is_counted():
+    # (V(50) + 1)^4 candidates, far past the budget, yet only theta = 0 and
+    # the four closed covectors are decided and the miss is counted
+    result = find_lcs(parse_salamon("(0,0,0,0,12,34)"), SearchConfig(height=50))
+    assert result.genuine_status == "NOT_FOUND_UP_TO_HEIGHT(50)"
+    assert result.examined == (structures._value_count(50) + 1) ** 4 == 91757719950625
 
 
 def test_the_pfaffian_budget_counts_every_term_formed(monkeypatch):
