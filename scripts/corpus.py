@@ -23,8 +23,8 @@ and ``cohomology``; ``search-lcs --height 1`` and ``--height 3`` on
 ``(0,0,12,13)`` and ``(0,0,0,0,12,34)``, ``search-lcs --height 0`` on the
 first and ``search-lcs --max-candidates 5`` on the second;
 ``search-lcs --height 2`` on ``(0,0,0,0,12,14+25)`` in a dense basis;
-``search-lcs --height 3`` on the solvable ``(0,-12,0,0,0,0)``, uncapped
-(refused past the size budget) and with ``--max-candidates 50``; the
+``search-lcs --height 3 --max-candidates 50`` on the solvable
+``(0,-12,0,0,0,0)`` and ``search-lcs --height 8`` on ``(0,-12,0,0)``; the
 batteries with and without ``--json``; Hermitian pairs read from matrix
 files; a dozen seeded ``bench/gen.py`` draws, pinned as literal tuples; and
 the error paths with their exit codes.  Matrix files are written to a
@@ -148,8 +148,11 @@ ARGVS = (
     # whose Pfaffian Q_i is zero before the fourth gives a pair
     ("search-lcs", "--height", "2", CHANGED_BASIS),
     # not nilpotent, so every candidate is decided: capped, the search runs
-    # its first 50; uncapped at height 3 it is refused below (exit 3)
+    # its first 50
     ("search-lcs", "--height", "3", "--max-candidates", "50", "(0,-12,0,0,0,0)"),
+    # uncapped, its 87^3 candidates would sweep past the size budget, but
+    # the genuine pair comes at the third
+    ("search-lcs", "--height", "8", "(0,-12,0,0)"),
     ("search-symplectic", "--json", "(0,0,12,13)"),
     ("search-lcs", "--json", "--max-candidates", "2", "(0,0,12,13)"),
     ("analyze", "--quiet", "(0,0,12,13)"),
@@ -178,7 +181,6 @@ ARGVS = (
     ("cohomology", "--theta", "x3", "(0,0,12,13)"),
     ("analyze", "no_such_algebra"),
     ("search-lcs", "--height", "-1", "torus4"),
-    ("search-lcs", "--height", "3", "(0,-12,0,0,0,0)"),
 )
 
 

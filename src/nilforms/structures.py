@@ -555,10 +555,12 @@ def find_lcs(algebra, config=SearchConfig()):
     NOT_FOUND_UP_TO_HEIGHT(H).
 
     A non-nilpotent algebra has no such rule: its search decides every
-    candidate, each on a twisted sweep of Lambda^2, so an uncapped one
-    whose (V + 1)^m candidates would build more than the size budget of
-    cells (C(n, 2) n per sweep) is refused before the first, with
-    WrongDimension; ``max_candidates`` bounds a search that is still run.
+    candidate, each theta != 0 on a twisted sweep of the C(n, 2) monomials
+    of Lambda^2, n cells each, and may have to decide all (V + 1)^m of
+    them.  So an uncapped search counts those cells as it sweeps, and is
+    refused with WrongDimension at the sweep that would take them past the
+    size budget before a genuine pair is found (a nilpotent one sweeps at
+    most m times); ``max_candidates`` bounds a search that is still run.
 
     The closed covectors and the closed 2-forms of theta = 0 come off one
     untwisted sweep (``_cocycles(algebra, (1, 2))``), and those of each
@@ -579,12 +581,8 @@ def find_lcs(algebra, config=SearchConfig()):
     nilpotent = _is_nilpotent(algebra)
     if nilpotent:  # theta = 0, then the hoisted b_0 .. b_{m-1}
         candidates = itertools.islice(candidates, m + 1)
-    elif config.max_candidates is None:
-        # every candidate is decided on its own sweep of the C(n, 2) monomials
-        _require_budget((_value_count(config.height) + 1) ** m * len(monomials), algebra.dim,
-                        "the uncapped lcs search on a non-nilpotent algebra")
 
-    examined = 0
+    examined = swept = 0
     capped = False
     witness = verdict = None
     genuine_witness = genuine_verdict = None
@@ -599,6 +597,12 @@ def find_lcs(algebra, config=SearchConfig()):
         elif nilpotent and _lee_pfaffian(algebra, theta.coeffs).is_zero:
             continue  # Q_i == 0: no d_theta-closed 2-form is nondegenerate
         else:  # Z^2_theta, the kernel of d_theta on Lambda^2
+            if config.max_candidates is None:
+                swept += len(monomials)  # a sweep builds n cells per monomial
+                _require_budget(swept, algebra.dim, "the uncapped lcs search")
+            # _cocycles(algebra, (2,), theta) spelled out: bench/tracer.py
+            # pins a cross-layer _d_matrix call on the traced analyze path;
+            # once the tracer goes (ROADMAP item 1), call _cocycles here
             span = [{monomials[i]: c for i, c in vector.items()}
                     for vector in linalg.kernel(_d_matrix(algebra, 2, theta))]
         found = _nondegenerate_in_span(algebra, span)

@@ -444,36 +444,40 @@ def test_a_pfaffian_past_the_budget_is_refused(monkeypatch, search):
 
 
 # not nilpotent: (0,-12,0,0,0,0) has 5 closed covectors and no rule that
-# decides its search at height 1, so every candidate is a twisted sweep
+# decides its search at height 1, so every theta != 0 is a twisted sweep of
+# C(6, 2) = 15 monomials, 6 cells each
 SOLVABLE_6 = parse_salamon("(0,-12,0,0,0,0)")
 
 
-def test_an_uncapped_non_nilpotent_search_past_the_budget_is_refused():
-    # 15^5 candidates of height 3, each a sweep of C(6, 2) = 15 sources of
-    # 6 cells: refused before the first; a cap bounds the search instead
+def test_an_uncapped_non_nilpotent_search_past_the_budget_is_refused(monkeypatch):
+    # none of the 15^5 candidates of height 3 that a budget of 100 sweeps
+    # reaches gives a genuine pair, so the 101st sweep is refused; a cap
+    # bounds the search instead
+    monkeypatch.setattr(exterior_core, "_BUDGET", 100 * 15 * 6)
     with pytest.raises(WrongDimension,
-                       match="^the uncapped lcs search on a non-nilpotent algebra in "
-                             "dimension 6 would build about 68343750 cells"):
+                       match="^the uncapped lcs search in dimension 6 would build "
+                             "about 9090 cells, past the budget of 9000"):
         find_lcs(SOLVABLE_6, SearchConfig(height=3))
-    capped = find_lcs(SOLVABLE_6, SearchConfig(height=3, max_candidates=50))
-    assert (capped.genuine_status, capped.examined) == ("CANDIDATE_LIMIT_REACHED", 50)
+    capped = find_lcs(SOLVABLE_6, SearchConfig(height=3, max_candidates=200))
+    assert (capped.genuine_status, capped.examined) == ("CANDIDATE_LIMIT_REACHED", 200)
 
 
-def test_the_non_nilpotent_search_budget_counts_every_cell(monkeypatch):
-    # (0,-12,0,0): 3^3 candidates of height 1, each C(4, 2) = 6 sources of
-    # 4 cells, 648 in all; the search finds its pair at the third
+def test_a_search_that_finds_its_pair_early_is_not_refused(monkeypatch):
+    # (0,-12,0,0) at height 8: its 87^3 candidates would sweep about 15.8M
+    # cells, past the budget, but the genuine pair comes at the third, after
+    # two sweeps of C(4, 2) = 6 monomials, 4 cells each: 48 cells, under
+    # even a budget of 64, the least its lower central series needs
     algebra = parse_salamon("(0,-12,0,0)")
-    monkeypatch.setattr(exterior_core, "_BUDGET", 647)
-    with pytest.raises(WrongDimension, match="about 648 cells"):
-        find_lcs(algebra, SearchConfig(height=1))
-    monkeypatch.setattr(exterior_core, "_BUDGET", 648)
-    result = find_lcs(algebra, SearchConfig(height=1))
-    assert (result.genuine_status, result.examined) == ("FOUND", 3)
+    for budget in (exterior_core._BUDGET, 64):
+        monkeypatch.setattr(exterior_core, "_BUDGET", budget)
+        result = find_lcs(algebra, SearchConfig(height=8))
+        assert (result.genuine_status, result.examined) == ("FOUND", 3)
 
 
 def test_a_nilpotent_search_past_that_budget_is_counted():
     # (V(50) + 1)^4 candidates, far past the budget, yet only theta = 0 and
-    # the four closed covectors are decided and the miss is counted
+    # the four closed covectors are decided, at most four sweeps, and the
+    # miss is counted
     result = find_lcs(parse_salamon("(0,0,0,0,12,34)"), SearchConfig(height=50))
     assert result.genuine_status == "NOT_FOUND_UP_TO_HEIGHT(50)"
     assert result.examined == (structures._value_count(50) + 1) ** 4 == 91757719950625
